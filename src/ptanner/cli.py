@@ -17,14 +17,13 @@ import numpy as np
 
 from .csp import (
     LinInstance,
-    XorInstance,
     certify_unsat,
     emit_lin_instance,
     max_sat,
     reduce_to_3xor,
     sos_level_bound,
 )
-from .errors import DomainError, MissingArtifact, PreconditionError, ResourceError
+from .errors import DomainError, PreconditionError, ResourceError
 from .expander import (
     CayleyMultigraph,
     GeneratorMultiset,
@@ -40,7 +39,15 @@ from .nlts import (
     measure_spread,
     verify_cluster_lemma,
 )
-from .pipeline import load_config, load_manifest, render_report, run_pipeline
+from .pipeline import (
+    _dumps,
+    load_config,
+    load_manifest,
+    read_artifact,
+    render_report,
+    run_pipeline,
+    verify_document,
+)
 from .tanner import (
     CssCode,
     build_code,
@@ -49,12 +56,7 @@ from .tanner import (
     code_dimension,
     estimate_distance,
     estimate_ssexp,
-    verify_planted,
 )
-
-
-def _dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _deliver(args, text: str) -> int:
@@ -70,20 +72,17 @@ def _deliver(args, text: str) -> int:
     return 0
 
 
-def _read(path) -> str:
-    p = Path(path)
-    if not p.is_file():
-        raise MissingArtifact(f"file not found: {p}")
-    return p.read_text()
-
-
 def _load_code(path) -> CssCode:
-    return CssCode.from_json(_read(path))
+    return read_artifact(path, CssCode.from_json)
+
+
+def _load_instance(path) -> LinInstance:
+    return read_artifact(path, LinInstance.from_json)
 
 
 def _load_gens(args) -> GeneratorMultiset:
     if getattr(args, "gens", None):
-        return GeneratorMultiset.from_json(_read(args.gens))
+        return read_artifact(args.gens, GeneratorMultiset.from_json)
     if args.p is None or args.m is None or args.degree is None:
         raise DomainError("provide either --gens FILE or all of --p/--m/--degree")
     return default_generators(
@@ -150,19 +149,13 @@ def _cmd_code_build(args) -> int:
         seed=args.seed,
         require_generation=not args.allow_nongenerating,
     )
-    pair = InnerCodePair.from_json(_read(args.inner))
+    pair = read_artifact(args.inner, InnerCodePair.from_json)
     code = build_code(build_complex(gens, gens, args.convention), pair)
     return _deliver(args, code.to_json())
 
 
 def _cmd_code_verify(args) -> int:
-    code = _load_code(args.code)
-    doc = {
-        "planted": json.loads(verify_planted(code).to_json()),
-        "dimension": code_dimension(code),
-        "check_counting_bound": check_counting_bound(code),
-    }
-    return _deliver(args, _dumps(doc))
+    return _deliver(args, _dumps(verify_document(_load_code(args.code))))
 
 
 def _cmd_code_dimension(args) -> int:
@@ -202,9 +195,10 @@ def _cmd_nlts_clusters(args) -> int:
 
 def _load_state(source: str, n: int, seed: int, rng_trial: int) -> np.ndarray:
     if source != "random":
-        pairs = json.loads(_read(source))
-        vec = np.array([complex(re, im) for re, im in pairs])
-        return vec
+        return read_artifact(
+            source,
+            lambda text: np.array([complex(re, im) for re, im in json.loads(text)]),
+        )
     rng = np.random.default_rng((seed, rng_trial))
     vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return vec / np.linalg.norm(vec)
@@ -236,17 +230,19 @@ def _cmd_csp_emit(args) -> int:
     if args.beta in ("one", "ones"):
         beta = np.ones(code.n, dtype=np.int64)
     else:
-        beta = np.array(json.loads(_read(args.beta)), dtype=np.int64)
+        beta = read_artifact(
+            args.beta, lambda text: np.array(json.loads(text), dtype=np.int64)
+        )
     return _deliver(args, emit_lin_instance(code, beta).to_json())
 
 
 def _cmd_csp_unsat(args) -> int:
-    instance = LinInstance.from_json(_read(args.instance))
+    instance = _load_instance(args.instance)
     return _deliver(args, certify_unsat(instance).to_json())
 
 
 def _cmd_csp_maxsat(args) -> int:
-    instance = LinInstance.from_json(_read(args.instance))
+    instance = _load_instance(args.instance)
     mode = {"exact": "exact", "ls": "local-search"}[args.mode]
     report = max_sat(
         instance,
@@ -260,7 +256,7 @@ def _cmd_csp_maxsat(args) -> int:
 
 
 def _cmd_csp_reduce3(args) -> int:
-    instance = LinInstance.from_json(_read(args.instance))
+    instance = _load_instance(args.instance)
     return _deliver(args, reduce_to_3xor(instance).to_text())
 
 

@@ -157,23 +157,14 @@ def emit_lin_instance(code: CssCode, beta) -> LinInstance:
     b = np.asarray(beta, dtype=np.int64) % p
     if b.shape != (n,):
         raise BetaNotAdmissible(f"beta length {b.shape} differs from block length {n}")
-    hx = code.h_x.toarray()
-    hz = code.h_z.toarray()
-    if ((hx @ b) % p).any():
+    if code.h_x.apply(b).any():
         raise BetaNotAdmissible("beta is not annihilated by the X checks")
-    if in_rowspace(hz, b, p):
+    if in_rowspace(code.h_z, b):
         raise BetaNotAdmissible("beta lies in the Z-check rowspace")
-    cons = []
-    for i in range(n):
-        col = hz[:, i] % p
-        nz = np.nonzero(col)[0]
-        cons.append(
-            LinConstraint(
-                tuple(int(v) for v in nz),
-                tuple(int(col[v]) for v in nz),
-                int(b[i]),
-            )
-        )
+    cons = [
+        LinConstraint(tuple(checks), tuple(coeffs), int(b_i))
+        for (checks, coeffs), b_i in zip(code.h_z.T.rows(), b)
+    ]
     beta_kind = "ones" if (b == b[0]).all() and b[0] == 1 else "custom"
     return LinInstance(
         p=p,

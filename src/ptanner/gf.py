@@ -1,9 +1,10 @@
 """Exact linear algebra over prime fields GF(p).
 
 Everything here is integer arithmetic mod p; no floating point is used
-anywhere.  Matrices carry their modulus and pick dense or sparse storage by
-size.  Enumeration-style operations (minimum distance, coset weight) take an
-explicit budget and refuse to start work that would exceed it.
+anywhere.  Matrices carry their modulus and are stored sparse (CSR);
+elimination runs on dense copies.  Enumeration-style operations (minimum
+distance, coset weight) take an explicit budget and refuse to start work
+that would exceed it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+from scipy import sparse
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidField
 
@@ -22,7 +24,6 @@ __all__ = [
     "FMatrix",
     "LinearCode",
     "DEFAULT_ENUMERATION_BUDGET",
-    "DENSE_STORAGE_LIMIT",
     "as_vector",
     "weight",
     "rank",
@@ -37,8 +38,6 @@ __all__ = [
 
 # Enumerations larger than this raise BudgetExceeded unless overridden.
 DEFAULT_ENUMERATION_BUDGET = 2**24
-# Matrices with at least this many entries are stored as sparse row maps.
-DENSE_STORAGE_LIMIT = 10**6
 
 _ENUM_CHUNK = 1 << 14
 
@@ -105,55 +104,51 @@ def _as_array(p: int, data) -> np.ndarray:
 
 
 class FMatrix:
-    """Matrix over GF(p) with size-dependent dense/sparse storage.
+    """Matrix over GF(p), stored as one canonical `scipy.sparse` CSR array.
 
-    Sparse storage is a list of {col: value} maps, one per row.  Both
-    representations answer every query identically; `toarray()` is the
-    common path into the elimination routines.
+    Stored entries are int64 in [1, p): no explicit zeros and no duplicates,
+    with column indices sorted inside each row.  Products stay sparse;
+    `toarray()` is the path into the dense elimination routines.
     """
 
-    __slots__ = ("p", "shape", "_dense", "_rows")
+    __slots__ = ("p", "_csr")
 
-    def __init__(self, p: int, shape: tuple[int, int], dense=None, rows=None):
+    def __init__(self, p: int, data):
+        """Reduce `data` (anything `scipy.sparse.csr_array` accepts) mod p."""
         PrimeField(p)
+        csr = sparse.csr_array(data, dtype=np.int64, copy=True)
+        csr.sum_duplicates()
+        csr.data %= p
+        csr.eliminate_zeros()
         self.p = p
-        self.shape = (int(shape[0]), int(shape[1]))
-        self._dense = dense
-        self._rows = rows
+        self._csr = csr
 
     # ---- constructors -------------------------------------------------
 
     @classmethod
     def from_dense(cls, p: int, data) -> "FMatrix":
-        a = _as_array(p, data)
-        if a.size >= DENSE_STORAGE_LIMIT:
-            rows = [
-                {int(c): int(a[r, c]) for c in np.nonzero(a[r])[0]}
-                for r in range(a.shape[0])
-            ]
-            return cls(p, a.shape, rows=rows)
-        return cls(p, a.shape, dense=a.copy())
+        return cls(p, _as_array(p, data))
 
     @classmethod
     def from_entries(cls, p: int, n_rows: int, n_cols: int, entries) -> "FMatrix":
-        PrimeField(p)
-        if n_rows * n_cols >= DENSE_STORAGE_LIMIT:
-            rows: list[dict[int, int]] = [dict() for _ in range(n_rows)]
-            for r, c, v in entries:
-                if not (0 <= r < n_rows and 0 <= c < n_cols):
-                    raise DimensionMismatch(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
-                v = int(v) % p
-                if v:
-                    rows[r][int(c)] = v
-                else:
-                    rows[r].pop(int(c), None)
-            return cls(p, (n_rows, n_cols), rows=rows)
-        a = np.zeros((n_rows, n_cols), dtype=np.int64)
-        for r, c, v in entries:
-            if not (0 <= r < n_rows and 0 <= c < n_cols):
-                raise DimensionMismatch(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
-            a[r, c] = int(v) % p
-        return cls(p, (n_rows, n_cols), dense=a)
+        """Build from (row, col, value) triples; a later duplicate cell wins."""
+        e = np.asarray(entries, dtype=np.int64)
+        if e.size == 0:
+            e = e.reshape(0, 3)
+        if e.ndim != 2 or e.shape[1] != 3:
+            raise DimensionMismatch(
+                f"entries of shape {e.shape} are not (row, col, value) triples"
+            )
+        r, c, v = e.T
+        outside = (r < 0) | (r >= n_rows) | (c < 0) | (c >= n_cols)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise DimensionMismatch(f"entry ({r[i]},{c[i]}) outside {n_rows}x{n_cols}")
+        # the first occurrence of a cell in reverse order is its last write
+        _, rev = np.unique((r * n_cols + c)[::-1], return_index=True)
+        last = len(r) - 1 - rev
+        cells = (v[last], (r[last], c[last]))
+        return cls(p, sparse.csr_array(cells, shape=(n_rows, n_cols)))
 
     @classmethod
     def zeros(cls, p: int, n_rows: int, n_cols: int) -> "FMatrix":
@@ -161,64 +156,38 @@ class FMatrix:
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FMatrix":
-        return cls.from_dense(p, np.eye(n, dtype=np.int64))
+        return cls(p, sparse.identity(n, dtype=np.int64, format="csr"))
 
     # ---- storage ------------------------------------------------------
 
     @property
-    def is_sparse(self) -> bool:
-        return self._rows is not None
+    def shape(self) -> tuple[int, int]:
+        return self._csr.shape
 
     def toarray(self) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense.copy()
-        a = np.zeros(self.shape, dtype=np.int64)
-        for r, row in enumerate(self._rows):
-            for c, v in row.items():
-                a[r, c] = v
-        return a
-
-    def row(self, r: int) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense[r].copy()
-        out = np.zeros(self.shape[1], dtype=np.int64)
-        for c, v in self._rows[r].items():
-            out[c] = v
-        return out
+        return self._csr.toarray()
 
     def entries(self) -> list[tuple[int, int, int]]:
         """Nonzero entries as (row, col, value), row-major sorted."""
-        out: list[tuple[int, int, int]] = []
-        if self._dense is not None:
-            for r, c in zip(*np.nonzero(self._dense)):
-                out.append((int(r), int(c), int(self._dense[r, c])))
-        else:
-            for r, row in enumerate(self._rows):
-                for c in sorted(row):
-                    out.append((r, c, row[c]))
-        out.sort()
-        return out
+        coo = self._csr.tocoo()
+        return list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+
+    def rows(self) -> list[tuple[list[int], list[int]]]:
+        """Per row: its nonzero column indices, ascending, and their values."""
+        ptr = self._csr.indptr.tolist()
+        idx, val = self._csr.indices, self._csr.data
+        return [(idx[a:b].tolist(), val[a:b].tolist()) for a, b in zip(ptr, ptr[1:])]
 
     def nnz(self) -> int:
-        if self._dense is not None:
-            return int(np.count_nonzero(self._dense))
-        return sum(len(r) for r in self._rows)
+        return int(self._csr.nnz)
 
     # ---- queries ------------------------------------------------------
 
     def row_weights(self) -> list[int]:
-        if self._dense is not None:
-            return [int(w) for w in np.count_nonzero(self._dense, axis=1)]
-        return [len(r) for r in self._rows]
+        return np.diff(self._csr.indptr).tolist()
 
     def col_weights(self) -> list[int]:
-        if self._dense is not None:
-            return [int(w) for w in np.count_nonzero(self._dense, axis=0)]
-        counts = [0] * self.shape[1]
-        for row in self._rows:
-            for c in row:
-                counts[c] += 1
-        return counts
+        return np.bincount(self._csr.indices, minlength=self.shape[1]).tolist()
 
     def max_row_weight(self) -> int:
         return max(self.row_weights(), default=0)
@@ -228,17 +197,14 @@ class FMatrix:
 
     @property
     def T(self) -> "FMatrix":
-        return FMatrix.from_entries(
-            self.p, self.shape[1], self.shape[0], [(c, r, v) for r, c, v in self.entries()]
-        )
+        return FMatrix(self.p, self._csr.T)
 
     def matmul(self, other: "FMatrix") -> "FMatrix":
         if self.p != other.p:
             raise DimensionMismatch("field mismatch in matmul")
         if self.shape[1] != other.shape[0]:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        prod = (self.toarray() @ other.toarray()) % self.p
-        return FMatrix.from_dense(self.p, prod)
+        return FMatrix(self.p, self._csr @ other._csr)
 
     def __matmul__(self, other: "FMatrix") -> "FMatrix":
         return self.matmul(other)
@@ -248,18 +214,7 @@ class FMatrix:
         v = as_vector(self.p, v)
         if v.shape[0] != self.shape[1]:
             raise DimensionMismatch(f"{self.shape} applied to length {v.shape[0]}")
-        if self._dense is not None:
-            return (self._dense @ v) % self.p
-        out = np.zeros(self.shape[0], dtype=np.int64)
-        for r, row in enumerate(self._rows):
-            s = 0
-            for c, val in row.items():
-                s += val * int(v[c])
-            out[r] = s % self.p
-        return out
-
-    def is_zero(self) -> bool:
-        return self.nnz() == 0
+        return (self._csr @ v) % self.p
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FMatrix):
@@ -267,15 +222,14 @@ class FMatrix:
         return (
             self.p == other.p
             and self.shape == other.shape
-            and self.entries() == other.entries()
+            and (self._csr != other._csr).nnz == 0
         )
 
     def __hash__(self):
         return hash((self.p, self.shape, tuple(self.entries())))
 
     def __repr__(self):
-        kind = "sparse" if self.is_sparse else "dense"
-        return f"FMatrix(p={self.p}, shape={self.shape}, {kind}, nnz={self.nnz()})"
+        return f"FMatrix(p={self.p}, shape={self.shape}, nnz={self.nnz()})"
 
     # ---- serialization ------------------------------------------------
 
@@ -301,26 +255,19 @@ class FMatrix:
         1-based row indices.  For p > 2 the entry values follow a ':' on
         each line.  Entry order is ascending, so export is canonical.
         """
-        ent = self.entries()
-        by_row: list[list[tuple[int, int]]] = [[] for _ in range(self.shape[0])]
-        by_col: list[list[tuple[int, int]]] = [[] for _ in range(self.shape[1])]
-        for r, c, v in ent:
-            by_row[r].append((c, v))
-            by_col[c].append((r, v))
+
+        def fmt(idx: list[int], vals: list[int]) -> str:
+            line = " ".join(str(i + 1) for i in idx)
+            if self.p == 2:
+                return line
+            return f"{line} : {' '.join(map(str, vals))}" if idx else ":"
+
         lines = [
             f"{self.shape[0]} {self.shape[1]}",
             f"{self.max_row_weight()} {self.max_col_weight()}",
         ]
-
-        def fmt(items: list[tuple[int, int]]) -> str:
-            idx = " ".join(str(i + 1) for i, _ in items)
-            if self.p == 2:
-                return idx
-            vals = " ".join(str(v) for _, v in items)
-            return f"{idx} : {vals}" if items else ":"
-
-        lines.extend(fmt(row) for row in by_row)
-        lines.extend(fmt(col) for col in by_col)
+        lines.extend(fmt(*row) for row in self.rows())
+        lines.extend(fmt(*col) for col in self.T.rows())
         return "\n".join(lines) + "\n"
 
     @classmethod

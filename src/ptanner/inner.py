@@ -30,7 +30,6 @@ from .errors import BudgetExceeded, DomainError, SearchExhausted
 from .gf import (
     DEFAULT_ENUMERATION_BUDGET,
     LinearCode,
-    kernel_basis,
     min_distance,
     rank,
     row_reduce,
@@ -239,28 +238,6 @@ def product_expansion_exact(
         witness_row_part=r0.reshape(n, n),
         notes={"space_dim": dim},
     )
-
-
-def exact_decomposition_cost(
-    code1: LinearCode, code2: LinearCode, x: np.ndarray
-) -> int | None:
-    """Exact D(x), or None when x is not decomposable at all."""
-    p, n = _pair_preconditions(code1, code2)
-    x = np.asarray(x, dtype=np.int64).reshape(n, n) % p
-    basis, tags = _tagged_basis(code1, code2)
-    if basis.shape[0] == 0:
-        return None if x.any() else 0
-    coeffs = solve(basis.T, x.reshape(-1), p)
-    if coeffs is None:
-        return None
-    col_mask = np.array([t == "col" for t in tags])
-    c0 = (coeffs * col_mask) @ basis % p
-    r0 = (coeffs * ~col_mask) @ basis % p
-    tensor_words = _tensor_codewords(code1, code2)
-    costs = _decomposition_costs(
-        c0.reshape(1, -1), r0.reshape(1, -1), tensor_words, n, p
-    )
-    return int(costs[0])
 
 
 def product_expansion_falsify(

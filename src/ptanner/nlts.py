@@ -59,14 +59,19 @@ def _packed_rows(mat) -> list[int]:
     return [pack_bits(row) for row in mat.toarray()]
 
 
+def _span(generators) -> list[int]:
+    """Every XOR combination of the packed generators.  Each generator
+    doubles the list: the old words, then each old word XOR the generator."""
+    words = [0]
+    for g in generators:
+        words += [w ^ g for w in words]
+    return words
+
+
 def _all_kernel_words(checks: np.ndarray, n: int) -> list[int]:
     """Every packed word of ker(checks) over GF(2)."""
     kb = kernel_basis(checks, 2) if checks.size else np.eye(n, dtype=np.int64)
-    packed = [pack_bits(r) for r in kb]
-    words = [0]
-    for g in packed:
-        words += [w ^ g for w in words]
-    return sorted(words)
+    return sorted(_span(pack_bits(r) for r in kb))
 
 
 @dataclass
@@ -153,10 +158,7 @@ def _coset_weight_table(stab_rows: np.ndarray, n: int, cap: int) -> np.ndarray:
     weights = np.bitwise_count(idx).astype(np.int64)
     table = weights.copy()
     rref, pivots = row_reduce(stab_rows, 2) if stab_rows.size else (stab_rows, [])
-    basis_words = [pack_bits(rref[i]) for i in range(len(pivots))]
-    words = [0]
-    for g in basis_words:
-        words += [w ^ g for w in words]
+    words = _span(pack_bits(rref[i]) for i in range(len(pivots)))
     for s in words[1:]:
         np.minimum(table, weights[idx ^ s], out=table)
     return table
@@ -463,12 +465,8 @@ def sector_state(code: CssCode, e_x: int, e_z: int, logical: int = 0) -> dict[in
     """
     _require_gf2(code)
     rref, pivots = row_reduce(code.h_x.toarray(), 2)
-    words = [0]
-    for i in range(len(pivots)):
-        g = pack_bits(rref[i])
-        words += [w ^ g for w in words]
     state: dict[int, int] = {}
-    for u in words:
+    for u in _span(pack_bits(rref[i]) for i in range(len(pivots))):
         w = logical ^ u
         amp = -1 if (int(w & e_x).bit_count() % 2) else 1
         state[w ^ e_z] = amp
@@ -522,12 +520,7 @@ def logical_pair(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
     n = code.n
     x_words = _all_kernel_words(code.h_x.toarray(), n)
     rref_z, piv_z = row_reduce(code.h_z.toarray(), 2)
-    stab_z = set()
-    words = [0]
-    for i in range(len(piv_z)):
-        g = pack_bits(rref_z[i])
-        words += [w ^ g for w in words]
-    stab_z = set(words)
+    stab_z = set(_span(pack_bits(rref_z[i]) for i in range(len(piv_z))))
     c_x = next((w for w in x_words if w and w not in stab_z), None)
     if c_x is None:
         raise DomainError("code has no X-side logical (k = 0)")

@@ -27,6 +27,7 @@ from .expander import (
     group_order,
     spectral_expansion,
 )
+from .gf import _is_prime
 from .inner import search_inner_pair
 from .tanner import (
     build_code,
@@ -114,12 +115,6 @@ CONFIG_SCHEMA = {
         },
     },
 }
-
-
-def _is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    return all(x % d for d in range(2, int(math.isqrt(x)) + 1))
 
 
 def _dumps(doc) -> str:
@@ -237,11 +232,27 @@ class RunConfig:
         }
 
 
-def load_config(path) -> RunConfig:
+def read_artifact(path, parse, what: str = "file"):
+    """parse(text) of the file at `path`.
+
+    A missing file raises MissingArtifact; a parse that fails with
+    ValueError, KeyError, TypeError, IndexError or OverflowError (malformed
+    JSON, a missing key, a wrongly shaped value, an integer past int64)
+    raises DomainError.  Both name the file.
+    """
     path = Path(path)
     if not path.is_file():
-        raise MissingArtifact(f"config file not found: {path}")
-    return RunConfig.from_json(path.read_text())
+        raise MissingArtifact(f"{what} not found: {path}")
+    try:
+        return parse(path.read_text())
+    except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
+        raise DomainError(
+            f"malformed {what} {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def load_config(path) -> RunConfig:
+    return read_artifact(path, RunConfig.from_json, "config file")
 
 
 # ---- stages ------------------------------------------------------------
@@ -322,21 +333,19 @@ def _stage_code(config: RunConfig, ctx: dict):
     return {"code": ("code.json", code.to_json())}, summary
 
 
+def verify_document(code) -> dict:
+    """Planting report, dimension and counting bound of a code, as written
+    to verify.json."""
+    return {
+        "planted": json.loads(verify_planted(code).to_json()),
+        "dimension": code_dimension(code),
+        "check_counting_bound": check_counting_bound(code),
+    }
+
+
 def _stage_verify(config: RunConfig, ctx: dict):
-    code = ctx["code"]
-    report = verify_planted(code)
-    dim = code_dimension(code)
-    bound = check_counting_bound(code)
-    doc = {
-        "planted": json.loads(report.to_json()),
-        "dimension": dim,
-        "check_counting_bound": bound,
-    }
-    summary = {
-        "planted": report.planted,
-        "dimension": dim,
-        "check_counting_bound": bound,
-    }
+    doc = verify_document(ctx["code"])
+    summary = dict(doc, planted=doc["planted"]["planted"])
     return {"verify": ("verify.json", _dumps(doc))}, summary
 
 
@@ -472,10 +481,7 @@ def run_pipeline(config: RunConfig, out_dir=None) -> dict:
 
 
 def load_manifest(path) -> dict:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingArtifact(f"manifest not found: {path}")
-    return json.loads(path.read_text())
+    return read_artifact(path, json.loads, "manifest")
 
 
 def _fmt(value) -> str:

@@ -242,8 +242,7 @@ class CssCode:
         )
 
     def css_orthogonal(self) -> bool:
-        prod = (self.h_x.toarray() @ self.h_z.toarray().T) % self.p
-        return not prod.any()
+        return (self.h_x @ self.h_z.T).nnz() == 0
 
     def validate(self) -> None:
         """Raise DomainError unless the X/Z checks commute."""
@@ -382,12 +381,12 @@ class PlantedReport:
 def verify_planted(code: CssCode) -> PlantedReport:
     p, n = code.p, code.n
     ones = np.ones(n, dtype=np.int64)
-    ax, az = code.h_x.toarray(), code.h_z.toarray()
-    in_ker_x = not ((ax @ ones) % p).any()
-    in_ker_z = not ((az @ ones) % p).any()
-    sums_zero = not ((ax.sum(axis=1) % p).any() or (az.sum(axis=1) % p).any())
-    outside_x = not in_rowspace(ax, ones, p)
-    outside_z = not in_rowspace(az, ones, p)
+    in_ker_x = not code.h_x.apply(ones).any()
+    in_ker_z = not code.h_z.apply(ones).any()
+    # a row sum is that row applied to the all-ones word
+    sums_zero = in_ker_x and in_ker_z
+    outside_x = not in_rowspace(code.h_x, ones)
+    outside_z = not in_rowspace(code.h_z, ones)
     return PlantedReport(
         ones_in_ker_x=in_ker_x,
         ones_in_ker_z=in_ker_z,

@@ -5,14 +5,17 @@ weights by trying every vector.  The fast implementations must agree with
 them exactly.
 """
 
+import json
 import math
 import random
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ptanner.errors import BudgetExceeded, InvalidField
+from ptanner.errors import BudgetExceeded, DimensionMismatch, InvalidField
 from ptanner.gf import (
     FMatrix,
     LinearCode,
@@ -233,9 +236,8 @@ def test_fmatrix_alist_handles_zero_rows_and_cols():
 
 def test_fmatrix_sparse_dense_agreement():
     entries = [(0, 0, 1), (1, 2, 4), (2, 1, 3)]
-    dense = FMatrix.from_entries(5, 3, 3, entries)
-    sparse = FMatrix(5, (3, 3), rows=[{0: 1}, {2: 4}, {1: 3}])
-    assert not dense.is_sparse and sparse.is_sparse
+    sparse = FMatrix.from_entries(5, 3, 3, entries)
+    dense = FMatrix.from_dense(5, [[1, 0, 0], [0, 0, 4], [0, 3, 0]])
     assert dense == sparse
     assert dense.row_weights() == sparse.row_weights()
     assert dense.col_weights() == sparse.col_weights()
@@ -248,9 +250,78 @@ def test_fmatrix_sparse_dense_agreement():
 
 def test_fmatrix_auto_sparse_above_threshold():
     m = FMatrix.from_entries(2, 1000, 1001, [(0, 0, 1), (999, 1000, 1)])
-    assert m.is_sparse
     assert m.nnz() == 2
     assert m.T.entries() == [(0, 0, 1), (1000, 999, 1)]
+
+
+def dense_oracle(p, n_rows, n_cols, entries):
+    """Cell by cell, so a later write to a cell replaces an earlier one."""
+    a = np.zeros((n_rows, n_cols), dtype=np.int64)
+    for r, c, v in entries:
+        if not (0 <= r < n_rows and 0 <= c < n_cols):
+            raise DimensionMismatch(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
+        a[r, c] = v % p
+    return a
+
+
+@st.composite
+def entry_cases(draw, spill=0):
+    """(p, rows, cols, entries); with spill > 0 indices may leave the shape."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if not (n_rows and n_cols or spill):
+        return p, n_rows, n_cols, []
+    cell = st.tuples(
+        st.integers(-spill, n_rows - 1 + spill),
+        st.integers(-spill, n_cols - 1 + spill),
+        st.integers(-2 * p, 3 * p),
+    )
+    return p, n_rows, n_cols, draw(st.lists(cell, max_size=30))
+
+
+HYPOTHESIS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@HYPOTHESIS
+@given(entry_cases(), st.data())
+def test_fmatrix_matches_dense_oracle(case, data):
+    p, n_rows, n_cols, entries = case
+    a = dense_oracle(p, n_rows, n_cols, entries)
+    m = FMatrix.from_entries(p, n_rows, n_cols, entries)
+    assert m.shape == a.shape
+    assert (m.toarray() == a).all()
+    assert m == FMatrix.from_dense(p, a)
+    nz = list(zip(*np.nonzero(a)))
+    assert m.entries() == [(int(r), int(c), int(a[r, c])) for r, c in nz]
+    assert m.nnz() == len(nz)
+    assert m.rows() == [(np.flatnonzero(row).tolist(), row[row != 0].tolist()) for row in a]
+    assert m.row_weights() == np.count_nonzero(a, axis=1).tolist()
+    assert m.col_weights() == np.count_nonzero(a, axis=0).tolist()
+    assert m.max_row_weight() == max(np.count_nonzero(a, axis=1), default=0)
+    assert (m.T.toarray() == a.T).all()
+    v = data.draw(st.lists(st.integers(-p, 2 * p), min_size=n_cols, max_size=n_cols))
+    v = np.array(v, dtype=np.int64)
+    assert (m.apply(v) == (a @ v) % p).all()
+    k = data.draw(st.integers(0, 5))
+    b = data.draw(st.lists(st.integers(0, p - 1), min_size=n_cols * k, max_size=n_cols * k))
+    b = np.array(b, dtype=np.int64).reshape(n_cols, k)
+    assert ((m @ FMatrix.from_dense(p, b)).toarray() == (a @ b) % p).all()
+    assert FMatrix.from_json(m.to_json()) == m
+    assert json.loads(m.to_json())["entries"] == [[int(r), int(c), int(a[r, c])] for r, c in nz]
+    assert FMatrix.from_alist(m.to_alist(), p) == m
+
+
+@HYPOTHESIS
+@given(entry_cases(spill=2))
+def test_fmatrix_out_of_range_entries_match_oracle(case):
+    p, n_rows, n_cols, entries = case
+    try:
+        a = dense_oracle(p, n_rows, n_cols, entries)
+    except DimensionMismatch:
+        with pytest.raises(DimensionMismatch):
+            FMatrix.from_entries(p, n_rows, n_cols, entries)
+    else:
+        assert (FMatrix.from_entries(p, n_rows, n_cols, entries).toarray() == a).all()
 
 
 def test_matmul_and_transpose():

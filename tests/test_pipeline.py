@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from ptanner.cli import main
 from ptanner.errors import DomainError, MissingArtifact, SearchExhausted
@@ -342,3 +343,59 @@ def test_cli_exit_codes(tmp_path, capsys, steane_file):
     assert main(
         ["csp", "maxsat", "--instance", str(lin_file), "--budget", "4"]
     ) == 3
+
+TWO_COORD_GENS = '{"degree":2,"generators":[[1,0],[2,0,0]],"m":1,"p":3}'
+HUGE_ENTRY_CODE = json.dumps({
+    "p": 2, "n": 1,
+    "h_x": {"p": 2, "rows": 1, "cols": 1, "entries": [[0, 0, 2**70]]},
+    "h_z": {"p": 2, "rows": 0, "cols": 1, "entries": []},
+})
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["code", "verify", "--code", "{bad}"], '{"p":2,"n":3}'),
+        (["code", "dimension", "--code", "{bad}"], HUGE_ENTRY_CODE),
+        (["csp", "unsat", "--instance", "{bad}"], "not json"),
+        (["pipeline", "run", "--config", "{bad}"], "not json"),
+        (["report", "--manifest", "{bad}"], "not json"),
+        (["expander", "spectrum", "--gens", "{bad}"], TWO_COORD_GENS),
+        (["code", "build", "--p", "3", "--m", "1", "--delta", "3",
+          "--allow-nongenerating", "--inner", "{bad}"], "[]"),
+        (["csp", "emit", "--code", "{steane}", "--beta", "{bad}"], '{"b": 1}'),
+        (["nlts", "spread", "--code", "{steane}", "--state", "{bad}"], "[[1]]"),
+    ],
+)
+def test_cli_malformed_artifact_exits_2(tmp_path, capsys, steane_file, argv, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    paths = {"bad": str(bad), "steane": str(steane_file)}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "precondition failed" in err
+    assert str(bad) in err
+
+
+def test_level2_code_stage_is_css_orthogonal(tmp_path):
+    """Group (3,2), n = 18,225, through `code`; H_X H_Z^T = 0 is checked with
+    a scipy.sparse product built straight from code.json."""
+    config = RunConfig.from_mapping({
+        "field_p": 2, "group": {"p": 3, "m": 2}, "delta": 5, "k_a": 2, "k_b": 3,
+        "rho_target": "1/8", "seed": 7,
+        "stages": ["expander", "inner", "complex", "code"],
+    })
+    manifest = run_pipeline(config, out_dir=tmp_path)
+    summary = manifest["stages"]["code"]["summary"]
+    assert summary["n"] == 18225
+    doc = json.loads((tmp_path / "code.json").read_text())
+
+    def csr(m):
+        e = np.array(m["entries"], dtype=np.int64).reshape(-1, 3)
+        return sparse.csr_array((e[:, 2], (e[:, 0], e[:, 1])), shape=(m["rows"], m["cols"]))
+
+    h_x, h_z = csr(doc["h_x"]), csr(doc["h_z"])
+    assert h_x.shape == (summary["m_x"], 18225)
+    assert h_z.shape == (summary["m_z"], 18225)
+    assert h_x.nnz > 0 and h_z.nnz > 0
+    assert not ((h_x @ h_z.T).data % 2).any()

@@ -161,6 +161,10 @@ def test_mixed_conventions_break_orthogonality():
     )
     prod = (h_x.toarray() @ h_z.toarray().T) % 2
     assert prod.any()
+    mixed = CssCode(p=2, n=h_x.shape[1], h_x=h_x, h_z=h_z)
+    assert not mixed.css_orthogonal()
+    with pytest.raises(DomainError):
+        mixed.validate()
 
 
 def test_build_code_rejects_length_mismatch():
