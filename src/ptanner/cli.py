@@ -49,6 +49,7 @@ from .pipeline import (
     verify_document,
 )
 from .tanner import (
+    DEFAULT_DISTANCE_BUDGET,
     CssCode,
     build_code,
     build_complex,
@@ -338,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         s.set_defaults(func=fn)
     s = sub.add_parser("distance")
     s.add_argument("--code", required=True)
-    s.add_argument("--budget", type=int, default=2**16)
+    s.add_argument("--budget", type=int, default=DEFAULT_DISTANCE_BUDGET)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--trials", type=int, default=32)
     s.add_argument("--out")

@@ -26,9 +26,16 @@ from .errors import (
     DomainError,
     UnsupportedField,
 )
-from .gf import in_rowspace, kernel_basis, solve
+from .gf import LinearCode, in_rowspace, iter_codewords, kernel_basis, solve
 from .inner import InnerCodePair
-from .tanner import CssCode, SquareCayleyComplex
+from .tanner import (
+    Z_LAYERS,
+    CssCode,
+    SquareCayleyComplex,
+    check_inner_length,
+    face_column,
+    num_check_rows,
+)
 
 
 class LinConstraint(NamedTuple):
@@ -178,18 +185,14 @@ def emit_lin_instance(code: CssCode, beta) -> LinInstance:
 class TannerConstraintStream:
     """Constraint-at-a-time emission for Tanner builds.
 
-    Each call reconstructs one column of H_Z by pure group arithmetic:
-    locate the two incident 01/10 vertices of the face, read the dual
-    basis coefficients at the face's grid cell, and compose the check
-    indices from the fixed row layout.  No check matrix is formed, so the
+    Constraint f is `tanner.face_column` of face f on the Z layers with the
+    dual inner bases (column f of H_Z, evaluated by group arithmetic from f
+    alone) and right-hand side beta[f].  No check matrix is formed, so the
     cost of one constraint does not grow with the block length.
     """
 
     def __init__(self, complex_: SquareCayleyComplex, pair: InnerCodePair, beta):
-        if pair.n != complex_.delta:
-            raise DomainError(
-                f"inner length {pair.n} differs from complex degree {complex_.delta}"
-            )
+        check_inner_length(complex_, pair)
         self.complex = complex_
         self.p = pair.p
         self.beta = np.asarray(beta, dtype=np.int64) % self.p
@@ -197,18 +200,8 @@ class TannerConstraintStream:
             raise BetaNotAdmissible(
                 f"beta length {self.beta.shape} differs from {complex_.num_faces}"
             )
-        dual_a = pair.code_a.dual().basis % self.p
-        dual_b = pair.code_b.dual().basis % self.p
-        self._dual_a = [[int(x) for x in row] for row in dual_a]
-        self._dual_b = [[int(x) for x in row] for row in dual_b]
-        self._ka = len(self._dual_a)
-        self._kb = len(self._dual_b)
-        self._gs = complex_.group_size
-        self._paired = complex_.convention == "paired"
-        self._elems_a = complex_.gens_a.elements
-        self._elems_b = complex_.gens_b.elements
-        self._sig_a = complex_.gens_a.pairing
-        self._sig_b = complex_.gens_b.pairing
+        self._dual_a = pair.code_a.dual().basis.tolist()
+        self._dual_b = pair.code_b.dual().basis.tolist()
 
     @property
     def num_constraints(self) -> int:
@@ -216,40 +209,13 @@ class TannerConstraintStream:
 
     @property
     def num_vars(self) -> int:
-        return 2 * self._gs * self._ka * self._kb
+        return num_check_rows(self.complex, Z_LAYERS, self._dual_a, self._dual_b)
 
     def constraint(self, f: int) -> LinConstraint:
-        g, i, j = self.complex.face_from_index(f)
-        v01 = (self._elems_a[i] * g).index
-        v10 = (g * self._elems_b[j]).index
-        r01 = self._sig_a[i] if self._paired else i
-        c10 = self._sig_b[j] if self._paired else j
-        ka, kb, p = self._ka, self._kb, self.p
-        block = ka * kb
-        vars_: list[int] = []
-        coeffs: list[int] = []
-        base = v01 * block
-        for s in range(ka):
-            wa = self._dual_a[s][r01]
-            if not wa:
-                continue
-            row_b = self._dual_b
-            for t in range(kb):
-                val = wa * row_b[t][j] % p
-                if val:
-                    vars_.append(base + s * kb + t)
-                    coeffs.append(val)
-        base = (self._gs + v10) * block
-        for s in range(ka):
-            wa = self._dual_a[s][i]
-            if not wa:
-                continue
-            for t in range(kb):
-                val = wa * self._dual_b[t][c10] % p
-                if val:
-                    vars_.append(base + s * kb + t)
-                    coeffs.append(val)
-        return LinConstraint(tuple(vars_), tuple(coeffs), int(self.beta[f]))
+        checks, coeffs = face_column(
+            self.complex, f, Z_LAYERS, self._dual_a, self._dual_b, self.p
+        )
+        return LinConstraint(tuple(checks), tuple(coeffs), int(self.beta[f]))
 
     def as_instance(self, provenance=None) -> LinInstance:
         cons = [self.constraint(f) for f in range(self.num_constraints)]
@@ -333,17 +299,6 @@ class SatReport:
         )
 
 
-def _assignments_chunk(start: int, stop: int, m: int, p: int) -> np.ndarray:
-    """Rows start..stop-1 of the lexicographic assignment table."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    digits = np.empty((len(idx), m), dtype=np.int64)
-    rem = idx
-    for pos in range(m - 1, -1, -1):
-        digits[:, pos] = rem % p
-        rem = rem // p
-    return digits
-
-
 def max_sat(
     instance: LinInstance,
     mode: str = "exact",
@@ -370,9 +325,9 @@ def max_sat(
         if total > budget:
             raise BudgetExceeded(f"{p}^{m} assignments exceed budget {budget}")
         best_count, best_y = -1, None
-        chunk = 1 << 14
-        for start in range(0, total, chunk):
-            ys = _assignments_chunk(start, min(start + chunk, total), m, p)
+        # the identity code's words are all assignments, in lexicographic order
+        everything = LinearCode(p, m, np.eye(m, dtype=np.int64))
+        for ys in iter_codewords(everything, budget=None):
             counts = ((ys @ a.T) % p == b).sum(axis=1)
             k = int(np.argmax(counts))
             if int(counts[k]) > best_count:

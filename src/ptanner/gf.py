@@ -75,12 +75,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def elements(self) -> range:
-        return range(self.p)
-
 
 def as_vector(p: int, data) -> np.ndarray:
     """Coerce a sequence to a 1-D int64 array reduced mod p."""

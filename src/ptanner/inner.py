@@ -30,6 +30,7 @@ from .errors import BudgetExceeded, DomainError, SearchExhausted
 from .gf import (
     DEFAULT_ENUMERATION_BUDGET,
     LinearCode,
+    iter_codewords,
     min_distance,
     rank,
     row_reduce,
@@ -142,19 +143,9 @@ def _tagged_basis(code1: LinearCode, code2: LinearCode):
 
 def _tensor_codewords(code1: LinearCode, code2: LinearCode) -> np.ndarray:
     """All p^(k1*k2) codewords of the tensor code, flattened, as rows."""
-    n, p = code1.n, code1.p
-    gens = []
-    for u in code1.basis:
-        for v in code2.basis:
-            gens.append(np.outer(u, v).reshape(-1))
-    k = len(gens)
-    if k == 0:
-        return np.zeros((1, n * n), dtype=np.int64)
-    gens = np.array(gens, dtype=np.int64)
-    powers = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    idx = np.arange(p**k, dtype=np.int64)
-    coeffs = (idx[:, None] // powers) % p
-    return (coeffs @ gens) % p
+    gens = [np.outer(u, v).reshape(-1) for u in code1.basis for v in code2.basis]
+    tensor = LinearCode(code1.p, code1.n * code2.n, gens)
+    return np.concatenate(list(iter_codewords(tensor, budget=None)))
 
 
 def _pair_preconditions(code1: LinearCode, code2: LinearCode) -> tuple[int, int]:
@@ -343,14 +334,6 @@ class InnerCodePair:
         if not self.code_b.dual().contains(ones):
             raise DomainError("dual of code_b does not contain the all-ones word")
 
-    @property
-    def rate_a(self) -> Fraction:
-        return Fraction(self.code_a.dim, self.n)
-
-    @property
-    def rate_b(self) -> Fraction:
-        return Fraction(self.code_b.dim, self.n)
-
     def summary(self) -> dict:
         prov = {
             k: (str(v) if isinstance(v, Fraction) else v)
@@ -508,12 +491,10 @@ def property_star_check(
         return True
 
     def span_set(vectors: list[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
-        arr = np.array(vectors, dtype=np.int64)
-        k = arr.shape[0]
-        idx = np.arange(p**k, dtype=np.int64)
-        pw = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        words = ((idx[:, None] // pw) % p) @ arr % p
-        return frozenset(tuple(int(t) for t in w) for w in words)
+        span = LinearCode(p, n, vectors)
+        return frozenset(
+            tuple(w) for block in iter_codewords(span, budget=None) for w in block.tolist()
+        )
 
     examined = 0
     level: dict[frozenset, list[tuple[int, ...]]] = {}

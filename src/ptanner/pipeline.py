@@ -30,6 +30,8 @@ from .expander import (
 from .gf import _is_prime
 from .inner import search_inner_pair
 from .tanner import (
+    DEFAULT_DISTANCE_BUDGET,
+    DEFAULT_SSEXP_EXHAUSTIVE,
     build_code,
     build_complex,
     check_counting_bound,
@@ -69,10 +71,10 @@ DEFAULT_BUDGETS = {
     "inner_candidates": 200,
     "falsify_trials": 400,
     "exact_certify": 2**14,
-    "distance_budget": 2**16,
+    "distance_budget": DEFAULT_DISTANCE_BUDGET,
     "distance_trials": 32,
     "ssexp_trials": 150,
-    "ssexp_exhaustive": 2**14,
+    "ssexp_exhaustive": DEFAULT_SSEXP_EXHAUSTIVE,
 }
 
 CONFIG_SCHEMA = {

@@ -9,10 +9,15 @@ the other.  Each face (g, i, j) is a square with corners
 
 X-type checks live on the 00/11 layers and carry tensor codewords of the
 inner pair; Z-type checks live on 01/10 and carry tensor codewords of the
-dual pair.  The grid convention used to place a face inside a vertex's
-local view is configurable ("paired" or "direct"); both satisfy the CSS
-orthogonality condition, and mixing them does not, which the test suite
-exercises.
+dual pair.  On a layer pair with inner bases of k_a and k_b rows, check row
+
+    (layer_no * |G| + v) * k_a * k_b + s * k_b + t
+
+is vertex v of the pair's layer layer_no (0 or 1) with basis rows (s, t);
+at face f it holds basis_a[s][r] * basis_b[t][c], where (r, c) is f's cell
+in v's local view.  Only `face_column` evaluates this layout.  The grid
+convention placing a face in a local view is "paired" or "direct"; both
+satisfy CSS orthogonality, and mixing them does not (see the tests).
 """
 
 from __future__ import annotations
@@ -49,10 +54,12 @@ from .gf import (
 from .inner import InnerCodePair
 
 LAYERS = ("00", "01", "10", "11")
+X_LAYERS = ("00", "11")
+Z_LAYERS = ("01", "10")
 CONVENTIONS = ("paired", "direct")
 DEFAULT_RANK_BUDGET = 2**40
 DEFAULT_DISTANCE_BUDGET = 2**16
-DEFAULT_SSEXP_EXHAUSTIVE = 2**16
+DEFAULT_SSEXP_EXHAUSTIVE = 2**14
 
 
 class SquareCayleyComplex:
@@ -109,12 +116,22 @@ class SquareCayleyComplex:
         g = element_from_index(self.p, self.m, idx // (self.delta * self.delta))
         return g, i, j
 
-    def corners(self, g: GroupElement, i: int, j: int) -> dict[str, GroupElement]:
-        a, b = self.gens_a.elements[i], self.gens_b.elements[j]
-        return {"00": g, "01": a * g, "10": g * b, "11": a * g * b}
-
-    def vertex_index(self, layer: str, g: GroupElement) -> int:
-        return LAYERS.index(layer) * self.group_size + g.index
+    def incidence(
+        self, layer: str, g: GroupElement, i: int, j: int
+    ) -> tuple[GroupElement, int, int]:
+        """The vertex of face (g, i, j) on `layer` and the face's (row, col)
+        in that vertex's local view: the inverse of `local_view`."""
+        if layer not in LAYERS:
+            raise DomainError(f"unknown layer {layer!r}")
+        paired = self.convention == "paired"
+        v, r, c = g, i, j
+        if layer[1] == "1":  # 01 and 11 are reached through a_i on the left
+            v = self.gens_a.elements[i] * v
+            r = self.gens_a.pairing[i] if paired else i
+        if layer[0] == "1":  # 10 and 11 through b_j on the right
+            v = v * self.gens_b.elements[j]
+            c = self.gens_b.pairing[j] if paired else j
+        return v, r, c
 
     def local_view(self, layer: str, v: GroupElement) -> np.ndarray:
         """Grid of the delta^2 face indices incident to vertex (v, layer)."""
@@ -140,23 +157,6 @@ class SquareCayleyComplex:
                     g = self._inv_a[i] * (v * self._inv_b[j])
                 grid[r, c] = self.face_index(g, i, j)
         return grid
-
-    def iter_faces(self) -> Iterator[tuple[GroupElement, int, int]]:
-        for gi in range(self.group_size):
-            g = element_from_index(self.p, self.m, gi)
-            for i in range(self.delta):
-                for j in range(self.delta):
-                    yield g, i, j
-
-    def gamma0_edge(self, g: GroupElement, i: int, j: int) -> tuple[int, int]:
-        """Endpoints (as vertex indices) of the face's 00--11 diagonal."""
-        c = self.corners(g, i, j)
-        return self.vertex_index("00", c["00"]), self.vertex_index("11", c["11"])
-
-    def gamma1_edge(self, g: GroupElement, i: int, j: int) -> tuple[int, int]:
-        """Endpoints of the face's 01--10 anti-diagonal."""
-        c = self.corners(g, i, j)
-        return self.vertex_index("01", c["01"]), self.vertex_index("10", c["10"])
 
     def summary(self) -> dict:
         return {
@@ -273,41 +273,58 @@ class CssCode:
         )
 
 
-def _tensor_rows(
-    complex_: SquareCayleyComplex,
-    layers: tuple[str, str],
-    rows_a: np.ndarray,
-    rows_b: np.ndarray,
-    p: int,
-) -> FMatrix:
-    """One check row per (vertex, basis_a row, basis_b row) triple."""
-    n = complex_.num_faces
-    entries = []
-    row_no = 0
-    for layer in layers:
-        for gi in range(complex_.group_size):
-            view = complex_.local_view(layer, element_from_index(complex_.p, complex_.m, gi))
-            flat = view.reshape(-1)
-            for ua in rows_a:
-                for wb in rows_b:
-                    vals = np.outer(ua, wb).reshape(-1) % p
-                    for pos, val in zip(flat, vals):
-                        if val:
-                            entries.append((row_no, int(pos), int(val)))
-                    row_no += 1
-    return FMatrix.from_entries(p, row_no, n, entries)
-
-
-def build_code(complex_: SquareCayleyComplex, pair: InnerCodePair) -> CssCode:
-    """Assemble the unreduced X/Z check matrices for the complex + pair."""
+def check_inner_length(complex_: SquareCayleyComplex, pair: InnerCodePair) -> None:
     if pair.n != complex_.delta:
         raise DimensionMismatch(
             f"inner length {pair.n} differs from complex degree {complex_.delta}"
         )
+
+
+def num_check_rows(complex_: SquareCayleyComplex, layers, basis_a, basis_b) -> int:
+    return len(layers) * complex_.group_size * len(basis_a) * len(basis_b)
+
+
+def face_column(
+    complex_: SquareCayleyComplex, f: int, layers, basis_a, basis_b, p: int
+) -> tuple[list[int], list[int]]:
+    """Ascending check rows and their values in column f of the check
+    matrix on `layers`; the bases are lists of int rows."""
+    g, i, j = complex_.face_from_index(f)
+    ka, kb = len(basis_a), len(basis_b)
+    rows, vals = [], []
+    for layer_no, layer in enumerate(layers):
+        v, r, c = complex_.incidence(layer, g, i, j)
+        base = (layer_no * complex_.group_size + v.index) * ka * kb
+        for s, row_a in enumerate(basis_a):
+            if not row_a[r]:
+                continue
+            for t, row_b in enumerate(basis_b):
+                val = row_a[r] * row_b[c] % p
+                if val:
+                    rows.append(base + s * kb + t)
+                    vals.append(val)
+    return rows, vals
+
+
+def check_matrix(complex_: SquareCayleyComplex, layers, basis_a, basis_b, p: int) -> FMatrix:
+    """The check matrix on `layers`, assembled from every face column."""
+    rows_a, rows_b = basis_a.tolist(), basis_b.tolist()
+    entries = [
+        (r, f, val)
+        for f in range(complex_.num_faces)
+        for r, val in zip(*face_column(complex_, f, layers, rows_a, rows_b, p))
+    ]
+    n_rows = num_check_rows(complex_, layers, rows_a, rows_b)
+    return FMatrix.from_entries(p, n_rows, complex_.num_faces, entries)
+
+
+def build_code(complex_: SquareCayleyComplex, pair: InnerCodePair) -> CssCode:
+    """Assemble the unreduced X/Z check matrices for the complex + pair."""
+    check_inner_length(complex_, pair)
     p = pair.p
     dual_a, dual_b = pair.code_a.dual(), pair.code_b.dual()
-    h_x = _tensor_rows(complex_, ("00", "11"), pair.code_a.basis, pair.code_b.basis, p)
-    h_z = _tensor_rows(complex_, ("01", "10"), dual_a.basis, dual_b.basis, p)
+    h_x = check_matrix(complex_, X_LAYERS, pair.code_a.basis, pair.code_b.basis, p)
+    h_z = check_matrix(complex_, Z_LAYERS, dual_a.basis, dual_b.basis, p)
     code = CssCode(
         p=p,
         n=complex_.num_faces,

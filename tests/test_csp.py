@@ -15,6 +15,7 @@ import pytest
 from ptanner.errors import (
     BetaNotAdmissible,
     BudgetExceeded,
+    DimensionMismatch,
     DomainError,
     UnsupportedField,
 )
@@ -178,6 +179,14 @@ def test_stream_input_validation(planted_build):
     cx, pair, code = planted_build
     with pytest.raises(BetaNotAdmissible):
         TannerConstraintStream(cx, pair, np.ones(7, dtype=int))
+    # the same inner-length check as build_code
+    long_pair = InnerCodePair(
+        3, 4, LinearCode(3, 4, [[1, 1, 1, 1]]), LinearCode(3, 4, [[1, 2, 0, 0]])
+    )
+    with pytest.raises(DimensionMismatch):
+        TannerConstraintStream(cx, long_pair, np.ones(code.n, dtype=int))
+    with pytest.raises(DimensionMismatch):
+        build_code(cx, long_pair)
 
 
 # ------------------------------------------------------------ certify

@@ -14,7 +14,9 @@ import pytest
 from scipy import sparse
 
 from ptanner.cli import main
+from ptanner.csp import TannerConstraintStream
 from ptanner.errors import DomainError, MissingArtifact, SearchExhausted
+from ptanner.expander import element_from_index
 from ptanner.inner import InnerCodePair
 from ptanner.nlts import depth_lower_bound
 from ptanner.pipeline import (
@@ -26,7 +28,7 @@ from ptanner.pipeline import (
     run_pipeline,
     stage_seed,
 )
-from ptanner.tanner import steane_code
+from ptanner.tanner import LAYERS, SquareCayleyComplex, steane_code
 
 SMALL_DOC = {
     "field_p": 3,
@@ -399,3 +401,23 @@ def test_level2_code_stage_is_css_orthogonal(tmp_path):
     assert h_z.shape == (summary["m_z"], 18225)
     assert h_x.nnz > 0 and h_z.nnz > 0
     assert not ((h_x @ h_z.T).data % 2).any()
+
+    # every streamed constraint is its face's column of H_Z
+    cx = SquareCayleyComplex.from_json((tmp_path / "complex.json").read_text())
+    pair = InnerCodePair.from_json((tmp_path / "inner_pair.json").read_text())
+    stream = TannerConstraintStream(cx, pair, np.ones(cx.num_faces, dtype=np.int64))
+    cols = sparse.csc_array(h_z)
+    cols.sort_indices()
+    for f in range(cx.num_faces):
+        lo, hi = cols.indptr[f], cols.indptr[f + 1]
+        con = stream.constraint(f)
+        assert con.vars == tuple(cols.indices[lo:hi].tolist())
+        assert con.coeffs == tuple(cols.data[lo:hi].tolist())
+        assert con.rhs == 1
+
+    # the forward incidence inverts local_view on all four layers
+    for layer in LAYERS:
+        for gi in range(cx.group_size):
+            v = element_from_index(cx.p, cx.m, gi)
+            for (r, c), face in np.ndenumerate(cx.local_view(layer, v)):
+                assert cx.incidence(layer, *cx.face_from_index(face)) == (v, r, c)

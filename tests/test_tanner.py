@@ -17,11 +17,14 @@ from ptanner.gf import FMatrix, LinearCode, kernel_basis, row_reduce
 from ptanner.inner import InnerCodePair
 from ptanner.tanner import (
     CssCode,
+    LAYERS,
+    X_LAYERS,
+    Z_LAYERS,
     SquareCayleyComplex,
-    _tensor_rows,
     build_code,
     build_complex,
     check_counting_bound,
+    check_matrix,
     code_dimension,
     estimate_distance,
     estimate_ssexp,
@@ -84,9 +87,10 @@ def test_face_index_round_trip():
 def test_corner_coordinates(convention):
     cx = ternary_complex(convention=convention)
     sig_a, sig_b = cx.gens_a.pairing, cx.gens_b.pairing
-    for g, i, j in cx.iter_faces():
-        idx = cx.face_index(g, i, j)
-        corners = cx.corners(g, i, j)
+    for idx in range(cx.num_faces):
+        g, i, j = cx.face_from_index(idx)
+        a, b = cx.gens_a.elements[i], cx.gens_b.elements[j]
+        corners = {"00": g, "01": a * g, "10": g * b, "11": a * g * b}
         if convention == "paired":
             expect = {
                 "00": (i, j),
@@ -97,23 +101,23 @@ def test_corner_coordinates(convention):
         else:
             expect = {layer: (i, j) for layer in corners}
         for layer, vert in corners.items():
-            grid = cx.local_view(layer, vert)
-            r, c = expect[layer]
-            assert grid[r, c] == idx
+            v, r, c = cx.incidence(layer, g, i, j)
+            assert v == vert and (r, c) == expect[layer]
+            assert cx.local_view(layer, vert)[r, c] == idx
 
 
 def test_gamma_graphs_regular_bipartite():
+    # every vertex on every layer meets delta^2 faces
     cx = ternary_complex()
     deg = np.zeros(cx.num_vertices, dtype=np.int64)
-    for g, i, j in cx.iter_faces():
-        u0, u1 = cx.gamma0_edge(g, i, j)
-        w0, w1 = cx.gamma1_edge(g, i, j)
-        assert 0 <= u0 < cx.group_size
-        assert 3 * cx.group_size <= u1 < 4 * cx.group_size
-        assert cx.group_size <= w0 < 2 * cx.group_size
-        assert 2 * cx.group_size <= w1 < 3 * cx.group_size
-        deg[[u0, u1, w0, w1]] += 1
+    for idx in range(cx.num_faces):
+        face = cx.face_from_index(idx)
+        for layer_no, layer in enumerate(LAYERS):
+            v, _, _ = cx.incidence(layer, *face)
+            deg[layer_no * cx.group_size + v.index] += 1
     assert (deg == cx.delta**2).all()
+    with pytest.raises(DomainError):
+        cx.incidence("22", *cx.face_from_index(0))
 
 
 def test_complex_construction_errors():
@@ -155,9 +159,9 @@ def test_mixed_conventions_break_orthogonality():
     pair = planted_pair_gf2()
     paired = ternary_complex(convention="paired")
     direct = ternary_complex(convention="direct")
-    h_x = _tensor_rows(paired, ("00", "11"), pair.code_a.basis, pair.code_b.basis, 2)
-    h_z = _tensor_rows(
-        direct, ("01", "10"), pair.code_a.dual().basis, pair.code_b.dual().basis, 2
+    h_x = check_matrix(paired, X_LAYERS, pair.code_a.basis, pair.code_b.basis, 2)
+    h_z = check_matrix(
+        direct, Z_LAYERS, pair.code_a.dual().basis, pair.code_b.dual().basis, 2
     )
     prod = (h_x.toarray() @ h_z.toarray().T) % 2
     assert prod.any()
@@ -224,8 +228,8 @@ def test_verify_planted_negative_without_planting():
     cx = ternary_complex()
     code_a = LinearCode(2, 3, [[1, 0, 0], [0, 1, 0]])
     code_b = LinearCode(2, 3, [[1, 1, 1]])
-    h_x = _tensor_rows(cx, ("00", "11"), code_a.basis, code_b.basis, 2)
-    h_z = _tensor_rows(cx, ("01", "10"), code_a.dual().basis, code_b.dual().basis, 2)
+    h_x = check_matrix(cx, X_LAYERS, code_a.basis, code_b.basis, 2)
+    h_z = check_matrix(cx, Z_LAYERS, code_a.dual().basis, code_b.dual().basis, 2)
     code = CssCode(p=2, n=243, h_x=h_x, h_z=h_z)
     code.validate()
     report = verify_planted(code)
