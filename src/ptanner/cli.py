@@ -9,7 +9,6 @@ or search exhaustion.  Output is JSON unless a text format is called for
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from .expander import (
     spectral_expansion,
 )
 from .inner import InnerCodePair, search_inner_pair
+from .jsonio import dumps, read_artifact
 from .nlts import (
     build_clusters,
     depth_lower_bound,
@@ -40,10 +40,8 @@ from .nlts import (
     verify_cluster_lemma,
 )
 from .pipeline import (
-    _dumps,
     load_config,
     load_manifest,
-    read_artifact,
     render_report,
     run_pipeline,
     verify_document,
@@ -74,16 +72,16 @@ def _deliver(args, text: str) -> int:
 
 
 def _load_code(path) -> CssCode:
-    return read_artifact(path, CssCode.from_json)
+    return read_artifact(path, CssCode.from_doc)
 
 
 def _load_instance(path) -> LinInstance:
-    return read_artifact(path, LinInstance.from_json)
+    return read_artifact(path, LinInstance.from_doc)
 
 
 def _load_gens(args) -> GeneratorMultiset:
     if getattr(args, "gens", None):
-        return read_artifact(args.gens, GeneratorMultiset.from_json)
+        return read_artifact(args.gens, GeneratorMultiset.from_doc)
     if args.p is None or args.m is None or args.degree is None:
         raise DomainError("provide either --gens FILE or all of --p/--m/--degree")
     return default_generators(
@@ -113,19 +111,19 @@ def _add_group_args(sub, with_gens_file: bool = True) -> None:
 
 
 def _cmd_expander_build(args) -> int:
-    return _deliver(args, _load_gens(args).to_json())
+    return _deliver(args, dumps(_load_gens(args)))
 
 
 def _cmd_expander_spectrum(args) -> int:
     report = spectral_expansion(CayleyMultigraph(_load_gens(args)))
-    return _deliver(args, report.to_json())
+    return _deliver(args, dumps(report))
 
 
 def _cmd_expander_neighbor(args) -> int:
     graph = CayleyMultigraph(_load_gens(args))
     nb = graph.neighbor(args.vertex, args.gen)
     return _deliver(
-        args, _dumps({"vertex": args.vertex, "gen": args.gen, "neighbor": nb})
+        args, dumps({"vertex": args.vertex, "gen": args.gen, "neighbor": nb})
     )
 
 
@@ -139,7 +137,7 @@ def _cmd_inner_search(args) -> int:
         budget=args.budget,
         seed=args.seed,
     )
-    return _deliver(args, pair.to_json())
+    return _deliver(args, dumps(pair))
 
 
 def _cmd_code_build(args) -> int:
@@ -150,13 +148,13 @@ def _cmd_code_build(args) -> int:
         seed=args.seed,
         require_generation=not args.allow_nongenerating,
     )
-    pair = read_artifact(args.inner, InnerCodePair.from_json)
+    pair = read_artifact(args.inner, InnerCodePair.from_doc)
     code = build_code(build_complex(gens, gens, args.convention), pair)
-    return _deliver(args, code.to_json())
+    return _deliver(args, dumps(code))
 
 
 def _cmd_code_verify(args) -> int:
-    return _deliver(args, _dumps(verify_document(_load_code(args.code))))
+    return _deliver(args, dumps(verify_document(_load_code(args.code))))
 
 
 def _cmd_code_dimension(args) -> int:
@@ -165,21 +163,21 @@ def _cmd_code_dimension(args) -> int:
         "dimension": code_dimension(code),
         "check_counting_bound": check_counting_bound(code),
     }
-    return _deliver(args, _dumps(doc))
+    return _deliver(args, dumps(doc))
 
 
 def _cmd_code_distance(args) -> int:
     report = estimate_distance(
         _load_code(args.code), budget=args.budget, seed=args.seed, trials=args.trials
     )
-    return _deliver(args, report.to_json())
+    return _deliver(args, dumps(report))
 
 
 def _cmd_code_ssexp(args) -> int:
     curve = estimate_ssexp(
         _load_code(args.code), args.eps, trials=args.trials, seed=args.seed
     )
-    return _deliver(args, curve.to_json())
+    return _deliver(args, dumps(curve))
 
 
 def _cmd_nlts_clusters(args) -> int:
@@ -187,18 +185,13 @@ def _cmd_nlts_clusters(args) -> int:
     sset = enumerate_syndrome_set(code, args.basis, args.eps)
     part = build_clusters(sset, args.c1)
     report = verify_cluster_lemma(part, args.c2)
-    doc = {
-        "partition": json.loads(part.to_json()),
-        "report": json.loads(report.to_json()),
-    }
-    return _deliver(args, _dumps(doc))
+    return _deliver(args, dumps({"partition": part, "report": report}))
 
 
 def _load_state(source: str, n: int, seed: int, rng_trial: int) -> np.ndarray:
     if source != "random":
         return read_artifact(
-            source,
-            lambda text: np.array([complex(re, im) for re, im in json.loads(text)]),
+            source, lambda doc: np.array([complex(re, im) for re, im in doc])
         )
     rng = np.random.default_rng((seed, rng_trial))
     vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -215,15 +208,13 @@ def _cmd_nlts_spread(args) -> int:
     for t in range(trials):
         state = _load_state(args.state, code.n, args.seed, t)
         rx, rz = measure_spread(state, code, part_x, part_z, logicals)
-        results.append(
-            {"trial": t, "x": json.loads(rx.to_json()), "z": json.loads(rz.to_json())}
-        )
-    return _deliver(args, _dumps(results))
+        results.append({"trial": t, "x": rx, "z": rz})
+    return _deliver(args, dumps(results))
 
 
 def _cmd_nlts_depth_bound(args) -> int:
     value = depth_lower_bound(args.n, args.mu, args.delta, corollary=args.corollary)
-    return _deliver(args, _dumps({"depth_lower_bound": value}))
+    return _deliver(args, dumps({"depth_lower_bound": value}))
 
 
 def _cmd_csp_emit(args) -> int:
@@ -231,15 +222,13 @@ def _cmd_csp_emit(args) -> int:
     if args.beta in ("one", "ones"):
         beta = np.ones(code.n, dtype=np.int64)
     else:
-        beta = read_artifact(
-            args.beta, lambda text: np.array(json.loads(text), dtype=np.int64)
-        )
-    return _deliver(args, emit_lin_instance(code, beta).to_json())
+        beta = read_artifact(args.beta, lambda doc: np.array(doc, dtype=np.int64))
+    return _deliver(args, dumps(emit_lin_instance(code, beta)))
 
 
 def _cmd_csp_unsat(args) -> int:
     instance = _load_instance(args.instance)
-    return _deliver(args, certify_unsat(instance).to_json())
+    return _deliver(args, dumps(certify_unsat(instance)))
 
 
 def _cmd_csp_maxsat(args) -> int:
@@ -253,7 +242,7 @@ def _cmd_csp_maxsat(args) -> int:
         restarts=args.restarts,
         max_steps=args.steps,
     )
-    return _deliver(args, report.to_json())
+    return _deliver(args, dumps(report))
 
 
 def _cmd_csp_reduce3(args) -> int:
@@ -263,7 +252,7 @@ def _cmd_csp_reduce3(args) -> int:
 
 def _cmd_csp_sos_bound(args) -> int:
     value = sos_level_bound(args.c1, args.c2, args.m, args.ell)
-    return _deliver(args, _dumps({"sos_level_bound": value}))
+    return _deliver(args, dumps({"sos_level_bound": value}))
 
 
 def _cmd_pipeline_run(args) -> int:

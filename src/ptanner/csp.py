@@ -28,6 +28,7 @@ from .errors import (
 )
 from .gf import LinearCode, in_rowspace, iter_codewords, kernel_basis, solve
 from .inner import InnerCodePair
+from .jsonio import dumps
 from .tanner import (
     Z_LAYERS,
     CssCode,
@@ -86,45 +87,38 @@ class LinInstance:
     def rhs_vector(self) -> np.ndarray:
         return np.array([con.rhs for con in self.constraints], dtype=np.int64)
 
-    def satisfied_count(self, assignment) -> int:
-        y = np.asarray(assignment, dtype=np.int64) % self.p
-        if y.shape != (self.num_vars,):
-            raise DomainError(f"assignment length {y.shape} != {self.num_vars}")
-        count = 0
-        for con in self.constraints:
-            lhs = sum(c * int(y[v]) for v, c in zip(con.vars, con.coeffs)) % self.p
-            count += lhs == con.rhs % self.p
-        return count
+    def to_doc(self) -> dict:
+        return {
+            "p": self.p,
+            "m": self.num_vars,
+            "arity_bound": self.arity_bound,
+            "constraints": [
+                {"vars": c.vars, "coeffs": c.coeffs, "rhs": c.rhs}
+                for c in self.constraints
+            ],
+            "provenance": self.provenance,
+        }
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "LinInstance":
+        cons = [
+            LinConstraint(tuple(c["vars"]), tuple(c["coeffs"]), int(c["rhs"]))
+            for c in doc["constraints"]
+        ]
+        return cls(
+            p=int(doc["p"]),
+            num_vars=int(doc["m"]),
+            constraints=cons,
+            arity_bound=int(doc["arity_bound"]),
+            provenance=doc.get("provenance", {}),
+        )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "m": self.num_vars,
-                "arity_bound": self.arity_bound,
-                "constraints": [
-                    {"vars": list(c.vars), "coeffs": list(c.coeffs), "rhs": c.rhs}
-                    for c in self.constraints
-                ],
-                "provenance": self.provenance,
-            },
-            sort_keys=True,
-        )
+        return dumps(self)
 
     @classmethod
     def from_json(cls, text: str) -> "LinInstance":
-        obj = json.loads(text)
-        cons = [
-            LinConstraint(tuple(c["vars"]), tuple(c["coeffs"]), int(c["rhs"]))
-            for c in obj["constraints"]
-        ]
-        return cls(
-            p=int(obj["p"]),
-            num_vars=int(obj["m"]),
-            constraints=cons,
-            arity_bound=int(obj["arity_bound"]),
-            provenance=obj.get("provenance", {}),
-        )
+        return cls.from_doc(json.loads(text))
 
     @classmethod
     def from_dense(cls, p: int, coeffs: np.ndarray, rhs, provenance=None) -> "LinInstance":
@@ -235,20 +229,6 @@ class UnsatReport:
     assignment: list[int] | None
     certificate: list[tuple[int, int]] | None
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "consistent": self.consistent,
-                "assignment": self.assignment,
-                "certificate": (
-                    [[i, c] for i, c in self.certificate]
-                    if self.certificate is not None
-                    else None
-                ),
-            },
-            sort_keys=True,
-        )
-
 
 def certify_unsat(instance: LinInstance) -> UnsatReport:
     """Solve the full system; on inconsistency return the vanishing
@@ -280,24 +260,6 @@ class SatReport:
     exact: bool
     certificate: list[tuple[int, int]] | None = None
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mode": self.mode,
-                "num_constraints": self.num_constraints,
-                "best_satisfied": self.best_satisfied,
-                "best_fraction": self.best_fraction,
-                "assignment": self.assignment,
-                "exact": self.exact,
-                "certificate": (
-                    [[i, c] for i, c in self.certificate]
-                    if self.certificate is not None
-                    else None
-                ),
-            },
-            sort_keys=True,
-        )
-
 
 def max_sat(
     instance: LinInstance,
@@ -312,6 +274,8 @@ def max_sat(
     lexicographically least assignment."""
     if mode not in ("exact", "local-search"):
         raise DomainError(f"unknown mode {mode!r}")
+    if mode == "local-search" and restarts < 1:
+        raise DomainError(f"local search needs restarts >= 1, got {restarts}")
     p, m, nc = instance.p, instance.num_vars, instance.num_constraints
     a = instance.coefficient_matrix() % p
     b = instance.rhs_vector() % p
@@ -407,13 +371,6 @@ class XorInstance:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def satisfied_count(self, assignment) -> int:
-        y = np.asarray(assignment, dtype=np.int64) % 2
-        count = 0
-        for cl in self.clauses:
-            count += sum(int(y[v]) for v in cl.vars) % 2 == cl.parity
-        return count
-
     def to_lin_instance(self) -> LinInstance:
         cons = [LinConstraint(cl.vars, (1,) * len(cl.vars), cl.parity) for cl in self.clauses]
         return LinInstance(
@@ -422,15 +379,6 @@ class XorInstance:
             constraints=cons,
             arity_bound=3,
             provenance={"kind": "3xor"},
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "num_vars": self.num_vars,
-                "clauses": [{"vars": list(c.vars), "parity": c.parity} for c in self.clauses],
-            },
-            sort_keys=True,
         )
 
     def to_text(self) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,7 +22,6 @@ from .errors import (
     DomainError,
     GenerationFailure,
     GroupMismatch,
-    InvalidField,
     NotInKernel,
 )
 from .gf import PrimeField
@@ -206,23 +205,25 @@ class GeneratorMultiset:
                 raise DimensionMismatch(f"no inverse present for generator {i}")
         return cls(p, m, elements, tuple(pairing))
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> dict:
+        return {
             "p": self.p,
             "m": self.m,
             "degree": self.degree,
-            "generators": [list(g.coords) for g in self.elements],
+            "generators": [g.coords for g in self.elements],
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, text: str) -> "GeneratorMultiset":
-        doc = json.loads(text)
+    def from_doc(cls, doc: dict) -> "GeneratorMultiset":
         elems = [
             element_from_coords(doc["p"], doc["m"], *coords)
             for coords in doc["generators"]
         ]
         return cls.from_elements(elems)
+
+    @classmethod
+    def from_json(cls, text: str) -> "GeneratorMultiset":
+        return cls.from_doc(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -249,6 +250,10 @@ class CayleyMultigraph:
 
     def neighbor(self, vertex: int, gen_index: int) -> int:
         """Index of generators[gen_index] * vertex; pure coordinate arithmetic."""
+        if not 0 <= gen_index < self.degree:
+            raise DomainError(
+                f"generator index {gen_index} outside [0, {self.degree})"
+            )
         g = element_from_index(self.p, self.m, vertex)
         return (self.generators.elements[gen_index] * g).index
 
@@ -267,13 +272,6 @@ class CayleyMultigraph:
             for j in range(self.degree):
                 adj[v, self.neighbor(v, j)] += 1
         return adj
-
-    def to_json(self) -> str:
-        return self.generators.to_json()
-
-    @classmethod
-    def from_json(cls, text: str) -> "CayleyMultigraph":
-        return cls(GeneratorMultiset.from_json(text))
 
 
 def bfs_closure_size(gens: GeneratorMultiset, cap: int | None = None) -> int:
@@ -417,8 +415,8 @@ class SpectralReport:
     method: str
     tolerance: float
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> dict:
+        return {
             "num_vertices": self.num_vertices,
             "degree": self.degree,
             "second_eigenvalue": round(self.second_eigenvalue, 12),
@@ -429,7 +427,6 @@ class SpectralReport:
             "method": self.method,
             "tolerance": self.tolerance,
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def spectral_from_adjacency(

@@ -9,7 +9,6 @@ that would exceed it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -227,59 +226,17 @@ class FMatrix:
 
     # ---- serialization ------------------------------------------------
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> dict:
+        return {
             "p": self.p,
             "rows": self.shape[0],
             "cols": self.shape[1],
-            "entries": [list(e) for e in self.entries()],
+            "entries": self.entries(),
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, text: str) -> "FMatrix":
-        doc = json.loads(text)
+    def from_doc(cls, doc: dict) -> "FMatrix":
         return cls.from_entries(doc["p"], doc["rows"], doc["cols"], doc["entries"])
-
-    def to_alist(self) -> str:
-        """Sparse text export.
-
-        Line 1: rows cols.  Line 2: max row / col weight.  Then one line per
-        row listing 1-based column indices, and one line per column listing
-        1-based row indices.  For p > 2 the entry values follow a ':' on
-        each line.  Entry order is ascending, so export is canonical.
-        """
-
-        def fmt(idx: list[int], vals: list[int]) -> str:
-            line = " ".join(str(i + 1) for i in idx)
-            if self.p == 2:
-                return line
-            return f"{line} : {' '.join(map(str, vals))}" if idx else ":"
-
-        lines = [
-            f"{self.shape[0]} {self.shape[1]}",
-            f"{self.max_row_weight()} {self.max_col_weight()}",
-        ]
-        lines.extend(fmt(*row) for row in self.rows())
-        lines.extend(fmt(*col) for col in self.T.rows())
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_alist(cls, text: str, p: int) -> "FMatrix":
-        lines = text.splitlines()
-        n_rows, n_cols = (int(t) for t in lines[0].split())
-        entries = []
-        for r in range(n_rows):
-            line = lines[2 + r]
-            if p == 2:
-                cols = [int(t) - 1 for t in line.split()]
-                vals = [1] * len(cols)
-            else:
-                idx_part, _, val_part = line.partition(":")
-                cols = [int(t) - 1 for t in idx_part.split()]
-                vals = [int(t) for t in val_part.split()]
-            entries.extend((r, c, v) for c, v in zip(cols, vals))
-        return cls.from_entries(p, n_rows, n_cols, entries)
 
 
 # ---- elimination ------------------------------------------------------

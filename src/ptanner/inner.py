@@ -334,7 +334,7 @@ class InnerCodePair:
         if not self.code_b.dual().contains(ones):
             raise DomainError("dual of code_b does not contain the all-ones word")
 
-    def summary(self) -> dict:
+    def to_doc(self) -> dict:
         prov = {
             k: (str(v) if isinstance(v, Fraction) else v)
             for k, v in self.provenance.items()
@@ -349,12 +349,8 @@ class InnerCodePair:
             "provenance": prov,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True, separators=(",", ":"))
-
     @classmethod
-    def from_json(cls, text: str) -> "InnerCodePair":
-        doc = json.loads(text)
+    def from_doc(cls, doc: dict) -> "InnerCodePair":
         return cls(
             p=doc["p"],
             n=doc["n"],
@@ -362,6 +358,10 @@ class InnerCodePair:
             code_b=LinearCode(doc["p"], doc["n"], doc["basis_b"]),
             provenance=doc.get("provenance", {}),
         )
+
+    @classmethod
+    def from_json(cls, text: str) -> "InnerCodePair":
+        return cls.from_doc(json.loads(text))
 
 
 def _exact_feasible(code1: LinearCode, code2: LinearCode, budget: int) -> bool:
@@ -416,7 +416,12 @@ def search_inner_pair(
     a falsification pass.  The provenance records which ladder rung each
     certificate came from.
     """
-    rho_target = Fraction(rho_target).limit_denominator(10**9)
+    try:
+        rho_target = Fraction(rho_target).limit_denominator(10**9)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise DomainError(f"rho_target {rho_target!r} is not a number") from None
+    if rho_target <= 0:
+        raise DomainError(f"rho_target must be positive, got {rho_target}")
     attempts = 0
     for trial in range(budget):
         attempts += 1

@@ -1,0 +1,57 @@
+"""The JSON codec of every artifact and CLI output.
+
+Types describe their documents: `to_doc()` gives the document (nested
+objects may stay objects; they are encoded in turn) and, for types that
+are read back, `from_doc(doc)` rebuilds the object.  This module alone
+decides the bytes: sorted keys, no whitespace, no NaN or infinity.  So
+`dumps(json.loads(text)) == text` for every text `dumps` writes, and a
+rerun that builds the same objects writes the same bytes.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+from pathlib import Path
+
+import numpy as np
+
+from .errors import DomainError, MissingArtifact
+
+
+def _encode(obj):
+    if hasattr(obj, "to_doc"):
+        return obj.to_doc()
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.integer):
+        return int(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def dumps(doc) -> str:
+    """Canonical JSON text of `doc`; raises ValueError on NaN or infinity."""
+    return json.dumps(
+        doc, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_encode
+    )
+
+
+def read_artifact(path, parse, what: str = "file"):
+    """parse(doc) of the JSON document in the file at `path`.
+
+    A missing file raises MissingArtifact; malformed JSON, or a parse that
+    fails with ValueError, KeyError, TypeError, IndexError or OverflowError
+    (a missing key, a wrongly shaped value, an integer past int64), raises
+    DomainError.  Both name the file.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise MissingArtifact(f"{what} not found: {path}")
+    try:
+        return parse(json.loads(path.read_text()))
+    except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
+        raise DomainError(
+            f"malformed {what} {path}: {type(exc).__name__}: {exc}"
+        ) from exc

@@ -11,9 +11,8 @@ vectors; that makes "lexicographically least representative" a plain min().
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -96,17 +95,14 @@ class SyndromeSet:
     def __contains__(self, y: int) -> bool:
         return y in self.syndrome_of
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "basis": self.basis,
-                "epsilon": self.epsilon,
-                "n": self.n,
-                "size": len(self.members),
-                "members": self.members,
-            },
-            sort_keys=True,
-        )
+    def to_doc(self) -> dict:
+        return {
+            "basis": self.basis,
+            "epsilon": self.epsilon,
+            "n": self.n,
+            "size": len(self.members),
+            "members": self.members,
+        }
 
 
 def enumerate_syndrome_set(
@@ -192,22 +188,17 @@ class ClusterPartition:
         """y plus the representative of its syndrome."""
         return y ^ self.representatives[self.syndrome_of[y]]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "basis": self.basis,
-                "epsilon": self.epsilon,
-                "c1": self.c1,
-                "threshold": self.threshold,
-                "n": self.n,
-                "num_members": len(self.members),
-                "clusters": self.clusters,
-                "representatives": {
-                    str(s): e for s, e in sorted(self.representatives.items())
-                },
-            },
-            sort_keys=True,
-        )
+    def to_doc(self) -> dict:
+        return {
+            "basis": self.basis,
+            "epsilon": self.epsilon,
+            "c1": self.c1,
+            "threshold": self.threshold,
+            "n": self.n,
+            "num_members": len(self.members),
+            "clusters": self.clusters,
+            "representatives": {str(s): e for s, e in self.representatives.items()},
+        }
 
 
 def build_clusters(
@@ -297,21 +288,8 @@ class ClusterLemmaReport:
     def all_ok(self) -> bool:
         return self.partition_ok and self.distance_ok and self.translate_ok and self.decoder_ok
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "partition_ok": self.partition_ok,
-                "distance_ok": self.distance_ok,
-                "translate_ok": self.translate_ok,
-                "decoder_ok": self.decoder_ok,
-                "min_intercluster_distance": self.min_intercluster_distance,
-                "c2": self.c2,
-                "n": self.n,
-                "all_ok": self.all_ok,
-                "counterexample": self.counterexample,
-            },
-            sort_keys=True,
-        )
+    def to_doc(self) -> dict:
+        return {**asdict(self), "all_ok": self.all_ok}
 
 
 def verify_cluster_lemma(part: ClusterPartition, c2: float) -> ClusterLemmaReport:
@@ -554,19 +532,16 @@ class SpreadReport:
     def meets_relaxed(self) -> bool:
         return self.min_mass >= self.mass_threshold_relaxed - 1e-9
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "basis": self.basis,
-                "sizes": [len(self.s0), len(self.s1)],
-                "mass0": self.mass0,
-                "mass1": self.mass1,
-                "separation": self.separation,
-                "meets_strict": self.meets_strict,
-                "meets_relaxed": self.meets_relaxed,
-            },
-            sort_keys=True,
-        )
+    def to_doc(self) -> dict:
+        return {
+            "basis": self.basis,
+            "sizes": [len(self.s0), len(self.s1)],
+            "mass0": self.mass0,
+            "mass1": self.mass1,
+            "separation": self.separation,
+            "meets_strict": self.meets_strict,
+            "meets_relaxed": self.meets_relaxed,
+        }
 
 
 def _fwht(vec: np.ndarray) -> np.ndarray:

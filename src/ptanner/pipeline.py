@@ -1,10 +1,11 @@
 """End-to-end build pipeline with deterministic, content-addressed artifacts.
 
 A run is described by a single JSON config (schema-validated).  Stages
-execute in a fixed canonical order, each writing its artifacts as
-canonical JSON (sorted keys, no whitespace variance) so that reruns with
-the same config produce byte-identical files.  The manifest links every
-artifact path to its sha256 and inlines the headline numbers so that
+execute in a fixed canonical order, each writing its artifacts, and the
+manifest, through `jsonio.dumps` (compact canonical JSON: sorted keys, no
+whitespace) so that reruns with the same config produce byte-identical
+files.  The 3-XOR instance is the one text artifact.  The manifest links
+every artifact path to its sha256 and inlines the headline numbers so that
 report rendering never recomputes anything.
 """
 
@@ -29,6 +30,7 @@ from .expander import (
 )
 from .gf import _is_prime
 from .inner import search_inner_pair
+from .jsonio import dumps, read_artifact
 from .tanner import (
     DEFAULT_DISTANCE_BUDGET,
     DEFAULT_SSEXP_EXHAUSTIVE,
@@ -117,10 +119,6 @@ CONFIG_SCHEMA = {
         },
     },
 }
-
-
-def _dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _round(x) -> float | None:
@@ -212,10 +210,6 @@ class RunConfig:
             )
         return config
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls.from_mapping(json.loads(text))
-
     def to_mapping(self) -> dict:
         return {
             "field_p": self.field_p,
@@ -234,33 +228,15 @@ class RunConfig:
         }
 
 
-def read_artifact(path, parse, what: str = "file"):
-    """parse(text) of the file at `path`.
-
-    A missing file raises MissingArtifact; a parse that fails with
-    ValueError, KeyError, TypeError, IndexError or OverflowError (malformed
-    JSON, a missing key, a wrongly shaped value, an integer past int64)
-    raises DomainError.  Both name the file.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise MissingArtifact(f"{what} not found: {path}")
-    try:
-        return parse(path.read_text())
-    except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
-        raise DomainError(
-            f"malformed {what} {path}: {type(exc).__name__}: {exc}"
-        ) from exc
-
-
 def load_config(path) -> RunConfig:
-    return read_artifact(path, RunConfig.from_json, "config file")
+    return read_artifact(path, RunConfig.from_mapping, "config file")
 
 
 # ---- stages ------------------------------------------------------------
 # Each stage returns (artifacts, summary); artifacts map a short key to
-# (filename, text).  Summaries are inlined into the manifest and are the
-# only thing report rendering reads.
+# (filename, text), the text written by `dumps` except for the 3-XOR dump.
+# Summaries are inlined into the manifest and are the only thing report
+# rendering reads.
 
 
 def _stage_expander(config: RunConfig, ctx: dict):
@@ -275,8 +251,8 @@ def _stage_expander(config: RunConfig, ctx: dict):
     graph = CayleyMultigraph(gens)
     spectrum = spectral_expansion(graph)
     artifacts = {
-        "generators": ("generators.json", gens.to_json()),
-        "spectrum": ("spectrum.json", spectrum.to_json()),
+        "generators": ("generators.json", dumps(gens)),
+        "spectrum": ("spectrum.json", dumps(spectrum)),
     }
     summary = {
         "num_vertices": spectrum.num_vertices,
@@ -301,7 +277,7 @@ def _stage_inner(config: RunConfig, ctx: dict):
         falsify_trials=config.budget("falsify_trials"),
     )
     ctx["pair"] = pair
-    prov = pair.summary()["provenance"]
+    prov = pair.provenance
     summary = {
         "certification": prov.get("certification"),
         "certification_primal": prov.get("certification_primal"),
@@ -311,7 +287,7 @@ def _stage_inner(config: RunConfig, ctx: dict):
         "dim_a": pair.code_a.dim,
         "dim_b": pair.code_b.dim,
     }
-    return {"inner_pair": ("inner_pair.json", pair.to_json())}, summary
+    return {"inner_pair": ("inner_pair.json", dumps(pair))}, summary
 
 
 def _stage_complex(config: RunConfig, ctx: dict):
@@ -319,7 +295,7 @@ def _stage_complex(config: RunConfig, ctx: dict):
     ctx["complex"] = cxp
     summary = dict(cxp.summary())
     summary["num_vertices"] = cxp.num_vertices
-    return {"complex": ("complex.json", cxp.to_json())}, summary
+    return {"complex": ("complex.json", dumps(cxp))}, summary
 
 
 def _stage_code(config: RunConfig, ctx: dict):
@@ -332,14 +308,14 @@ def _stage_code(config: RunConfig, ctx: dict):
         "locality": code.locality,
         "p": code.p,
     }
-    return {"code": ("code.json", code.to_json())}, summary
+    return {"code": ("code.json", dumps(code))}, summary
 
 
 def verify_document(code) -> dict:
     """Planting report, dimension and counting bound of a code, as written
     to verify.json."""
     return {
-        "planted": json.loads(verify_planted(code).to_json()),
+        "planted": verify_planted(code),
         "dimension": code_dimension(code),
         "check_counting_bound": check_counting_bound(code),
     }
@@ -347,8 +323,8 @@ def verify_document(code) -> dict:
 
 def _stage_verify(config: RunConfig, ctx: dict):
     doc = verify_document(ctx["code"])
-    summary = dict(doc, planted=doc["planted"]["planted"])
-    return {"verify": ("verify.json", _dumps(doc))}, summary
+    summary = dict(doc, planted=doc["planted"].planted)
+    return {"verify": ("verify.json", dumps(doc))}, summary
 
 
 def _stage_distance(config: RunConfig, ctx: dict):
@@ -358,13 +334,9 @@ def _stage_distance(config: RunConfig, ctx: dict):
         seed=stage_seed(config.seed, "distance"),
         trials=config.budget("distance_trials"),
     )
-    summary = {
-        "upper_bound": report.upper_bound,
-        "exact": report.exact,
-        "method": report.method,
-        "side": report.side,
-    }
-    return {"distance": ("distance.json", report.to_json())}, summary
+    doc = report.to_doc()
+    summary = {key: doc[key] for key in ("upper_bound", "exact", "method", "side")}
+    return {"distance": ("distance.json", dumps(doc))}, summary
 
 
 def _stage_ssexp(config: RunConfig, ctx: dict):
@@ -385,7 +357,7 @@ def _stage_ssexp(config: RunConfig, ctx: dict):
         "coboundary_constant": _round(curve.coboundary_constant),
         "exact_cosets": curve.exact_cosets,
     }
-    return {"ssexp_curve": ("ssexp_curve.json", curve.to_json())}, summary
+    return {"ssexp_curve": ("ssexp_curve.json", dumps(curve))}, summary
 
 
 def _stage_csp(config: RunConfig, ctx: dict):
@@ -393,8 +365,8 @@ def _stage_csp(config: RunConfig, ctx: dict):
     instance = emit_lin_instance(code, np.ones(code.n, dtype=np.int64))
     unsat = certify_unsat(instance)
     artifacts = {
-        "instance": ("csp_instance.json", instance.to_json()),
-        "unsat": ("csp_unsat.json", unsat.to_json()),
+        "instance": ("csp_instance.json", dumps(instance)),
+        "unsat": ("csp_unsat.json", dumps(unsat)),
     }
     summary = {
         "num_constraints": instance.num_constraints,
@@ -476,14 +448,12 @@ def run_pipeline(config: RunConfig, out_dir=None) -> dict:
         "order": ordered,
         "stages": stages,
     }
-    (target / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n"
-    )
+    (target / "manifest.json").write_text(dumps(manifest) + "\n")
     return manifest
 
 
 def load_manifest(path) -> dict:
-    return read_artifact(path, json.loads, "manifest")
+    return read_artifact(path, lambda doc: doc, "manifest")
 
 
 def _fmt(value) -> str:

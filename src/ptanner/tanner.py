@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, product
 from typing import Iterator
 
@@ -166,24 +166,24 @@ class SquareCayleyComplex:
             "convention": self.convention,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "gens_a": json.loads(self.gens_a.to_json()),
-                "gens_b": json.loads(self.gens_b.to_json()),
-                "convention": self.convention,
-            },
-            sort_keys=True,
+    def to_doc(self) -> dict:
+        return {
+            "gens_a": self.gens_a,
+            "gens_b": self.gens_b,
+            "convention": self.convention,
+        }
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "SquareCayleyComplex":
+        return cls(
+            GeneratorMultiset.from_doc(doc["gens_a"]),
+            GeneratorMultiset.from_doc(doc["gens_b"]),
+            doc.get("convention", "paired"),
         )
 
     @classmethod
     def from_json(cls, text: str) -> "SquareCayleyComplex":
-        obj = json.loads(text)
-        return cls(
-            GeneratorMultiset.from_json(json.dumps(obj["gens_a"])),
-            GeneratorMultiset.from_json(json.dumps(obj["gens_b"])),
-            obj.get("convention", "paired"),
-        )
+        return cls.from_doc(json.loads(text))
 
 
 def build_complex(
@@ -249,27 +249,23 @@ class CssCode:
         if not self.css_orthogonal():
             raise DomainError("X and Z checks do not commute")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "n": self.n,
-                "h_x": json.loads(self.h_x.to_json()),
-                "h_z": json.loads(self.h_z.to_json()),
-                "provenance": self.provenance,
-            },
-            sort_keys=True,
-        )
+    def to_doc(self) -> dict:
+        return {
+            "p": self.p,
+            "n": self.n,
+            "h_x": self.h_x,
+            "h_z": self.h_z,
+            "provenance": self.provenance,
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "CssCode":
-        obj = json.loads(text)
+    def from_doc(cls, doc: dict) -> "CssCode":
         return cls(
-            p=obj["p"],
-            n=obj["n"],
-            h_x=FMatrix.from_json(json.dumps(obj["h_x"])),
-            h_z=FMatrix.from_json(json.dumps(obj["h_z"])),
-            provenance=obj.get("provenance", {}),
+            p=doc["p"],
+            n=doc["n"],
+            h_x=FMatrix.from_doc(doc["h_x"]),
+            h_z=FMatrix.from_doc(doc["h_z"]),
+            provenance=doc.get("provenance", {}),
         )
 
 
@@ -333,7 +329,7 @@ def build_code(complex_: SquareCayleyComplex, pair: InnerCodePair) -> CssCode:
         provenance={
             "kind": "tanner",
             "complex": complex_.summary(),
-            "inner": pair.summary(),
+            "inner": pair.to_doc(),
             "convention": complex_.convention,
         },
     )
@@ -380,19 +376,8 @@ class PlantedReport:
             and self.ones_outside_z_rowspace
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "ones_in_ker_x": self.ones_in_ker_x,
-                "ones_in_ker_z": self.ones_in_ker_z,
-                "ones_outside_x_rowspace": self.ones_outside_x_rowspace,
-                "ones_outside_z_rowspace": self.ones_outside_z_rowspace,
-                "row_sums_zero": self.row_sums_zero,
-                "n_mod_p": self.n_mod_p,
-                "planted": self.planted,
-            },
-            sort_keys=True,
-        )
+    def to_doc(self) -> dict:
+        return {**asdict(self), "planted": self.planted}
 
 
 def verify_planted(code: CssCode) -> PlantedReport:
@@ -423,18 +408,9 @@ class DistanceReport:
     side: str | None = None
     witness: np.ndarray | None = None
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "upper_bound": None if math.isinf(self.upper_bound) else self.upper_bound,
-                "exact": self.exact,
-                "method": self.method,
-                "trials": self.trials,
-                "side": self.side,
-                "witness": None if self.witness is None else self.witness.tolist(),
-            },
-            sort_keys=True,
-        )
+    def to_doc(self) -> dict:
+        bound = None if math.isinf(self.upper_bound) else self.upper_bound
+        return {**asdict(self), "upper_bound": bound}
 
 
 def _rowspace_reducer(rows: np.ndarray, p: int):
@@ -567,17 +543,6 @@ class CurvePoint:
     coboundary_samples: int
     exhaustive: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "max_weight": self.max_weight,
-            "boundary_min": self.boundary_min,
-            "coboundary_min": self.coboundary_min,
-            "boundary_samples": self.boundary_samples,
-            "coboundary_samples": self.coboundary_samples,
-            "exhaustive": self.exhaustive,
-        }
-
 
 @dataclass
 class ExpansionCurve:
@@ -596,16 +561,12 @@ class ExpansionCurve:
         vals = [pt.coboundary_min for pt in self.points if pt.coboundary_min is not None]
         return min(vals) if vals else None
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "points": [pt.to_dict() for pt in self.points],
-                "exact_cosets": self.exact_cosets,
-                "boundary_constant": self.boundary_constant,
-                "coboundary_constant": self.coboundary_constant,
-            },
-            sort_keys=True,
-        )
+    def to_doc(self) -> dict:
+        return {
+            **asdict(self),
+            "boundary_constant": self.boundary_constant,
+            "coboundary_constant": self.coboundary_constant,
+        }
 
 
 def _coset_weight_bound(

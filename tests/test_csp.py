@@ -34,6 +34,7 @@ from ptanner.csp import (
 from ptanner.expander import default_generators
 from ptanner.gf import LinearCode
 from ptanner.inner import InnerCodePair
+from ptanner.jsonio import dumps
 from ptanner.tanner import build_code, build_complex, steane_code, verify_planted
 
 
@@ -380,7 +381,7 @@ def test_xor_to_lin_instance_round_trip():
     assert lin.num_vars == 4
     report = max_sat(lin, mode="exact")
     assert report.best_fraction == 1.0
-    assert json.loads(xor.to_json())["num_vars"] == 4
+    assert json.loads(dumps(xor))["num_vars"] == 4
 
 
 def test_xor_validation():

@@ -29,6 +29,7 @@ from ptanner.gf import (
     row_reduce,
     solve,
 )
+from ptanner.jsonio import dumps
 
 
 def span_size(rows, p):
@@ -212,26 +213,8 @@ def test_fmatrix_json_round_trip():
     for p in (2, 5):
         a = [[rng.randrange(p) for _ in range(6)] for _ in range(4)]
         m = FMatrix.from_dense(p, a)
-        again = FMatrix.from_json(m.to_json())
+        again = FMatrix.from_doc(json.loads(dumps(m)))
         assert again == m
-
-
-def test_fmatrix_alist_round_trip_binary_and_gf5():
-    rng = random.Random(13)
-    for p in (2, 5):
-        a = [[rng.randrange(p) for _ in range(5)] for _ in range(7)]
-        m = FMatrix.from_dense(p, a)
-        text = m.to_alist()
-        again = FMatrix.from_alist(text, p)
-        assert again == m
-        head = text.splitlines()
-        assert head[0] == "7 5"
-        assert head[1] == f"{m.max_row_weight()} {m.max_col_weight()}"
-
-
-def test_fmatrix_alist_handles_zero_rows_and_cols():
-    m = FMatrix.from_entries(3, 3, 4, [(0, 1, 2), (2, 3, 1)])
-    assert FMatrix.from_alist(m.to_alist(), 3) == m
 
 
 def test_fmatrix_sparse_dense_agreement():
@@ -242,8 +225,7 @@ def test_fmatrix_sparse_dense_agreement():
     assert dense.row_weights() == sparse.row_weights()
     assert dense.col_weights() == sparse.col_weights()
     assert (dense.toarray() == sparse.toarray()).all()
-    assert dense.to_json() == sparse.to_json()
-    assert dense.to_alist() == sparse.to_alist()
+    assert dumps(dense) == dumps(sparse)
     v = [1, 2, 3]
     assert (dense.apply(v) == sparse.apply(v)).all()
 
@@ -306,9 +288,8 @@ def test_fmatrix_matches_dense_oracle(case, data):
     b = data.draw(st.lists(st.integers(0, p - 1), min_size=n_cols * k, max_size=n_cols * k))
     b = np.array(b, dtype=np.int64).reshape(n_cols, k)
     assert ((m @ FMatrix.from_dense(p, b)).toarray() == (a @ b) % p).all()
-    assert FMatrix.from_json(m.to_json()) == m
-    assert json.loads(m.to_json())["entries"] == [[int(r), int(c), int(a[r, c])] for r, c in nz]
-    assert FMatrix.from_alist(m.to_alist(), p) == m
+    assert FMatrix.from_doc(json.loads(dumps(m))) == m
+    assert json.loads(dumps(m))["entries"] == [[int(r), int(c), int(a[r, c])] for r, c in nz]
 
 
 @HYPOTHESIS

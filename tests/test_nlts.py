@@ -22,6 +22,7 @@ from ptanner.errors import (
     UnsupportedField,
 )
 from ptanner.gf import FMatrix
+from ptanner.jsonio import dumps
 from ptanner.nlts import (
     SPREAD_MASS_RELAXED,
     SPREAD_MASS_STRICT,
@@ -159,7 +160,7 @@ def test_syndrome_set_errors(steane):
 
 def test_syndrome_set_json_smoke(steane):
     sset = enumerate_syndrome_set(steane, "Z", 0.0)
-    data = json.loads(sset.to_json())
+    data = json.loads(dumps(sset))
     assert data["basis"] == "Z"
     assert data["size"] == 16
 
@@ -233,7 +234,7 @@ def test_verify_cluster_lemma_all_pass_in_regime(steane):
         sset = enumerate_syndrome_set(steane, basis, 1.0 / 3.0)
         part = build_clusters(sset, c1=0.1)
         report = verify_cluster_lemma(part, c2=1.0 / 7.0)
-        assert report.all_ok, report.to_json()
+        assert report.all_ok, dumps(report)
         assert report.min_intercluster_distance == 1
 
 
@@ -242,7 +243,7 @@ def test_verify_cluster_lemma_all_pass_shor(shor):
     part = build_clusters(sset, c1=0.3)
     assert len(part.clusters) == 14
     report = verify_cluster_lemma(part, c2=1.0 / 9.0)
-    assert report.all_ok, report.to_json()
+    assert report.all_ok, dumps(report)
 
 
 def test_verify_distance_failure_reports_witness(steane):
@@ -681,9 +682,9 @@ def test_epsilon_threshold_domain_errors():
 def test_cluster_partition_json_smoke(steane):
     sset = enumerate_syndrome_set(steane, "Z", 0.0)
     part = build_clusters(sset, c1=0.1)
-    data = json.loads(part.to_json())
+    data = json.loads(dumps(part))
     assert data["num_members"] == 16
     assert data["representatives"] == {"0": 0}
     report = verify_cluster_lemma(part, c2=3.0 / 7.0)
-    parsed = json.loads(report.to_json())
+    parsed = json.loads(dumps(report))
     assert parsed["all_ok"] is True

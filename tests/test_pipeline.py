@@ -14,10 +14,11 @@ import pytest
 from scipy import sparse
 
 from ptanner.cli import main
-from ptanner.csp import TannerConstraintStream
+from ptanner.csp import TannerConstraintStream, emit_lin_instance
 from ptanner.errors import DomainError, MissingArtifact, SearchExhausted
 from ptanner.expander import element_from_index
 from ptanner.inner import InnerCodePair
+from ptanner.jsonio import dumps
 from ptanner.nlts import depth_lower_bound
 from ptanner.pipeline import (
     DEFAULT_BUDGETS,
@@ -160,6 +161,11 @@ def test_rerun_is_byte_identical(small_run, tmp_path):
     assert ours == theirs
     for name in ours:
         assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+    # every JSON file, the manifest included, is in the one canonical form
+    for name in ours:
+        if name.endswith(".json"):
+            text = (out / name).read_text().removesuffix("\n")
+            assert dumps(json.loads(text)) == text, name
 
 
 def test_stage_failure_carries_context(tmp_path):
@@ -209,7 +215,7 @@ def test_load_manifest_missing(tmp_path):
 @pytest.fixture()
 def steane_file(tmp_path):
     path = tmp_path / "steane.json"
-    path.write_text(steane_code().to_json())
+    path.write_text(dumps(steane_code()))
     return path
 
 
@@ -377,6 +383,25 @@ def test_cli_malformed_artifact_exits_2(tmp_path, capsys, steane_file, argv, con
     err = capsys.readouterr().err
     assert "precondition failed" in err
     assert str(bad) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expander", "neighbor", "--p", "3", "--m", "1", "--degree", "6",
+         "--vertex", "0", "--gen", "9"],
+        ["expander", "neighbor", "--p", "3", "--m", "1", "--degree", "6",
+         "--vertex", "0", "--gen", "-1"],
+        ["inner", "search", "--p", "2", "--delta", "3", "--ka", "1", "--kb", "2",
+         "--rho", "abc"],
+        ["csp", "maxsat", "--instance", "{lin}", "--mode", "ls", "--restarts", "0"],
+    ],
+)
+def test_cli_bad_argument_exits_2(tmp_path, capsys, argv):
+    lin = tmp_path / "lin.json"
+    lin.write_text(dumps(emit_lin_instance(steane_code(), np.ones(7, dtype=np.int64))))
+    assert main([arg.format(lin=lin) for arg in argv]) == 2
+    assert "precondition failed" in capsys.readouterr().err
 
 
 def test_level2_code_stage_is_css_orthogonal(tmp_path):

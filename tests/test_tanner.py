@@ -15,6 +15,7 @@ from ptanner.errors import DimensionMismatch, DomainError, GroupMismatch
 from ptanner.expander import default_generators, element_from_index
 from ptanner.gf import FMatrix, LinearCode, kernel_basis, row_reduce
 from ptanner.inner import InnerCodePair
+from ptanner.jsonio import dumps
 from ptanner.tanner import (
     CssCode,
     LAYERS,
@@ -134,7 +135,7 @@ def test_complex_construction_errors():
 
 def test_complex_json_round_trip():
     cx = ternary_complex(convention="direct")
-    back = SquareCayleyComplex.from_json(cx.to_json())
+    back = SquareCayleyComplex.from_json(dumps(cx))
     assert back.convention == "direct"
     assert back.num_faces == cx.num_faces
     assert back.local_view("11", element_from_index(3, 1, 7)).tolist() == cx.local_view(
@@ -219,7 +220,7 @@ def test_verify_planted_positive():
     assert report.row_sums_zero
     assert report.n_mod_p == 1
     assert report.planted
-    obj = json.loads(report.to_json())
+    obj = json.loads(dumps(report))
     assert obj["planted"] is True
 
 
@@ -348,7 +349,7 @@ def test_ssexp_sampled_path_deterministic():
     a = estimate_ssexp(code, [2 / 7, 3 / 7], **kw)
     b = estimate_ssexp(code, [2 / 7, 3 / 7], **kw)
     assert not a.points[0].exhaustive
-    assert a.to_json() == b.to_json()
+    assert dumps(a) == dumps(b)
     assert a.points[0].boundary_samples <= 40
 
 
@@ -359,7 +360,7 @@ def test_ssexp_rejects_bad_epsilon():
 
 def test_css_code_json_round_trip():
     code = build_code(ternary_complex(), planted_pair_gf2())
-    back = CssCode.from_json(code.to_json())
+    back = CssCode.from_doc(json.loads(dumps(code)))
     assert back.p == code.p and back.n == code.n
     assert back.h_x == code.h_x and back.h_z == code.h_z
     assert back.provenance["kind"] == "tanner"
