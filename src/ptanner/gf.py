@@ -1,10 +1,11 @@
 """Exact linear algebra over prime fields GF(p).
 
 Everything here is integer arithmetic mod p; no floating point is used
-anywhere.  Matrices carry their modulus and are stored sparse (CSR);
-elimination runs on dense copies.  Enumeration-style operations (minimum
-distance, coset weight) take an explicit budget and refuse to start work
-that would exceed it.
+anywhere.  Matrices carry their modulus and are stored sparse (CSR).
+Elimination over GF(2) runs on rows bit-packed into uint64 words, packed
+straight from the CSR indices; odd p eliminates a dense int64 copy.
+Enumeration-style operations (minimum distance, coset weight) take an
+explicit budget and refuse to start work that would exceed it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "rank",
     "kernel_basis",
     "row_reduce",
+    "rank_work",
     "solve",
     "in_rowspace",
     "coset_min_weight",
@@ -88,7 +90,8 @@ def weight(v: np.ndarray) -> int:
 
 
 def _as_array(p: int, data) -> np.ndarray:
-    a = np.asarray(data, dtype=np.int64) % p
+    a = np.asarray(data, dtype=np.int64)
+    a = a & 1 if p == 2 else a % p  # the same for p = 2, and far cheaper
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.ndim != 2:
@@ -100,8 +103,9 @@ class FMatrix:
     """Matrix over GF(p), stored as one canonical `scipy.sparse` CSR array.
 
     Stored entries are int64 in [1, p): no explicit zeros and no duplicates,
-    with column indices sorted inside each row.  Products stay sparse;
-    `toarray()` is the path into the dense elimination routines.
+    with column indices sorted inside each row.  Products stay sparse, and
+    GF(2) elimination packs the rows from the CSR indices; `toarray()` is
+    the path into the dense odd-p elimination.
     """
 
     __slots__ = ("p", "_csr")
@@ -240,14 +244,86 @@ class FMatrix:
 
 
 # ---- elimination ------------------------------------------------------
+#
+# Over GF(2) a row is packed 64 columns to a little-endian uint64 word
+# (column c is bit c % 64 of word c // 64) and a pivot clears its column by
+# XORing whole rows.  Odd p runs the dense int64 loop `_row_reduce_dense`,
+# which is also the GF(2) path's test oracle.  Both produce the reduced row
+# echelon form, which is unique, so they agree exactly.
+
+_WORD = np.dtype("<u8")
+_BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)  # _BIT[s]: bit s of a word
 
 
-def row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p.
+def _operand(m: FMatrix | np.ndarray, p: int | None) -> tuple[FMatrix | np.ndarray, int]:
+    """(matrix, p): an FMatrix as it is, anything else as an array mod p."""
+    if isinstance(m, FMatrix):
+        return m, m.p
+    if p is None:
+        raise InvalidField("modulus required for raw arrays")
+    return _as_array(p, m), p
 
-    Pivoting is deterministic: scan columns left to right and take the
-    first row with a nonzero entry.  Returns (rref, pivot_columns).
+
+def _dense(m: FMatrix | np.ndarray) -> np.ndarray:
+    return m.toarray() if isinstance(m, FMatrix) else m
+
+
+def _pack(m: FMatrix | np.ndarray, n_cols: int) -> np.ndarray:
+    """Rows of a GF(2) matrix as words, with room for `n_cols` columns; an
+    FMatrix is packed from its CSR indices."""
+    words = -(-n_cols // 64)
+    if isinstance(m, FMatrix):
+        csr = m._csr
+        out = np.zeros((csr.shape[0], words), dtype=_WORD)
+        row = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+        col = csr.indices.astype(np.int64)
+        np.bitwise_or.at(out, (row, col >> 6), _BIT[col & 63])
+        return out
+    out = np.zeros((m.shape[0], words * 8), dtype=np.uint8)
+    packed = np.packbits(m.astype(bool), axis=1, bitorder="little")
+    out[:, : packed.shape[1]] = packed
+    return out.view(_WORD)
+
+
+def _unpack(rows: np.ndarray, n_cols: int) -> np.ndarray:
+    bits = np.unpackbits(rows.view(np.uint8), axis=1, count=n_cols, bitorder="little")
+    return bits.astype(np.int64)
+
+
+def _eliminate(rows: np.ndarray, n_cols: int, reduced: bool) -> list[int]:
+    """Gaussian elimination over GF(2) on packed rows, in place.
+
+    Same pivot rule as the dense loop.  Returns the pivot columns; rows
+    [0, rank) end as the echelon rows in pivot order and the rest are zero.
+    With `reduced` each pivot column is also cleared above its pivot, which
+    leaves the RREF.  A pivot row is zero left of its pivot, so only the
+    words from the pivot's word on are XORed.
     """
+    n_rows = rows.shape[0]
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        w = c >> 6
+        col = rows[:, w] & _BIT[c & 63]
+        i = r + int(col[r:].argmax())
+        if not col[i]:
+            continue
+        if i != r:
+            rows[[r, i]] = rows[[i, r]]
+            col[i] = 0  # row i now holds old row r, zero in this column
+        col[r] = 0
+        hit = col.nonzero()[0] if reduced else r + col[r:].nonzero()[0]
+        if hit.size:
+            rows[hit, w:] ^= rows[r, w:]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _row_reduce_dense(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod p on a dense int64 copy."""
     a = _as_array(p, a).copy()
     n_rows, n_cols = a.shape
     pivots: list[int] = []
@@ -272,11 +348,42 @@ def row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
+def row_reduce(
+    m: FMatrix | np.ndarray, p: int | None = None
+) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod p, as a dense int64 array.
+
+    Pivoting is deterministic: scan columns left to right and take the
+    first row with a nonzero entry.  Returns (rref, pivot_columns).
+    """
+    m, p = _operand(m, p)
+    if p != 2:
+        return _row_reduce_dense(_dense(m), p)
+    n_cols = m.shape[1]
+    rows = _pack(m, n_cols)
+    pivots = _eliminate(rows, n_cols, reduced=True)
+    return _unpack(rows, n_cols), pivots
+
+
 def rank(m: FMatrix | np.ndarray, p: int | None = None) -> int:
-    a, p = _coerce(m, p)
+    m, p = _operand(m, p)
+    if p == 2:
+        return len(_eliminate(_pack(m, m.shape[1]), m.shape[1], reduced=False))
+    a = _dense(m)
     if a.size == 0:
         return 0
-    return len(row_reduce(a, p)[1])
+    return len(_row_reduce_dense(a, p)[1])
+
+
+def rank_work(n_rows: int, n_cols: int, p: int) -> int:
+    """Work estimate for `rank` on an n_rows x n_cols matrix mod p.
+
+    GF(2): up to min(n_rows, n_cols) pivots, each XORing up to n_rows
+    packed rows of ceil(n_cols / 64) words.  Odd p: n_cols^2 * n_rows.
+    """
+    if p == 2:
+        return min(n_rows, n_cols) * n_rows * -(-n_cols // 64)
+    return n_cols * n_cols * n_rows
 
 
 def kernel_basis(m: FMatrix | np.ndarray, p: int | None = None) -> np.ndarray:
@@ -285,46 +392,58 @@ def kernel_basis(m: FMatrix | np.ndarray, p: int | None = None) -> np.ndarray:
     Free variables are set to 1 one at a time, in ascending column order,
     so the result is deterministic.  Shape (dim_kernel, n_cols).
     """
-    a, p = _coerce(m, p)
-    n_cols = a.shape[1]
-    rref, pivots = row_reduce(a, p)
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = np.zeros((len(free), n_cols), dtype=np.int64)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for j, c in enumerate(pivots):
-            basis[i, c] = (-int(rref[j, f])) % p
+    m, p = _operand(m, p)
+    n_cols = m.shape[1]
+    rref, pivots = row_reduce(m, p)
+    free = np.setdiff1d(np.arange(n_cols), pivots)
+    basis = np.zeros((free.size, n_cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-rref[: len(pivots), free].T) % p
     return basis
 
 
 def solve(m: FMatrix | np.ndarray, b, p: int | None = None) -> np.ndarray | None:
     """One solution x of m x = b, or None when the system is inconsistent."""
-    a, p = _coerce(m, p)
+    m, p = _operand(m, p)
     b = as_vector(p, b)
-    if b.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"rhs length {b.shape[0]} vs {a.shape[0]} rows")
-    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
-    rref, pivots = row_reduce(aug, p)
-    if a.shape[1] in pivots:
+    n_rows, n_cols = m.shape
+    if b.shape[0] != n_rows:
+        raise DimensionMismatch(f"rhs length {b.shape[0]} vs {n_rows} rows")
+    # eliminate [m | b]; the system is inconsistent iff b's column pivots
+    if p == 2:
+        rows = _pack(m, n_cols + 1)
+        bit = _BIT[n_cols & 63]
+        rows[b == 1, n_cols >> 6] |= bit
+        pivots = _eliminate(rows, n_cols + 1, reduced=True)
+        rhs = (rows[:, n_cols >> 6] & bit) != 0
+    else:
+        aug = np.concatenate([_dense(m), b.reshape(-1, 1)], axis=1)
+        rref, pivots = _row_reduce_dense(aug, p)
+        rhs = rref[:, n_cols]
+    if n_cols in pivots:
         return None
-    x = np.zeros(a.shape[1], dtype=np.int64)
-    for j, c in enumerate(pivots):
-        x[c] = rref[j, a.shape[1]]
+    x = np.zeros(n_cols, dtype=np.int64)
+    x[pivots] = rhs[: len(pivots)]
     return x
 
 
 def in_rowspace(m: FMatrix | np.ndarray, v, p: int | None = None) -> bool:
-    """Whether v is a linear combination of the rows of m (transposed solve)."""
-    a, p = _coerce(m, p)
-    return solve(a.T, v, p) is not None
-
-
-def _coerce(m: FMatrix | np.ndarray, p: int | None) -> tuple[np.ndarray, int]:
-    if isinstance(m, FMatrix):
-        return m.toarray(), m.p
-    if p is None:
-        raise InvalidField("modulus required for raw arrays")
-    return _as_array(p, m), p
+    """Whether v is a linear combination of the rows of m."""
+    m, p = _operand(m, p)
+    v = as_vector(p, v)
+    n_cols = m.shape[1]
+    if p != 2:
+        return solve(_dense(m).T, v, p) is not None
+    if v.shape[0] != n_cols:
+        raise DimensionMismatch(f"vector length {v.shape[0]} vs {n_cols} columns")
+    rows = _pack(m, n_cols)
+    pivots = _eliminate(rows, n_cols, reduced=False)
+    # echelon rows in pivot order clear v's pivot bits one at a time
+    res = _pack(v.reshape(1, -1), n_cols)[0]
+    for j, c in enumerate(pivots):
+        if res[c >> 6] & _BIT[c & 63]:
+            res ^= rows[j]
+    return not res.any()
 
 
 # ---- codes ------------------------------------------------------------
@@ -360,11 +479,6 @@ class LinearCode:
 
     def dual(self) -> "LinearCode":
         return LinearCode(self.p, self.n, kernel_basis(self.basis, self.p))
-
-    @classmethod
-    def from_parity_checks(cls, p: int, checks) -> "LinearCode":
-        a = _as_array(p, checks)
-        return cls(p, a.shape[1], kernel_basis(a, p))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCode):

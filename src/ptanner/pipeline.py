@@ -33,6 +33,7 @@ from .inner import search_inner_pair
 from .jsonio import dumps, read_artifact
 from .tanner import (
     DEFAULT_DISTANCE_BUDGET,
+    DEFAULT_RANK_BUDGET,
     DEFAULT_SSEXP_EXHAUSTIVE,
     build_code,
     build_complex,
@@ -77,6 +78,7 @@ DEFAULT_BUDGETS = {
     "distance_trials": 32,
     "ssexp_trials": 150,
     "ssexp_exhaustive": DEFAULT_SSEXP_EXHAUSTIVE,
+    "rank_budget": DEFAULT_RANK_BUDGET,
 }
 
 CONFIG_SCHEMA = {
@@ -311,18 +313,18 @@ def _stage_code(config: RunConfig, ctx: dict):
     return {"code": ("code.json", dumps(code))}, summary
 
 
-def verify_document(code) -> dict:
+def verify_document(code, rank_budget: int = DEFAULT_RANK_BUDGET) -> dict:
     """Planting report, dimension and counting bound of a code, as written
     to verify.json."""
     return {
         "planted": verify_planted(code),
-        "dimension": code_dimension(code),
+        "dimension": code_dimension(code, rank_budget),
         "check_counting_bound": check_counting_bound(code),
     }
 
 
 def _stage_verify(config: RunConfig, ctx: dict):
-    doc = verify_document(ctx["code"])
+    doc = verify_document(ctx["code"], config.budget("rank_budget"))
     summary = dict(doc, planted=doc["planted"].planted)
     return {"verify": ("verify.json", dumps(doc))}, summary
 

@@ -45,10 +45,12 @@ from .expander import (
 from .gf import (
     FMatrix,
     LinearCode,
+    coset_min_weight,
     in_rowspace,
     iter_codewords,
     kernel_basis,
     rank,
+    rank_work,
     row_reduce,
 )
 from .inner import InnerCodePair
@@ -341,9 +343,11 @@ def build_code(complex_: SquareCayleyComplex, pair: InnerCodePair) -> CssCode:
 
 def code_dimension(code: CssCode, budget: int = DEFAULT_RANK_BUDGET) -> int:
     """k = (n - rank H_Z) - rank H_X."""
-    work = code.n * code.n * (code.m_x + code.m_z)
+    work = sum(rank_work(m, code.n, code.p) for m in (code.m_x, code.m_z))
     if work > budget:
-        raise BudgetExceeded(f"rank work {work} exceeds budget {budget}")
+        raise BudgetExceeded(
+            f"rank work {work} exceeds budget {budget}; raise budgets.rank_budget"
+        )
     return (code.n - code.rank_z) - code.rank_x
 
 
@@ -413,18 +417,18 @@ class DistanceReport:
         return {**asdict(self), "upper_bound": bound}
 
 
-def _rowspace_reducer(rows: np.ndarray, p: int):
+def _rowspace_reducer(rows: FMatrix):
     """Returns f(v) -> residue of v modulo the rowspace, using one upfront
     echelon pass instead of re-reducing per query."""
-    rref, pivots = row_reduce(rows, p) if rows.size else (rows, [])
-    basis = rref[: len(pivots)]
+    rref, pivots = row_reduce(rows)
+    basis, p = rref[: len(pivots)], rows.p
 
     def reduce(v: np.ndarray) -> np.ndarray:
-        res = v.copy()
-        for r, c in enumerate(pivots):
-            if res[c]:
-                res = (res - res[c] * basis[r]) % p
-        return res
+        # an RREF row is the only basis row nonzero at its pivot, so v's
+        # entries there are the coefficients to subtract
+        coeffs = v[pivots]
+        used = np.flatnonzero(coeffs)
+        return (v - coeffs[used] @ basis[used]) % p
 
     return reduce
 
@@ -433,10 +437,11 @@ def _exhaustive_side(
     kernel_of: FMatrix, rowspace_of: FMatrix, p: int, budget: int
 ) -> tuple[int | float, np.ndarray | None] | None:
     """Min weight over ker(A) minus rowspace(B), or None if over budget."""
-    ker = LinearCode.from_parity_checks(p, kernel_of.toarray())
-    if p**ker.dim > budget:
+    gen = kernel_basis(kernel_of)
+    if p ** gen.shape[0] > budget:
         return None
-    reduce = _rowspace_reducer(rowspace_of.toarray(), p)
+    ker = LinearCode(p, kernel_of.shape[1], gen)
+    reduce = _rowspace_reducer(rowspace_of)
     best, best_w = math.inf, None
     for block in iter_codewords(ker, budget=None):
         weights = np.count_nonzero(block, axis=1)
@@ -462,10 +467,10 @@ def _randomized_side(
 ) -> tuple[int | float, np.ndarray | None, int]:
     """Information-set style search for light kernel cosets."""
     n = kernel_of.shape[1]
-    gen = kernel_basis(kernel_of.toarray(), p)
+    gen = kernel_basis(kernel_of)
     if gen.shape[0] == 0:
         return math.inf, None, 0
-    reduce = _rowspace_reducer(rowspace_of.toarray(), p)
+    reduce = _rowspace_reducer(rowspace_of)
     best, best_w = math.inf, None
     used = 0
     for _ in range(trials):
@@ -475,14 +480,14 @@ def _randomized_side(
         rows = rref[: len(pivots)]
         unperm = np.empty_like(rows)
         unperm[:, perm] = rows
-        candidates = [unperm[k] for k in range(unperm.shape[0])]
         # pairwise sums pick up weight the echelon rows miss
-        for a, b in combinations(range(min(8, unperm.shape[0])), 2):
-            candidates.append((unperm[a] + unperm[b]) % p)
-        for v in candidates:
-            w = int(np.count_nonzero(v))
-            if 0 < w < best and reduce(v).any():
-                best, best_w = w, v.copy()
+        a, b = np.triu_indices(min(8, unperm.shape[0]), 1)
+        candidates = np.vstack([unperm, (unperm[a] + unperm[b]) % p])
+        weights = np.count_nonzero(candidates, axis=1)
+        for k in np.flatnonzero((weights > 0) & (weights < best)):
+            w = int(weights[k])
+            if w < best and reduce(candidates[k]).any():
+                best, best_w = w, candidates[k].copy()
     return best, best_w, used
 
 
@@ -570,30 +575,45 @@ class ExpansionCurve:
 
 
 def _coset_weight_bound(
-    v: np.ndarray, stab_rows: np.ndarray, stab_code: LinearCode | None, p: int
+    v: np.ndarray,
+    stab_rows: list[tuple[list[int], list[int]]],
+    stab_cols: list[tuple[list[int], list[int]]],
+    stab_code: LinearCode | None,
+    p: int,
 ) -> int:
     """|v| modulo the stabilizer rowspace: exact via enumeration when the
-    rowspace is small, else a greedy row-reduction upper bound."""
-    from .gf import coset_min_weight
-
+    rowspace is small, else a greedy upper bound that repeatedly adds the
+    multiple of a stabilizer row that lowers the weight most (first scale,
+    then first row, on ties).  `stab_rows` and `stab_cols` are the
+    stabilizer matrix's `rows()` and its transpose's."""
     if stab_code is not None:
         return coset_min_weight(v, stab_code)
-    if stab_rows.size == 0:
-        return int(np.count_nonzero(v))
-    cur = v.copy()
-    w = int(np.count_nonzero(cur))
-    while w > 0:
-        best_cand, best_w = None, w
+    cur = {int(j): int(v[j]) for j in np.flatnonzero(v)}
+    while cur:
+        # a row missing supp(cur) scores |cur| + |row| > |cur| and can never
+        # win, so only the rows meeting it are scored, in ascending order
+        meet = sorted({r for j in cur for r in stab_cols[j][0]})
+        best, best_w = None, len(cur)
         for scale in range(1, p):
-            cands = (cur[None, :] + scale * stab_rows) % p
-            weights = np.count_nonzero(cands, axis=1)
-            k = int(weights.argmin())
-            if int(weights[k]) < best_w:
-                best_w, best_cand = int(weights[k]), cands[k]
-        if best_cand is None:
+            for r in meet:
+                w = len(cur)
+                for c, x in zip(*stab_rows[r]):
+                    if c not in cur:
+                        w += 1
+                    elif (cur[c] + scale * x) % p == 0:
+                        w -= 1
+                if w < best_w:
+                    best, best_w = (scale, r), w
+        if best is None:
             break
-        cur, w = best_cand, best_w
-    return w
+        scale, r = best
+        for c, x in zip(*stab_rows[r]):
+            val = (cur.get(c, 0) + scale * x) % p
+            if val:
+                cur[c] = val
+            else:
+                del cur[c]
+    return len(cur)
 
 
 def _enumerate_small(n: int, max_w: int, p: int) -> Iterator[np.ndarray]:
@@ -634,20 +654,18 @@ def estimate_ssexp(
     stabilizers) sides.  Elements of the stabilizer rowspace are skipped as
     0/0.  Coset weights are exact only when the rowspace fits the budget."""
     p, n = code.p, code.n
-    ax, az = code.h_x.toarray(), code.h_z.toarray()
     sides = {}
     exact_cosets = True
-    for name, checks, stab_rows in (
-        ("boundary", az, ax),
-        ("coboundary", ax, az),
+    for name, checks, stab in (
+        ("boundary", code.h_z, code.h_x),
+        ("coboundary", code.h_x, code.h_z),
     ):
-        stab_dim = rank(stab_rows, p) if stab_rows.size else 0
         stab_code = None
-        if p**stab_dim <= coset_budget:
-            stab_code = LinearCode(p, n, stab_rows)
+        if p ** rank(stab) <= coset_budget:
+            stab_code = LinearCode(p, n, stab.toarray())
         else:
             exact_cosets = False
-        sides[name] = (checks, stab_rows, stab_code, checks.shape[0])
+        sides[name] = (checks, stab.rows(), stab.T.rows(), stab_code)
     rng = np.random.default_rng(seed)
     points = []
     for eps in epsilon_grid:
@@ -663,12 +681,12 @@ def estimate_ssexp(
             else:
                 vectors = (_sample_small(n, max_w, p, rng) for _ in range(trials))
             for v in vectors:
-                for name, (checks, stab_rows, stab_code, m_checks) in sides.items():
-                    syn = int(np.count_nonzero((checks @ v) % p))
-                    cw = _coset_weight_bound(v, stab_rows, stab_code, p)
+                for name, (checks, stab_rows, stab_cols, stab_code) in sides.items():
+                    syn = int(np.count_nonzero(checks.apply(v)))
+                    cw = _coset_weight_bound(v, stab_rows, stab_cols, stab_code, p)
                     if cw == 0:
                         continue
-                    ratio = (syn / m_checks) / (cw / n)
+                    ratio = (syn / checks.shape[0]) / (cw / n)
                     counts[name] += 1
                     if mins[name] is None or ratio < mins[name]:
                         mins[name] = ratio

@@ -20,6 +20,7 @@ from ptanner.gf import (
     FMatrix,
     LinearCode,
     PrimeField,
+    _row_reduce_dense,
     coset_min_weight,
     in_rowspace,
     iter_codewords,
@@ -320,3 +321,98 @@ def test_rank_plus_nullity_property():
             r, c = rng.randint(1, 6), rng.randint(1, 6)
             m = np.array([[rng.randrange(p) for _ in range(c)] for _ in range(r)])
             assert rank(m, p) + kernel_basis(m, p).shape[0] == c
+
+
+# ---- the packed GF(2) core against the dense loop ----------------------
+#
+# `_row_reduce_dense` is the odd-p elimination and the oracle here; the
+# kernel and solve oracles are the loops `kernel_basis` and `solve` ran
+# before they were vectorized and moved onto the packed rows.
+
+
+def kernel_oracle(a, p):
+    rref, pivots = _row_reduce_dense(a, p)
+    n_cols = a.shape[1]
+    free = [c for c in range(n_cols) if c not in pivots]
+    basis = np.zeros((len(free), n_cols), dtype=np.int64)
+    for i, f in enumerate(free):
+        basis[i, f] = 1
+        for j, c in enumerate(pivots):
+            basis[i, c] = (-int(rref[j, f])) % p
+    return basis
+
+
+def solve_oracle(a, b, p):
+    aug = np.concatenate([a % p, np.reshape(b, (-1, 1)) % p], axis=1)
+    rref, pivots = _row_reduce_dense(aug, p)
+    if a.shape[1] in pivots:
+        return None
+    x = np.zeros(a.shape[1], dtype=np.int64)
+    for j, c in enumerate(pivots):
+        x[c] = rref[j, a.shape[1]]
+    return x
+
+
+@st.composite
+def field_matrices(draw, primes=(2, 3, 5)):
+    """(p, a, rng): a low-rank-prone matrix whose entries are off their
+    residues mod p by multiples of p, negative ones included; word-edge
+    widths come up often."""
+    p = draw(st.sampled_from(primes))
+    n_rows = draw(st.integers(0, 9))
+    n_cols = draw(st.sampled_from([0, 1, 2, 5, 63, 64, 65, 129]))
+    inner = draw(st.integers(0, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = (rng.integers(0, p, (n_rows, inner)) @ rng.integers(0, p, (inner, n_cols))) % p
+    return p, a + p * rng.integers(-3, 4, a.shape), rng
+
+
+@HYPOTHESIS
+@given(field_matrices(primes=(2,)), st.booleans())
+def test_packed_gf2_elimination_matches_dense_oracle(case, as_fmatrix):
+    _, a, rng = case
+    n_rows, n_cols = a.shape
+    m = FMatrix.from_dense(2, a) if as_fmatrix else a
+    want, want_pivots = _row_reduce_dense(a, 2)
+    got, pivots = row_reduce(m, 2)
+    assert pivots == want_pivots
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert (got == want).all()
+    assert rank(m, 2) == len(want_pivots)
+    v = (rng.integers(0, 2, n_rows) @ a) % 2  # in the rowspace
+    assert in_rowspace(m, v, 2)
+    w = rng.integers(-2, 3, n_cols)
+    assert in_rowspace(m, w, 2) == (solve_oracle(a.T, w, 2) is not None)
+
+
+@HYPOTHESIS
+@given(field_matrices(), st.booleans())
+def test_kernel_and_solve_match_loop_oracles(case, as_fmatrix):
+    p, a, rng = case
+    n_rows, n_cols = a.shape
+    m = FMatrix.from_dense(p, a) if as_fmatrix else a
+    got = kernel_basis(m, p)
+    want = kernel_oracle(a, p)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert (got == want).all()
+    consistent = (a @ rng.integers(0, p, n_cols)) % p
+    for b in (consistent, rng.integers(-p, 2 * p, n_rows)):
+        x, want = solve(m, b, p), solve_oracle(a, b, p)
+        if want is None:
+            assert x is None
+        else:
+            assert (x == want).all() and ((a @ x - b) % p == 0).all()
+    assert solve(m, consistent, p) is not None
+
+
+def test_packed_rank_at_word_edges_frozen():
+    # one bit set per row on either side of each word boundary
+    cols = [0, 62, 63, 64, 65, 127, 128]
+    a = np.zeros((len(cols) + 1, 129), dtype=np.int64)
+    a[np.arange(len(cols)), cols] = 1
+    a[-1, cols] = 1  # dependent: the sum of the others
+    assert rank(a, 2) == rank(FMatrix.from_dense(2, a)) == len(cols)
+    rref, pivots = row_reduce(FMatrix.from_dense(2, a))
+    assert pivots == cols
+    assert not rref[-1].any()
+    assert in_rowspace(a, a[-1], 2) and not in_rowspace(a, np.eye(129)[1], 2)

@@ -15,13 +15,14 @@ from scipy import sparse
 
 from ptanner.cli import main
 from ptanner.csp import TannerConstraintStream, emit_lin_instance
-from ptanner.errors import DomainError, MissingArtifact, SearchExhausted
+from ptanner.errors import BudgetExceeded, DomainError, MissingArtifact, SearchExhausted
 from ptanner.expander import element_from_index
 from ptanner.inner import InnerCodePair
 from ptanner.jsonio import dumps
 from ptanner.nlts import depth_lower_bound
 from ptanner.pipeline import (
     DEFAULT_BUDGETS,
+    PIPELINE_STAGES,
     RunConfig,
     load_config,
     load_manifest,
@@ -166,6 +167,34 @@ def test_rerun_is_byte_identical(small_run, tmp_path):
         if name.endswith(".json"):
             text = (out / name).read_text().removesuffix("\n")
             assert dumps(json.loads(text)) == text, name
+
+
+def test_rank_budget_reaches_verify(tmp_path):
+    doc = dict(SMALL_DOC, budgets={"rank_budget": 1})
+    doc["stages"] = ["expander", "inner", "complex", "code", "verify"]
+    with pytest.raises(BudgetExceeded, match=r"stage 'verify'.*budgets\.rank_budget"):
+        run_pipeline(RunConfig.from_mapping(doc), out_dir=tmp_path)
+
+
+def test_flagship_estimators_are_pinned(tmp_path):
+    """Group (3,1), delta 5, GF(2), k = (2,3), seed 7, all stages: the
+    distance and ssexp artifacts keep the hashes they had on the dense
+    elimination."""
+    config = RunConfig.from_mapping({
+        "field_p": 2, "group": {"p": 3, "m": 1}, "delta": 5, "k_a": 2, "k_b": 3,
+        "rho_target": "1/8", "seed": 7, "stages": list(PIPELINE_STAGES),
+    })
+    run_pipeline(config, out_dir=tmp_path)
+    pinned = {
+        "distance.json": "ae52b995366f18ddef48e23ba137b9a002d0ebcde3a7b6494bac1e696180c9ad",
+        "ssexp_curve.json": "16a28d7e5c18afe6d5f52976db27541d2161bc0643bbcf37e6a9c2d9277d9914",
+    }
+    for name, digest in pinned.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    distance = json.loads((tmp_path / "distance.json").read_text())
+    assert distance["upper_bound"] == 6
+    assert distance["trials"] == 64
+    assert distance["side"] == "z-logical"
 
 
 def test_stage_failure_carries_context(tmp_path):
@@ -404,15 +433,34 @@ def test_cli_bad_argument_exits_2(tmp_path, capsys, argv):
     assert "precondition failed" in capsys.readouterr().err
 
 
-def test_level2_code_stage_is_css_orthogonal(tmp_path):
-    """Group (3,2), n = 18,225, through `code`; H_X H_Z^T = 0 is checked with
-    a scipy.sparse product built straight from code.json."""
+@pytest.fixture(scope="module")
+def level2_run(tmp_path_factory):
+    """Group (3,2), delta 5, GF(2), k = (2,3), n = 18,225, through `verify`."""
+    out = tmp_path_factory.mktemp("level2")
     config = RunConfig.from_mapping({
         "field_p": 2, "group": {"p": 3, "m": 2}, "delta": 5, "k_a": 2, "k_b": 3,
         "rho_target": "1/8", "seed": 7,
-        "stages": ["expander", "inner", "complex", "code"],
+        "stages": ["expander", "inner", "complex", "code", "verify"],
     })
-    manifest = run_pipeline(config, out_dir=tmp_path)
+    return run_pipeline(config, out_dir=out), out
+
+
+def test_level2_verify_stage_plants_logicals(level2_run):
+    manifest, out = level2_run
+    verify = json.loads((out / "verify.json").read_text())
+    planted = verify["planted"]
+    for flag in ("ones_in_ker_x", "ones_in_ker_z",
+                 "ones_outside_x_rowspace", "ones_outside_z_rowspace"):
+        assert planted[flag] is True, flag
+    assert verify["dimension"] >= 1
+    assert verify["dimension"] == 909  # rank H_X = rank H_Z = 8658
+    assert manifest["stages"]["verify"]["summary"]["planted"] is True
+
+
+def test_level2_code_stage_is_css_orthogonal(level2_run):
+    """Group (3,2), n = 18,225, through `code`; H_X H_Z^T = 0 is checked with
+    a scipy.sparse product built straight from code.json."""
+    manifest, tmp_path = level2_run
     summary = manifest["stages"]["code"]["summary"]
     assert summary["n"] == 18225
     doc = json.loads((tmp_path / "code.json").read_text())

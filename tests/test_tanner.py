@@ -10,6 +10,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptanner.errors import DimensionMismatch, DomainError, GroupMismatch
 from ptanner.expander import default_generators, element_from_index
@@ -22,6 +24,7 @@ from ptanner.tanner import (
     X_LAYERS,
     Z_LAYERS,
     SquareCayleyComplex,
+    _coset_weight_bound,
     build_code,
     build_complex,
     check_counting_bound,
@@ -351,6 +354,57 @@ def test_ssexp_sampled_path_deterministic():
     assert not a.points[0].exhaustive
     assert dumps(a) == dumps(b)
     assert a.points[0].boundary_samples <= 40
+
+
+def all_rows_greedy(v, stab_rows, p):
+    """The coset bound's greedy as it scored every stabilizer row."""
+    if stab_rows.size == 0:
+        return int(np.count_nonzero(v))
+    cur = v.copy()
+    w = int(np.count_nonzero(cur))
+    while w > 0:
+        best_cand, best_w = None, w
+        for scale in range(1, p):
+            cands = (cur[None, :] + scale * stab_rows) % p
+            weights = np.count_nonzero(cands, axis=1)
+            k = int(weights.argmin())
+            if int(weights[k]) < best_w:
+                best_w, best_cand = int(weights[k]), cands[k]
+        if best_cand is None:
+            break
+        cur, w = best_cand, best_w
+    return w
+
+
+def coset_bound(v, stab):
+    return _coset_weight_bound(v, stab.rows(), stab.T.rows(), None, stab.p)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 12), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_coset_bound_matches_all_rows_greedy(p, n_rows, n, seed):
+    rng = np.random.default_rng(seed)
+    stab = (rng.random((n_rows, n)) < 0.25) * rng.integers(1, p, (n_rows, n))
+    # a few stabilizer rows plus light noise, so the greedy has work to do
+    v = (rng.integers(0, p, n_rows) * (rng.random(n_rows) < 0.3)) @ stab
+    v = (v + (rng.random(n) < 0.1) * rng.integers(1, p, n)) % p
+    assert coset_bound(v, FMatrix.from_dense(p, stab)) == all_rows_greedy(v, stab, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_coset_bound_matches_all_rows_greedy_on_tanner_codes(p):
+    if p == 2:
+        code = build_code(ternary_complex(), planted_pair_gf2())
+    else:
+        code = build_code(binary_complex(delta=4), planted_pair_gf3_len4())
+    rng = np.random.default_rng(p)
+    for stab in (code.h_x, code.h_z):
+        dense = stab.toarray()
+        for _ in range(60):
+            rows = rng.choice(stab.shape[0], size=3, replace=False)
+            v = rng.integers(1, p, 3) @ dense[rows] % p
+            v[rng.choice(code.n, size=2, replace=False)] = rng.integers(0, p, 2)
+            assert coset_bound(v, stab) == all_rows_greedy(v, dense, p)
 
 
 def test_ssexp_rejects_bad_epsilon():
