@@ -29,6 +29,7 @@ __all__ = [
     "rank",
     "kernel_basis",
     "row_reduce",
+    "Rowspace",
     "rank_work",
     "solve",
     "in_rowspace",
@@ -290,14 +291,13 @@ def _unpack(rows: np.ndarray, n_cols: int) -> np.ndarray:
     return bits.astype(np.int64)
 
 
-def _eliminate(rows: np.ndarray, n_cols: int, reduced: bool) -> list[int]:
-    """Gaussian elimination over GF(2) on packed rows, in place.
+def _eliminate(rows: np.ndarray, n_cols: int) -> list[int]:
+    """Reduced row echelon form over GF(2) on packed rows, in place.
 
     Same pivot rule as the dense loop.  Returns the pivot columns; rows
-    [0, rank) end as the echelon rows in pivot order and the rest are zero.
-    With `reduced` each pivot column is also cleared above its pivot, which
-    leaves the RREF.  A pivot row is zero left of its pivot, so only the
-    words from the pivot's word on are XORed.
+    [0, rank) end as the RREF rows in pivot order and the rest are zero.
+    A pivot row is zero left of its pivot, so only the words from the
+    pivot's word on are XORed.
     """
     n_rows = rows.shape[0]
     pivots: list[int] = []
@@ -314,7 +314,7 @@ def _eliminate(rows: np.ndarray, n_cols: int, reduced: bool) -> list[int]:
             rows[[r, i]] = rows[[i, r]]
             col[i] = 0  # row i now holds old row r, zero in this column
         col[r] = 0
-        hit = col.nonzero()[0] if reduced else r + col[r:].nonzero()[0]
+        hit = col.nonzero()[0]
         if hit.size:
             rows[hit, w:] ^= rows[r, w:]
         pivots.append(c)
@@ -361,18 +361,51 @@ def row_reduce(
         return _row_reduce_dense(_dense(m), p)
     n_cols = m.shape[1]
     rows = _pack(m, n_cols)
-    pivots = _eliminate(rows, n_cols, reduced=True)
+    pivots = _eliminate(rows, n_cols)
     return _unpack(rows, n_cols), pivots
 
 
+class Rowspace:
+    """The rowspace of a matrix mod p, eliminated once: its dimension and a
+    membership test for any number of vectors.
+
+    The basis is the RREF, kept packed over GF(2) (an FMatrix is packed
+    from its CSR indices) and dense for odd p.
+    """
+
+    __slots__ = ("p", "n", "pivots", "_basis")
+
+    def __init__(self, m: FMatrix | np.ndarray, p: int | None = None):
+        m, p = _operand(m, p)
+        self.p, self.n = p, m.shape[1]
+        if p == 2:
+            rows = _pack(m, self.n)
+            pivots = _eliminate(rows, self.n)
+        else:
+            rows, pivots = _row_reduce_dense(_dense(m), p)
+        self.pivots = np.array(pivots, dtype=np.int64)
+        self._basis = rows[: len(pivots)].copy()  # frees the zero rows
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+    def contains(self, v) -> bool:
+        v = as_vector(self.p, v)
+        if v.shape[0] != self.n:
+            raise DimensionMismatch(f"vector length {v.shape[0]} vs {self.n} columns")
+        # an RREF row is the only basis row nonzero at its pivot, so v's
+        # entries there are the coefficients of the one candidate combination
+        coeffs = v[self.pivots]
+        used = np.flatnonzero(coeffs)
+        if self.p == 2:
+            combo = np.bitwise_xor.reduce(self._basis[used], axis=0)
+            return not (_pack(v.reshape(1, -1), self.n)[0] ^ combo).any()
+        return not ((v - coeffs[used] @ self._basis[used]) % self.p).any()
+
+
 def rank(m: FMatrix | np.ndarray, p: int | None = None) -> int:
-    m, p = _operand(m, p)
-    if p == 2:
-        return len(_eliminate(_pack(m, m.shape[1]), m.shape[1], reduced=False))
-    a = _dense(m)
-    if a.size == 0:
-        return 0
-    return len(_row_reduce_dense(a, p)[1])
+    return Rowspace(m, p).dim
 
 
 def rank_work(n_rows: int, n_cols: int, p: int) -> int:
@@ -414,7 +447,7 @@ def solve(m: FMatrix | np.ndarray, b, p: int | None = None) -> np.ndarray | None
         rows = _pack(m, n_cols + 1)
         bit = _BIT[n_cols & 63]
         rows[b == 1, n_cols >> 6] |= bit
-        pivots = _eliminate(rows, n_cols + 1, reduced=True)
+        pivots = _eliminate(rows, n_cols + 1)
         rhs = (rows[:, n_cols >> 6] & bit) != 0
     else:
         aug = np.concatenate([_dense(m), b.reshape(-1, 1)], axis=1)
@@ -429,21 +462,7 @@ def solve(m: FMatrix | np.ndarray, b, p: int | None = None) -> np.ndarray | None
 
 def in_rowspace(m: FMatrix | np.ndarray, v, p: int | None = None) -> bool:
     """Whether v is a linear combination of the rows of m."""
-    m, p = _operand(m, p)
-    v = as_vector(p, v)
-    n_cols = m.shape[1]
-    if p != 2:
-        return solve(_dense(m).T, v, p) is not None
-    if v.shape[0] != n_cols:
-        raise DimensionMismatch(f"vector length {v.shape[0]} vs {n_cols} columns")
-    rows = _pack(m, n_cols)
-    pivots = _eliminate(rows, n_cols, reduced=False)
-    # echelon rows in pivot order clear v's pivot bits one at a time
-    res = _pack(v.reshape(1, -1), n_cols)[0]
-    for j, c in enumerate(pivots):
-        if res[c >> 6] & _BIT[c & 63]:
-            res ^= rows[j]
-    return not res.any()
+    return Rowspace(m, p).contains(v)
 
 
 # ---- codes ------------------------------------------------------------

@@ -33,7 +33,6 @@ from .inner import search_inner_pair
 from .jsonio import dumps, read_artifact
 from .tanner import (
     DEFAULT_DISTANCE_BUDGET,
-    DEFAULT_RANK_BUDGET,
     DEFAULT_SSEXP_EXHAUSTIVE,
     build_code,
     build_complex,
@@ -78,7 +77,6 @@ DEFAULT_BUDGETS = {
     "distance_trials": 32,
     "ssexp_trials": 150,
     "ssexp_exhaustive": DEFAULT_SSEXP_EXHAUSTIVE,
-    "rank_budget": DEFAULT_RANK_BUDGET,
 }
 
 CONFIG_SCHEMA = {
@@ -313,18 +311,21 @@ def _stage_code(config: RunConfig, ctx: dict):
     return {"code": ("code.json", dumps(code))}, summary
 
 
-def verify_document(code, rank_budget: int = DEFAULT_RANK_BUDGET) -> dict:
+def verify_document(code) -> dict:
     """Planting report, dimension and counting bound of a code, as written
     to verify.json."""
+    # the dimension's budget check comes first, so a code too large for it
+    # is refused before either check matrix is eliminated
+    dimension = code_dimension(code)
     return {
         "planted": verify_planted(code),
-        "dimension": code_dimension(code, rank_budget),
+        "dimension": dimension,
         "check_counting_bound": check_counting_bound(code),
     }
 
 
 def _stage_verify(config: RunConfig, ctx: dict):
-    doc = verify_document(ctx["code"], config.budget("rank_budget"))
+    doc = verify_document(ctx["code"])
     summary = dict(doc, planted=doc["planted"].planted)
     return {"verify": ("verify.json", dumps(doc))}, summary
 

@@ -45,11 +45,10 @@ from .expander import (
 from .gf import (
     FMatrix,
     LinearCode,
+    Rowspace,
     coset_min_weight,
-    in_rowspace,
     iter_codewords,
     kernel_basis,
-    rank,
     rank_work,
     row_reduce,
 )
@@ -205,8 +204,8 @@ class CssCode:
     h_x: FMatrix
     h_z: FMatrix
     provenance: dict = field(default_factory=dict)
-    _rank_x: int | None = None
-    _rank_z: int | None = None
+    _rowspace_x: Rowspace | None = field(default=None, repr=False, compare=False)
+    _rowspace_z: Rowspace | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.h_x.p != self.p or self.h_z.p != self.p:
@@ -223,16 +222,25 @@ class CssCode:
         return self.h_z.shape[0]
 
     @property
+    def rowspace_x(self) -> Rowspace:
+        """rowspace(H_X), eliminated on first use and kept."""
+        if self._rowspace_x is None:
+            self._rowspace_x = Rowspace(self.h_x)
+        return self._rowspace_x
+
+    @property
+    def rowspace_z(self) -> Rowspace:
+        if self._rowspace_z is None:
+            self._rowspace_z = Rowspace(self.h_z)
+        return self._rowspace_z
+
+    @property
     def rank_x(self) -> int:
-        if self._rank_x is None:
-            self._rank_x = rank(self.h_x)
-        return self._rank_x
+        return self.rowspace_x.dim
 
     @property
     def rank_z(self) -> int:
-        if self._rank_z is None:
-            self._rank_z = rank(self.h_z)
-        return self._rank_z
+        return self.rowspace_z.dim
 
     @property
     def locality(self) -> int:
@@ -345,9 +353,7 @@ def code_dimension(code: CssCode, budget: int = DEFAULT_RANK_BUDGET) -> int:
     """k = (n - rank H_Z) - rank H_X."""
     work = sum(rank_work(m, code.n, code.p) for m in (code.m_x, code.m_z))
     if work > budget:
-        raise BudgetExceeded(
-            f"rank work {work} exceeds budget {budget}; raise budgets.rank_budget"
-        )
+        raise BudgetExceeded(f"rank work {work} exceeds budget {budget}")
     return (code.n - code.rank_z) - code.rank_x
 
 
@@ -391,8 +397,8 @@ def verify_planted(code: CssCode) -> PlantedReport:
     in_ker_z = not code.h_z.apply(ones).any()
     # a row sum is that row applied to the all-ones word
     sums_zero = in_ker_x and in_ker_z
-    outside_x = not in_rowspace(code.h_x, ones)
-    outside_z = not in_rowspace(code.h_z, ones)
+    outside_x = not code.rowspace_x.contains(ones)
+    outside_z = not code.rowspace_z.contains(ones)
     return PlantedReport(
         ones_in_ker_x=in_ker_x,
         ones_in_ker_z=in_ker_z,
@@ -417,22 +423,6 @@ class DistanceReport:
         return {**asdict(self), "upper_bound": bound}
 
 
-def _rowspace_reducer(rows: FMatrix):
-    """Returns f(v) -> residue of v modulo the rowspace, using one upfront
-    echelon pass instead of re-reducing per query."""
-    rref, pivots = row_reduce(rows)
-    basis, p = rref[: len(pivots)], rows.p
-
-    def reduce(v: np.ndarray) -> np.ndarray:
-        # an RREF row is the only basis row nonzero at its pivot, so v's
-        # entries there are the coefficients to subtract
-        coeffs = v[pivots]
-        used = np.flatnonzero(coeffs)
-        return (v - coeffs[used] @ basis[used]) % p
-
-    return reduce
-
-
 def _exhaustive_side(
     kernel_of: FMatrix, rowspace_of: FMatrix, p: int, budget: int
 ) -> tuple[int | float, np.ndarray | None] | None:
@@ -441,7 +431,7 @@ def _exhaustive_side(
     if p ** gen.shape[0] > budget:
         return None
     ker = LinearCode(p, kernel_of.shape[1], gen)
-    reduce = _rowspace_reducer(rowspace_of)
+    stabilizers = Rowspace(rowspace_of)
     best, best_w = math.inf, None
     for block in iter_codewords(ker, budget=None):
         weights = np.count_nonzero(block, axis=1)
@@ -452,7 +442,7 @@ def _exhaustive_side(
             if w >= best:
                 break
             v = block[order]
-            if reduce(v).any():
+            if not stabilizers.contains(v):
                 best, best_w = w, v.copy()
                 break
     return best, best_w
@@ -470,7 +460,7 @@ def _randomized_side(
     gen = kernel_basis(kernel_of)
     if gen.shape[0] == 0:
         return math.inf, None, 0
-    reduce = _rowspace_reducer(rowspace_of)
+    stabilizers = Rowspace(rowspace_of)
     best, best_w = math.inf, None
     used = 0
     for _ in range(trials):
@@ -486,7 +476,7 @@ def _randomized_side(
         weights = np.count_nonzero(candidates, axis=1)
         for k in np.flatnonzero((weights > 0) & (weights < best)):
             w = int(weights[k])
-            if w < best and reduce(candidates[k]).any():
+            if w < best and not stabilizers.contains(candidates[k]):
                 best, best_w = w, candidates[k].copy()
     return best, best_w, used
 
@@ -656,12 +646,12 @@ def estimate_ssexp(
     p, n = code.p, code.n
     sides = {}
     exact_cosets = True
-    for name, checks, stab in (
-        ("boundary", code.h_z, code.h_x),
-        ("coboundary", code.h_x, code.h_z),
+    for name, checks, stab, stab_rank in (
+        ("boundary", code.h_z, code.h_x, code.rank_x),
+        ("coboundary", code.h_x, code.h_z, code.rank_z),
     ):
         stab_code = None
-        if p ** rank(stab) <= coset_budget:
+        if p**stab_rank <= coset_budget:
             stab_code = LinearCode(p, n, stab.toarray())
         else:
             exact_cosets = False

@@ -20,6 +20,7 @@ from ptanner.gf import (
     FMatrix,
     LinearCode,
     PrimeField,
+    Rowspace,
     _row_reduce_dense,
     coset_min_weight,
     in_rowspace,
@@ -403,6 +404,25 @@ def test_kernel_and_solve_match_loop_oracles(case, as_fmatrix):
         else:
             assert (x == want).all() and ((a @ x - b) % p == 0).all()
     assert solve(m, consistent, p) is not None
+
+
+@HYPOTHESIS
+@given(field_matrices(), st.booleans())
+def test_rowspace_matches_dense_oracle(case, as_fmatrix):
+    p, a, rng = case
+    n_rows, n_cols = a.shape
+    m = FMatrix.from_dense(p, a) if as_fmatrix else a
+    space = Rowspace(m, p)
+    assert space.dim == rank(m, p) == len(_row_reduce_dense(a, p)[1])
+    inside = (rng.integers(0, p, n_rows) @ a) % p
+    assert space.contains(inside) and in_rowspace(m, inside, p)
+    unit = np.zeros(n_cols, dtype=np.int64)
+    unit[:1] = 1
+    for w in (rng.integers(-p, 2 * p, n_cols), unit):
+        want = solve_oracle(a.T, w, p) is not None
+        assert space.contains(w) == in_rowspace(m, w, p) == want
+    with pytest.raises(DimensionMismatch):
+        space.contains(np.zeros(n_cols + 1, dtype=np.int64))
 
 
 def test_packed_rank_at_word_edges_frozen():

@@ -15,7 +15,7 @@ from scipy import sparse
 
 from ptanner.cli import main
 from ptanner.csp import TannerConstraintStream, emit_lin_instance
-from ptanner.errors import BudgetExceeded, DomainError, MissingArtifact, SearchExhausted
+from ptanner.errors import DomainError, MissingArtifact, SearchExhausted
 from ptanner.expander import element_from_index
 from ptanner.inner import InnerCodePair
 from ptanner.jsonio import dumps
@@ -167,13 +167,6 @@ def test_rerun_is_byte_identical(small_run, tmp_path):
         if name.endswith(".json"):
             text = (out / name).read_text().removesuffix("\n")
             assert dumps(json.loads(text)) == text, name
-
-
-def test_rank_budget_reaches_verify(tmp_path):
-    doc = dict(SMALL_DOC, budgets={"rank_budget": 1})
-    doc["stages"] = ["expander", "inner", "complex", "code", "verify"]
-    with pytest.raises(BudgetExceeded, match=r"stage 'verify'.*budgets\.rank_budget"):
-        run_pipeline(RunConfig.from_mapping(doc), out_dir=tmp_path)
 
 
 def test_flagship_estimators_are_pinned(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptanner.errors import DimensionMismatch, DomainError, GroupMismatch
+from ptanner.errors import BudgetExceeded, DimensionMismatch, DomainError, GroupMismatch
 from ptanner.expander import default_generators, element_from_index
 from ptanner.gf import FMatrix, LinearCode, kernel_basis, row_reduce
 from ptanner.inner import InnerCodePair
@@ -192,6 +192,14 @@ def test_dimension_toys():
     )
     assert code_dimension(zero) == 5
     assert check_counting_bound(zero) == 5
+
+
+def test_dimension_budget_refuses_before_eliminating():
+    code = build_code(ternary_complex(), planted_pair_gf2())
+    with pytest.raises(BudgetExceeded, match="rank work"):
+        code_dimension(code, budget=1)
+    assert code._rowspace_x is None and code._rowspace_z is None
+    assert code_dimension(code) == (code.n - code.rank_z) - code.rank_x
 
 
 def test_dimension_and_bound_tanner_build():
