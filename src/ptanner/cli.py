@@ -93,13 +93,20 @@ def _load_gens(args) -> GeneratorMultiset:
     )
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of seeds and step counts."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_group_args(sub, with_gens_file: bool = True) -> None:
     if with_gens_file:
         sub.add_argument("--gens", help="generator multiset JSON file")
     sub.add_argument("--p", type=int, help="group prime")
     sub.add_argument("--m", type=int, help="congruence level")
     sub.add_argument("--degree", type=int, help="multiset degree")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_non_negative_int, default=0)
     sub.add_argument(
         "--allow-nongenerating",
         action="store_true",
@@ -305,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kb", type=int, required=True)
     s.add_argument("--rho", default="1/8")
     s.add_argument("--budget", type=int, default=200)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_inner_search)
 
@@ -317,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--delta", type=int, required=True)
     s.add_argument("--inner", required=True, help="inner pair JSON file")
     s.add_argument("--convention", choices=("paired", "direct"), default="paired")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--allow-nongenerating", action="store_true")
     s.add_argument("--out")
     s.set_defaults(func=_cmd_code_build)
@@ -329,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("distance")
     s.add_argument("--code", required=True)
     s.add_argument("--budget", type=int, default=DEFAULT_DISTANCE_BUDGET)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--trials", type=int, default=32)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_code_distance)
@@ -337,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--code", required=True)
     s.add_argument("--eps", type=float, nargs="+", required=True)
     s.add_argument("--trials", type=int, default=200)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_code_ssexp)
 
@@ -357,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, default=1)
     s.add_argument("--eps", type=float, default=1 / 3)
     s.add_argument("--c1", type=float, default=0.1)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_nlts_spread)
     s = sub.add_parser("depth-bound")
@@ -383,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--instance", required=True)
     s.add_argument("--mode", choices=("exact", "ls"), default="exact")
     s.add_argument("--budget", type=int, default=2**20)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--restarts", type=int, default=8)
-    s.add_argument("--steps", type=int, default=200)
+    s.add_argument("--steps", type=_non_negative_int, default=200)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_csp_maxsat)
     s = sub.add_parser("reduce3")

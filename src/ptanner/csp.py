@@ -26,7 +26,7 @@ from .errors import (
     DomainError,
     UnsupportedField,
 )
-from .gf import LinearCode, in_rowspace, iter_codewords, kernel_basis, solve
+from .gf import FMatrix, LinearCode, in_rowspace, iter_codewords, kernel_basis, solve
 from .inner import InnerCodePair
 from .jsonio import dumps
 from .tanner import (
@@ -77,7 +77,17 @@ class LinInstance:
     def num_constraints(self) -> int:
         return len(self.constraints)
 
+    def to_fmatrix(self) -> FMatrix:
+        """The coefficients as one CSR matrix, constraints x variables."""
+        entries = [
+            (i, v, c)
+            for i, con in enumerate(self.constraints)
+            for v, c in zip(con.vars, con.coeffs)
+        ]
+        return FMatrix.from_entries(self.p, self.num_constraints, self.num_vars, entries)
+
     def coefficient_matrix(self) -> np.ndarray:
+        """Dense int64 view, for tests and benchmarks; the solvers use to_fmatrix."""
         a = np.zeros((self.num_constraints, self.num_vars), dtype=np.int64)
         for i, con in enumerate(self.constraints):
             for v, c in zip(con.vars, con.coeffs):
@@ -234,15 +244,15 @@ def certify_unsat(instance: LinInstance) -> UnsatReport:
     """Solve the full system; on inconsistency return the vanishing
     constraint combination with nonzero right-hand side."""
     p = instance.p
-    a = instance.coefficient_matrix() % p
+    a = instance.to_fmatrix()
     b = instance.rhs_vector() % p
-    y = solve(a, b, p)
+    y = solve(a, b)
     if y is not None:
         return UnsatReport(
             consistent=True, assignment=[int(v) for v in y], certificate=None
         )
     # u with u.A = 0 and u.b != 0; guaranteed to exist when unsolvable
-    for u in kernel_basis(a.T, p):
+    for u in kernel_basis(a.T):
         if int(u @ b) % p:
             nz = np.nonzero(u)[0]
             cert = [(int(i), int(u[i])) for i in nz]
@@ -271,18 +281,18 @@ def max_sat(
 ) -> SatReport:
     """Best satisfied fraction: exhaustive in exact mode, multi-restart
     single-flip hill climbing otherwise.  Ties break toward the
-    lexicographically least assignment."""
+    lexicographically least assignment.  A climbing step takes the first
+    (variable, value) that satisfies more constraints; the residual A y - b
+    is updated along one column, and all gains come from one tally.
+    """
     if mode not in ("exact", "local-search"):
         raise DomainError(f"unknown mode {mode!r}")
     if mode == "local-search" and restarts < 1:
         raise DomainError(f"local search needs restarts >= 1, got {restarts}")
     p, m, nc = instance.p, instance.num_vars, instance.num_constraints
-    a = instance.coefficient_matrix() % p
+    a = instance.to_fmatrix()
     b = instance.rhs_vector() % p
     unsat = certify_unsat(instance)
-
-    def count_vec(y: np.ndarray) -> int:
-        return int(((a @ y) % p == b).sum())
 
     if mode == "exact":
         total = p**m
@@ -291,36 +301,39 @@ def max_sat(
         best_count, best_y = -1, None
         # the identity code's words are all assignments, in lexicographic order
         everything = LinearCode(p, m, np.eye(m, dtype=np.int64))
+        dense = a.toarray()
         for ys in iter_codewords(everything, budget=None):
-            counts = ((ys @ a.T) % p == b).sum(axis=1)
+            counts = ((ys @ dense.T) % p == b).sum(axis=1)
             k = int(np.argmax(counts))
             if int(counts[k]) > best_count:
                 best_count, best_y = int(counts[k]), ys[k].copy()
         exact = True
     else:
+        rows, cols, coeffs = np.array(a.entries(), dtype=np.int64).reshape(-1, 3).T
+        inverse = np.array([0] + [pow(c, -1, p) for c in range(1, p)], dtype=np.int64)
+        columns = a.T.rows()  # per variable: its constraints and coefficients
         rng = np.random.default_rng(seed)
         best_count, best_y = -1, None
         for _ in range(restarts):
             y = rng.integers(0, p, size=m, dtype=np.int64)
-            current = count_vec(y)
+            residual = (a.apply(y) - b) % p
+            current = int((residual == 0).sum())
             for _ in range(max_steps):
-                improved = False
-                for v in range(m):
-                    old = y[v]
-                    for val in range(p):
-                        if val == old:
-                            continue
-                        y[v] = val
-                        c = count_vec(y)
-                        if c > current:
-                            current = c
-                            improved = True
-                            break
-                        y[v] = old
-                    if improved:
-                        break
-                if not improved:
+                # y[v] += t satisfies constraint i of column v iff t = -r_i / a_iv
+                # (t = 0: satisfied already); gain[v, t] = won - lost
+                fix = (-residual[rows] * inverse[coeffs]) % p
+                tally = np.bincount(cols * p + fix, minlength=m * p).reshape(m, p)
+                gain = tally - tally[:, :1]
+                by_value = np.take_along_axis(gain, (np.arange(p) - y[:, None]) % p, axis=1)
+                better = np.flatnonzero(by_value > 0)
+                if not better.size:
                     break
+                v, val = divmod(int(better[0]), p)
+                step = (val - y[v]) % p
+                y[v] = val
+                current += int(by_value[v, val])
+                touched, coeff = columns[v]
+                residual[touched] = (residual[touched] + np.array(coeff) * step) % p
             if current > best_count or (
                 current == best_count and tuple(y) < tuple(best_y)
             ):

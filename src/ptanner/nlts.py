@@ -1,12 +1,14 @@
 """Low-energy structure lab for small CSS codes.
 
 Everything here is exact and exhaustive by design: syndrome sets are full
-enumerations of the hypercube, cluster partitions come from an explicit
-pairwise relation, Hamiltonians are dense matrices on at most 12 qubits,
-and measurement statistics are computed by literal basis change.  Bit
-strings are packed big-endian into Python ints (coordinate 0 is the most
-significant bit) so that integer order equals lexicographic order on
-vectors; that makes "lexicographically least representative" a plain min().
+enumerations of the hypercube, cluster partitions are the components of the
+near-coset relation, whose edges y ~ y + d are gathered once per word d of
+the close set (the words of small coset weight), Hamiltonians are dense
+matrices on at most 12 qubits, and measurement statistics are computed by
+literal basis change.  Bit strings are packed big-endian into Python ints
+(coordinate 0 is the most significant bit) so that integer order equals
+lexicographic order on vectors; that makes "lexicographically least
+representative" a plain min().
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     StateDimensionMismatch,
     UnsupportedField,
 )
-from .gf import kernel_basis, rank, row_reduce
+from .gf import kernel_basis, row_reduce
 from .tanner import CssCode
 
 ENUMERATION_CAP = 2**22
@@ -35,6 +37,7 @@ HAMILTONIAN_QUBIT_CAP = 12
 SPREAD_MASS_STRICT = 0.25 - 0.25 / math.sqrt(2)  # about 0.0732
 SPREAD_MASS_RELAXED = 0.02
 UNCERTAINTY_BOUND = 0.5 + 0.5 / math.sqrt(2)
+PAIR_BLOCK = 1 << 20  # word pairs compared per vectorized block
 
 
 def pack_bits(v) -> int:
@@ -118,24 +121,21 @@ def enumerate_syndrome_set(
     total = 1 << n
     if total > cap:
         raise BudgetExceeded(f"2^{n} states exceeds cap {cap}")
-    checks = (code.h_x if basis == "X" else code.h_z).toarray()
-    m = checks.shape[0]
+    rows = _packed_rows(code.h_x if basis == "X" else code.h_z)
+    m = len(rows)
     thr = epsilon * m + 1e-12
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    syn_weights = np.zeros(m, dtype=np.int64)
     members: list[int] = []
     syndrome_of: dict[int, int] = {}
-    syn_pack = 1 << np.arange(m - 1, -1, -1, dtype=object) if m else np.zeros(0)
+    syn_pack = 1 << np.arange(m - 1, -1, -1, dtype=object)  # exact for any m
     chunk = 1 << 16
     for start in range(0, total, chunk):
         ints = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        bits = (ints[:, None] >> shifts) & 1
-        syn = (bits @ checks.T) % 2 if m else np.zeros((len(ints), 0), dtype=np.int64)
-        weights = syn.sum(axis=1)
-        for k in np.nonzero(weights <= thr)[0]:
-            y = int(ints[k])
-            members.append(y)
-            syndrome_of[y] = int((syn[k] * syn_pack).sum()) if m else 0
+        parities = [np.bitwise_count(ints & r) & 1 for r in rows]
+        syn = np.array(parities, dtype=np.int64).reshape(m, len(ints)).T
+        keep = syn.sum(axis=1) <= thr
+        ys = ints[keep].tolist()
+        members += ys
+        syndrome_of.update(zip(ys, (syn[keep] @ syn_pack).tolist()))
     return SyndromeSet(
         code=code, basis=basis, epsilon=float(epsilon), members=members,
         syndrome_of=syndrome_of,
@@ -147,16 +147,14 @@ def _coset_weight_table(stab_rows: np.ndarray, n: int, cap: int) -> np.ndarray:
     total = 1 << n
     if total > cap:
         raise BudgetExceeded(f"2^{n} coset table exceeds cap {cap}")
-    r = rank(stab_rows, 2) if stab_rows.size else 0
-    if (1 << r) > cap:
-        raise BudgetExceeded(f"2^{r} stabilizer words exceed cap {cap}")
+    rref, pivots = row_reduce(stab_rows, 2)
+    if (1 << len(pivots)) > cap:
+        raise BudgetExceeded(f"2^{len(pivots)} stabilizer words exceed cap {cap}")
     idx = np.arange(total, dtype=np.int64)
-    weights = np.bitwise_count(idx).astype(np.int64)
-    table = weights.copy()
-    rref, pivots = row_reduce(stab_rows, 2) if stab_rows.size else (stab_rows, [])
-    words = _span(pack_bits(rref[i]) for i in range(len(pivots)))
-    for s in words[1:]:
-        np.minimum(table, weights[idx ^ s], out=table)
+    table = np.bitwise_count(idx).astype(np.int64)
+    # the span doubles with each generator g, and so does the minimum over it
+    for i in range(len(pivots)):
+        np.minimum(table, table[idx ^ pack_bits(rref[i])], out=table)
     return table
 
 
@@ -183,10 +181,15 @@ class ClusterPartition:
     representatives: dict[int, int]
     representative_cluster_of: dict[int, int]
     _coset_table: np.ndarray = field(repr=False, default=None)
+    _positions: np.ndarray = field(repr=False, default=None)  # word -> member index, or -1
 
     def decode(self, y: int) -> int:
         """y plus the representative of its syndrome."""
         return y ^ self.representatives[self.syndrome_of[y]]
+
+    def decoded(self) -> np.ndarray:
+        """decode(y) for every member, in member order."""
+        return np.array([self.decode(y) for y in self.members], dtype=np.int64)
 
     def to_doc(self) -> dict:
         return {
@@ -213,36 +216,33 @@ def build_clusters(
     members = sorted(sset.members)
     mm = np.array(members, dtype=np.int64)
     size = len(members)
-    # pairwise relation, then components
+    pos = np.full(1 << n, -1, dtype=np.int64)
+    pos[mm] = np.arange(size)
+    # related pairs i < j, y_j = y_i + d for a close word d (d = 0 is one)
+    ar = np.arange(size)
     rows, cols = [], []
-    for i in range(size):
-        close = np.nonzero(table[mm ^ mm[i]] <= threshold)[0]
-        rows += [i] * len(close)
-        cols += list(close)
-    if size:
-        adj = coo_matrix(
-            (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(size, size)
-        )
-        ncomp, labels = connected_components(adj, directed=False)
-    else:
-        ncomp, labels = 0, np.zeros(0, dtype=np.int64)
+    for d in np.flatnonzero(table <= threshold):
+        nb = pos[mm ^ d]
+        keep = nb > ar
+        rows.append(ar[keep])
+        cols.append(nb[keep])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    adj = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(size, size))
+    _, labels = connected_components(adj, directed=False)
     raw: dict[int, list[int]] = {}
-    for pos, lab in enumerate(labels):
-        raw.setdefault(int(lab), []).append(members[pos])
-    clusters = sorted((sorted(v) for v in raw.values()), key=lambda c: c[0])
+    for y, lab in zip(members, labels.tolist()):
+        raw.setdefault(lab, []).append(y)
+    clusters = list(raw.values())  # each ascends, and they come in order of first member
     cluster_of = {y: cid for cid, cl in enumerate(clusters) for y in cl}
     # translate orbits: shifting by any zero-syndrome word permutes clusters
-    kernel_words = _all_kernel_words(
-        (code.h_z if sset.basis == "Z" else code.h_x).toarray(), n
-    )
+    kernel_words = _zero_syndrome_words(members, sset.syndrome_of)
+    cids = np.array([cluster_of[y] for y in members], dtype=np.int64)
     rep_cluster_of: dict[int, int] = {}
     for cid in range(len(clusters)):
         if cid in rep_cluster_of:
             continue
-        y0 = clusters[cid][0]
-        orbit = sorted(
-            {cluster_of[y0 ^ c] for c in kernel_words if (y0 ^ c) in cluster_of}
-        )
+        moved = pos[clusters[cid][0] ^ kernel_words]
+        orbit = np.unique(cids[moved[moved >= 0]]).tolist()
         designated = min(orbit, key=lambda k: clusters[k][0])
         for k in orbit:
             rep_cluster_of.setdefault(k, designated)
@@ -251,12 +251,9 @@ def build_clusters(
     for y in members:
         classes.setdefault(sset.syndrome_of[y], []).append(y)
     representatives: dict[int, int] = {}
-    for s, cls in classes.items():
-        y0 = min(cls)
-        rep_cid = rep_cluster_of[cluster_of[y0]]
-        rep_members = set(clusters[rep_cid])
-        inside = [y for y in cls if y in rep_members]
-        representatives[s] = min(inside) if inside else y0
+    for s, cls in classes.items():  # cls ascends
+        rep_cid = rep_cluster_of[cluster_of[cls[0]]]
+        representatives[s] = next((y for y in cls if cluster_of[y] == rep_cid), cls[0])
     return ClusterPartition(
         basis=sset.basis,
         epsilon=sset.epsilon,
@@ -270,6 +267,7 @@ def build_clusters(
         representatives=representatives,
         representative_cluster_of=rep_cluster_of,
         _coset_table=table,
+        _positions=pos,
     )
 
 
@@ -302,64 +300,58 @@ def verify_cluster_lemma(part: ClusterPartition, c2: float) -> ClusterLemmaRepor
         otherwise;
     (4) decoding members of one cluster lands in a single stabilizer coset.
     """
-    table = part._coset_table
+    table, pos = part._coset_table, part._positions
     mm = np.array(part.members, dtype=np.int64)
     labels = np.array([part.cluster_of[y] for y in part.members], dtype=np.int64)
+    sizes = np.bincount(labels)
     counterexample = None
 
-    partition_ok = True
-    for i, y in enumerate(part.members):
-        related = table[mm ^ y] <= part.threshold
-        if not (related == (labels == labels[i])).all():
-            partition_ok = False
-            bad = int(mm[np.nonzero(related != (labels == labels[i]))[0][0]])
-            counterexample = {"check": 1, "y": y, "y_prime": bad}
-            break
+    # (1) y's related set is its cluster: as many neighbours, none outside
+    count = np.zeros(len(mm), dtype=np.int64)
+    stray = np.zeros(len(mm), dtype=bool)
+    for d in np.flatnonzero(table <= part.threshold):
+        nb = pos[mm ^ d]
+        hit = nb >= 0
+        count += hit
+        stray |= hit & (labels[nb] != labels)
+    failing = np.flatnonzero(stray | (count != sizes[labels]))
+    partition_ok = not failing.size
+    if failing.size:
+        i = int(failing[0])
+        related = table[mm ^ mm[i]] <= part.threshold
+        bad = int(mm[np.nonzero(related != (labels == labels[i]))[0][0]])
+        counterexample = {"check": 1, "y": part.members[i], "y_prime": bad}
 
     min_dist, witness = None, None
-    for i in range(len(part.members)):
-        diff = np.bitwise_count(mm ^ mm[i]).astype(np.int64)
-        other = labels != labels[i]
-        if other.any():
-            j = int(np.nonzero(other)[0][np.argmin(diff[other])])
-            d = int(diff[j])
-            if min_dist is None or d < min_dist:
-                min_dist, witness = d, (int(mm[i]), int(mm[j]))
+    if np.unique(labels).size > 1:
+        dist, nearest = _nearest(mm, mm, labels)
+        i = int(dist.argmin())
+        min_dist, witness = int(dist[i]), (int(mm[i]), int(mm[nearest[i]]))
     distance_ok = min_dist is None or min_dist >= c2 * part.n
     if not distance_ok and counterexample is None:
         counterexample = {"check": 2, "pair": witness, "distance": min_dist}
 
     translate_ok = True
-    kernel_words = _kernel_words_from_partition(part)
+    kernel_words = _zero_syndrome_words(part.members, part.syndrome_of)
+    in_stab = table[kernel_words] == 0
     for cid, cl in enumerate(part.clusters):
-        base = set(cl)
-        for c in kernel_words:
-            shifted = sorted(y ^ c for y in cl)
-            target = part.cluster_of.get(shifted[0])
-            same_set = target is not None and part.clusters[target] == shifted
-            if not same_set:
-                translate_ok = False
-            fixes = target == cid
-            in_stab = int(table[c]) == 0
-            if fixes != in_stab or not same_set:
-                translate_ok = False
-                if counterexample is None:
-                    counterexample = {"check": 3, "cluster": cid, "shift": c}
-                break
-        if not translate_ok:
+        target = _shift_targets(np.array(cl), kernel_words, pos, labels, sizes)
+        bad = np.flatnonzero((target < 0) | ((target == cid) != in_stab))
+        if bad.size:
+            translate_ok = False
+            if counterexample is None:
+                counterexample = {"check": 3, "cluster": cid, "shift": int(kernel_words[bad[0]])}
             break
 
-    decoder_ok = True
-    for cid, cl in enumerate(part.clusters):
-        d0 = part.decode(cl[0])
-        for y in cl[1:]:
-            if int(table[part.decode(y) ^ d0]) != 0:
-                decoder_ok = False
-                if counterexample is None:
-                    counterexample = {"check": 4, "cluster": cid, "pair": (cl[0], y)}
-                break
-        if not decoder_ok:
-            break
+    # (4) every member decodes into the stabilizer coset of its cluster's first
+    decoded = part.decoded()
+    firsts = pos[np.array([cl[0] for cl in part.clusters], dtype=np.int64)]
+    drift = np.flatnonzero(table[decoded ^ decoded[firsts[labels]]] != 0)
+    decoder_ok = not drift.size
+    if drift.size and counterexample is None:
+        cid = int(labels[drift].min())
+        y = part.members[drift[labels[drift] == cid][0]]
+        counterexample = {"check": 4, "cluster": cid, "pair": (part.clusters[cid][0], y)}
 
     return ClusterLemmaReport(
         partition_ok=partition_ok,
@@ -373,17 +365,39 @@ def verify_cluster_lemma(part: ClusterPartition, c2: float) -> ClusterLemmaRepor
     )
 
 
-def _kernel_words_from_partition(part: ClusterPartition) -> list[int]:
-    """Zero-syndrome words, recovered as differences within syndrome classes
-    of the full member set (the epsilon >= 0 set always contains them)."""
-    classes: dict[int, list[int]] = {}
-    for y in part.members:
-        classes.setdefault(part.syndrome_of[y], []).append(y)
-    zero_class = classes.get(0, [])
-    if not zero_class:
-        return [0]
-    base = zero_class[0]
-    return sorted(y ^ base for y in zero_class)
+def _nearest(a: np.ndarray, b: np.ndarray, labels=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per word of a: the least Hamming distance to a word of b, and the first
+    index of b attaining it.  With labels (a and b the same words), only pairs
+    with different labels count, and a word with none gets distance 64."""
+    dist = np.empty(len(a), dtype=np.int64)
+    arg = np.empty(len(a), dtype=np.int64)
+    step = max(1, PAIR_BLOCK // len(b))
+    for s in range(0, len(a), step):
+        d = np.bitwise_count(a[s : s + step, None] ^ b)
+        if labels is not None:
+            d[labels[s : s + step, None] == labels] = 64
+        arg[s : s + step] = d.argmin(axis=1)
+        dist[s : s + step] = d[np.arange(len(d)), arg[s : s + step]]
+    return dist, arg
+
+
+def _shift_targets(cl, shifts, pos, labels, sizes) -> np.ndarray:
+    """Per shift c: the cluster equal to cl + c, or -1 when cl + c is none."""
+    out = np.empty(len(shifts), dtype=np.int64)
+    step = max(1, PAIR_BLOCK // len(cl))
+    for s in range(0, len(shifts), step):
+        moved = pos[shifts[s : s + step, None] ^ cl]
+        lab = labels[moved[:, 0]]
+        inside = ((moved >= 0) & (labels[moved] == lab[:, None])).all(axis=1)
+        out[s : s + step] = np.where(inside & (sizes[lab] == len(cl)), lab, -1)
+    return out
+
+
+def _zero_syndrome_words(members: list[int], syndrome_of: dict[int, int]) -> np.ndarray:
+    """Zero-syndrome words, recovered as differences within the syndrome-0
+    class of the members (the epsilon >= 0 set always contains them)."""
+    zero = np.array([y for y in members if syndrome_of[y] == 0], dtype=np.int64)
+    return np.sort(zero ^ zero[0]) if zero.size else np.zeros(1, dtype=np.int64)
 
 
 def clustering_from_ssexp(c1_prime: float, c2_prime: float) -> tuple[float, float, float]:
@@ -545,16 +559,12 @@ class SpreadReport:
 
 
 def _fwht(vec: np.ndarray) -> np.ndarray:
-    a = vec.copy()
-    total = a.shape[0]
-    h = 1
-    while h < total:
-        a = a.reshape(-1, 2, h)
-        x = a[:, 0, :].copy()
-        y = a[:, 1, :].copy()
-        a[:, 0, :] = x + y
-        a[:, 1, :] = x - y
-        a = a.reshape(total)
+    a, h = vec.copy(), 1
+    while h < a.shape[0]:
+        pairs = a.reshape(-1, 2, h)
+        diff = pairs[:, 0] - pairs[:, 1]
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] = diff
         h *= 2
     return a
 
@@ -594,21 +604,14 @@ def _distributions(state: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _set_separation(s0: list[int], s1: list[int]) -> int | None:
     if not s0 or not s1:
         return None
-    a = np.array(s0, dtype=np.int64)
-    b = np.array(s1, dtype=np.int64)
-    best = None
-    for y in a:
-        d = int(np.bitwise_count(b ^ y).min())
-        best = d if best is None else min(best, d)
-    return best
+    dist, _ = _nearest(np.array(s0, dtype=np.int64), np.array(s1, dtype=np.int64))
+    return int(dist.min())
 
 
 def _spread_sides(part: ClusterPartition, readout: int) -> tuple[list[int], list[int]]:
-    s0, s1 = [], []
-    for y in part.members:
-        b = (part.decode(y) & readout).bit_count() % 2
-        (s1 if b else s0).append(y)
-    return s0, s1
+    mm = np.array(part.members, dtype=np.int64)
+    odd = np.bitwise_count(part.decoded() & readout) % 2 == 1
+    return mm[~odd].tolist(), mm[odd].tolist()
 
 
 def measure_spread(
@@ -633,8 +636,8 @@ def measure_spread(
         ("Z", partition_z, c_x, d_z),
     ):
         s0, s1 = _spread_sides(part, readout)
-        mass0 = float(sum(dist[y] for y in s0))
-        mass1 = float(sum(dist[y] for y in s1))
+        # summed in order, as a Python sum adds, so masses keep every bit
+        mass0, mass1 = (float(np.cumsum(dist[s])[-1]) if s else 0.0 for s in (s0, s1))
         reports.append(
             SpreadReport(
                 basis=basis,

@@ -11,6 +11,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptanner.errors import (
     BetaNotAdmissible,
@@ -32,7 +34,7 @@ from ptanner.csp import (
     sos_level_bound,
 )
 from ptanner.expander import default_generators
-from ptanner.gf import LinearCode
+from ptanner.gf import LinearCode, kernel_basis, solve
 from ptanner.inner import InnerCodePair
 from ptanner.jsonio import dumps
 from ptanner.tanner import build_code, build_complex, steane_code, verify_planted
@@ -286,6 +288,81 @@ def test_max_sat_local_search_is_sound_and_seeded(steane):
     assert (
         eval_satisfied(2, inst.constraints, ls1.assignment) == ls1.best_satisfied
     )
+
+
+def loop_hill_climb(instance, seed, restarts, max_steps):
+    """(best count, assignment) of the single-flip hill climb, one full
+    recount per candidate flip."""
+    p, m = instance.p, instance.num_vars
+    a = instance.coefficient_matrix() % p
+    b = instance.rhs_vector() % p
+
+    def count_vec(y):
+        return int(((a @ y) % p == b).sum())
+
+    rng = np.random.default_rng(seed)
+    best_count, best_y = -1, None
+    for _ in range(restarts):
+        y = rng.integers(0, p, size=m, dtype=np.int64)
+        current = count_vec(y)
+        for _ in range(max_steps):
+            improved = False
+            for v in range(m):
+                old = y[v]
+                for val in range(p):
+                    if val == old:
+                        continue
+                    y[v] = val
+                    c = count_vec(y)
+                    if c > current:
+                        current = c
+                        improved = True
+                        break
+                    y[v] = old
+                if improved:
+                    break
+            if not improved:
+                break
+        if current > best_count or (current == best_count and tuple(y) < tuple(best_y)):
+            best_count, best_y = current, y.copy()
+    return best_count, [int(v) for v in best_y]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 8),
+    st.integers(0, 12),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(0, 10),
+)
+def test_local_search_matches_loop_hill_climb(p, m, nc, seed, restarts, max_steps):
+    rng = np.random.default_rng(seed)
+    coeffs = (rng.random((nc, m)) < 0.4) * rng.integers(1, p, (nc, m))
+    # unreduced coefficients and right-hand sides, as a file may hold them
+    coeffs = coeffs + p * rng.integers(-1, 2, (nc, m)) * (coeffs != 0)
+    rhs = rng.integers(0, p, nc) + p * rng.integers(0, 2, nc)
+    cons = [
+        LinConstraint(tuple(np.flatnonzero(row).tolist()), tuple(row[row != 0].tolist()), int(r))
+        for row, r in zip(coeffs, rhs)
+    ]
+    inst = LinInstance(p=p, num_vars=m, constraints=cons, arity_bound=max(m, 1))
+    report = max_sat(inst, mode="local-search", seed=seed, restarts=restarts, max_steps=max_steps)
+    assert (report.best_satisfied, report.assignment) == loop_hill_climb(
+        inst, seed, restarts, max_steps
+    )
+    # certify_unsat on the CSR view against the dense elimination
+    a, b = inst.coefficient_matrix() % p, inst.rhs_vector() % p
+    y = solve(a, b, p)
+    dense = next(
+        ([(int(i), int(u[i])) for i in np.flatnonzero(u)] for u in kernel_basis(a.T, p)
+         if int(u @ b) % p),
+        None,
+    )
+    assert report.certificate == (None if y is not None else dense)
+    unsat = certify_unsat(inst)
+    assert unsat.assignment == (None if y is None else y.tolist())
 
 
 def test_max_sat_bad_mode(steane):

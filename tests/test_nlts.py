@@ -9,10 +9,15 @@ statistics.
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from ptanner.errors import (
     BudgetExceeded,
@@ -21,7 +26,7 @@ from ptanner.errors import (
     StateDimensionMismatch,
     UnsupportedField,
 )
-from ptanner.gf import FMatrix
+from ptanner.gf import FMatrix, kernel_basis, rank, row_reduce
 from ptanner.jsonio import dumps
 from ptanner.nlts import (
     SPREAD_MASS_RELAXED,
@@ -43,6 +48,7 @@ from ptanner.nlts import (
     unpack_bits,
     verify_cluster_lemma,
 )
+from ptanner.nlts import _all_kernel_words, _coset_weight_table, _shift_targets
 from ptanner.tanner import CssCode, estimate_ssexp, shor_code, steane_code
 
 # ---------------------------------------------------------------- helpers
@@ -688,3 +694,287 @@ def test_cluster_partition_json_smoke(steane):
     report = verify_cluster_lemma(part, c2=3.0 / 7.0)
     parsed = json.loads(dumps(report))
     assert parsed["all_ok"] is True
+
+
+# ------------------------------------------- differential: loop oracles
+#
+# The lab kernels used to walk every member pair (clusters, lemma, spread)
+# and every stabilizer word (coset table).  Those loops are kept here as
+# oracles; the vectorized code must reproduce them exactly, witnesses and
+# float bits included.
+
+
+def loop_coset_weight_table(stab_rows, n):
+    idx = np.arange(1 << n, dtype=np.int64)
+    weights = np.bitwise_count(idx).astype(np.int64)
+    table = weights.copy()
+    if stab_rows.size and rank(stab_rows, 2):
+        rref, pivots = row_reduce(stab_rows, 2)
+        words = [0]
+        for i in range(len(pivots)):
+            g = pack_bits(rref[i])
+            words += [w ^ g for w in words]
+        for s in words[1:]:
+            np.minimum(table, weights[idx ^ s], out=table)
+    return table
+
+
+def loop_clusters(sset, c1):
+    """(clusters, representatives, representative_cluster_of) by the
+    pairwise relation."""
+    code, n = sset.code, sset.code.n
+    stab = (code.h_x if sset.basis == "Z" else code.h_z).toarray()
+    table = loop_coset_weight_table(stab, n)
+    threshold = 2.0 * c1 * sset.epsilon * n + 1e-12
+    members = sorted(sset.members)
+    mm = np.array(members, dtype=np.int64)
+    rows, cols = [], []
+    for i in range(len(members)):
+        close = np.nonzero(table[mm ^ mm[i]] <= threshold)[0]
+        rows += [i] * len(close)
+        cols += list(close)
+    adj = coo_matrix(
+        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(len(mm), len(mm))
+    )
+    _, labels = connected_components(adj, directed=False)
+    raw = {}
+    for pos, lab in enumerate(labels):
+        raw.setdefault(int(lab), []).append(members[pos])
+    clusters = sorted((sorted(v) for v in raw.values()), key=lambda c: c[0])
+    cluster_of = {y: cid for cid, cl in enumerate(clusters) for y in cl}
+    own = (code.h_z if sset.basis == "Z" else code.h_x).toarray()
+    kernel_words = _all_kernel_words(own, n)
+    rep_cluster_of = {}
+    for cid in range(len(clusters)):
+        if cid in rep_cluster_of:
+            continue
+        y0 = clusters[cid][0]
+        orbit = sorted(
+            {cluster_of[y0 ^ c] for c in kernel_words if (y0 ^ c) in cluster_of}
+        )
+        designated = min(orbit, key=lambda k: clusters[k][0])
+        for k in orbit:
+            rep_cluster_of.setdefault(k, designated)
+    classes = {}
+    for y in members:
+        classes.setdefault(sset.syndrome_of[y], []).append(y)
+    representatives = {}
+    for s, cls in classes.items():
+        y0 = min(cls)
+        rep_members = set(clusters[rep_cluster_of[cluster_of[y0]]])
+        inside = [y for y in cls if y in rep_members]
+        representatives[s] = min(inside) if inside else y0
+    return clusters, representatives, rep_cluster_of
+
+
+def loop_lemma(part, c2):
+    """The cluster-lemma report as a dict, by per-member and per-shift loops."""
+    table = part._coset_table
+    mm = np.array(part.members, dtype=np.int64)
+    labels = np.array([part.cluster_of[y] for y in part.members], dtype=np.int64)
+    counterexample = None
+    partition_ok = True
+    for i, y in enumerate(part.members):
+        related = table[mm ^ y] <= part.threshold
+        if not (related == (labels == labels[i])).all():
+            partition_ok = False
+            bad = int(mm[np.nonzero(related != (labels == labels[i]))[0][0]])
+            counterexample = {"check": 1, "y": y, "y_prime": bad}
+            break
+    min_dist, witness = None, None
+    for i in range(len(part.members)):
+        diff = np.bitwise_count(mm ^ mm[i]).astype(np.int64)
+        other = labels != labels[i]
+        if other.any():
+            j = int(np.nonzero(other)[0][np.argmin(diff[other])])
+            d = int(diff[j])
+            if min_dist is None or d < min_dist:
+                min_dist, witness = d, (int(mm[i]), int(mm[j]))
+    distance_ok = min_dist is None or min_dist >= c2 * part.n
+    if not distance_ok and counterexample is None:
+        counterexample = {"check": 2, "pair": witness, "distance": min_dist}
+    zero = [y for y in part.members if part.syndrome_of[y] == 0]
+    kernel_words = sorted(y ^ zero[0] for y in zero) if zero else [0]
+    translate_ok = True
+    for cid, cl in enumerate(part.clusters):
+        for c in kernel_words:
+            shifted = sorted(y ^ c for y in cl)
+            target = part.cluster_of.get(shifted[0])
+            same_set = target is not None and part.clusters[target] == shifted
+            if (target == cid) != (int(table[c]) == 0) or not same_set:
+                translate_ok = False
+                if counterexample is None:
+                    counterexample = {"check": 3, "cluster": cid, "shift": c}
+                break
+        if not translate_ok:
+            break
+    decoder_ok = True
+    for cid, cl in enumerate(part.clusters):
+        d0 = part.decode(cl[0])
+        for y in cl[1:]:
+            if int(table[part.decode(y) ^ d0]) != 0:
+                decoder_ok = False
+                if counterexample is None:
+                    counterexample = {"check": 4, "cluster": cid, "pair": (cl[0], y)}
+                break
+        if not decoder_ok:
+            break
+    return {
+        "partition_ok": partition_ok, "distance_ok": bool(distance_ok),
+        "translate_ok": translate_ok, "decoder_ok": decoder_ok,
+        "min_intercluster_distance": min_dist, "c2": float(c2), "n": part.n,
+        "counterexample": counterexample,
+    }
+
+
+def loop_fwht(vec):
+    a = vec.copy()
+    total = a.shape[0]
+    h = 1
+    while h < total:
+        a = a.reshape(-1, 2, h)
+        x = a[:, 0, :].copy()
+        y = a[:, 1, :].copy()
+        a[:, 0, :] = x + y
+        a[:, 1, :] = x - y
+        a = a.reshape(total)
+        h *= 2
+    return a
+
+
+def loop_spread(vec, parts, logicals):
+    """Per basis (X, Z): (s0, s1, mass0, mass1, separation) by per-member loops."""
+    vec = vec / np.linalg.norm(vec)
+    d_z, d_x = np.abs(vec) ** 2, np.abs(loop_fwht(vec)) ** 2 / len(vec)
+    c_x, c_z = pack_bits(logicals[0]), pack_bits(logicals[1])
+    out = []
+    for part, readout, dist in ((parts["X"], c_z, d_x), (parts["Z"], c_x, d_z)):
+        s0, s1 = [], []
+        for y in part.members:
+            (s1 if (part.decode(y) & readout).bit_count() % 2 else s0).append(y)
+        separation = None
+        if s0 and s1:
+            separation = min(int(np.bitwise_count(np.array(s1) ^ y).min()) for y in s0)
+        mass0, mass1 = float(sum(dist[y] for y in s0)), float(sum(dist[y] for y in s1))
+        out.append((s0, s1, mass0, mass1, separation))
+    return out
+
+
+@st.composite
+def small_css_codes(draw):
+    """A random binary CSS code on n <= 10 qubits: H_Z rows are random
+    combinations of a basis of ker H_X."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h_x = rng.integers(0, 2, size=(draw(st.integers(0, 4)), n))
+    kernel = kernel_basis(h_x, 2) if h_x.size else np.eye(n, dtype=np.int64)
+    mix = rng.integers(0, 2, size=(draw(st.integers(0, 4)), kernel.shape[0]))
+    h_z = (mix @ kernel) % 2 if kernel.size else np.zeros((0, n), dtype=np.int64)
+    h_z = h_z.reshape(-1, n)
+    return CssCode(p=2, n=n, h_x=FMatrix.from_dense(2, h_x), h_z=FMatrix.from_dense(2, h_z))
+
+
+def regrouped(part, groups):
+    """A copy of part whose clusters are the given groups of its members."""
+    clusters = sorted(sorted(g) for g in groups)
+    cluster_of = {y: cid for cid, cl in enumerate(clusters) for y in cl}
+    return replace(part, clusters=clusters, cluster_of=cluster_of)
+
+
+def loop_shift_targets(part, cl, shifts):
+    """Per shift c: the cluster equal to cl + c, or -1."""
+    out = []
+    for c in shifts:
+        shifted = sorted(y ^ c for y in cl)
+        target = part.cluster_of.get(shifted[0])
+        out.append(target if target is not None and part.clusters[target] == shifted else -1)
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    small_css_codes(),
+    st.sampled_from(["X", "Z"]),
+    st.sampled_from([0.0, 1 / 8, 1 / 4, 1 / 3, 1 / 2, 1.0]),
+    st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0]),
+    st.sampled_from([0.05, 0.2, 0.5]),
+    st.data(),
+)
+def test_lab_kernels_match_loop_oracles(code, basis, eps, c1, c2, data):
+    n, other = code.n, {"X": "Z", "Z": "X"}[basis]
+    stab = (code.h_x if basis == "Z" else code.h_z).toarray()
+    assert (_coset_weight_table(stab, n, 1 << 22) == loop_coset_weight_table(stab, n)).all()
+
+    sset = enumerate_syndrome_set(code, basis, eps)
+    part = build_clusters(sset, c1)
+    clusters, representatives, rep_cluster_of = loop_clusters(sset, c1)
+    assert part.clusters == clusters
+    assert part.representatives == representatives
+    assert list(part.representatives) == list(representatives)
+    assert part.representative_cluster_of == rep_cluster_of
+
+    # Tampered copies of the partition: cluster k joined with another or cut
+    # in two (sizes change, so check 1 and often 3 fail), k's first member
+    # swapped with that of a same-size cluster (sizes hold, so only a
+    # neighbour outside the cluster shows it), and a representative moved
+    # (check 4 can fail; c2 = 0 keeps check 2 from reporting first).
+    k = data.draw(st.integers(0, len(part.clusters) - 1))
+    mine, others = part.clusters[k], part.clusters[:k] + part.clusters[k + 1 :]
+    resized = []
+    if others:
+        j = data.draw(st.integers(0, len(others) - 1))
+        resized.append(others[:j] + others[j + 1 :] + [others[j] + mine])
+    if len(mine) > 1:
+        cut = data.draw(st.integers(1, len(mine) - 1))
+        resized.append(others + [mine[:cut], mine[cut:]])
+    resized = [regrouped(part, groups) for groups in resized]
+    variants = [(v, c2) for v in [part, *resized]]
+    twin = next((j for j, cl in enumerate(others) if len(cl) == len(mine)), None)
+    if twin is not None:
+        a, b = mine, others[twin]
+        groups = others[:twin] + others[twin + 1 :] + [[b[0]] + a[1:], [a[0]] + b[1:]]
+        variants.append((regrouped(part, groups), c2))
+    classes = {}
+    for y in part.members:
+        classes.setdefault(part.syndrome_of[y], []).append(y)
+    s, cls = data.draw(st.sampled_from(sorted(classes.items())))
+    variants.append((replace(part, representatives={**part.representatives, s: cls[-1]}), 0.0))
+    for variant, c2_ in variants:
+        report = verify_cluster_lemma(variant, c2_)
+        assert report.to_doc() == {**loop_lemma(variant, c2_), "all_ok": report.all_ok}
+
+    # where sizes changed, a shifted cluster can land inside a larger one;
+    # the translate test's shift targets must see that
+    own = (code.h_z if basis == "Z" else code.h_x).toarray()
+    shifts = np.array(_all_kernel_words(own, n), dtype=np.int64)
+    for variant in resized:
+        labels = np.array([variant.cluster_of[y] for y in variant.members])
+        for cl in variant.clusters:
+            got = _shift_targets(np.array(cl), shifts, variant._positions, labels, np.bincount(labels))
+            assert got.tolist() == loop_shift_targets(variant, cl, shifts.tolist())
+
+    if code.rank_x + code.rank_z < n:  # k >= 1: a logical pair to read out
+        parts = {basis: part, other: build_clusters(enumerate_syndrome_set(code, other, eps), c1)}
+        logicals = logical_pair(code)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        reports = measure_spread(vec, code, parts["X"], parts["Z"], logicals)
+        assert [
+            (r.s0, r.s1, r.mass0, r.mass1, r.separation) for r in reports
+        ] == loop_spread(vec, parts, logicals)
+
+
+def test_decoder_witness_matches_loop_oracle():
+    # a decoder that mixes two stabilizer cosets in cluster 0 while checks
+    # 1 to 3 pass, so check 4 names the witness (random search, n = 8)
+    h_x = [[0, 0, 1, 0, 0, 1, 0, 1], [0, 0, 0, 1, 1, 1, 0, 1], [0, 0, 0, 1, 1, 0, 0, 1]]
+    h_z = [[0, 1, 0, 1, 1, 0, 1, 0], [0, 1, 1, 0, 1, 0, 1, 1],
+           [1, 1, 0, 1, 1, 0, 1, 0], [0, 0, 1, 1, 0, 0, 0, 1]]
+    code = CssCode(p=2, n=8, h_x=FMatrix.from_dense(2, h_x), h_z=FMatrix.from_dense(2, h_z))
+    part = build_clusters(enumerate_syndrome_set(code, "Z", 0.25), c1=0.25)
+    assert verify_cluster_lemma(part, 0.0).all_ok
+    zero_class = [y for y in part.members if part.syndrome_of[y] == 0]
+    tampered = replace(part, representatives={**part.representatives, 0: zero_class[-1]})
+    report = verify_cluster_lemma(tampered, 0.0)
+    assert report.counterexample == {"check": 4, "cluster": 0, "pair": (0, 128)}
+    assert report.to_doc() == {**loop_lemma(tampered, 0.0), "all_ok": False}

@@ -14,11 +14,11 @@ import pytest
 from scipy import sparse
 
 from ptanner.cli import main
-from ptanner.csp import TannerConstraintStream, emit_lin_instance
+from ptanner.csp import LinInstance, TannerConstraintStream, emit_lin_instance, max_sat
 from ptanner.errors import DomainError, MissingArtifact, SearchExhausted
 from ptanner.expander import element_from_index
 from ptanner.inner import InnerCodePair
-from ptanner.jsonio import dumps
+from ptanner.jsonio import dumps, read_artifact
 from ptanner.nlts import depth_lower_bound
 from ptanner.pipeline import (
     DEFAULT_BUDGETS,
@@ -188,6 +188,11 @@ def test_flagship_estimators_are_pinned(tmp_path):
     assert distance["upper_bound"] == 6
     assert distance["trials"] == 64
     assert distance["side"] == "z-logical"
+    # local-search max-sat on the ones-CSP, as the benchmark's lab runs it
+    instance = read_artifact(tmp_path / "csp_instance.json", LinInstance.from_doc)
+    report = max_sat(instance, mode="local-search", seed=7, restarts=2, max_steps=50)
+    assert report.num_constraints == 675
+    assert report.best_satisfied == 490
 
 
 def test_stage_failure_carries_context(tmp_path):
@@ -424,6 +429,25 @@ def test_cli_bad_argument_exits_2(tmp_path, capsys, argv):
     lin.write_text(dumps(emit_lin_instance(steane_code(), np.ones(7, dtype=np.int64))))
     assert main([arg.format(lin=lin) for arg in argv]) == 2
     assert "precondition failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["csp", "maxsat", "--instance", "{lin}", "--mode", "ls", "--seed", "-1"],
+        ["csp", "maxsat", "--instance", "{lin}", "--mode", "ls", "--steps", "-3"],
+        ["csp", "maxsat", "--instance", "{lin}", "--mode", "ls", "--steps", "2.5"],
+        ["expander", "build", "--p", "3", "--m", "1", "--degree", "4", "--seed", "-1"],
+        ["nlts", "spread", "--code", "{lin}", "--seed", "x"],
+    ],
+)
+def test_cli_negative_seed_or_steps_exits_2(tmp_path, capsys, argv):
+    lin = tmp_path / "lin.json"
+    lin.write_text(dumps(emit_lin_instance(steane_code(), np.ones(7, dtype=np.int64))))
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(lin=lin) for arg in argv])
+    assert exc.value.code == 2
+    assert "expected a non-negative integer" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
