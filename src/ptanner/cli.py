@@ -94,7 +94,7 @@ def _load_gens(args) -> GeneratorMultiset:
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type of seeds and step counts."""
+    """argparse type of seeds, step and trial counts and budgets."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ka", type=int, required=True)
     s.add_argument("--kb", type=int, required=True)
     s.add_argument("--rho", default="1/8")
-    s.add_argument("--budget", type=int, default=200)
+    s.add_argument("--budget", type=_non_negative_int, default=200)
     s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_inner_search)
@@ -335,15 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
         s.set_defaults(func=fn)
     s = sub.add_parser("distance")
     s.add_argument("--code", required=True)
-    s.add_argument("--budget", type=int, default=DEFAULT_DISTANCE_BUDGET)
+    s.add_argument("--budget", type=_non_negative_int, default=DEFAULT_DISTANCE_BUDGET)
     s.add_argument("--seed", type=_non_negative_int, default=0)
-    s.add_argument("--trials", type=int, default=32)
+    s.add_argument("--trials", type=_non_negative_int, default=32)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_code_distance)
     s = sub.add_parser("ssexp")
     s.add_argument("--code", required=True)
     s.add_argument("--eps", type=float, nargs="+", required=True)
-    s.add_argument("--trials", type=int, default=200)
+    s.add_argument("--trials", type=_non_negative_int, default=200)
     s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_code_ssexp)
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("spread")
     s.add_argument("--code", required=True)
     s.add_argument("--state", default="random", help="state JSON file or 'random'")
-    s.add_argument("--trials", type=int, default=1)
+    s.add_argument("--trials", type=_non_negative_int, default=1)
     s.add_argument("--eps", type=float, default=1 / 3)
     s.add_argument("--c1", type=float, default=0.1)
     s.add_argument("--seed", type=_non_negative_int, default=0)
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("maxsat")
     s.add_argument("--instance", required=True)
     s.add_argument("--mode", choices=("exact", "ls"), default="exact")
-    s.add_argument("--budget", type=int, default=2**20)
+    s.add_argument("--budget", type=_non_negative_int, default=2**20)
     s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--restarts", type=int, default=8)
     s.add_argument("--steps", type=_non_negative_int, default=200)

@@ -26,7 +26,7 @@ from .errors import (
     DomainError,
     UnsupportedField,
 )
-from .gf import FMatrix, LinearCode, in_rowspace, iter_codewords, kernel_basis, solve
+from .gf import FMatrix, LinearCode, iter_codewords, solve
 from .inner import InnerCodePair
 from .jsonio import dumps
 from .tanner import (
@@ -170,7 +170,7 @@ def emit_lin_instance(code: CssCode, beta) -> LinInstance:
         raise BetaNotAdmissible(f"beta length {b.shape} differs from block length {n}")
     if code.h_x.apply(b).any():
         raise BetaNotAdmissible("beta is not annihilated by the X checks")
-    if in_rowspace(code.h_z, b):
+    if code.rowspace_z.contains(b):
         raise BetaNotAdmissible("beta lies in the Z-check rowspace")
     cons = [
         LinConstraint(tuple(checks), tuple(coeffs), int(b_i))
@@ -241,23 +241,22 @@ class UnsatReport:
 
 
 def certify_unsat(instance: LinInstance) -> UnsatReport:
-    """Solve the full system; on inconsistency return the vanishing
-    constraint combination with nonzero right-hand side."""
-    p = instance.p
+    """Solve the system when b lies in the column space of A; otherwise
+    return the vanishing constraint combination u (u.A = 0) with u.b != 0.
+
+    A^T is eliminated once.  u is the first row of `kernel_basis(A^T)`
+    meeting b, read off the residual of b.
+    """
     a = instance.to_fmatrix()
-    b = instance.rhs_vector() % p
-    y = solve(a, b)
-    if y is not None:
+    b = instance.rhs_vector() % instance.p
+    u = LinearCode(instance.p, instance.num_constraints, a.T).dual_witness(b)
+    if u is None:
+        y = solve(a, b)
         return UnsatReport(
             consistent=True, assignment=[int(v) for v in y], certificate=None
         )
-    # u with u.A = 0 and u.b != 0; guaranteed to exist when unsolvable
-    for u in kernel_basis(a.T):
-        if int(u @ b) % p:
-            nz = np.nonzero(u)[0]
-            cert = [(int(i), int(u[i])) for i in nz]
-            return UnsatReport(consistent=False, assignment=None, certificate=cert)
-    raise DomainError("system reported unsolvable but no certificate found")
+    cert = [(int(i), int(u[i])) for i in np.flatnonzero(u)]
+    return UnsatReport(consistent=False, assignment=None, certificate=cert)
 
 
 @dataclass

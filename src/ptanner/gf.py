@@ -4,6 +4,11 @@ Everything here is integer arithmetic mod p; no floating point is used
 anywhere.  Matrices carry their modulus and are stored sparse (CSR).
 Elimination over GF(2) runs on rows bit-packed into uint64 words, packed
 straight from the CSR indices; odd p eliminates a dense int64 copy.
+
+A subspace is a `LinearCode`: the RREF of a spanning set, eliminated once,
+off which its dimension, membership, separating dual words and dual code
+are read; `rank`, `kernel_basis` and `in_rowspace` each build one.
+
 Enumeration-style operations (minimum distance, coset weight) take an
 explicit budget and refuse to start work that would exceed it.
 """
@@ -29,7 +34,6 @@ __all__ = [
     "rank",
     "kernel_basis",
     "row_reduce",
-    "Rowspace",
     "rank_work",
     "solve",
     "in_rowspace",
@@ -365,47 +369,130 @@ def row_reduce(
     return _unpack(rows, n_cols), pivots
 
 
-class Rowspace:
-    """The rowspace of a matrix mod p, eliminated once: its dimension and a
-    membership test for any number of vectors.
+class LinearCode:
+    """A subspace of GF(p)^n, held as the reduced row echelon form of a
+    spanning set and eliminated once, when the code is made.
 
-    The basis is the RREF, kept packed over GF(2) (an FMatrix is packed
-    from its CSR indices) and dense for odd p.
+    Over GF(2) the RREF rows stay packed (an FMatrix is packed from its CSR
+    indices); odd p keeps them dense.  The dimension, membership, a dual
+    word separating an outside vector and the dual code are all read off
+    that one echelon.  `basis` is the dense RREF, unpacked on first use.
     """
 
-    __slots__ = ("p", "n", "pivots", "_basis")
+    __slots__ = ("p", "n", "pivots", "_rows", "_basis")
 
-    def __init__(self, m: FMatrix | np.ndarray, p: int | None = None):
-        m, p = _operand(m, p)
-        self.p, self.n = p, m.shape[1]
-        if p == 2:
-            rows = _pack(m, self.n)
-            pivots = _eliminate(rows, self.n)
+    def __init__(self, p: int, n: int, rows=None):
+        """`rows` spans the code: an FMatrix, or anything `np.asarray`
+        takes as a matrix with n columns."""
+        PrimeField(p)
+        self.p, self.n = p, int(n)
+        if isinstance(rows, FMatrix):
+            if rows.p != p:
+                raise InvalidField(f"rows over GF({rows.p}) for a code over GF({p})")
+            m = rows
+        elif rows is None or len(rows) == 0:
+            m = np.zeros((0, self.n), dtype=np.int64)
         else:
-            rows, pivots = _row_reduce_dense(_dense(m), p)
+            m = _as_array(p, rows)
+        if m.shape[1] != self.n:
+            raise DimensionMismatch(f"rows of length {m.shape[1]}, expected {self.n}")
+        if p == 2:
+            echelon = _pack(m, self.n)
+            pivots = _eliminate(echelon, self.n)
+        else:
+            echelon, pivots = _row_reduce_dense(_dense(m), p)
         self.pivots = np.array(pivots, dtype=np.int64)
-        self._basis = rows[: len(pivots)].copy()  # frees the zero rows
+        self._rows = echelon[: len(pivots)].copy()  # frees the zero rows
+        self._basis = None if p == 2 else self._rows
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
-    def contains(self, v) -> bool:
+    @property
+    def basis(self) -> np.ndarray:
+        """The RREF rows as a dense int64 array of shape (dim, n)."""
+        if self._basis is None:
+            self._basis = _unpack(self._rows, self.n)
+        return self._basis
+
+    def _columns(self, cols: np.ndarray) -> np.ndarray:
+        """The RREF entries in columns `cols`, shape (dim, len(cols))."""
+        if self.p != 2:
+            return self._rows[:, cols]
+        bits = self._rows[:, cols >> 6] >> (cols & 63).astype(np.uint64)
+        return (bits & np.uint64(1)).astype(np.int64)
+
+    def _kernel_rows(self, free: np.ndarray | None = None) -> np.ndarray:
+        """Dual basis rows, one per free column f (all of them by default,
+        ascending): 1 at f, 0 at the other free columns and -rref[i, f] at
+        pivot i.  This is `kernel_basis` of the spanning rows."""
+        if free is None:
+            free = np.setdiff1d(np.arange(self.n), self.pivots)
+        u = np.zeros((free.size, self.n), dtype=np.int64)
+        u[np.arange(free.size), free] = 1
+        u[:, self.pivots] = (-self._columns(free).T) % self.p
+        return u
+
+    def _residual(self, v) -> np.ndarray:
+        """v minus the one combination of basis rows that agrees with it on
+        the pivots (an RREF row is the only one nonzero at its pivot), as a
+        row of the storage; zero exactly when v lies in the code."""
         v = as_vector(self.p, v)
         if v.shape[0] != self.n:
             raise DimensionMismatch(f"vector length {v.shape[0]} vs {self.n} columns")
-        # an RREF row is the only basis row nonzero at its pivot, so v's
-        # entries there are the coefficients of the one candidate combination
         coeffs = v[self.pivots]
         used = np.flatnonzero(coeffs)
         if self.p == 2:
-            combo = np.bitwise_xor.reduce(self._basis[used], axis=0)
-            return not (_pack(v.reshape(1, -1), self.n)[0] ^ combo).any()
-        return not ((v - coeffs[used] @ self._basis[used]) % self.p).any()
+            combo = np.bitwise_xor.reduce(self._rows[used], axis=0)
+            return _pack(v.reshape(1, -1), self.n) ^ combo
+        return (v - coeffs[used] @ self._rows[used]) % self.p
+
+    def contains(self, v) -> bool:
+        return not self._residual(v).any()
+
+    def dual_witness(self, v) -> np.ndarray | None:
+        """The first dual basis row u (in `kernel_basis` order) with
+        u.v != 0, or None when v lies in the code.
+
+        The residual of v is zero on the pivots, and at a free column f it
+        equals u_f.v, so its first nonzero entry names u.
+        """
+        r = self._residual(v)
+        outside = np.flatnonzero(_unpack(r, self.n) if self.p == 2 else r)
+        return self._kernel_rows(outside[:1])[0] if outside.size else None
+
+    def dual(self) -> "LinearCode":
+        """The code of all u with u.c = 0 for every codeword c."""
+        return LinearCode(self.p, self.n, self._kernel_rows())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LinearCode):
+            return NotImplemented
+        return (
+            self.p == other.p
+            and self.n == other.n
+            and self.basis.shape == other.basis.shape
+            and bool((self.basis == other.basis).all())
+        )
+
+    def __hash__(self):
+        return hash((self.p, self.n, self.basis.tobytes()))
+
+    def __repr__(self):
+        return f"LinearCode(p={self.p}, n={self.n}, dim={self.dim})"
+
+    def canonical_key(self) -> bytes:
+        """Stable identifier: the RREF basis is unique per subspace."""
+        return self.basis.tobytes()
+
+
+# ---- entry points: one elimination each -------------------------------
 
 
 def rank(m: FMatrix | np.ndarray, p: int | None = None) -> int:
-    return Rowspace(m, p).dim
+    m, p = _operand(m, p)
+    return LinearCode(p, m.shape[1], m).dim
 
 
 def rank_work(n_rows: int, n_cols: int, p: int) -> int:
@@ -426,13 +513,7 @@ def kernel_basis(m: FMatrix | np.ndarray, p: int | None = None) -> np.ndarray:
     so the result is deterministic.  Shape (dim_kernel, n_cols).
     """
     m, p = _operand(m, p)
-    n_cols = m.shape[1]
-    rref, pivots = row_reduce(m, p)
-    free = np.setdiff1d(np.arange(n_cols), pivots)
-    basis = np.zeros((free.size, n_cols), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = (-rref[: len(pivots), free].T) % p
-    return basis
+    return LinearCode(p, m.shape[1], m)._kernel_rows()
 
 
 def solve(m: FMatrix | np.ndarray, b, p: int | None = None) -> np.ndarray | None:
@@ -462,62 +543,8 @@ def solve(m: FMatrix | np.ndarray, b, p: int | None = None) -> np.ndarray | None
 
 def in_rowspace(m: FMatrix | np.ndarray, v, p: int | None = None) -> bool:
     """Whether v is a linear combination of the rows of m."""
-    return Rowspace(m, p).contains(v)
-
-
-# ---- codes ------------------------------------------------------------
-
-
-class LinearCode:
-    """A subspace of GF(p)^n given by a row basis in reduced echelon form."""
-
-    __slots__ = ("p", "n", "basis")
-
-    def __init__(self, p: int, n: int, rows=None):
-        PrimeField(p)
-        self.p = p
-        self.n = int(n)
-        if rows is None or (hasattr(rows, "__len__") and len(rows) == 0):
-            self.basis = np.zeros((0, self.n), dtype=np.int64)
-            return
-        a = _as_array(p, rows)
-        if a.shape[1] != self.n:
-            raise DimensionMismatch(f"rows of length {a.shape[1]}, expected {self.n}")
-        rref, pivots = row_reduce(a, p)
-        self.basis = rref[: len(pivots)].copy()
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def contains(self, v) -> bool:
-        v = as_vector(self.p, v)
-        if self.dim == 0:
-            return not v.any()
-        return in_rowspace(self.basis, v, self.p)
-
-    def dual(self) -> "LinearCode":
-        return LinearCode(self.p, self.n, kernel_basis(self.basis, self.p))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinearCode):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.n == other.n
-            and self.basis.shape == other.basis.shape
-            and bool((self.basis == other.basis).all())
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.basis.tobytes()))
-
-    def __repr__(self):
-        return f"LinearCode(p={self.p}, n={self.n}, dim={self.dim})"
-
-    def canonical_key(self) -> bytes:
-        """Stable identifier: the RREF basis is unique per subspace."""
-        return self.basis.tobytes()
+    m, p = _operand(m, p)
+    return LinearCode(p, m.shape[1], m).contains(v)
 
 
 def iter_codewords(

@@ -32,8 +32,6 @@ from .gf import (
     LinearCode,
     iter_codewords,
     min_distance,
-    rank,
-    row_reduce,
     solve,
 )
 
@@ -69,9 +67,9 @@ def sample_planted_code(p: int, n: int, k: int, seed: int = 0) -> LinearCode:
     rng = random.Random(f"planted:{p}:{n}:{k}:{seed}")
     ones = np.ones(n, dtype=np.int64)
     while True:
-        rows = [ones] + [_rng_vector(rng, p, n) for _ in range(k - 1)]
-        if rank(np.array(rows), p) == k:
-            return LinearCode(p, n, rows)
+        code = LinearCode(p, n, [ones] + [_rng_vector(rng, p, n) for _ in range(k - 1)])
+        if code.dim == k:
+            return code
 
 
 def sample_sum_zero_code(p: int, n: int, k: int, seed: int = 0) -> LinearCode:
@@ -92,8 +90,9 @@ def sample_sum_zero_code(p: int, n: int, k: int, seed: int = 0) -> LinearCode:
             v = _rng_vector(rng, p, n)
             v[-1] = (-int(v[:-1].sum())) % p
             rows.append(v)
-        if rank(np.array(rows), p) == k:
-            return LinearCode(p, n, rows)
+        code = LinearCode(p, n, rows)
+        if code.dim == k:
+            return code
 
 
 # ---- product expansion ------------------------------------------------
@@ -115,30 +114,15 @@ def _tagged_basis(code1: LinearCode, code2: LinearCode):
     """Independent spanning subset of the decomposition space, each basis
     element a pure column-type or row-type matrix (flattened length n^2)."""
     n, p = code1.n, code1.p
-    candidates: list[tuple[np.ndarray, str]] = []
-    for u in code1.basis:
-        for j in range(n):
-            mat = np.zeros((n, n), dtype=np.int64)
-            mat[:, j] = u
-            candidates.append((mat.reshape(-1), "col"))
-    for i in range(n):
-        for v in code2.basis:
-            mat = np.zeros((n, n), dtype=np.int64)
-            mat[i, :] = v
-            candidates.append((mat.reshape(-1), "row"))
-    basis: list[np.ndarray] = []
-    tags: list[str] = []
-    stacked = np.zeros((0, n * n), dtype=np.int64)
-    current_rank = 0
-    for vec, tag in candidates:
-        trial = np.vstack([stacked, vec])
-        r = len(row_reduce(trial, p)[1])
-        if r > current_rank:
-            basis.append(vec)
-            tags.append(tag)
-            stacked = trial
-            current_rank = r
-    return np.array(basis, dtype=np.int64).reshape(len(basis), n * n), tags
+    eye = np.eye(n, dtype=np.int64)
+    cols = [np.outer(u, eye[j]) for u in code1.basis for j in range(n)]  # column j is u
+    rows = [np.outer(eye[i], v) for i in range(n) for v in code2.basis]  # row i is v
+    candidates = np.array(cols + rows, dtype=np.int64).reshape(-1, n * n)
+    tags = ["col"] * len(cols) + ["row"] * len(rows)
+    # a candidate is independent of those before it exactly when it is a
+    # pivot column of the candidates taken as columns
+    keep = LinearCode(p, len(tags), candidates.T).pivots
+    return candidates[keep], [tags[i] for i in keep]
 
 
 def _tensor_codewords(code1: LinearCode, code2: LinearCode) -> np.ndarray:

@@ -8,7 +8,10 @@ matrices on at most 12 qubits, and measurement statistics are computed by
 literal basis change.  Bit strings are packed big-endian into Python ints
 (coordinate 0 is the most significant bit) so that integer order equals
 lexicographic order on vectors; that makes "lexicographically least
-representative" a plain min().
+representative" a plain min().  Stabilizer and kernel words are the
+codewords of the code's cached row spaces (`CssCode.rowspace_x`,
+`rowspace_z`) and of their duals, listed by `gf.iter_codewords`, so no
+check matrix is eliminated here.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
     StateDimensionMismatch,
     UnsupportedField,
 )
-from .gf import kernel_basis, row_reduce
+from .gf import LinearCode, iter_codewords
 from .tanner import CssCode
 
 ENUMERATION_CAP = 2**22
@@ -61,19 +64,12 @@ def _packed_rows(mat) -> list[int]:
     return [pack_bits(row) for row in mat.toarray()]
 
 
-def _span(generators) -> list[int]:
-    """Every XOR combination of the packed generators.  Each generator
-    doubles the list: the old words, then each old word XOR the generator."""
-    words = [0]
-    for g in generators:
-        words += [w ^ g for w in words]
-    return words
-
-
-def _all_kernel_words(checks: np.ndarray, n: int) -> list[int]:
-    """Every packed word of ker(checks) over GF(2)."""
-    kb = kernel_basis(checks, 2) if checks.size else np.eye(n, dtype=np.int64)
-    return sorted(_span(pack_bits(r) for r in kb))
+def _words(space: LinearCode) -> list[int]:
+    """Every word of a binary code, packed, in `iter_codewords` order."""
+    n = space.n
+    place = [1 << i for i in range(n - 1, -1, -1)]  # Python ints past 62 bits
+    place = np.array(place, dtype=np.int64 if n < 63 else object)
+    return [w for block in iter_codewords(space, budget=None) for w in (block @ place).tolist()]
 
 
 @dataclass
@@ -142,19 +138,19 @@ def enumerate_syndrome_set(
     )
 
 
-def _coset_weight_table(stab_rows: np.ndarray, n: int, cap: int) -> np.ndarray:
-    """table[v] = min weight of v + (rowspace), for every packed v."""
+def _coset_weight_table(stabilizers: LinearCode, cap: int) -> np.ndarray:
+    """table[v] = min weight of v + (stabilizers), for every packed v."""
+    n, k = stabilizers.n, stabilizers.dim
     total = 1 << n
     if total > cap:
         raise BudgetExceeded(f"2^{n} coset table exceeds cap {cap}")
-    rref, pivots = row_reduce(stab_rows, 2)
-    if (1 << len(pivots)) > cap:
-        raise BudgetExceeded(f"2^{len(pivots)} stabilizer words exceed cap {cap}")
+    if (1 << k) > cap:
+        raise BudgetExceeded(f"2^{k} stabilizer words exceed cap {cap}")
     idx = np.arange(total, dtype=np.int64)
     table = np.bitwise_count(idx).astype(np.int64)
     # the span doubles with each generator g, and so does the minimum over it
-    for i in range(len(pivots)):
-        np.minimum(table, table[idx ^ pack_bits(rref[i])], out=table)
+    for g in stabilizers.basis:
+        np.minimum(table, table[idx ^ pack_bits(g)], out=table)
     return table
 
 
@@ -210,8 +206,8 @@ def build_clusters(
     if c1 <= 0:
         raise DomainError("c1 must be positive")
     code, n = sset.code, sset.code.n
-    stab = (code.h_x if sset.basis == "Z" else code.h_z).toarray()
-    table = _coset_weight_table(stab, n, cap)
+    stabilizers = code.rowspace_x if sset.basis == "Z" else code.rowspace_z
+    table = _coset_weight_table(stabilizers, cap)
     threshold = 2.0 * c1 * sset.epsilon * n + 1e-12
     members = sorted(sset.members)
     mm = np.array(members, dtype=np.int64)
@@ -456,9 +452,8 @@ def sector_state(code: CssCode, e_x: int, e_z: int, logical: int = 0) -> dict[in
     Amplitudes are exactly +-1 on the support.
     """
     _require_gf2(code)
-    rref, pivots = row_reduce(code.h_x.toarray(), 2)
     state: dict[int, int] = {}
-    for u in _span(pack_bits(rref[i]) for i in range(len(pivots))):
+    for u in _words(code.rowspace_x):
         w = logical ^ u
         amp = -1 if (int(w & e_x).bit_count() % 2) else 1
         state[w ^ e_z] = amp
@@ -510,13 +505,12 @@ def logical_pair(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
     """
     _require_gf2(code)
     n = code.n
-    x_words = _all_kernel_words(code.h_x.toarray(), n)
-    rref_z, piv_z = row_reduce(code.h_z.toarray(), 2)
-    stab_z = set(_span(pack_bits(rref_z[i]) for i in range(len(piv_z))))
+    stab_z = set(_words(code.rowspace_z))
+    x_words = sorted(_words(code.rowspace_x.dual()))
     c_x = next((w for w in x_words if w and w not in stab_z), None)
     if c_x is None:
         raise DomainError("code has no X-side logical (k = 0)")
-    z_words = _all_kernel_words(code.h_z.toarray(), n)
+    z_words = sorted(_words(code.rowspace_z.dual()))
     c_z = next((w for w in z_words if (w & c_x).bit_count() % 2 == 1), None)
     if c_z is None:
         raise DomainError("no anticommuting partner found")

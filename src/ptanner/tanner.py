@@ -45,10 +45,8 @@ from .expander import (
 from .gf import (
     FMatrix,
     LinearCode,
-    Rowspace,
     coset_min_weight,
     iter_codewords,
-    kernel_basis,
     rank_work,
     row_reduce,
 )
@@ -204,8 +202,8 @@ class CssCode:
     h_x: FMatrix
     h_z: FMatrix
     provenance: dict = field(default_factory=dict)
-    _rowspace_x: Rowspace | None = field(default=None, repr=False, compare=False)
-    _rowspace_z: Rowspace | None = field(default=None, repr=False, compare=False)
+    _rowspace_x: LinearCode | None = field(default=None, repr=False, compare=False)
+    _rowspace_z: LinearCode | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.h_x.p != self.p or self.h_z.p != self.p:
@@ -222,16 +220,17 @@ class CssCode:
         return self.h_z.shape[0]
 
     @property
-    def rowspace_x(self) -> Rowspace:
-        """rowspace(H_X), eliminated on first use and kept."""
+    def rowspace_x(self) -> LinearCode:
+        """rowspace(H_X), eliminated on first use and kept; its dual is
+        ker H_X."""
         if self._rowspace_x is None:
-            self._rowspace_x = Rowspace(self.h_x)
+            self._rowspace_x = LinearCode(self.p, self.n, self.h_x)
         return self._rowspace_x
 
     @property
-    def rowspace_z(self) -> Rowspace:
+    def rowspace_z(self) -> LinearCode:
         if self._rowspace_z is None:
-            self._rowspace_z = Rowspace(self.h_z)
+            self._rowspace_z = LinearCode(self.p, self.n, self.h_z)
         return self._rowspace_z
 
     @property
@@ -424,16 +423,15 @@ class DistanceReport:
 
 
 def _exhaustive_side(
-    kernel_of: FMatrix, rowspace_of: FMatrix, p: int, budget: int
+    checks: LinearCode, stabilizers: LinearCode, budget: int
 ) -> tuple[int | float, np.ndarray | None] | None:
-    """Min weight over ker(A) minus rowspace(B), or None if over budget."""
-    gen = kernel_basis(kernel_of)
-    if p ** gen.shape[0] > budget:
+    """Min weight over the dual of `checks` minus `stabilizers`, or None
+    when its p^(n - rank) words exceed the budget, which is checked before
+    the kernel is built."""
+    if checks.p ** (checks.n - checks.dim) > budget:
         return None
-    ker = LinearCode(p, kernel_of.shape[1], gen)
-    stabilizers = Rowspace(rowspace_of)
     best, best_w = math.inf, None
-    for block in iter_codewords(ker, budget=None):
+    for block in iter_codewords(checks.dual(), budget=None):
         weights = np.count_nonzero(block, axis=1)
         for order in np.argsort(weights, kind="stable"):
             w = int(weights[order])
@@ -449,18 +447,17 @@ def _exhaustive_side(
 
 
 def _randomized_side(
-    kernel_of: FMatrix,
-    rowspace_of: FMatrix,
-    p: int,
+    checks: LinearCode,
+    stabilizers: LinearCode,
     trials: int,
     rng: np.random.Generator,
 ) -> tuple[int | float, np.ndarray | None, int]:
-    """Information-set style search for light kernel cosets."""
-    n = kernel_of.shape[1]
-    gen = kernel_basis(kernel_of)
+    """Information-set style search for light cosets of the dual of
+    `checks` modulo `stabilizers`."""
+    n, p = checks.n, checks.p
+    gen = checks.dual().basis
     if gen.shape[0] == 0:
         return math.inf, None, 0
-    stabilizers = Rowspace(rowspace_of)
     best, best_w = math.inf, None
     used = 0
     for _ in range(trials):
@@ -489,14 +486,13 @@ def estimate_distance(
 ) -> DistanceReport:
     """Exact distance when kernel enumeration fits the budget, else an
     upper bound from randomized information-set search over both sides."""
-    p = code.p
     sides = [
-        ("z-logical", code.h_z, code.h_x),  # ker H_Z minus rowspace H_X
-        ("x-logical", code.h_x, code.h_z),
+        ("z-logical", code.rowspace_z, code.rowspace_x),  # ker H_Z minus rowspace H_X
+        ("x-logical", code.rowspace_x, code.rowspace_z),
     ]
     exact_results = []
-    for name, ker_m, row_m in sides:
-        res = _exhaustive_side(ker_m, row_m, p, budget)
+    for name, checks, stabilizers in sides:
+        res = _exhaustive_side(checks, stabilizers, budget)
         if res is None:
             exact_results = None
             break
@@ -513,8 +509,8 @@ def estimate_distance(
         )
     rng = np.random.default_rng(seed)
     overall, overall_w, overall_side, used = math.inf, None, None, 0
-    for name, ker_m, row_m in sides:
-        ub, w, t = _randomized_side(ker_m, row_m, p, trials, rng)
+    for name, checks, stabilizers in sides:
+        ub, w, t = _randomized_side(checks, stabilizers, trials, rng)
         used += t
         if ub < overall:
             overall, overall_w, overall_side = ub, w, name
@@ -646,15 +642,12 @@ def estimate_ssexp(
     p, n = code.p, code.n
     sides = {}
     exact_cosets = True
-    for name, checks, stab, stab_rank in (
-        ("boundary", code.h_z, code.h_x, code.rank_x),
-        ("coboundary", code.h_x, code.h_z, code.rank_z),
+    for name, checks, stab, stab_code in (
+        ("boundary", code.h_z, code.h_x, code.rowspace_x),
+        ("coboundary", code.h_x, code.h_z, code.rowspace_z),
     ):
-        stab_code = None
-        if p**stab_rank <= coset_budget:
-            stab_code = LinearCode(p, n, stab.toarray())
-        else:
-            exact_cosets = False
+        if p**stab_code.dim > coset_budget:
+            stab_code, exact_cosets = None, False
         sides[name] = (checks, stab.rows(), stab.T.rows(), stab_code)
     rng = np.random.default_rng(seed)
     points = []

@@ -20,7 +20,6 @@ from ptanner.gf import (
     FMatrix,
     LinearCode,
     PrimeField,
-    Rowspace,
     _row_reduce_dense,
     coset_min_weight,
     in_rowspace,
@@ -412,15 +411,31 @@ def test_rowspace_matches_dense_oracle(case, as_fmatrix):
     p, a, rng = case
     n_rows, n_cols = a.shape
     m = FMatrix.from_dense(p, a) if as_fmatrix else a
-    space = Rowspace(m, p)
-    assert space.dim == rank(m, p) == len(_row_reduce_dense(a, p)[1])
+    space = LinearCode(p, n_cols, m)
+    rref, pivots = _row_reduce_dense(a, p)
+    assert space.dim == rank(m, p) == len(pivots)
+    assert space.pivots.tolist() == pivots
+    assert space.basis.dtype == np.int64 and (space.basis == rref[: len(pivots)]).all()
+    # the dual is ker(a), whose RREF is unique
+    kernel = kernel_oracle(a, p)
+    dual = space.dual()
+    assert dual.dim == kernel.shape[0] == n_cols - space.dim
+    assert (dual.basis == _row_reduce_dense(kernel, p)[0][: dual.dim]).all()
+    assert dual.dual() == space
     inside = (rng.integers(0, p, n_rows) @ a) % p
     assert space.contains(inside) and in_rowspace(m, inside, p)
+    assert space.dual_witness(inside) is None
     unit = np.zeros(n_cols, dtype=np.int64)
     unit[:1] = 1
     for w in (rng.integers(-p, 2 * p, n_cols), unit):
         want = solve_oracle(a.T, w, p) is not None
         assert space.contains(w) == in_rowspace(m, w, p) == want
+        # the witness is the first kernel row that meets w
+        want_u = next((u for u in kernel if (u @ w) % p), None)
+        got_u = space.dual_witness(w)
+        assert (want_u is None) == want == (got_u is None)
+        if got_u is not None:
+            assert got_u.dtype == np.int64 and (got_u == want_u).all()
     with pytest.raises(DimensionMismatch):
         space.contains(np.zeros(n_cols + 1, dtype=np.int64))
 

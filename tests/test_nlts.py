@@ -26,7 +26,7 @@ from ptanner.errors import (
     StateDimensionMismatch,
     UnsupportedField,
 )
-from ptanner.gf import FMatrix, kernel_basis, rank, row_reduce
+from ptanner.gf import FMatrix, LinearCode, kernel_basis, rank, row_reduce
 from ptanner.jsonio import dumps
 from ptanner.nlts import (
     SPREAD_MASS_RELAXED,
@@ -48,7 +48,7 @@ from ptanner.nlts import (
     unpack_bits,
     verify_cluster_lemma,
 )
-from ptanner.nlts import _all_kernel_words, _coset_weight_table, _shift_targets
+from ptanner.nlts import _coset_weight_table, _shift_targets
 from ptanner.tanner import CssCode, estimate_ssexp, shor_code, steane_code
 
 # ---------------------------------------------------------------- helpers
@@ -719,6 +719,16 @@ def loop_coset_weight_table(stab_rows, n):
     return table
 
 
+def loop_kernel_words(checks, n):
+    """Every packed word of ker(checks), sorted: the XOR span of the
+    kernel basis rows."""
+    words = [0]
+    for row in kernel_basis(checks, 2) if checks.size else np.eye(n, dtype=np.int64):
+        g = pack_bits(row)
+        words += [w ^ g for w in words]
+    return sorted(words)
+
+
 def loop_clusters(sset, c1):
     """(clusters, representatives, representative_cluster_of) by the
     pairwise relation."""
@@ -743,7 +753,7 @@ def loop_clusters(sset, c1):
     clusters = sorted((sorted(v) for v in raw.values()), key=lambda c: c[0])
     cluster_of = {y: cid for cid, cl in enumerate(clusters) for y in cl}
     own = (code.h_z if sset.basis == "Z" else code.h_x).toarray()
-    kernel_words = _all_kernel_words(own, n)
+    kernel_words = loop_kernel_words(own, n)
     rep_cluster_of = {}
     for cid in range(len(clusters)):
         if cid in rep_cluster_of:
@@ -903,7 +913,8 @@ def loop_shift_targets(part, cl, shifts):
 def test_lab_kernels_match_loop_oracles(code, basis, eps, c1, c2, data):
     n, other = code.n, {"X": "Z", "Z": "X"}[basis]
     stab = (code.h_x if basis == "Z" else code.h_z).toarray()
-    assert (_coset_weight_table(stab, n, 1 << 22) == loop_coset_weight_table(stab, n)).all()
+    table = _coset_weight_table(LinearCode(2, n, stab), 1 << 22)
+    assert (table == loop_coset_weight_table(stab, n)).all()
 
     sset = enumerate_syndrome_set(code, basis, eps)
     part = build_clusters(sset, c1)
@@ -946,7 +957,7 @@ def test_lab_kernels_match_loop_oracles(code, basis, eps, c1, c2, data):
     # where sizes changed, a shifted cluster can land inside a larger one;
     # the translate test's shift targets must see that
     own = (code.h_z if basis == "Z" else code.h_x).toarray()
-    shifts = np.array(_all_kernel_words(own, n), dtype=np.int64)
+    shifts = np.array(loop_kernel_words(own, n), dtype=np.int64)
     for variant in resized:
         labels = np.array([variant.cluster_of[y] for y in variant.members])
         for cl in variant.clusters:

@@ -5,7 +5,9 @@ oracles are file hashes recomputed in-test, manifest echo checks, and
 exit-code contracts.
 """
 
+import collections
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from ptanner import gf
 from ptanner.cli import main
 from ptanner.csp import LinInstance, TannerConstraintStream, emit_lin_instance, max_sat
 from ptanner.errors import DomainError, MissingArtifact, SearchExhausted
@@ -30,7 +33,14 @@ from ptanner.pipeline import (
     run_pipeline,
     stage_seed,
 )
-from ptanner.tanner import LAYERS, SquareCayleyComplex, steane_code
+from ptanner.tanner import (
+    DEFAULT_DISTANCE_BUDGET,
+    LAYERS,
+    CssCode,
+    SquareCayleyComplex,
+    _exhaustive_side,
+    steane_code,
+)
 
 SMALL_DOC = {
     "field_p": 3,
@@ -169,15 +179,17 @@ def test_rerun_is_byte_identical(small_run, tmp_path):
             assert dumps(json.loads(text)) == text, name
 
 
+FLAGSHIP_DOC = {
+    "field_p": 2, "group": {"p": 3, "m": 1}, "delta": 5, "k_a": 2, "k_b": 3,
+    "rho_target": "1/8", "seed": 7, "stages": list(PIPELINE_STAGES),
+}
+
+
 def test_flagship_estimators_are_pinned(tmp_path):
     """Group (3,1), delta 5, GF(2), k = (2,3), seed 7, all stages: the
     distance and ssexp artifacts keep the hashes they had on the dense
     elimination."""
-    config = RunConfig.from_mapping({
-        "field_p": 2, "group": {"p": 3, "m": 1}, "delta": 5, "k_a": 2, "k_b": 3,
-        "rho_target": "1/8", "seed": 7, "stages": list(PIPELINE_STAGES),
-    })
-    run_pipeline(config, out_dir=tmp_path)
+    run_pipeline(RunConfig.from_mapping(FLAGSHIP_DOC), out_dir=tmp_path)
     pinned = {
         "distance.json": "ae52b995366f18ddef48e23ba137b9a002d0ebcde3a7b6494bac1e696180c9ad",
         "ssexp_curve.json": "16a28d7e5c18afe6d5f52976db27541d2161bc0643bbcf37e6a9c2d9277d9914",
@@ -193,6 +205,26 @@ def test_flagship_estimators_are_pinned(tmp_path):
     report = max_sat(instance, mode="local-search", seed=7, restarts=2, max_steps=50)
     assert report.num_constraints == 675
     assert report.best_satisfied == 490
+
+
+def test_flagship_eliminates_each_check_matrix_once(tmp_path, monkeypatch):
+    """H_X and H_Z (324 x 675) are eliminated once each and kept on the
+    code for verify, distance, ssexp and csp; certify_unsat eliminates the
+    ones-CSP's A^T (324 x 675) once and, b lying outside, never solves the
+    675 x 325 augmented system."""
+    seen = collections.Counter()
+    eliminate = gf._eliminate
+
+    def counting(rows, n_cols):
+        seen[rows.shape[0], n_cols] += 1
+        return eliminate(rows, n_cols)
+
+    monkeypatch.setattr(gf, "_eliminate", counting)
+    run_pipeline(RunConfig.from_mapping(FLAGSHIP_DOC), out_dir=tmp_path)
+    assert seen[324, 675] == 3
+    assert seen[675, 325] == 0
+    unsat = json.loads((tmp_path / "csp_unsat.json").read_text())
+    assert len(unsat["certificate"]) == 35
 
 
 def test_stage_failure_carries_context(tmp_path):
@@ -439,6 +471,13 @@ def test_cli_bad_argument_exits_2(tmp_path, capsys, argv):
         ["csp", "maxsat", "--instance", "{lin}", "--mode", "ls", "--steps", "2.5"],
         ["expander", "build", "--p", "3", "--m", "1", "--degree", "4", "--seed", "-1"],
         ["nlts", "spread", "--code", "{lin}", "--seed", "x"],
+        ["nlts", "spread", "--code", "{lin}", "--trials", "-1"],
+        ["code", "ssexp", "--code", "{lin}", "--eps", "0.1", "--trials", "-1"],
+        ["code", "distance", "--code", "{lin}", "--trials", "-1"],
+        ["code", "distance", "--code", "{lin}", "--budget", "-1"],
+        ["csp", "maxsat", "--instance", "{lin}", "--budget", "-1"],
+        ["inner", "search", "--p", "2", "--delta", "3", "--ka", "1", "--kb", "2",
+         "--budget", "-1"],
     ],
 )
 def test_cli_negative_seed_or_steps_exits_2(tmp_path, capsys, argv):
@@ -452,12 +491,13 @@ def test_cli_negative_seed_or_steps_exits_2(tmp_path, capsys, argv):
 
 @pytest.fixture(scope="module")
 def level2_run(tmp_path_factory):
-    """Group (3,2), delta 5, GF(2), k = (2,3), n = 18,225, through `verify`."""
+    """Group (3,2), delta 5, GF(2), k = (2,3), n = 18,225, through `verify`
+    and `csp`."""
     out = tmp_path_factory.mktemp("level2")
     config = RunConfig.from_mapping({
         "field_p": 2, "group": {"p": 3, "m": 2}, "delta": 5, "k_a": 2, "k_b": 3,
         "rho_target": "1/8", "seed": 7,
-        "stages": ["expander", "inner", "complex", "code", "verify"],
+        "stages": ["expander", "inner", "complex", "code", "verify", "csp"],
     })
     return run_pipeline(config, out_dir=out), out
 
@@ -511,3 +551,52 @@ def test_level2_code_stage_is_css_orthogonal(level2_run):
             v = element_from_index(cx.p, cx.m, gi)
             for (r, c), face in np.ndenumerate(cx.local_view(layer, v)):
                 assert cx.incidence(layer, *cx.face_from_index(face)) == (v, r, c)
+
+
+def test_level2_csp_certificate_refutes_ones(level2_run, monkeypatch):
+    """The ones-CSP certificate u has u.H_Z^T = 0 and u.beta != 0.  The
+    exhaustive distance side refuses the 2^9567-word kernels before building
+    them, so it eliminates nothing beyond the code's kept row spaces."""
+    manifest, out = level2_run
+    unsat = json.loads((out / "csp_unsat.json").read_text())
+    assert unsat["consistent"] is False
+    assert manifest["stages"]["csp"]["summary"]["certificate_size"] == len(unsat["certificate"])
+    code = read_artifact(out / "code.json", CssCode.from_doc)
+    u = np.zeros(code.n, dtype=np.int64)
+    idx, val = np.array(unsat["certificate"], dtype=np.int64).T
+    u[idx] = val
+    assert not code.h_z.apply(u).any()
+    assert int(u @ np.ones(code.n, dtype=np.int64)) % 2 == 1
+
+    spaces = code.rowspace_x, code.rowspace_z
+    calls = []
+    monkeypatch.setattr(gf, "_eliminate", lambda *args: calls.append(args))
+    for checks, stabilizers in (spaces[::-1], spaces):
+        assert _exhaustive_side(checks, stabilizers, DEFAULT_DISTANCE_BUDGET) is None
+    assert calls == []
+
+
+# ------------------------------------------------------ benchmark seams
+
+
+def test_benchmark_tracer_targets_resolve():
+    """perfbench/tracing.py wraps package functions by (module, path); each
+    must still exist, and the tracer must install and uninstall cleanly."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, attr_path, *_ in tracing.SPANS + tracing.COUNTS:
+        target = importlib.import_module(module_name)
+        for attr in attr_path.split("."):
+            target = getattr(target, attr)
+        assert callable(target), (module_name, attr_path)
+    before = {name: getattr(gf, name) for name in ("row_reduce", "rank", "solve")}
+    tracer = tracing.Tracer()
+    tracer.begin_pass(0)
+    assert gf.row_reduce is not before["row_reduce"]
+    tracer.end_pass()
+    assert {name: getattr(gf, name) for name in before} == before
+    # the benchmark's worker reads inner-code bases as dense arrays
+    basis = gf.LinearCode(2, 4, [[1, 1, 0, 0], [0, 1, 1, 1]]).dual().basis
+    assert isinstance(basis, np.ndarray) and basis.dtype == np.int64
