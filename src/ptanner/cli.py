@@ -9,6 +9,7 @@ or search exhaustion.  Output is JSON unless a text format is called for
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -98,6 +99,17 @@ def _non_negative_int(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every real-valued option: nan and +-inf are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _add_group_args(sub, with_gens_file: bool = True) -> None:
@@ -342,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_code_distance)
     s = sub.add_parser("ssexp")
     s.add_argument("--code", required=True)
-    s.add_argument("--eps", type=float, nargs="+", required=True)
+    s.add_argument("--eps", type=_finite_float, nargs="+", required=True)
     s.add_argument("--trials", type=_non_negative_int, default=200)
     s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--out")
@@ -352,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p_nlts.add_subparsers(dest="subcommand", required=True)
     s = sub.add_parser("clusters")
     s.add_argument("--code", required=True)
-    s.add_argument("--eps", type=float, required=True)
-    s.add_argument("--c1", type=float, required=True)
-    s.add_argument("--c2", type=float, required=True)
+    s.add_argument("--eps", type=_finite_float, required=True)
+    s.add_argument("--c1", type=_finite_float, required=True)
+    s.add_argument("--c2", type=_finite_float, required=True)
     s.add_argument("--basis", choices=("Z", "X"), default="Z")
     s.add_argument("--out")
     s.set_defaults(func=_cmd_nlts_clusters)
@@ -362,15 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--code", required=True)
     s.add_argument("--state", default="random", help="state JSON file or 'random'")
     s.add_argument("--trials", type=_non_negative_int, default=1)
-    s.add_argument("--eps", type=float, default=1 / 3)
-    s.add_argument("--c1", type=float, default=0.1)
+    s.add_argument("--eps", type=_finite_float, default=1 / 3)
+    s.add_argument("--c1", type=_finite_float, default=0.1)
     s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_nlts_spread)
     s = sub.add_parser("depth-bound")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--mu", type=float, required=True)
-    s.add_argument("--delta", type=float, required=True)
+    s.add_argument("--mu", type=_finite_float, required=True)
+    s.add_argument("--delta", type=_finite_float, required=True)
     s.add_argument("--corollary", action="store_true")
     s.add_argument("--out")
     s.set_defaults(func=_cmd_nlts_depth_bound)
@@ -400,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out")
     s.set_defaults(func=_cmd_csp_reduce3)
     s = sub.add_parser("sos-bound")
-    s.add_argument("--c1", type=float, required=True)
-    s.add_argument("--c2", type=float, required=True)
+    s.add_argument("--c1", type=_finite_float, required=True)
+    s.add_argument("--c2", type=_finite_float, required=True)
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--ell", type=int, required=True)
     s.add_argument("--out")

@@ -15,6 +15,7 @@ bound, and the dummy-variable chain reduction to 3-XOR.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -23,6 +24,7 @@ import numpy as np
 from .errors import (
     BetaNotAdmissible,
     BudgetExceeded,
+    DimensionMismatch,
     DomainError,
     UnsupportedField,
 )
@@ -240,18 +242,28 @@ class UnsatReport:
     certificate: list[tuple[int, int]] | None
 
 
-def certify_unsat(instance: LinInstance) -> UnsatReport:
+def certify_unsat(
+    instance: LinInstance, column_space: LinearCode | None = None
+) -> UnsatReport:
     """Solve the system when b lies in the column space of A; otherwise
     return the vanishing constraint combination u (u.A = 0) with u.b != 0.
 
-    A^T is eliminated once.  u is the first row of `kernel_basis(A^T)`
-    meeting b, read off the residual of b.
+    `column_space` is the column space of A when the caller already holds
+    it eliminated (for an instance emitted from a code, `code.rowspace_z`);
+    otherwise A^T is eliminated here, once.  u is the first row of
+    `kernel_basis(A^T)` meeting b, read off the residual of b.
     """
-    a = instance.to_fmatrix()
-    b = instance.rhs_vector() % instance.p
-    u = LinearCode(instance.p, instance.num_constraints, a.T).dual_witness(b)
+    p, nc = instance.p, instance.num_constraints
+    b = instance.rhs_vector() % p
+    if column_space is None:
+        column_space = LinearCode(p, nc, instance.to_fmatrix().T)
+    elif (column_space.p, column_space.n) != (p, nc):
+        raise DimensionMismatch(
+            f"column space in GF({column_space.p})^{column_space.n}, not GF({p})^{nc}"
+        )
+    u = column_space.dual_witness(b)
     if u is None:
-        y = solve(a, b)
+        y = solve(instance.to_fmatrix(), b)
         return UnsatReport(
             consistent=True, assignment=[int(v) for v in y], certificate=None
         )
@@ -354,7 +366,10 @@ def sos_level_bound(c1: float, c2: float, m: int, ell: int) -> float:
     """Refutation-level formula c1 * c2 * m / (4 * ell)."""
     if c1 <= 0 or c2 <= 0 or m <= 0 or ell <= 0:
         raise DomainError("all level-bound inputs must be positive")
-    return c1 * c2 * m / (4.0 * ell)
+    value = c1 * c2 * m / (4.0 * ell)
+    if not math.isfinite(value):
+        raise DomainError(f"level bound {value} is not finite")
+    return value
 
 
 class XorClause(NamedTuple):

@@ -555,12 +555,14 @@ def iter_codewords(
     """Yield all p^dim codewords in blocks (rows of each yielded array).
 
     Order is fixed: coefficient vectors count up in base p with the last
-    basis row as the fastest digit.
+    basis row as the fastest digit.  Codes of p^dim >= 2^63 words are
+    refused even without a budget, since their indices overflow int64.
     """
     k, p = code.dim, code.p
     total = p**k
-    if budget is not None and total > budget:
-        raise BudgetExceeded(f"{total} codewords exceeds budget {budget}")
+    limit = np.iinfo(np.int64).max if budget is None else budget
+    if total > limit:
+        raise BudgetExceeded(f"{total} codewords exceeds budget {limit}")
     if k == 0:
         yield np.zeros((1, code.n), dtype=np.int64)
         return
@@ -580,11 +582,9 @@ def coset_min_weight(
     v = as_vector(code.p, v)
     if v.shape[0] != code.n:
         raise DimensionMismatch(f"vector length {v.shape[0]} vs n={code.n}")
-    best = None
+    best = code.n  # |v| itself bounds it
     for block in iter_codewords(code, budget):
-        w = np.count_nonzero((block + v) % code.p, axis=1)
-        m = int(w.min())
-        best = m if best is None else min(best, m)
+        best = min(best, int(np.count_nonzero((block + v) % code.p, axis=1).min()))
         if best == 0:
             break
     return best
@@ -597,11 +597,8 @@ def min_distance(
     """Minimum nonzero codeword weight; +inf for the zero code."""
     if code.dim == 0:
         return math.inf
-    best = None
+    best = code.n  # a nonzero codeword exists, and weighs at most n
     for block in iter_codewords(code, budget):
         w = np.count_nonzero(block, axis=1)
-        w = w[w > 0]
-        if w.size:
-            m = int(w.min())
-            best = m if best is None else min(best, m)
+        best = min(best, int(w.min(initial=best, where=w > 0)))
     return best

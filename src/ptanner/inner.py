@@ -32,7 +32,6 @@ from .gf import (
     LinearCode,
     iter_codewords,
     min_distance,
-    solve,
 )
 
 __all__ = [
@@ -158,6 +157,15 @@ def _decomposition_costs(
     return (col_w + row_w).min(axis=1)
 
 
+def _exact_feasible(code1: LinearCode, code2: LinearCode, budget: int) -> bool:
+    """Whether full enumeration fits `budget`: at most `budget` candidates
+    and at most 64 * `budget` (candidate, tensor shift) pairs."""
+    p, n = code1.p, code1.n
+    dim = code1.dim * n + code2.dim * n - code1.dim * code2.dim
+    cost = (p**dim) * (p ** (code1.dim * code2.dim))
+    return p**dim <= budget and cost <= budget * 64
+
+
 def product_expansion_exact(
     code1: LinearCode,
     code2: LinearCode,
@@ -165,9 +173,14 @@ def product_expansion_exact(
 ) -> ProductExpansionReport:
     """Exact expansion constant by full enumeration, in rational arithmetic."""
     p, n = _pair_preconditions(code1, code2)
+    expected_dim = code1.dim * n + code2.dim * n - code1.dim * code2.dim
+    if not _exact_feasible(code1, code2, budget):
+        raise BudgetExceeded(
+            f"exact check needs {p**expected_dim} candidates x "
+            f"{p ** (code1.dim * code2.dim)} shifts, over budget {budget}"
+        )
     basis, tags = _tagged_basis(code1, code2)
     dim = basis.shape[0]
-    expected_dim = code1.dim * n + code2.dim * n - code1.dim * code2.dim
     assert dim == expected_dim, "decomposition space has unexpected dimension"
     if dim == 0:
         return ProductExpansionReport(
@@ -176,19 +189,13 @@ def product_expansion_exact(
         )
     total = p**dim
     tensor_words = _tensor_codewords(code1, code2)
-    work = total * tensor_words.shape[0]
-    if work > budget * 64 or total > budget:
-        raise BudgetExceeded(
-            f"exact check needs {total} candidates x {tensor_words.shape[0]} shifts"
-        )
     col_mask = np.array([t == "col" for t in tags])
-    powers = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
     best: Fraction | None = None
     witness = None
     chunk = max(1, 2**21 // max(tensor_words.shape[0] * n * n, 1))
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        coeffs = (idx[:, None] // powers) % p
+    # the identity code's words are all coefficient vectors, in lexicographic order
+    everything = LinearCode(p, dim, np.eye(dim, dtype=np.int64))
+    for coeffs in iter_codewords(everything, budget=None, chunk=chunk):
         xs = (coeffs @ basis) % p
         weights = np.count_nonzero(xs, axis=1)
         col_parts = (coeffs * col_mask[None, :]) @ basis % p
@@ -225,76 +232,59 @@ def product_expansion_falsify(
     """Search for x with |x| < rho * n * D(x); None when nothing is found.
 
     Candidates start with structured guesses (single codeword columns and
-    rows, then pairwise sums) before random sampling.  A candidate is only
-    reported after its exact decomposition cost confirms the violation, so
-    a returned witness is never false; the particular-decomposition cost is
-    used first as an upper bound to discard hopeless candidates cheaply.
+    rows, then pairwise sums of the first 40) before random mixes of a few
+    codeword columns and rows.  Each candidate keeps the column part and
+    row part it is built from, so no system is solved for them: any valid
+    decomposition bounds D(x) from above, which discards hopeless
+    candidates cheaply, and a candidate is only reported after its exact
+    decomposition cost confirms the violation, so a returned witness is
+    never false.
     """
     p, n = _pair_preconditions(code1, code2)
     rho = Fraction(rho).limit_denominator(10**9)
     rng = random.Random(f"falsify:{seed}")
-    basis, tags = _tagged_basis(code1, code2)
-    if basis.shape[0] == 0:
+    if code1.dim == 0 and code2.dim == 0:
         return None
-    col_mask = np.array([t == "col" for t in tags])
     tensor_words = _tensor_codewords(code1, code2)
 
-    structured: list[np.ndarray] = []
-    for u in code1.basis:
-        for j in range(n):
-            mat = np.zeros((n, n), dtype=np.int64)
-            mat[:, j] = u
-            structured.append(mat)
-    for v in code2.basis:
-        for i in range(n):
-            mat = np.zeros((n, n), dtype=np.int64)
-            mat[i, :] = v
-            structured.append(mat)
+    zero, eye = np.zeros((n, n), dtype=np.int64), np.eye(n, dtype=np.int64)
+    # (column part, row part): column j is u, then row i is v, codeword-major
+    structured = [(np.outer(u, eye[j]), zero) for u in code1.basis for j in range(n)]
+    structured += [(zero, np.outer(eye[i], v)) for v in code2.basis for i in range(n)]
     snapshot = structured[:40]
-    for a in range(len(snapshot)):
-        for b in range(a + 1, len(snapshot)):
-            structured.append((snapshot[a] + snapshot[b]) % p)
+    structured += [
+        ((c_a + c_b) % p, (r_a + r_b) % p)
+        for a, (c_a, r_a) in enumerate(snapshot)
+        for c_b, r_b in snapshot[a + 1 :]
+    ]
 
-    def random_candidate() -> np.ndarray:
-        mat = np.zeros((n, n), dtype=np.int64)
+    def random_candidate() -> tuple[np.ndarray, np.ndarray]:
+        col_part, row_part = zero.copy(), zero.copy()
         n_cols = rng.randint(0, min(3, n))
         n_rows = rng.randint(0 if n_cols else 1, min(3, n))
         for j in rng.sample(range(n), n_cols):
             coeffs = [rng.randrange(p) for _ in range(code1.dim)]
-            mat[:, j] = (mat[:, j] + np.array(coeffs) @ code1.basis) % p
+            col_part[:, j] = np.array(coeffs, dtype=np.int64) @ code1.basis % p
         for i in rng.sample(range(n), n_rows):
             coeffs = [rng.randrange(p) for _ in range(code2.dim)]
-            mat[i, :] = (mat[i, :] + np.array(coeffs) @ code2.basis) % p
-        return mat
+            row_part[i, :] = np.array(coeffs, dtype=np.int64) @ code2.basis % p
+        return col_part, row_part
 
-    tried = 0
     queue = iter(structured)
-    while tried < trials:
-        mat = next(queue, None)
-        if mat is None:
-            mat = random_candidate()
-        tried += 1
+    for _ in range(trials):
+        parts = next(queue, None)
+        c0, r0 = parts if parts is not None else random_candidate()
+        mat = (c0 + r0) % p
         w = int(np.count_nonzero(mat))
         if w == 0:
             continue
-        coeffs = solve(basis.T, mat.reshape(-1) % p, p)
-        if coeffs is None:
-            continue
-        c0 = (coeffs * col_mask) @ basis % p
-        r0 = (coeffs * ~col_mask) @ basis % p
-        upper = int(
-            (c0.reshape(n, n) != 0).any(axis=0).sum()
-            + (r0.reshape(n, n) != 0).any(axis=1).sum()
-        )
-        if upper == 0 or Fraction(w) >= rho * n * upper:
+        upper = int((c0 != 0).any(axis=0).sum() + (r0 != 0).any(axis=1).sum())
+        if Fraction(w) >= rho * n * upper:
             continue  # even the costliest valid reading cannot violate
-        cost = int(
-            _decomposition_costs(
-                c0.reshape(1, -1), r0.reshape(1, -1), tensor_words, n, p
-            )[0]
-        )
+        flat = (c0.reshape(1, -1), r0.reshape(1, -1))
+        cost = int(_decomposition_costs(*flat, tensor_words, n, p)[0])
         if cost > 0 and Fraction(w) < rho * n * cost:
-            return mat % p
+            return mat
     return None
 
 
@@ -348,13 +338,6 @@ class InnerCodePair:
         return cls.from_doc(json.loads(text))
 
 
-def _exact_feasible(code1: LinearCode, code2: LinearCode, budget: int) -> bool:
-    p, n = code1.p, code1.n
-    dim = code1.dim * n + code2.dim * n - code1.dim * code2.dim
-    cost = (p**dim) * (p ** (code1.dim * code2.dim))
-    return p**dim <= budget and cost <= budget * 64
-
-
 def _certify_pair(
     code1: LinearCode,
     code2: LinearCode,
@@ -364,13 +347,10 @@ def _certify_pair(
     seed: int,
 ) -> tuple[str, Fraction | float | None]:
     """Returns (level, rho) where level is 'exact', 'screened', or 'failed'."""
-    n = code1.n
-    for code in (code1, code2):
-        d = min_distance(code)
-        if d < rho_target * n:
-            return "failed", None
+    if any(min_distance(code) < rho_target * code1.n for code in (code1, code2)):
+        return "failed", None
     if _exact_feasible(code1, code2, exact_budget):
-        report = product_expansion_exact(code1, code2)
+        report = product_expansion_exact(code1, code2, budget=exact_budget)
         if report.rho >= rho_target:
             return "exact", report.rho
         return "failed", report.rho
@@ -406,9 +386,7 @@ def search_inner_pair(
         raise DomainError(f"rho_target {rho_target!r} is not a number") from None
     if rho_target <= 0:
         raise DomainError(f"rho_target must be positive, got {rho_target}")
-    attempts = 0
     for trial in range(budget):
-        attempts += 1
         code_a = sample_planted_code(p, delta, k_a, seed=seed * 100003 + trial)
         code_b = sample_sum_zero_code(p, delta, k_b, seed=seed * 100003 + trial)
         level_primal, rho_primal = _certify_pair(
@@ -435,7 +413,7 @@ def search_inner_pair(
                 "rho_target": rho_target,
                 "rho_primal": rho_primal,
                 "rho_dual": rho_dual,
-                "candidates_tried": attempts,
+                "candidates_tried": trial + 1,
                 "seed": seed,
             },
         )
@@ -468,14 +446,14 @@ def property_star_check(
     if alpha is None:
         alpha = q_entropy_inv(r / (8 * n), p)
     limit = alpha * n + 1e-12
-    if p**n > budget:
-        raise BudgetExceeded(f"cannot enumerate GF({p})^{n} sparse vectors")
-    sparse: list[tuple[int, ...]] = []
-    powers = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for idx in range(1, p**n):
-        v = tuple(int(d) for d in (idx // powers) % p)
-        if sum(1 for t in v if t) <= limit:
-            sparse.append(v)
+    # the identity code's words are all of GF(p)^n, in lexicographic order
+    everything = LinearCode(p, n, np.eye(n, dtype=np.int64))
+    sparse = [
+        tuple(v)
+        for block in iter_codewords(everything, budget)
+        for v in block[np.count_nonzero(block, axis=1) <= limit].tolist()
+        if any(v)
+    ]
     if not sparse:
         return True
 

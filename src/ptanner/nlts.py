@@ -43,12 +43,17 @@ UNCERTAINTY_BOUND = 0.5 + 0.5 / math.sqrt(2)
 PAIR_BLOCK = 1 << 20  # word pairs compared per vectorized block
 
 
+def _pack_rows(rows) -> list[int]:
+    """Each row of a bit matrix packed big-endian by one place-value
+    product, in Python ints past 62 bits."""
+    rows = np.asarray(rows, dtype=np.int64) & 1
+    place = [1 << i for i in range(rows.shape[1] - 1, -1, -1)]
+    return (rows @ np.array(place, dtype=np.int64 if len(place) < 63 else object)).tolist()
+
+
 def pack_bits(v) -> int:
     """Big-endian packing: vector order == integer order."""
-    out = 0
-    for bit in np.asarray(v, dtype=np.int64):
-        out = (out << 1) | (int(bit) & 1)
-    return out
+    return _pack_rows(np.reshape(v, (1, -1)))[0]
 
 
 def unpack_bits(x: int, n: int) -> np.ndarray:
@@ -60,16 +65,10 @@ def _require_gf2(code: CssCode) -> None:
         raise UnsupportedField(f"binary-only operation called over GF({code.p})")
 
 
-def _packed_rows(mat) -> list[int]:
-    return [pack_bits(row) for row in mat.toarray()]
-
-
 def _words(space: LinearCode) -> list[int]:
-    """Every word of a binary code, packed, in `iter_codewords` order."""
-    n = space.n
-    place = [1 << i for i in range(n - 1, -1, -1)]  # Python ints past 62 bits
-    place = np.array(place, dtype=np.int64 if n < 63 else object)
-    return [w for block in iter_codewords(space, budget=None) for w in (block @ place).tolist()]
+    """Every word of a binary code, packed, in `iter_codewords` order;
+    BudgetExceeded past ENUMERATION_CAP words."""
+    return [w for block in iter_codewords(space, ENUMERATION_CAP) for w in _pack_rows(block)]
 
 
 @dataclass
@@ -117,12 +116,11 @@ def enumerate_syndrome_set(
     total = 1 << n
     if total > cap:
         raise BudgetExceeded(f"2^{n} states exceeds cap {cap}")
-    rows = _packed_rows(code.h_x if basis == "X" else code.h_z)
+    rows = _pack_rows((code.h_x if basis == "X" else code.h_z).toarray())
     m = len(rows)
     thr = epsilon * m + 1e-12
     members: list[int] = []
     syndrome_of: dict[int, int] = {}
-    syn_pack = 1 << np.arange(m - 1, -1, -1, dtype=object)  # exact for any m
     chunk = 1 << 16
     for start in range(0, total, chunk):
         ints = np.arange(start, min(start + chunk, total), dtype=np.int64)
@@ -131,7 +129,7 @@ def enumerate_syndrome_set(
         keep = syn.sum(axis=1) <= thr
         ys = ints[keep].tolist()
         members += ys
-        syndrome_of.update(zip(ys, (syn[keep] @ syn_pack).tolist()))
+        syndrome_of.update(zip(ys, _pack_rows(syn[keep])))
     return SyndromeSet(
         code=code, basis=basis, epsilon=float(epsilon), members=members,
         syndrome_of=syndrome_of,
@@ -424,8 +422,8 @@ def build_code_hamiltonian(
     n = code.n
     if n > qubit_cap:
         raise BudgetExceeded(f"{n} qubits exceeds cap {qubit_cap}")
-    x_terms = _packed_rows(code.h_x)
-    z_terms = _packed_rows(code.h_z)
+    x_terms = _pack_rows(code.h_x.toarray())
+    z_terms = _pack_rows(code.h_z.toarray())
     dim = 1 << n
     idx = np.arange(dim, dtype=np.int64)
     m_x, m_z = len(x_terms), len(z_terms)
@@ -464,8 +462,8 @@ def apply_hamiltonian_exact(code: CssCode, state: dict[int, int]) -> dict[int, F
     """Apply the code Hamiltonian with rational arithmetic on a sparse
     integer-amplitude state."""
     _require_gf2(code)
-    x_terms = _packed_rows(code.h_x)
-    z_terms = _packed_rows(code.h_z)
+    x_terms = _pack_rows(code.h_x.toarray())
+    z_terms = _pack_rows(code.h_z.toarray())
     m_x, m_z = len(x_terms), len(z_terms)
     out: dict[int, Fraction] = {}
     half = Fraction(1, 2)
@@ -485,8 +483,8 @@ def apply_hamiltonian_exact(code: CssCode, state: dict[int, int]) -> dict[int, F
 def sector_eigenvalue(code: CssCode, e_x: int, e_z: int) -> Fraction:
     """|H_X e_x| / 2 m_X + |H_Z e_z| / 2 m_Z, as an exact rational."""
     _require_gf2(code)
-    x_terms = _packed_rows(code.h_x)
-    z_terms = _packed_rows(code.h_z)
+    x_terms = _pack_rows(code.h_x.toarray())
+    z_terms = _pack_rows(code.h_z.toarray())
     syn_x = sum(int(e_x & g).bit_count() % 2 for g in x_terms)
     syn_z = sum(int(e_z & h).bit_count() % 2 for h in z_terms)
     val = Fraction(0)
@@ -690,8 +688,8 @@ def depth_lower_bound(n: int, mu: float, delta: float, corollary: bool = False) 
         raise DomainError("delta and n must be positive")
     denom = 400.0 * math.log2(1.0 / mu)
     arg = delta * delta * n / denom
-    if arg <= 0:
-        raise DomainError("degenerate bound argument")
+    if not 0 < arg < math.inf:
+        raise DomainError(f"bound argument {arg} is not a positive finite number")
     val = math.log2(arg) / 3.0
     return val + 1.0 if corollary else val
 

@@ -366,7 +366,7 @@ def _stage_ssexp(config: RunConfig, ctx: dict):
 def _stage_csp(config: RunConfig, ctx: dict):
     code = ctx["code"]
     instance = emit_lin_instance(code, np.ones(code.n, dtype=np.int64))
-    unsat = certify_unsat(instance)
+    unsat = certify_unsat(instance, code.rowspace_z)
     artifacts = {
         "instance": ("csp_instance.json", dumps(instance)),
         "unsat": ("csp_unsat.json", dumps(unsat)),

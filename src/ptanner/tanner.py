@@ -494,18 +494,17 @@ def estimate_distance(
     for name, checks, stabilizers in sides:
         res = _exhaustive_side(checks, stabilizers, budget)
         if res is None:
-            exact_results = None
             break
-        exact_results.append((name, res))
-    if exact_results is not None:
-        best = min(exact_results, key=lambda t: t[1][0])
+        exact_results.append((name, *res))
+    else:  # both sides enumerated
+        name, bound, witness = min(exact_results, key=lambda t: t[1])
         return DistanceReport(
-            upper_bound=best[1][0],
+            upper_bound=bound,
             exact=True,
             method="exhaustive",
             trials=0,
-            side=best[0],
-            witness=best[1][1],
+            side=name,
+            witness=witness,
         )
     rng = np.random.default_rng(seed)
     overall, overall_w, overall_side, used = math.inf, None, None, 0

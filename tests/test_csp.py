@@ -211,6 +211,17 @@ def test_planted_instance_certified_inconsistent(planted_build):
     assert (u @ b) % inst.p != 0
 
 
+def test_certificate_from_cached_column_space(planted_build):
+    """Passing code.rowspace_z (the column space of A = H_Z^T) gives the
+    certificate that eliminating A^T gives; a space of the wrong length
+    is refused."""
+    _, _, code = planted_build
+    inst = emit_lin_instance(code, np.ones(code.n, dtype=int))
+    assert certify_unsat(inst, code.rowspace_z) == certify_unsat(inst)
+    with pytest.raises(DimensionMismatch):
+        certify_unsat(inst, LinearCode(code.p, code.n + 1))
+
+
 def test_consistent_system_yields_witness():
     rng = np.random.default_rng(11)
     a = rng.integers(0, 2, size=(6, 4))

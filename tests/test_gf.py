@@ -177,6 +177,14 @@ def test_coset_min_weight_oracle_randomized():
             assert coset_min_weight(v, code) == want
 
 
+def test_iter_codewords_refuses_int64_overflow_without_budget():
+    # 2^63 words: the coefficient indices would overflow int64
+    everything = LinearCode(2, 63, np.eye(63, dtype=np.int64))
+    with pytest.raises(BudgetExceeded):
+        next(iter_codewords(everything, budget=None))
+    assert next(iter_codewords(LinearCode(2, 62), budget=None)).shape == (1, 62)
+
+
 def test_min_distance_frozen():
     even = LinearCode(2, 4, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
     assert min_distance(even) == 2

@@ -3,17 +3,22 @@
 The product-expansion checker is validated against a from-scratch oracle
 that filters matrices by dual orthogonality and tries every column part
 by brute force; nothing is shared with the implementation under test.
+The falsifier is checked against its earlier form, which solved for each
+candidate's decomposition over a tagged basis.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ptanner.errors import DomainError, SearchExhausted
-from ptanner.gf import LinearCode, kernel_basis, min_distance
+from ptanner.errors import BudgetExceeded, DomainError, SearchExhausted
+from ptanner.gf import LinearCode, kernel_basis, min_distance, solve
 from ptanner.inner import (
     InnerCodePair,
     product_expansion_exact,
@@ -24,6 +29,12 @@ from ptanner.inner import (
     sample_planted_code,
     sample_sum_zero_code,
     search_inner_pair,
+)
+from ptanner.inner import (
+    _decomposition_costs,
+    _exact_feasible,
+    _tagged_basis,
+    _tensor_codewords,
 )
 
 
@@ -166,6 +177,127 @@ def test_falsifier_finds_violation_above_exact_rho():
     # confirm independently that the witness violates the claimed bound
     cost = oracle_cost(c, c, witness)
     assert np.count_nonzero(witness) < Fraction(6, 5) * 3 * cost
+
+
+def oracle_falsify(code1, code2, rho, trials=500, seed=0):
+    """The falsifier as it was: the same candidates, each decomposed by
+    solving against the tagged basis of the decomposition space."""
+    p, n = code1.p, code1.n
+    rho = Fraction(rho).limit_denominator(10**9)
+    rng = random.Random(f"falsify:{seed}")
+    basis, tags = _tagged_basis(code1, code2)
+    if basis.shape[0] == 0:
+        return None
+    col_mask = np.array([t == "col" for t in tags])
+    tensor_words = _tensor_codewords(code1, code2)
+
+    structured = []
+    for u in code1.basis:
+        for j in range(n):
+            mat = np.zeros((n, n), dtype=np.int64)
+            mat[:, j] = u
+            structured.append(mat)
+    for v in code2.basis:
+        for i in range(n):
+            mat = np.zeros((n, n), dtype=np.int64)
+            mat[i, :] = v
+            structured.append(mat)
+    snapshot = structured[:40]
+    for a in range(len(snapshot)):
+        for b in range(a + 1, len(snapshot)):
+            structured.append((snapshot[a] + snapshot[b]) % p)
+
+    def random_candidate():
+        mat = np.zeros((n, n), dtype=np.int64)
+        n_cols = rng.randint(0, min(3, n))
+        n_rows = rng.randint(0 if n_cols else 1, min(3, n))
+        for j in rng.sample(range(n), n_cols):
+            coeffs = [rng.randrange(p) for _ in range(code1.dim)]
+            mat[:, j] = (mat[:, j] + np.array(coeffs) @ code1.basis) % p
+        for i in rng.sample(range(n), n_rows):
+            coeffs = [rng.randrange(p) for _ in range(code2.dim)]
+            mat[i, :] = (mat[i, :] + np.array(coeffs) @ code2.basis) % p
+        return mat
+
+    tried = 0
+    queue = iter(structured)
+    while tried < trials:
+        mat = next(queue, None)
+        if mat is None:
+            mat = random_candidate()
+        tried += 1
+        w = int(np.count_nonzero(mat))
+        if w == 0:
+            continue
+        coeffs = solve(basis.T, mat.reshape(-1) % p, p)
+        if coeffs is None:
+            continue
+        c0 = (coeffs * col_mask) @ basis % p
+        r0 = (coeffs * ~col_mask) @ basis % p
+        upper = int(
+            (c0.reshape(n, n) != 0).any(axis=0).sum()
+            + (r0.reshape(n, n) != 0).any(axis=1).sum()
+        )
+        if upper == 0 or Fraction(w) >= rho * n * upper:
+            continue
+        cost = int(
+            _decomposition_costs(
+                c0.reshape(1, -1), r0.reshape(1, -1), tensor_words, n, p
+            )[0]
+        )
+        if cost > 0 and Fraction(w) < rho * n * cost:
+            return mat % p
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([2, 3]),
+    n=st.integers(2, 5),
+    k1=st.integers(0, 2),
+    k2=st.integers(0, 2),
+    rho=st.fractions(Fraction(1, 16), Fraction(3, 2)),
+    trials=st.integers(0, 120),
+    data=st.data(),
+)
+def test_falsifier_matches_solve_oracle(p, n, k1, k2, rho, trials, data):
+    """The kept decompositions give the same witness (or the same None) as
+    solving for every candidate's decomposition."""
+
+    def code(k):
+        rows = data.draw(st.lists(
+            st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+            min_size=k, max_size=k,
+        ))
+        return LinearCode(p, n, rows)
+
+    code1, code2 = code(k1), code(k2)
+    seed = data.draw(st.integers(0, 10**6))
+    got = product_expansion_falsify(code1, code2, rho, trials=trials, seed=seed)
+    want = oracle_falsify(code1, code2, rho, trials=trials, seed=seed)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.dtype == want.dtype and (got == want).all()
+
+
+@pytest.mark.parametrize(
+    "c1, c2",
+    [
+        (rep_code(2, 3), rep_code(2, 3)),
+        (LinearCode(2, 3, [[1, 1, 0], [0, 1, 1]]), rep_code(2, 3)),
+        (LinearCode(3, 3, [[1, 1, 1]]), LinearCode(3, 3, [[1, 2, 0]])),
+        (LinearCode(2, 3), LinearCode(2, 3)),
+    ],
+)
+def test_exact_budget_refusal_matches_feasibility(c1, c2):
+    """product_expansion_exact raises exactly when _exact_feasible says no,
+    at every budget around the pair's thresholds."""
+    for budget in range(0, 2**9):
+        if _exact_feasible(c1, c2, budget):
+            product_expansion_exact(c1, c2, budget=budget)
+        else:
+            with pytest.raises(BudgetExceeded):
+                product_expansion_exact(c1, c2, budget=budget)
 
 
 def enumerate_planted_codes(p, n, k):

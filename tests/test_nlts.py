@@ -458,6 +458,14 @@ def test_logical_pair_requires_positive_dimension():
         logical_pair(trivial)
 
 
+def test_logical_pair_refuses_codes_too_large_to_enumerate():
+    # ker H_X is all of GF(2)^23: 2^23 words, past ENUMERATION_CAP = 2^22
+    n = 23
+    free = CssCode(p=2, n=n, h_x=FMatrix.zeros(2, 0, n), h_z=FMatrix.zeros(2, 0, n))
+    with pytest.raises(BudgetExceeded):
+        logical_pair(free)
+
+
 # --------------------------------------------------------------- spread
 
 

@@ -209,9 +209,11 @@ def test_flagship_estimators_are_pinned(tmp_path):
 
 def test_flagship_eliminates_each_check_matrix_once(tmp_path, monkeypatch):
     """H_X and H_Z (324 x 675) are eliminated once each and kept on the
-    code for verify, distance, ssexp and csp; certify_unsat eliminates the
-    ones-CSP's A^T (324 x 675) once and, b lying outside, never solves the
-    675 x 325 augmented system."""
+    code for verify, distance, ssexp and csp; certify_unsat reads the
+    ones-CSP's certificate off the cached H_Z echelon (A^T = H_Z) and, b
+    lying outside, never solves the 675 x 325 augmented system.  The inner
+    falsifier keeps each candidate's decomposition, so it never solves
+    the 25 x 20 tagged-basis system."""
     seen = collections.Counter()
     eliminate = gf._eliminate
 
@@ -221,8 +223,9 @@ def test_flagship_eliminates_each_check_matrix_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(gf, "_eliminate", counting)
     run_pipeline(RunConfig.from_mapping(FLAGSHIP_DOC), out_dir=tmp_path)
-    assert seen[324, 675] == 3
+    assert seen[324, 675] == 2
     assert seen[675, 325] == 0
+    assert seen[25, 20] == 0
     unsat = json.loads((tmp_path / "csp_unsat.json").read_text())
     assert len(unsat["certificate"]) == 35
 
@@ -454,6 +457,8 @@ def test_cli_malformed_artifact_exits_2(tmp_path, capsys, steane_file, argv, con
         ["inner", "search", "--p", "2", "--delta", "3", "--ka", "1", "--kb", "2",
          "--rho", "abc"],
         ["csp", "maxsat", "--instance", "{lin}", "--mode", "ls", "--restarts", "0"],
+        ["nlts", "depth-bound", "--n", "10", "--mu", "0.5", "--delta", "1e308"],
+        ["csp", "sos-bound", "--c1", "1e200", "--c2", "1e200", "--m", "3", "--ell", "2"],
     ],
 )
 def test_cli_bad_argument_exits_2(tmp_path, capsys, argv):
@@ -487,6 +492,26 @@ def test_cli_negative_seed_or_steps_exits_2(tmp_path, capsys, argv):
         main([arg.format(lin=lin) for arg in argv])
     assert exc.value.code == 2
     assert "expected a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nlts", "clusters", "--code", "{lin}", "--eps", "nan", "--c1", "1", "--c2", "1"],
+        ["nlts", "clusters", "--code", "{lin}", "--eps", "0.1", "--c1", "inf", "--c2", "1"],
+        ["nlts", "clusters", "--code", "{lin}", "--eps", "0.1", "--c1", "1", "--c2", "nan"],
+        ["nlts", "spread", "--code", "{lin}", "--eps", "nan"],
+        ["nlts", "depth-bound", "--n", "10", "--mu", "0.5", "--delta", "nan"],
+        ["csp", "sos-bound", "--c1", "nan", "--c2", "1", "--m", "3", "--ell", "2"],
+        ["code", "ssexp", "--code", "{lin}", "--eps", "0.1", "inf"],
+    ],
+)
+def test_cli_non_finite_float_exits_2(tmp_path, capsys, argv):
+    lin = tmp_path / "lin.json"
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(lin=lin) for arg in argv])
+    assert exc.value.code == 2
+    assert "expected a finite number" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
