@@ -160,6 +160,7 @@ def _cmd_inner_search(args) -> int:
 
 
 def _cmd_code_build(args) -> int:
+    pair = read_artifact(args.inner, InnerCodePair.from_doc)
     gens = default_generators(
         args.p,
         args.m,
@@ -167,7 +168,6 @@ def _cmd_code_build(args) -> int:
         seed=args.seed,
         require_generation=not args.allow_nongenerating,
     )
-    pair = read_artifact(args.inner, InnerCodePair.from_doc)
     code = build_code(build_complex(gens, gens, args.convention), pair)
     return _deliver(args, dumps(code))
 

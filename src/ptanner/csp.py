@@ -279,7 +279,6 @@ class SatReport:
     best_fraction: float
     assignment: list[int]
     exact: bool
-    certificate: list[tuple[int, int]] | None = None
 
 
 def max_sat(
@@ -295,6 +294,7 @@ def max_sat(
     lexicographically least assignment.  A climbing step takes the first
     (variable, value) that satisfies more constraints; the residual A y - b
     is updated along one column, and all gains come from one tally.
+    Unsatisfiability certificates come from `certify_unsat`.
     """
     if mode not in ("exact", "local-search"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -303,7 +303,6 @@ def max_sat(
     p, m, nc = instance.p, instance.num_vars, instance.num_constraints
     a = instance.to_fmatrix()
     b = instance.rhs_vector() % p
-    unsat = certify_unsat(instance)
 
     if mode == "exact":
         total = p**m
@@ -358,7 +357,6 @@ def max_sat(
         best_fraction=best_count / nc if nc else 1.0,
         assignment=[int(v) for v in best_y],
         exact=exact,
-        certificate=unsat.certificate,
     )
 
 

@@ -98,4 +98,4 @@ class SearchExhausted(ResourceError):
 
 
 class ConvergenceFailure(ResourceError):
-    """Iterative eigenvalue estimate did not stabilize within its budget."""
+    """Lanczos (ARPACK `eigsh`) did not converge on the second eigenvalue."""

@@ -15,6 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import (
     ConvergenceFailure,
@@ -43,7 +46,6 @@ __all__ = [
 ]
 
 DENSE_SPECTRUM_BUDGET = 5000
-POWER_ITERATION_BUDGET = 10**6
 BFS_VERIFY_BUDGET = 4096
 
 
@@ -268,16 +270,12 @@ class CayleyMultigraph:
         if n > budget:
             raise DomainError(f"{n} vertices exceeds dense adjacency budget {budget}")
         adj = np.zeros((n, n), dtype=np.int64)
-        for v in range(n):
-            for j in range(self.degree):
-                adj[v, self.neighbor(v, j)] += 1
+        np.add.at(adj, (np.arange(n)[:, None], np.array(self.neighbor_lists())), 1)
         return adj
 
 
-def bfs_closure_size(gens: GeneratorMultiset, cap: int | None = None) -> int:
+def bfs_closure_size(gens: GeneratorMultiset) -> int:
     """Size of the subgroup generated, by breadth-first closure."""
-    if cap is None:
-        cap = group_order(gens.p, gens.m)
     seen = {identity(gens.p, gens.m).index}
     frontier = [identity(gens.p, gens.m)]
     while frontier:
@@ -288,8 +286,6 @@ def bfs_closure_size(gens: GeneratorMultiset, cap: int | None = None) -> int:
                 if h.index not in seen:
                     seen.add(h.index)
                     nxt.append(h)
-                    if len(seen) > cap:
-                        return len(seen)
         frontier = nxt
     return len(seen)
 
@@ -339,7 +335,6 @@ def default_generators(
     degree: int,
     seed: int = 0,
     require_generation: bool = True,
-    bfs_budget: int = BFS_VERIFY_BUDGET,
 ) -> GeneratorMultiset:
     """Deterministic symmetric generator multiset of the given degree.
 
@@ -385,7 +380,7 @@ def default_generators(
         )
     scored.sort(key=lambda t: (t[0], t[1]))
     best = scored[0][2]
-    if require_generation and group_order(p, m) <= bfs_budget:
+    if require_generation and group_order(p, m) <= BFS_VERIFY_BUDGET:
         if bfs_closure_size(best) != group_order(p, m):
             raise GenerationFailure(
                 f"level-{m} closure incomplete for degree {degree} over p={p}"
@@ -429,6 +424,28 @@ class SpectralReport:
         }
 
 
+def _report(
+    n: int, degree: int, lam: float, signed: float, method: str, tolerance: float
+) -> SpectralReport:
+    bound = 2.0 * np.sqrt(max(degree - 1, 0))
+    return SpectralReport(
+        num_vertices=n,
+        degree=degree,
+        second_eigenvalue=lam,
+        signed_second_eigenvalue=signed,
+        ratio=lam / degree if degree else 0.0,
+        ramanujan_bound=float(bound),
+        is_ramanujan=bool(lam <= bound + tolerance),
+        method=method,
+        tolerance=tolerance,
+    )
+
+
+def _drop_trivial(eigs: np.ndarray) -> np.ndarray:
+    """Remove one copy of the largest eigenvalue (the all-ones direction)."""
+    return np.delete(eigs, int(np.argmax(eigs)))
+
+
 def spectral_from_adjacency(
     adj: np.ndarray, degree: int | None = None, tolerance: float = 1e-9
 ) -> SpectralReport:
@@ -444,89 +461,41 @@ def spectral_from_adjacency(
         degree = int(round(row_sums[0]))
     if not np.allclose(row_sums, degree, atol=tolerance):
         raise DomainError("graph is not regular; spectral gap undefined here")
-    eigs = np.linalg.eigvalsh(adj)
-    # drop one copy of the trivial eigenvalue (the all-ones direction)
-    top = int(np.argmax(eigs))
-    rest = np.delete(eigs, top)
+    rest = _drop_trivial(np.linalg.eigvalsh(adj))
     lam = float(np.abs(rest).max()) if rest.size else 0.0
     signed = float(rest.max()) if rest.size else 0.0
-    bound = 2.0 * np.sqrt(max(degree - 1, 0))
-    return SpectralReport(
-        num_vertices=n,
-        degree=degree,
-        second_eigenvalue=lam,
-        signed_second_eigenvalue=signed,
-        ratio=lam / degree if degree else 0.0,
-        ramanujan_bound=float(bound),
-        is_ramanujan=bool(lam <= bound + tolerance),
-        method="dense",
-        tolerance=tolerance,
-    )
+    return _report(n, degree, lam, signed, "dense", tolerance)
 
 
 def spectral_expansion(
     graph: CayleyMultigraph,
     dense_budget: int = DENSE_SPECTRUM_BUDGET,
-    power_budget: int = POWER_ITERATION_BUDGET,
     tolerance: float = 1e-9,
 ) -> SpectralReport:
     """Measured expansion of a Cayley multigraph.
 
-    Dense exact eigensolve when the graph fits the budget; otherwise power
-    iteration against the all-ones deflation with a looser tolerance.
+    Up to `dense_budget` vertices, a dense exact eigensolve.  Above it, the
+    CSR adjacency of the neighbor lists.  A disconnected d-regular graph has
+    d once per component, so both second eigenvalues are d exactly.  On a
+    connected one d is simple, and Lanczos (`eigsh`, two extreme values from
+    a fixed start vector) gives the largest |eigenvalue| and the largest
+    eigenvalue, each with the trivial one dropped; ConvergenceFailure when
+    it does not converge.
     """
-    n = graph.num_vertices
-    if n <= dense_budget:
-        return spectral_from_adjacency(
-            graph.adjacency(dense_budget), graph.degree, tolerance
-        )
-    return _power_iteration_report(graph, power_budget)
-
-
-def _power_iteration_report(
-    graph: CayleyMultigraph, power_budget: int, tolerance: float = 1e-4
-) -> SpectralReport:
     n, deg = graph.num_vertices, graph.degree
-    if n * deg > power_budget:
-        raise ConvergenceFailure(
-            f"neighbor-list construction needs {n * deg} queries > budget {power_budget}"
-        )
-    nbrs = np.array(graph.neighbor_lists(), dtype=np.int64)
-    max_iters = max(power_budget // (2 * n * deg), 64)
-
-    def top_modulus(shift: float) -> float:
-        """Top |eigenvalue| of (A + shift*I) restricted to the all-ones complement."""
-        rng = np.random.default_rng(12345)
-        x = rng.standard_normal(n)
-        x -= x.mean()
-        x /= np.linalg.norm(x)
-        est_prev = None
-        for _ in range(max_iters):
-            y = x[nbrs].sum(axis=1) + shift * x
-            y -= y.mean()
-            norm = float(np.linalg.norm(y))
-            if norm == 0:
-                return 0.0
-            x = y / norm
-            if est_prev is not None and abs(norm - est_prev) < tolerance:
-                return norm
-            est_prev = norm
-        raise ConvergenceFailure(
-            f"power iteration did not stabilize within {max_iters} iterations"
-        )
-
-    lam = top_modulus(0.0)
-    # shifting by the degree makes the operator PSD, isolating the signed top
-    signed = top_modulus(float(deg)) - deg
-    bound = 2.0 * np.sqrt(max(deg - 1, 0))
-    return SpectralReport(
-        num_vertices=n,
-        degree=deg,
-        second_eigenvalue=float(lam),
-        signed_second_eigenvalue=float(signed),
-        ratio=float(lam) / deg,
-        ramanujan_bound=float(bound),
-        is_ramanujan=bool(lam <= bound + tolerance),
-        method="power",
-        tolerance=tolerance,
-    )
+    if n <= dense_budget:
+        return spectral_from_adjacency(graph.adjacency(dense_budget), deg, tolerance)
+    cols = np.array(graph.neighbor_lists(), dtype=np.int64).ravel()
+    rows = np.repeat(np.arange(n), deg)
+    adj = sparse.csr_matrix((np.ones(n * deg), (rows, cols)), shape=(n, n))
+    if connected_components(adj, directed=False, return_labels=False) > 1:
+        return _report(n, deg, float(deg), float(deg), "lanczos", tolerance)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        by_modulus = eigsh(adj, k=2, which="LM", v0=v0, return_eigenvectors=False)
+        by_value = eigsh(adj, k=2, which="LA", v0=v0, return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceFailure(f"Lanczos on {n} vertices: {exc}") from exc
+    lam = float(np.abs(_drop_trivial(by_modulus)).max())
+    signed = float(_drop_trivial(by_value).max())
+    return _report(n, deg, lam, signed, "lanczos", tolerance)

@@ -5,12 +5,16 @@ matrix arithmetic; spectra are checked against circulant formulas and an
 independent dense eigensolve.
 """
 
+import json
 import random
 import time
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from ptanner import expander
+from ptanner.cli import main
 from ptanner.errors import (
     DomainError,
     GenerationFailure,
@@ -30,6 +34,7 @@ from ptanner.expander import (
     spectral_from_adjacency,
 )
 from ptanner.jsonio import dumps
+from ptanner.pipeline import RunConfig, run_pipeline
 
 
 def test_coordinate_map_frozen_example_p3():
@@ -242,15 +247,56 @@ def test_identity_augmentation_shifts_spectrum_by_one():
     assert np.allclose(e1, e0 + 1.0, atol=1e-9)
 
 
-def test_power_iteration_agrees_with_dense():
-    gens = default_generators(3, 2, 6, seed=0)
+@pytest.mark.parametrize(
+    "p, m, degree",
+    [
+        (3, 2, 6),  # generating: connected, Lanczos
+        (3, 2, 5),  # not generating: 9 components
+    ],
+)
+def test_lanczos_agrees_with_dense(p, m, degree):
+    gens = default_generators(p, m, degree, seed=0, require_generation=degree == 6)
     graph = CayleyMultigraph(gens)
     dense = spectral_expansion(graph)
-    power = spectral_expansion(graph, dense_budget=10)
-    assert power.method == "power"
-    assert power.second_eigenvalue == pytest.approx(
-        dense.second_eigenvalue, rel=1e-3, abs=1e-3
+    lanczos = spectral_expansion(graph, dense_budget=10)
+    assert dense.method == "dense"
+    assert lanczos.method == "lanczos"
+    assert lanczos.second_eigenvalue == pytest.approx(dense.second_eigenvalue, abs=1e-9)
+    assert lanczos.signed_second_eigenvalue == pytest.approx(
+        dense.signed_second_eigenvalue, abs=1e-9
     )
+
+
+def test_level3_expander_stage_runs_lanczos(tmp_path):
+    """Group (3,3), 19,683 vertices, above the dense budget: the delta-5
+    multiset does not generate, so lambda_2 is the degree exactly."""
+    config = RunConfig.from_mapping({
+        "field_p": 2, "group": {"p": 3, "m": 3}, "delta": 5, "k_a": 2, "k_b": 3,
+        "rho_target": "1/8", "seed": 7, "stages": ["expander"],
+    })
+    run_pipeline(config, out_dir=tmp_path)
+    spectrum = json.loads((tmp_path / "spectrum.json").read_text())
+    assert spectrum["num_vertices"] == 19683
+    assert spectrum["method"] == "lanczos"
+    assert spectrum["second_eigenvalue"] == spectrum["signed_second_eigenvalue"] == 5.0
+
+
+def test_level3_generating_spectrum_pinned():
+    """Degree 6 generates the level-3 group: connected, so 0 < ratio < 1;
+    pinned to the measured Lanczos value."""
+    rep = spectral_expansion(CayleyMultigraph(default_generators(3, 3, 6, seed=0)))
+    assert rep.method == "lanczos"
+    assert 0 < rep.ratio < 1
+    assert rep.second_eigenvalue == pytest.approx(4.792834875553, abs=1e-9)
+
+
+def test_lanczos_no_convergence_exits_3(monkeypatch, capsys):
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), None)
+
+    monkeypatch.setattr(expander, "eigsh", stalled)
+    assert main(["expander", "spectrum", "--p", "3", "--m", "3", "--degree", "6"]) == 3
+    assert "ConvergenceFailure" in capsys.readouterr().err
 
 
 def test_irregular_graph_rejected():

@@ -408,6 +408,12 @@ def test_cli_exit_codes(tmp_path, capsys, steane_file):
     assert main(["pipeline", "run", "--config", str(bad)]) == 2
     assert "coprimality" in capsys.readouterr().err
     assert main(["report", "--manifest", str(tmp_path / "absent.json")]) == 2
+    # the inner pair is read before the generators are searched for
+    missing = tmp_path / "missing.json"
+    assert main(["code", "build", "--p", "3", "--m", "1", "--delta", "5",
+                 "--inner", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert "MissingArtifact" in err and str(missing) in err
     lin_file = tmp_path / "lin.json"
     main(["csp", "emit", "--code", str(steane_file), "--out", str(lin_file)])
     assert main(
