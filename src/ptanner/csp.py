@@ -36,6 +36,7 @@ from .tanner import (
     CssCode,
     SquareCayleyComplex,
     check_inner_length,
+    check_matrix,
     face_column,
     num_check_rows,
 )
@@ -194,7 +195,8 @@ class TannerConstraintStream:
     Constraint f is `tanner.face_column` of face f on the Z layers with the
     dual inner bases (column f of H_Z, evaluated by group arithmetic from f
     alone) and right-hand side beta[f].  No check matrix is formed, so the
-    cost of one constraint does not grow with the block length.
+    cost of one constraint does not grow with the block length.  `as_instance`
+    reads all of them off `tanner.check_matrix`; the tests compare the two.
     """
 
     def __init__(self, complex_: SquareCayleyComplex, pair: InnerCodePair, beta):
@@ -224,7 +226,9 @@ class TannerConstraintStream:
         return LinConstraint(tuple(checks), tuple(coeffs), int(self.beta[f]))
 
     def as_instance(self, provenance=None) -> LinInstance:
-        cons = [self.constraint(f) for f in range(self.num_constraints)]
+        h_z = check_matrix(self.complex, Z_LAYERS, self._dual_a, self._dual_b, self.p)
+        rhs = self.beta.tolist()
+        cons = [LinConstraint(tuple(v), tuple(c), rhs[f]) for f, (v, c) in enumerate(h_z.T.rows())]
         bound = max((len(c.vars) for c in cons), default=0)
         return LinInstance(
             p=self.p,

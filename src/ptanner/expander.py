@@ -3,8 +3,8 @@
 The vertex group at level m is the kernel of reduction SL2(Z/p^{m+1}) ->
 SL2(Z/p).  Its p^{3m} elements are coordinatized by triples (a, b, c) in
 [0, p^m)^3: the matrix is I + p*[[a, b], [c, d]] with d completed so the
-determinant is 1.  All operations are integer arithmetic on the coordinates,
-so neighbor queries cost poly(m) regardless of the group order.
+determinant is 1.  The group law `_mul` works on the coordinates, as Python ints
+(a neighbor query costs poly(m) at any group order) or as int64 arrays.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -39,6 +39,7 @@ __all__ = [
     "element_from_coords",
     "element_from_matrix",
     "element_from_index",
+    "cayley_table",
     "default_generators",
     "bfs_closure_size",
     "spectral_expansion",
@@ -53,10 +54,22 @@ def group_order(p: int, m: int) -> int:
     return p ** (3 * m)
 
 
+@lru_cache(maxsize=64)  # an exception is not cached, so a bad (p, m) raises every time
 def _check_level(p: int, m: int) -> None:
     PrimeField(p)
     if m < 1:
         raise DomainError(f"level m must be >= 1, got {m}")
+
+
+def _mul(p: int, q: int, x, y):
+    """(a, b, c) of (I + pX)(I + pY) = I + p(X + Y + pXY); ints or int64 arrays."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (
+        (a1 + a2 + p * (a1 * a2 + b1 * c2)) % q,
+        (b1 + b2 + p * (a1 * b2 + b1 * d2)) % q,
+        (c1 + c2 + p * (c1 * a2 + d1 * c2)) % q,
+    )
 
 
 @dataclass(frozen=True)
@@ -69,21 +82,20 @@ class GroupElement:
     b: int
     c: int
 
+    @cached_property
+    def d(self) -> int:
+        p, q = self.p, self.p**self.m
+        return pow(1 + p * self.a, -1, q) * (p * self.b * self.c - self.a) % q
+
     @property
     def coords(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
     @cached_property
     def matrix(self) -> tuple[int, int, int, int]:
-        p, m = self.p, self.m
-        mod = p ** (m + 1)
-        d = (pow(1 + p * self.a, -1, p**m) * (p * self.b * self.c - self.a)) % (p**m)
-        return (
-            (1 + p * self.a) % mod,
-            (p * self.b) % mod,
-            (p * self.c) % mod,
-            (1 + p * d) % mod,
-        )
+        """I + p[[a, b], [c, d]]; with a, b, c, d < p^m no entry reaches p^(m+1)."""
+        p = self.p
+        return (1 + p * self.a, p * self.b, p * self.c, 1 + p * self.d)
 
     @property
     def index(self) -> int:
@@ -93,22 +105,14 @@ class GroupElement:
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if (self.p, self.m) != (other.p, other.m):
             raise GroupMismatch(f"({self.p},{self.m}) * ({other.p},{other.m})")
-        mod = self.p ** (self.m + 1)
-        x, y = self.matrix, other.matrix
-        prod = (
-            (x[0] * y[0] + x[1] * y[2]) % mod,
-            (x[0] * y[1] + x[1] * y[3]) % mod,
-            (x[2] * y[0] + x[3] * y[2]) % mod,
-            (x[2] * y[1] + x[3] * y[3]) % mod,
-        )
-        return element_from_matrix(self.p, self.m, prod)
+        x = (self.a, self.b, self.c, self.d)
+        y = (other.a, other.b, other.c, other.d)
+        return GroupElement(self.p, self.m, *_mul(self.p, self.p**self.m, x, y))
 
     def inv(self) -> "GroupElement":
-        mod = self.p ** (self.m + 1)
-        x = self.matrix
-        return element_from_matrix(
-            self.p, self.m, (x[3] % mod, -x[1] % mod, -x[2] % mod, x[0] % mod)
-        )
+        """(I + pA)^-1 is the adjugate I + p[[d, -b], [-c, a]]."""
+        q = self.p**self.m
+        return GroupElement(self.p, self.m, self.d, -self.b % q, -self.c % q)
 
     def is_identity(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0
@@ -156,6 +160,26 @@ def element_from_index(p: int, m: int, idx: int) -> GroupElement:
     b = (idx // q) % q
     c = idx // (q * q)
     return GroupElement(p, m, a, b, c)
+
+
+def cayley_table(p: int, m: int, elements, side: str) -> np.ndarray:
+    """(len(elements), p^(3m)) int64 table: row j holds the index of s_j * g
+    (side "left") or g * s_j (side "right") for every element index g."""
+    _check_level(p, m)
+    if side not in ("left", "right"):
+        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
+    q = p**m
+    c, b, a = np.unravel_index(np.arange(q**3), (q, q, q))
+    inv = np.array([pow(1 + p * x, -1, q) for x in range(q)], dtype=np.int64)
+    g = (a, b, c, inv[a] * ((p * b * c - a) % q) % q)
+    table = np.empty((len(elements), q**3), dtype=np.int64)
+    for j, s in enumerate(elements):
+        if (s.p, s.m) != (p, m):
+            raise GroupMismatch(f"element of ({s.p},{s.m}) in a table of ({p},{m})")
+        x = (s.a, s.b, s.c, s.d)
+        a2, b2, c2 = _mul(p, q, x, g) if side == "left" else _mul(p, q, g, x)
+        table[j] = a2 + q * (b2 + q * c2)
+    return table
 
 
 @dataclass(frozen=True)
@@ -259,35 +283,26 @@ class CayleyMultigraph:
         g = element_from_index(self.p, self.m, vertex)
         return (self.generators.elements[gen_index] * g).index
 
-    def neighbor_lists(self) -> list[list[int]]:
-        return [
-            [self.neighbor(v, j) for j in range(self.degree)]
-            for v in range(self.num_vertices)
-        ]
+    def neighbor_lists(self) -> np.ndarray:
+        """(num_vertices, degree) table: row v lists generators[j] * v."""
+        return cayley_table(self.p, self.m, self.generators.elements, "left").T
 
     def adjacency(self, budget: int = DENSE_SPECTRUM_BUDGET) -> np.ndarray:
         n = self.num_vertices
         if n > budget:
             raise DomainError(f"{n} vertices exceeds dense adjacency budget {budget}")
-        adj = np.zeros((n, n), dtype=np.int64)
-        np.add.at(adj, (np.arange(n)[:, None], np.array(self.neighbor_lists())), 1)
-        return adj
+        return self.sparse_adjacency().toarray().astype(np.int64)
+
+    def sparse_adjacency(self) -> sparse.csr_matrix:
+        n, deg = self.num_vertices, self.degree
+        cells = (np.repeat(np.arange(n), deg), self.neighbor_lists().ravel())
+        return sparse.csr_matrix((np.ones(n * deg), cells), shape=(n, n))
 
 
 def bfs_closure_size(gens: GeneratorMultiset) -> int:
-    """Size of the subgroup generated, by breadth-first closure."""
-    seen = {identity(gens.p, gens.m).index}
-    frontier = [identity(gens.p, gens.m)]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens.elements:
-                h = s * g
-                if h.index not in seen:
-                    seen.add(h.index)
-                    nxt.append(h)
-        frontier = nxt
-    return len(seen)
+    """Size of the subgroup generated: the identity's component in the Cayley graph."""
+    _, labels = connected_components(CayleyMultigraph(gens).sparse_adjacency(), directed=False)
+    return int(np.count_nonzero(labels == labels[0]))
 
 
 def _direction_tuples(p: int) -> list[tuple[int, int, int]]:
@@ -485,9 +500,7 @@ def spectral_expansion(
     n, deg = graph.num_vertices, graph.degree
     if n <= dense_budget:
         return spectral_from_adjacency(graph.adjacency(dense_budget), deg, tolerance)
-    cols = np.array(graph.neighbor_lists(), dtype=np.int64).ravel()
-    rows = np.repeat(np.arange(n), deg)
-    adj = sparse.csr_matrix((np.ones(n * deg), (rows, cols)), shape=(n, n))
+    adj = graph.sparse_adjacency()
     if connected_components(adj, directed=False, return_labels=False) > 1:
         return _report(n, deg, float(deg), float(deg), "lanczos", tolerance)
     v0 = np.random.default_rng(0).standard_normal(n)

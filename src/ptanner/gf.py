@@ -177,8 +177,8 @@ class FMatrix:
     def rows(self) -> list[tuple[list[int], list[int]]]:
         """Per row: its nonzero column indices, ascending, and their values."""
         ptr = self._csr.indptr.tolist()
-        idx, val = self._csr.indices, self._csr.data
-        return [(idx[a:b].tolist(), val[a:b].tolist()) for a, b in zip(ptr, ptr[1:])]
+        idx, val = self._csr.indices.tolist(), self._csr.data.tolist()
+        return [(idx[a:b], val[a:b]) for a, b in zip(ptr, ptr[1:])]
 
     def nnz(self) -> int:
         return int(self._csr.nnz)

@@ -15,8 +15,9 @@ dual pair.  On a layer pair with inner bases of k_a and k_b rows, check row
 
 is vertex v of the pair's layer layer_no (0 or 1) with basis rows (s, t);
 at face f it holds basis_a[s][r] * basis_b[t][c], where (r, c) is f's cell
-in v's local view.  Only `face_column` evaluates this layout.  The grid
-convention placing a face in a local view is "paired" or "direct"; both
+in v's local view.  `face_column` evaluates this layout one face at a time and
+`check_matrix` all faces at once; the tests check one against the other.  The
+grid convention placing a face in a local view is "paired" or "direct"; both
 satisfy CSS orthogonality, and mixing them does not (see the tests).
 """
 
@@ -29,6 +30,7 @@ from itertools import combinations, product
 from typing import Iterator
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     BudgetExceeded,
@@ -39,6 +41,7 @@ from .errors import (
 from .expander import (
     GeneratorMultiset,
     GroupElement,
+    cayley_table,
     element_from_index,
     group_order,
 )
@@ -103,8 +106,11 @@ class SquareCayleyComplex:
     def num_vertices(self) -> int:
         return 4 * self.group_size
 
-    def face_index(self, g: GroupElement, i: int, j: int) -> int:
-        return (g.index * self.delta + i) * self.delta + j
+    def _check_query(self, layer: str, v: GroupElement) -> None:
+        if layer not in LAYERS:
+            raise DomainError(f"unknown layer {layer!r}")
+        if (v.p, v.m) != (self.p, self.m):
+            raise GroupMismatch(f"vertex of ({v.p},{v.m}) in a complex of ({self.p},{self.m})")
 
     def face_from_index(self, idx: int) -> tuple[GroupElement, int, int]:
         idx = int(idx)
@@ -120,8 +126,7 @@ class SquareCayleyComplex:
     ) -> tuple[GroupElement, int, int]:
         """The vertex of face (g, i, j) on `layer` and the face's (row, col)
         in that vertex's local view: the inverse of `local_view`."""
-        if layer not in LAYERS:
-            raise DomainError(f"unknown layer {layer!r}")
+        self._check_query(layer, g)
         paired = self.convention == "paired"
         v, r, c = g, i, j
         if layer[1] == "1":  # 01 and 11 are reached through a_i on the left
@@ -134,28 +139,22 @@ class SquareCayleyComplex:
 
     def local_view(self, layer: str, v: GroupElement) -> np.ndarray:
         """Grid of the delta^2 face indices incident to vertex (v, layer)."""
-        if layer not in LAYERS:
-            raise DomainError(f"unknown layer {layer!r}")
+        self._check_query(layer, v)
         d = self.delta
-        grid = np.empty((d, d), dtype=np.int64)
         paired = self.convention == "paired"
-        sig_a, sig_b = self.gens_a.pairing, self.gens_b.pairing
-        for r in range(d):
-            for c in range(d):
-                if layer == "00":
-                    g, i, j = v, r, c
-                elif layer == "01":
-                    i = sig_a[r] if paired else r
-                    g, j = self._inv_a[i] * v, c
-                elif layer == "10":
-                    j = sig_b[c] if paired else c
-                    g, i = v * self._inv_b[j], r
-                else:
-                    i = sig_a[r] if paired else r
-                    j = sig_b[c] if paired else c
-                    g = self._inv_a[i] * (v * self._inv_b[j])
-                grid[r, c] = self.face_index(g, i, j)
-        return grid
+        # row r uses a_i and column c uses b_j; the face's g is a_i^-1 v b_j^-1,
+        # each factor only on a layer reached through it (11: d + d^2 products)
+        ii = jj = range(d)
+        ends = [v]
+        if layer[0] == "1":
+            jj = self.gens_b.pairing if paired else jj
+            ends = [v * self._inv_b[j] for j in jj]
+        grid = [ends]
+        if layer[1] == "1":
+            ii = self.gens_a.pairing if paired else ii
+            grid = [[self._inv_a[i] * w for w in ends] for i in ii]
+        g = np.array([[w.index for w in row] for row in grid], dtype=np.int64)
+        return (g * d + np.array(ii)[:, None]) * d + np.array(jj)
 
     def summary(self) -> dict:
         return {
@@ -312,15 +311,29 @@ def face_column(
 
 
 def check_matrix(complex_: SquareCayleyComplex, layers, basis_a, basis_b, p: int) -> FMatrix:
-    """The check matrix on `layers`, assembled from every face column."""
-    rows_a, rows_b = basis_a.tolist(), basis_b.tolist()
-    entries = [
-        (r, f, val)
-        for f in range(complex_.num_faces)
-        for r, val in zip(*face_column(complex_, f, layers, rows_a, rows_b, p))
-    ]
-    n_rows = num_check_rows(complex_, layers, rows_a, rows_b)
-    return FMatrix.from_entries(p, n_rows, complex_.num_faces, entries)
+    """`face_column` of every face at once, the corners read off Cayley tables."""
+    cx, d = complex_, complex_.delta
+    basis_a, basis_b = (np.asarray(x, dtype=np.int64).reshape(-1, d) for x in (basis_a, basis_b))
+    kk = len(basis_a) * len(basis_b)
+    left = cayley_table(cx.p, cx.m, cx.gens_a.elements, "left")  # a_i * g
+    right = cayley_table(cx.p, cx.m, cx.gens_b.elements, "right")  # g * b_j
+    sig_a = np.array(cx.gens_a.pairing if cx.convention == "paired" else range(d))
+    sig_b = np.array(cx.gens_b.pairing if cx.convention == "paired" else range(d))
+    g, i, j = np.unravel_index(np.arange(cx.num_faces), (cx.group_size, d, d))
+    parts = []
+    for layer_no, layer in enumerate(layers):
+        v, r, c = g, i, j  # the vectorized `SquareCayleyComplex.incidence`
+        if layer[1] == "1":
+            v, r = left[i, v], sig_a[i]
+        if layer[0] == "1":
+            v, c = right[j, v], sig_b[j]
+        # val[f, s * kb + t] = basis_a[s][r_f] * basis_b[t][c_f]
+        val = (basis_a.T[r][:, :, None] * basis_b.T[c][:, None, :]).reshape(cx.num_faces, kk) % p
+        f, st = val.nonzero()
+        parts.append((val[f, st], (layer_no * cx.group_size + v[f]) * kk + st, f))
+    data, rows, cols = map(np.concatenate, zip(*parts))
+    n_rows = num_check_rows(cx, layers, basis_a, basis_b)
+    return FMatrix(p, sparse.csr_array((data, (rows, cols)), shape=(n_rows, cx.num_faces)))
 
 
 def build_code(complex_: SquareCayleyComplex, pair: InnerCodePair) -> CssCode:

@@ -165,6 +165,15 @@ def test_stream_matches_for_direct_convention():
         assert stream.constraint(f) == inst.constraints[f]
 
 
+def test_stream_instance_is_the_streamed_constraints(planted_build):
+    cx, pair, code = planted_build
+    beta = np.random.default_rng(1).integers(0, code.p, code.n)
+    stream = TannerConstraintStream(cx, pair, beta)
+    inst = stream.as_instance()
+    assert inst.num_vars == stream.num_vars
+    assert inst.constraints == [stream.constraint(f) for f in range(stream.num_constraints)]
+
+
 def test_stream_is_fast_per_constraint(planted_build):
     cx, pair, code = planted_build
     stream = TannerConstraintStream(cx, pair, np.ones(code.n, dtype=int))

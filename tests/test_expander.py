@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from ptanner import expander
@@ -18,12 +20,15 @@ from ptanner.cli import main
 from ptanner.errors import (
     DomainError,
     GenerationFailure,
+    GroupMismatch,
+    InvalidField,
     NotInKernel,
 )
 from ptanner.expander import (
     CayleyMultigraph,
     GeneratorMultiset,
     bfs_closure_size,
+    cayley_table,
     default_generators,
     element_from_coords,
     element_from_index,
@@ -94,6 +99,62 @@ def test_group_law_matches_matrix_arithmetic():
             assert (x * y) * z == x * (y * z)
             assert x * x.inv() == e
             assert x.inv() * x == e
+
+
+LAW_LEVELS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
+              (2, 30), (3, 30), (5, 30)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(level=st.sampled_from(LAW_LEVELS), data=st.data())
+def test_coordinate_law_matches_matrix_product(level, data):
+    """The coordinate law against the product of the two matrices mod
+    p^(m+1), decoded by element_from_matrix; the coordinate inverse against
+    the adjugate."""
+    p, m = level
+    mod, coord = p ** (m + 1), st.integers(0, p**m - 1)
+    x = element_from_coords(p, m, *data.draw(st.tuples(coord, coord, coord)))
+    y = element_from_coords(p, m, *data.draw(st.tuples(coord, coord, coord)))
+    xm, ym = x.matrix, y.matrix
+    direct = (
+        (xm[0] * ym[0] + xm[1] * ym[2]) % mod,
+        (xm[0] * ym[1] + xm[1] * ym[3]) % mod,
+        (xm[2] * ym[0] + xm[3] * ym[2]) % mod,
+        (xm[2] * ym[1] + xm[3] * ym[3]) % mod,
+    )
+    prod = x * y
+    assert prod == element_from_matrix(p, m, direct)
+    assert prod.matrix == direct
+    adjugate = (xm[3], -xm[1] % mod, -xm[2] % mod, xm[0])
+    assert x.inv() == element_from_matrix(p, m, adjugate)
+    assert x.inv().matrix == adjugate
+
+
+def test_bad_level_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(InvalidField):
+            element_from_index(4, 1, 0)
+        with pytest.raises(DomainError):
+            element_from_coords(3, 0, 1, 0, 0)
+
+
+@pytest.mark.parametrize("p, m, degree", [(2, 1, 4), (3, 1, 7), (2, 2, 5), (3, 2, 6)])
+def test_cayley_table_matches_scalar_products(p, m, degree):
+    gens = default_generators(p, m, degree, require_generation=False)
+    graph = CayleyMultigraph(gens)
+    left = cayley_table(p, m, gens.elements, "left")
+    right = cayley_table(p, m, gens.elements, "right")
+    assert left.shape == right.shape == (degree, group_order(p, m))
+    for v in range(group_order(p, m)):
+        g = element_from_index(p, m, v)
+        for j, s in enumerate(gens.elements):
+            assert left[j, v] == graph.neighbor(v, j) == (s * g).index
+            assert right[j, v] == (g * s).index
+    assert (graph.neighbor_lists() == left.T).all()
+    with pytest.raises(DomainError):
+        cayley_table(p, m, gens.elements, "middle")
+    with pytest.raises(GroupMismatch):
+        cayley_table(p, m + 1, gens.elements, "left")
 
 
 def test_identity_and_index_round_trip():
@@ -185,6 +246,14 @@ def test_neighbor_query_fast_at_huge_level():
     assert elapsed < 0.01
     # generator followed by its inverse returns to the start
     assert graph.neighbor(w, 1) == v
+
+
+def test_huge_level_neighbor_pinned(capsys):
+    argv = ["expander", "neighbor", "--p", "3", "--m", "30", "--degree", "6",
+            "--vertex", "123456789", "--gen", "0"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["neighbor"] == 31355454867693644576439662995
 
 
 def test_graph_json_round_trip():

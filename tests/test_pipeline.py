@@ -36,9 +36,12 @@ from ptanner.pipeline import (
 from ptanner.tanner import (
     DEFAULT_DISTANCE_BUDGET,
     LAYERS,
+    Z_LAYERS,
     CssCode,
     SquareCayleyComplex,
     _exhaustive_side,
+    build_code,
+    face_column,
     steane_code,
 )
 
@@ -569,12 +572,14 @@ def test_level2_code_stage_is_css_orthogonal(level2_run):
     stream = TannerConstraintStream(cx, pair, np.ones(cx.num_faces, dtype=np.int64))
     cols = sparse.csc_array(h_z)
     cols.sort_indices()
-    for f in range(cx.num_faces):
+    streamed = [stream.constraint(f) for f in range(cx.num_faces)]
+    for f, con in enumerate(streamed):
         lo, hi = cols.indptr[f], cols.indptr[f + 1]
-        con = stream.constraint(f)
         assert con.vars == tuple(cols.indices[lo:hi].tolist())
         assert con.coeffs == tuple(cols.data[lo:hi].tolist())
         assert con.rhs == 1
+    # the whole-group instance equals the scalar stream, constraint by constraint
+    assert stream.as_instance().constraints == streamed
 
     # the forward incidence inverts local_view on all four layers
     for layer in LAYERS:
@@ -582,6 +587,35 @@ def test_level2_code_stage_is_css_orthogonal(level2_run):
             v = element_from_index(cx.p, cx.m, gi)
             for (r, c), face in np.ndenumerate(cx.local_view(layer, v)):
                 assert cx.incidence(layer, *cx.face_from_index(face)) == (v, r, c)
+
+
+def test_level3_code_is_planted_and_orthogonal(tmp_path):
+    """Group (3,3), n = 492,075, expander through complex, then the code:
+    both check matrices annihilate the all-ones word, H_X H_Z^T = 0, and
+    every 97th column of H_Z is its face's `face_column`."""
+    config = RunConfig.from_mapping({
+        "field_p": 2, "group": {"p": 3, "m": 3}, "delta": 5, "k_a": 2, "k_b": 3,
+        "rho_target": "1/8", "seed": 7, "stages": ["expander", "inner", "complex"],
+    })
+    run_pipeline(config, out_dir=tmp_path)
+    cx = SquareCayleyComplex.from_json((tmp_path / "complex.json").read_text())
+    pair = InnerCodePair.from_json((tmp_path / "inner_pair.json").read_text())
+    code = build_code(cx, pair)
+    assert code.n == 492075
+    ones = np.ones(code.n, dtype=np.int64)
+    assert not code.h_x.apply(ones).any()
+    assert not code.h_z.apply(ones).any()
+    assert code.css_orthogonal()
+    dual_a, dual_b = pair.code_a.dual().basis.tolist(), pair.code_b.dual().basis.tolist()
+    sample = range(0, code.n, 97)
+    picks = [(f, k, 1) for k, f in enumerate(sample)]
+    pick = gf.FMatrix.from_entries(2, code.n, len(sample), picks)
+    expected = [
+        (r, k, val)
+        for k, f in enumerate(sample)
+        for r, val in zip(*face_column(cx, f, Z_LAYERS, dual_a, dual_b, 2))
+    ]
+    assert code.h_z @ pick == gf.FMatrix.from_entries(2, code.m_z, len(sample), expected)
 
 
 def test_level2_csp_certificate_refutes_ones(level2_run, monkeypatch):

@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptanner.errors import BudgetExceeded, DimensionMismatch, DomainError, GroupMismatch
-from ptanner.expander import default_generators, element_from_index
+from ptanner.expander import (
+    GeneratorMultiset,
+    default_generators,
+    element_from_coords,
+    element_from_index,
+    identity,
+)
 from ptanner.gf import FMatrix, LinearCode, kernel_basis, row_reduce
 from ptanner.inner import InnerCodePair
 from ptanner.jsonio import dumps
@@ -30,6 +36,7 @@ from ptanner.tanner import (
     check_counting_bound,
     check_matrix,
     code_dimension,
+    face_column,
     estimate_distance,
     estimate_ssexp,
     shor_code,
@@ -82,7 +89,7 @@ def test_face_index_round_trip():
     cx = ternary_complex()
     for idx in [0, 1, 42, 242]:
         g, i, j = cx.face_from_index(idx)
-        assert cx.face_index(g, i, j) == idx
+        assert (g.index * cx.delta + i) * cx.delta + j == idx
     with pytest.raises(DomainError):
         cx.face_from_index(243)
 
@@ -173,6 +180,67 @@ def test_mixed_conventions_break_orthogonality():
     assert not mixed.css_orthogonal()
     with pytest.raises(DomainError):
         mixed.validate()
+
+
+def face_column_matrix(cx, layers, basis_a, basis_b, p):
+    """The check matrix assembled one `face_column` at a time: the oracle
+    for the table-driven `check_matrix`."""
+    rows_a, rows_b = basis_a.tolist(), basis_b.tolist()
+    entries = [
+        (r, f, val)
+        for f in range(cx.num_faces)
+        for r, val in zip(*face_column(cx, f, layers, rows_a, rows_b, p))
+    ]
+    n_rows = len(layers) * cx.group_size * len(rows_a) * len(rows_b)
+    return FMatrix.from_entries(p, n_rows, cx.num_faces, entries)
+
+
+def two_axis_complex(p, m, delta, convention):
+    """Distinct left and right multisets, so a swapped axis shows."""
+    gens_a = default_generators(p, m, delta, require_generation=False)
+    g1, g2 = element_from_coords(p, m, 0, 1, 1), element_from_coords(p, m, 1, 1, 0)
+    odd = [identity(p, m)] * (delta % 2)
+    gens_b = GeneratorMultiset.from_elements([g1, g1.inv(), g2, g2.inv()][: delta - delta % 2] + odd)
+    return build_complex(gens_a, gens_b, convention)
+
+
+@pytest.mark.parametrize(
+    "cx, pair",
+    [
+        (two_axis_complex(3, 1, 3, "paired"), planted_pair_gf2()),
+        (two_axis_complex(3, 1, 3, "direct"), planted_pair_gf2()),
+        (two_axis_complex(2, 1, 4, "paired"), planted_pair_gf3_len4()),  # GF(3)
+        (two_axis_complex(2, 1, 4, "direct"), planted_pair_gf3_len4()),
+        (
+            two_axis_complex(3, 2, 5, "paired"),  # nonabelian: left != right
+            InnerCodePair(
+                2, 5,
+                LinearCode(2, 5, [[1, 1, 1, 1, 1], [0, 1, 1, 0, 1]]),
+                LinearCode(2, 5, [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0]]),
+            ),
+        ),
+    ],
+    ids=["level1-paired", "level1-direct", "gf3-paired", "gf3-direct", "level2-paired"],
+)
+def test_check_matrix_matches_face_columns(cx, pair):
+    p, a, b = pair.p, pair.code_a, pair.code_b
+    for layers, basis_a, basis_b in (
+        (X_LAYERS, a.basis, b.basis),
+        (Z_LAYERS, a.dual().basis, b.dual().basis),
+    ):
+        assert check_matrix(cx, layers, basis_a, basis_b, p) == face_column_matrix(
+            cx, layers, basis_a, basis_b, p
+        )
+
+
+def test_foreign_vertex_rejected_on_every_layer():
+    cx = two_axis_complex(3, 2, 5, "paired")
+    foreign = element_from_index(3, 1, 5)
+    for layer in LAYERS:
+        with pytest.raises(GroupMismatch):
+            cx.local_view(layer, foreign)
+        with pytest.raises(GroupMismatch):
+            cx.incidence(layer, foreign, 0, 0)
 
 
 def test_build_code_rejects_length_mismatch():
