@@ -2,10 +2,12 @@
 
 A code with check matrices H_X, H_Z and a word beta in ker(H_X) outside
 rowspace(H_Z) yields the constraint system H_Z^T y = beta: one constraint
-per qubit, one variable per Z check, sparse columns as coefficients.  When
-beta is not a combination of Z checks the system is inconsistent, and a
-kernel word of H_Z meeting beta oddly certifies that by exhibiting a
-vanishing combination of constraints with nonvanishing right-hand side.
+per qubit, one variable per Z check, sparse columns as coefficients.  An
+instance is that one CSR matrix (constraints x variables) and its reduced
+right-hand side, so emission is the transpose of H_Z.  When beta is not a
+combination of Z checks the system is inconsistent, and a kernel word of
+H_Z meeting beta oddly certifies that by exhibiting a vanishing
+combination of constraints with nonvanishing right-hand side.
 
 The module also carries desk-scale satisfiability probes (exact
 enumeration and hill climbing), the level formula for the refutation
@@ -17,9 +19,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     BetaNotAdmissible,
@@ -28,7 +32,7 @@ from .errors import (
     DomainError,
     UnsupportedField,
 )
-from .gf import FMatrix, LinearCode, iter_codewords, solve
+from .gf import FMatrix, LinearCode, PrimeField, as_vector, iter_codewords, solve
 from .inner import InnerCodePair
 from .jsonio import dumps
 from .tanner import (
@@ -50,81 +54,94 @@ class LinConstraint(NamedTuple):
     rhs: int
 
 
-@dataclass
+def _integers(values, what: str) -> np.ndarray:
+    """`values` as an int64 vector; refuses floats, strings, booleans and big ints."""
+    a = np.asarray(values)
+    if a.ndim != 1 or (a.size and a.dtype.kind != "i"):
+        raise DomainError(f"{what} must be integers within int64")
+    return a.astype(np.int64)
+
+
+def _refuse(mask: np.ndarray, index: np.ndarray, message: str) -> None:
+    if mask.any():
+        raise DomainError(f"constraint {index[np.argmax(mask)]}: {message}")
+
+
+@dataclass(eq=False)
 class LinInstance:
-    p: int
-    num_vars: int
-    constraints: list[LinConstraint]
+    """The system matrix y = rhs over GF(p): one CSR row per constraint and
+    one column per variable, with rhs reduced mod p."""
+
+    matrix: FMatrix
+    rhs: np.ndarray
     arity_bound: int
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for idx, con in enumerate(self.constraints):
-            if len(con.vars) != len(con.coeffs):
-                raise DomainError(f"constraint {idx}: vars/coeffs length mismatch")
-            if len(con.vars) > self.arity_bound:
-                raise DomainError(
-                    f"constraint {idx}: arity {len(con.vars)} exceeds bound "
-                    f"{self.arity_bound}"
-                )
-            if len(set(con.vars)) != len(con.vars):
-                raise DomainError(f"constraint {idx}: repeated variable")
-            for v in con.vars:
-                if not 0 <= v < self.num_vars:
-                    raise DomainError(f"constraint {idx}: variable {v} out of range")
-            for c in con.coeffs:
-                if c % self.p == 0:
-                    raise DomainError(f"constraint {idx}: zero coefficient stored")
+        self.rhs = as_vector(self.p, self.rhs)
+        if self.rhs.shape != (self.num_constraints,):
+            raise DomainError(f"{len(self.rhs)} right-hand sides, {self.num_constraints} rows")
+
+    @property
+    def p(self) -> int:
+        return self.matrix.p
+
+    @property
+    def num_vars(self) -> int:
+        return self.matrix.shape[1]
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return self.matrix.shape[0]
 
-    def to_fmatrix(self) -> FMatrix:
-        """The coefficients as one CSR matrix, constraints x variables."""
-        entries = [
-            (i, v, c)
-            for i, con in enumerate(self.constraints)
-            for v, c in zip(con.vars, con.coeffs)
-        ]
-        return FMatrix.from_entries(self.p, self.num_constraints, self.num_vars, entries)
+    @property
+    def constraints(self) -> list[LinConstraint]:
+        """The rows as sparse equations, built on each call."""
+        rows, rhs = self.matrix.rows(), self.rhs.tolist()
+        return [LinConstraint(tuple(v), tuple(c), r) for (v, c), r in zip(rows, rhs)]
 
     def coefficient_matrix(self) -> np.ndarray:
-        """Dense int64 view, for tests and benchmarks; the solvers use to_fmatrix."""
-        a = np.zeros((self.num_constraints, self.num_vars), dtype=np.int64)
-        for i, con in enumerate(self.constraints):
-            for v, c in zip(con.vars, con.coeffs):
-                a[i, v] = c
-        return a
+        """Dense int64 view, for tests and benchmarks."""
+        return self.matrix.toarray()
 
     def rhs_vector(self) -> np.ndarray:
-        return np.array([con.rhs for con in self.constraints], dtype=np.int64)
+        return self.rhs.copy()
 
     def to_doc(self) -> dict:
+        rows, rhs = self.matrix.rows(), self.rhs.tolist()
         return {
             "p": self.p,
             "m": self.num_vars,
             "arity_bound": self.arity_bound,
-            "constraints": [
-                {"vars": c.vars, "coeffs": c.coeffs, "rhs": c.rhs}
-                for c in self.constraints
-            ],
+            "constraints": [{"vars": v, "coeffs": c, "rhs": r} for (v, c), r in zip(rows, rhs)],
             "provenance": self.provenance,
         }
 
     @classmethod
     def from_doc(cls, doc: dict) -> "LinInstance":
-        cons = [
-            LinConstraint(tuple(c["vars"]), tuple(c["coeffs"]), int(c["rhs"]))
-            for c in doc["constraints"]
-        ]
-        return cls(
-            p=int(doc["p"]),
-            num_vars=int(doc["m"]),
-            constraints=cons,
-            arity_bound=int(doc["arity_bound"]),
-            provenance=doc.get("provenance", {}),
-        )
+        """Read a document from outside the program: per constraint, vars and
+        coeffs of one length up to `arity_bound`, distinct vars in range and
+        coeffs nonzero mod p.  Vars come out sorted and values reduced."""
+        p, m, bound = _integers([doc["p"], doc["m"], doc["arity_bound"]], "p, m, arity_bound")
+        PrimeField(int(p))  # before the checks below reduce mod p
+        cons = doc["constraints"]
+        var_lists = [c["vars"] for c in cons]
+        coeff_lists = [c["coeffs"] for c in cons]
+        arity = np.array([len(v) for v in var_lists], dtype=np.int64)
+        index = np.arange(len(cons))
+        _refuse(arity != [len(c) for c in coeff_lists], index, "vars/coeffs length mismatch")
+        _refuse(arity > bound, index, f"arity exceeds bound {bound}")
+        rows = np.repeat(index, arity)
+        vars_ = _integers(list(chain.from_iterable(var_lists)), "vars")
+        coeffs = _integers(list(chain.from_iterable(coeff_lists)), "coeffs")
+        order = np.lexsort((vars_, rows))
+        rows, vars_, coeffs = rows[order], vars_[order], coeffs[order]
+        _refuse((rows[1:] == rows[:-1]) & (vars_[1:] == vars_[:-1]), rows, "repeated variable")
+        _refuse((vars_ < 0) | (vars_ >= m), rows, "variable out of range")
+        _refuse(coeffs % p == 0, rows, "zero coefficient stored")
+        matrix = FMatrix(int(p), sparse.csr_array((coeffs, (rows, vars_)), shape=(len(cons), m)))
+        rhs = _integers([c["rhs"] for c in cons], "rhs")
+        return cls(matrix, rhs, int(bound), doc.get("provenance", {}))
 
     def to_json(self) -> str:
         return dumps(self)
@@ -134,30 +151,10 @@ class LinInstance:
         return cls.from_doc(json.loads(text))
 
     @classmethod
-    def from_dense(cls, p: int, coeffs: np.ndarray, rhs, provenance=None) -> "LinInstance":
+    def from_dense(cls, p: int, coeffs, rhs, provenance=None) -> "LinInstance":
         """Build an instance from a dense (constraints x vars) system."""
-        a = np.asarray(coeffs, dtype=np.int64) % p
-        b = np.asarray(rhs, dtype=np.int64) % p
-        if a.ndim != 2 or b.shape != (a.shape[0],):
-            raise DomainError("coefficient matrix and rhs shapes disagree")
-        cons = []
-        for i in range(a.shape[0]):
-            nz = np.nonzero(a[i])[0]
-            cons.append(
-                LinConstraint(
-                    tuple(int(v) for v in nz),
-                    tuple(int(a[i, v]) for v in nz),
-                    int(b[i]),
-                )
-            )
-        bound = max((len(c.vars) for c in cons), default=0)
-        return cls(
-            p=p,
-            num_vars=a.shape[1],
-            constraints=cons,
-            arity_bound=bound,
-            provenance=provenance or {},
-        )
+        matrix = FMatrix.from_dense(p, coeffs)
+        return cls(matrix, rhs, matrix.max_row_weight(), provenance or {})
 
 
 def emit_lin_instance(code: CssCode, beta) -> LinInstance:
@@ -175,18 +172,8 @@ def emit_lin_instance(code: CssCode, beta) -> LinInstance:
         raise BetaNotAdmissible("beta is not annihilated by the X checks")
     if code.rowspace_z.contains(b):
         raise BetaNotAdmissible("beta lies in the Z-check rowspace")
-    cons = [
-        LinConstraint(tuple(checks), tuple(coeffs), int(b_i))
-        for (checks, coeffs), b_i in zip(code.h_z.T.rows(), b)
-    ]
     beta_kind = "ones" if (b == b[0]).all() and b[0] == 1 else "custom"
-    return LinInstance(
-        p=p,
-        num_vars=code.m_z,
-        constraints=cons,
-        arity_bound=code.locality,
-        provenance={"code": code.provenance, "beta": beta_kind},
-    )
+    return LinInstance(code.h_z.T, b, code.locality, {"code": code.provenance, "beta": beta_kind})
 
 
 class TannerConstraintStream:
@@ -227,16 +214,8 @@ class TannerConstraintStream:
 
     def as_instance(self, provenance=None) -> LinInstance:
         h_z = check_matrix(self.complex, Z_LAYERS, self._dual_a, self._dual_b, self.p)
-        rhs = self.beta.tolist()
-        cons = [LinConstraint(tuple(v), tuple(c), rhs[f]) for f, (v, c) in enumerate(h_z.T.rows())]
-        bound = max((len(c.vars) for c in cons), default=0)
-        return LinInstance(
-            p=self.p,
-            num_vars=self.num_vars,
-            constraints=cons,
-            arity_bound=bound,
-            provenance=provenance or {"kind": "tanner-stream"},
-        )
+        bound = h_z.max_col_weight()
+        return LinInstance(h_z.T, self.beta, bound, provenance or {"kind": "tanner-stream"})
 
 
 @dataclass
@@ -258,19 +237,17 @@ def certify_unsat(
     `kernel_basis(A^T)` meeting b, read off the residual of b.
     """
     p, nc = instance.p, instance.num_constraints
-    b = instance.rhs_vector() % p
+    a, b = instance.matrix, instance.rhs
     if column_space is None:
-        column_space = LinearCode(p, nc, instance.to_fmatrix().T)
+        column_space = LinearCode(p, nc, a.T)
     elif (column_space.p, column_space.n) != (p, nc):
         raise DimensionMismatch(
             f"column space in GF({column_space.p})^{column_space.n}, not GF({p})^{nc}"
         )
     u = column_space.dual_witness(b)
     if u is None:
-        y = solve(instance.to_fmatrix(), b)
-        return UnsatReport(
-            consistent=True, assignment=[int(v) for v in y], certificate=None
-        )
+        y = solve(a, b)
+        return UnsatReport(consistent=True, assignment=[int(v) for v in y], certificate=None)
     cert = [(int(i), int(u[i])) for i in np.flatnonzero(u)]
     return UnsatReport(consistent=False, assignment=None, certificate=cert)
 
@@ -305,8 +282,7 @@ def max_sat(
     if mode == "local-search" and restarts < 1:
         raise DomainError(f"local search needs restarts >= 1, got {restarts}")
     p, m, nc = instance.p, instance.num_vars, instance.num_constraints
-    a = instance.to_fmatrix()
-    b = instance.rhs_vector() % p
+    a, b = instance.matrix, instance.rhs
 
     if mode == "exact":
         total = p**m
@@ -400,16 +376,6 @@ class XorInstance:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def to_lin_instance(self) -> LinInstance:
-        cons = [LinConstraint(cl.vars, (1,) * len(cl.vars), cl.parity) for cl in self.clauses]
-        return LinInstance(
-            p=2,
-            num_vars=self.num_vars,
-            constraints=cons,
-            arity_bound=3,
-            provenance={"kind": "3xor"},
-        )
-
     def to_text(self) -> str:
         """DIMACS-flavored dump: 1-indexed variables, parity last."""
         lines = [f"p xor {self.num_vars} {self.num_clauses}"]
@@ -420,21 +386,18 @@ class XorInstance:
 
     @classmethod
     def from_text(cls, text: str) -> "XorInstance":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("p xor"):
-            raise DomainError("missing 'p xor' header")
-        _, _, nv, nc = lines[0].split()
-        clauses = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if parts[0] != "x":
-                raise DomainError(f"unexpected line {ln!r}")
-            *vars_, parity = parts[1:]
-            clauses.append(
-                XorClause(tuple(int(v) - 1 for v in vars_), int(parity))
-            )
-        inst = cls(num_vars=int(nv), clauses=clauses)
-        if inst.num_clauses != int(nc):
+        """Parse `to_text` output; any other text raises DomainError."""
+        lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+        try:
+            (p, kind, nv, nc), *body = lines
+            if (p, kind) != ("p", "xor") or any(ln[0] != "x" for ln in body):
+                raise ValueError("not a 'p xor' header followed by 'x' lines")
+            nv, nc = int(nv), int(nc)
+            clauses = [XorClause(tuple(int(v) - 1 for v in vs), int(b)) for _, *vs, b in body]
+        except ValueError as exc:
+            raise DomainError(f"malformed 3-XOR text: {exc}") from None
+        inst = cls(num_vars=nv, clauses=clauses)
+        if inst.num_clauses != nc:
             raise DomainError("clause count disagrees with header")
         return inst
 
@@ -452,9 +415,7 @@ def reduce_to_3xor(instance: LinInstance) -> XorInstance:
         raise UnsupportedField(f"3-XOR reduction requires GF(2), got GF({instance.p})")
     next_var = instance.num_vars
     clauses: list[XorClause] = []
-    for con in instance.constraints:
-        vs = con.vars
-        b = con.rhs % 2
+    for (vs, _), b in zip(instance.matrix.rows(), instance.rhs.tolist()):
         w = len(vs)
         if w <= 3:
             clauses.append(XorClause(tuple(vs), b))

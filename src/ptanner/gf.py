@@ -48,8 +48,9 @@ DEFAULT_ENUMERATION_BUDGET = 2**24
 _ENUM_CHUNK = 1 << 14
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+def _supported_prime(p: int) -> bool:
+    """A prime up to 2^16; the limit is tested before any trial division."""
+    if not 2 <= p <= 2**16:
         return False
     if p < 4:
         return True
@@ -70,10 +71,8 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not _is_prime(self.p):
-            raise InvalidField(f"modulus {self.p!r} is not prime")
-        if self.p > 2**16:
-            raise InvalidField(f"modulus {self.p} exceeds the 2^16 limit")
+        if not isinstance(self.p, int) or not _supported_prime(self.p):
+            raise InvalidField(f"modulus {self.p!r} is not a prime up to 2^16")
 
     def inv(self, a: int) -> int:
         a %= self.p

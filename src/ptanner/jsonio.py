@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, MissingArtifact
+from .errors import DomainError, MissingArtifact, PreconditionError
 
 
 def _encode(obj):
@@ -43,15 +43,15 @@ def read_artifact(path, parse, what: str = "file"):
 
     A missing file raises MissingArtifact; malformed JSON, or a parse that
     fails with ValueError, KeyError, TypeError, IndexError or OverflowError
-    (a missing key, a wrongly shaped value, an integer past int64), raises
-    DomainError.  Both name the file.
+    (a missing key, a wrongly shaped value, an integer past int64) or with a
+    precondition error of its own, raises DomainError.  Both name the file.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingArtifact(f"{what} not found: {path}")
     try:
         return parse(json.loads(path.read_text()))
-    except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, OverflowError, PreconditionError) as exc:
         raise DomainError(
             f"malformed {what} {path}: {type(exc).__name__}: {exc}"
         ) from exc

@@ -28,7 +28,7 @@ from .expander import (
     group_order,
     spectral_expansion,
 )
-from .gf import _is_prime
+from .gf import _supported_prime
 from .inner import search_inner_pair
 from .jsonio import dumps, read_artifact
 from .tanner import (
@@ -169,8 +169,8 @@ class RunConfig:
         except jsonschema.ValidationError as exc:
             raise DomainError(f"config schema violation: {exc.message}") from None
         for name, value in (("field_p", doc["field_p"]), ("group p", doc["group"]["p"])):
-            if not _is_prime(value):
-                raise DomainError(f"{name} must be prime, got {value}")
+            if not _supported_prime(value):
+                raise DomainError(f"{name} must be a prime up to 2^16, got {value}")
         if max(doc["k_a"], doc["k_b"]) > doc["delta"]:
             raise DomainError("inner dimensions cannot exceed delta")
         unknown = set(doc.get("budgets", {})) - set(DEFAULT_BUDGETS)

@@ -493,7 +493,9 @@ def test_criterion_10_three_xor_reduction_corpus():
         if m + dummies > 16:
             continue
         checked += 1
-        instance = LinInstance(2, m, constraints, arity_bound=max(m, 1))
+        doc = {"p": 2, "m": m, "arity_bound": max(m, 1),
+               "constraints": [c._asdict() for c in constraints]}
+        instance = LinInstance.from_doc(doc)
         xor = reduce_to_3xor(instance)
         assert all(len(cl.vars) <= 3 for cl in xor.clauses)
         reduced = [(cl.vars, (1,) * len(cl.vars), cl.parity) for cl in xor.clauses]

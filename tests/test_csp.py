@@ -124,17 +124,104 @@ def test_lin_instance_json_round_trip(steane):
     assert again.arity_bound == inst.arity_bound
 
 
+def lin_doc(p, m, constraints, arity_bound):
+    """An instance document holding `constraints` as written."""
+    return {
+        "p": p,
+        "m": m,
+        "arity_bound": arity_bound,
+        "constraints": [c._asdict() for c in constraints],
+    }
+
+
 def test_lin_instance_validation():
     with pytest.raises(DomainError):
-        LinInstance(2, 2, [LinConstraint((0, 1), (1,), 0)], 3)
+        LinInstance.from_doc(lin_doc(2, 2, [LinConstraint((0, 1), (1,), 0)], 3))
     with pytest.raises(DomainError):
-        LinInstance(2, 2, [LinConstraint((0, 1), (1, 1), 0)], 1)
+        LinInstance.from_doc(lin_doc(2, 2, [LinConstraint((0, 1), (1, 1), 0)], 1))
     with pytest.raises(DomainError):
-        LinInstance(2, 2, [LinConstraint((0, 0), (1, 1), 0)], 3)
+        LinInstance.from_doc(lin_doc(2, 2, [LinConstraint((0, 0), (1, 1), 0)], 3))
     with pytest.raises(DomainError):
-        LinInstance(2, 2, [LinConstraint((0, 5), (1, 1), 0)], 3)
+        LinInstance.from_doc(lin_doc(2, 2, [LinConstraint((0, 5), (1, 1), 0)], 3))
     with pytest.raises(DomainError):
-        LinInstance(2, 2, [LinConstraint((0, 1), (1, 2), 0)], 3)
+        LinInstance.from_doc(lin_doc(2, 2, [LinConstraint((0, 1), (1, 2), 0)], 3))
+    # values that are not int64 integers are refused, not truncated
+    for bad in (
+        LinConstraint((0.5, 1), (1, 1), 0),
+        LinConstraint((0, 1), (1, 1.0), 0),
+        LinConstraint((0, 1), (1, 1), "1"),
+        LinConstraint((0, 2**70), (1, 1), 0),
+    ):
+        with pytest.raises(DomainError):
+            LinInstance.from_doc(lin_doc(2, 2, [bad], 3))
+    with pytest.raises(DomainError):
+        LinInstance.from_doc(lin_doc(2, 10**30, [LinConstraint((0, 1), (1, 1), 0)], 3))
+
+
+def loop_constraints(doc):
+    """Oracle for `from_doc`: each constraint sorted by variable, values
+    reduced mod p."""
+    p, out = doc["p"], []
+    for con in doc["constraints"]:
+        pairs = sorted(zip(con["vars"], con["coeffs"]))
+        out.append(LinConstraint(
+            tuple(v for v, _ in pairs), tuple(c % p for _, c in pairs), con["rhs"] % p
+        ))
+    return out
+
+
+@st.composite
+def instance_docs(draw):
+    """Instance documents with unsorted vars and unreduced coefficients and
+    right-hand sides, as a file written elsewhere may hold them."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(0, 6))
+    cons = []
+    for _ in range(draw(st.integers(0, 6))):
+        vars_ = draw(st.lists(st.integers(0, max(m - 1, 0)), unique=True, max_size=m))
+        coeffs = [draw(st.integers(1, p - 1)) + p * draw(st.integers(-2, 2)) for _ in vars_]
+        cons.append({"vars": vars_, "coeffs": coeffs, "rhs": draw(st.integers(-9, 9))})
+    bound = max((len(c["vars"]) for c in cons), default=0) + draw(st.integers(0, 2))
+    return {"p": p, "m": m, "arity_bound": bound, "constraints": cons, "provenance": {"t": 1}}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(instance_docs(), st.data())
+def test_from_doc_matches_loop_oracle(doc, data):
+    inst = LinInstance.from_doc(doc)
+    assert (inst.p, inst.num_vars, inst.arity_bound) == (doc["p"], doc["m"], doc["arity_bound"])
+    assert inst.constraints == loop_constraints(doc)
+    text = dumps(inst)
+    assert dumps(LinInstance.from_doc(json.loads(text))) == text
+    canonical = dict(doc, constraints=[c._asdict() for c in loop_constraints(doc)])
+    assert dumps(LinInstance.from_doc(json.loads(dumps(canonical)))) == dumps(canonical)
+
+    # each invalid form, planted in one nonempty constraint
+    nonempty = [i for i, c in enumerate(doc["constraints"]) if c["vars"]]
+    if not nonempty:
+        return
+    i = data.draw(st.sampled_from(nonempty))
+    k = data.draw(st.integers(0, len(doc["constraints"][i]["vars"]) - 1))
+    arity = len(doc["constraints"][i]["vars"])
+
+    def planted(change, **top):
+        bad = json.loads(json.dumps(dict(doc, **top)))
+        change(bad["constraints"][i])
+        return bad
+
+    def set_at(key, value):
+        return lambda con: con[key].__setitem__(k, value)
+
+    for bad in (
+        planted(lambda con: con["coeffs"].append(1), arity_bound=arity + 1),
+        planted(lambda con: None, arity_bound=arity - 1),
+        planted(lambda con: (con["vars"].append(con["vars"][k]), con["coeffs"].append(1)),
+                arity_bound=arity + 1),
+        planted(set_at("vars", data.draw(st.sampled_from([-1, doc["m"], doc["m"] + 3])))),
+        planted(set_at("coeffs", doc["p"] * data.draw(st.integers(-2, 2)))),
+    ):
+        with pytest.raises(DomainError):
+            LinInstance.from_doc(bad)
 
 
 # ------------------------------------------------- streaming accessor
@@ -367,7 +454,7 @@ def test_local_search_matches_loop_hill_climb(p, m, nc, seed, restarts, max_step
         LinConstraint(tuple(np.flatnonzero(row).tolist()), tuple(row[row != 0].tolist()), int(r))
         for row, r in zip(coeffs, rhs)
     ]
-    inst = LinInstance(p=p, num_vars=m, constraints=cons, arity_bound=max(m, 1))
+    inst = LinInstance.from_doc(lin_doc(p, m, cons, max(m, 1)))
     report = max_sat(inst, mode="local-search", seed=seed, restarts=restarts, max_steps=max_steps)
     assert (report.best_satisfied, report.assignment) == loop_hill_climb(
         inst, seed, restarts, max_steps
@@ -443,7 +530,7 @@ def test_reduce_corpus_preserves_perfect_satisfiability():
             dummies += max(0, w - 2)
         if m + dummies > 16:
             continue
-        inst = LinInstance(2, m, constraints, arity_bound=max(m, 1))
+        inst = LinInstance.from_doc(lin_doc(2, m, constraints, max(m, 1)))
         xor = reduce_to_3xor(inst)
         assert xor.num_clauses >= inst.num_constraints
         assert all(len(cl.vars) <= 3 for cl in xor.clauses)
@@ -467,18 +554,14 @@ def test_xor_text_round_trip(steane):
     again = XorInstance.from_text(text)
     assert again.num_vars == xor.num_vars
     assert again.clauses == xor.clauses
-    with pytest.raises(DomainError):
-        XorInstance.from_text("c not a header\n")
-
-
-def test_xor_to_lin_instance_round_trip():
-    xor = XorInstance(4, [XorClause((0, 1, 3), 1), XorClause((2,), 0)])
-    lin = xor.to_lin_instance()
-    assert lin.p == 2
-    assert lin.num_vars == 4
-    report = max_sat(lin, mode="exact")
-    assert report.best_fraction == 1.0
-    assert json.loads(dumps(xor))["num_vars"] == 4
+    assert json.loads(dumps(xor))["num_vars"] == xor.num_vars
+    four = XorInstance(4, [XorClause((0, 1, 3), 1), XorClause((2,), 0)])
+    assert json.loads(dumps(four))["num_vars"] == 4
+    assert XorInstance.from_text(four.to_text()) == four
+    for bad in ("c not a header\n", "", "p xor 3\n", "p xor 3 1\nx\n", "p xor 3 1\nx 1 a\n",
+                "p xor 3 1\ny 1 0\n", "p cnf 3 0\n", "p xor 3 2\nx 1 0\n"):
+        with pytest.raises(DomainError):
+            XorInstance.from_text(bad)
 
 
 def test_xor_validation():

@@ -8,6 +8,7 @@ them exactly.
 import json
 import math
 import random
+import time
 from itertools import product
 
 import numpy as np
@@ -61,6 +62,15 @@ def test_prime_field_rejects_composites():
             PrimeField(bad)
     PrimeField(2)
     PrimeField(65521)  # largest prime below 2^16
+
+
+def test_prime_field_refuses_huge_prime_quickly():
+    """The 2^16 limit is tested before trial division, which would take
+    minutes on the Mersenne prime 2^61 - 1."""
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidField, match="prime up to 2\\^16"):
+        PrimeField(2**61 - 1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_prime_field_inverse():

@@ -9,6 +9,7 @@ import collections
 import hashlib
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,18 @@ def test_config_parses_flagship():
     assert config.n == 27 * 25 == 675
     assert config.rho_target.numerator == 1
     assert config.budget("inner_candidates") == DEFAULT_BUDGETS["inner_candidates"]
+
+
+def test_config_refuses_huge_prime_quickly():
+    """The 2^16 limit is tested before trial division, which would take
+    minutes on a 61-bit prime."""
+    for field_p, group_p in ((2**61 - 1, 3), (2, 2**61 - 1)):
+        doc = {"field_p": field_p, "group": {"p": group_p, "m": 1}, "delta": 5,
+               "k_a": 2, "k_b": 3}
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="prime up to 2\\^16"):
+            RunConfig.from_mapping(doc)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_config_coprimality_precheck():
@@ -191,11 +204,15 @@ FLAGSHIP_DOC = {
 def test_flagship_estimators_are_pinned(tmp_path):
     """Group (3,1), delta 5, GF(2), k = (2,3), seed 7, all stages: the
     distance and ssexp artifacts keep the hashes they had on the dense
-    elimination."""
+    elimination; the CSP artifacts are pinned too, so the instance type
+    cannot move their bytes."""
     run_pipeline(RunConfig.from_mapping(FLAGSHIP_DOC), out_dir=tmp_path)
     pinned = {
         "distance.json": "ae52b995366f18ddef48e23ba137b9a002d0ebcde3a7b6494bac1e696180c9ad",
         "ssexp_curve.json": "16a28d7e5c18afe6d5f52976db27541d2161bc0643bbcf37e6a9c2d9277d9914",
+        "csp_instance.json": "9bf9fa73e42eb7bb0cf91968ced1dd206b003261a5db25e7d5d19ca844dd7231",
+        "csp_unsat.json": "3fcfe87344161655d87f4fac363897202f688a6fc4c1360128ad89a22af148f0",
+        "csp_instance.xor": "73782bc1fb951d1490d92a98099b2ae2aa4d24ddbd7a637129d01e281a847da9",
     }
     for name, digest in pinned.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
@@ -431,6 +448,16 @@ HUGE_ENTRY_CODE = json.dumps({
 })
 
 
+def _instance_text(**change):
+    """A two-variable instance document with `change` applied to its one
+    constraint, or to the document for keys p, m and arity_bound."""
+    con = {"vars": [0, 1], "coeffs": [1, 1], "rhs": 1}
+    doc = {"p": 2, "m": 2, "arity_bound": 2, "constraints": [con]}
+    for key, value in change.items():
+        (doc if key in doc else con)[key] = value
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "argv, content",
     [
@@ -444,6 +471,14 @@ HUGE_ENTRY_CODE = json.dumps({
           "--allow-nongenerating", "--inner", "{bad}"], "[]"),
         (["csp", "emit", "--code", "{steane}", "--beta", "{bad}"], '{"b": 1}'),
         (["nlts", "spread", "--code", "{steane}", "--state", "{bad}"], "[[1]]"),
+        (["csp", "unsat", "--instance", "{bad}"], _instance_text(m=10**30)),
+        (["csp", "maxsat", "--instance", "{bad}"], _instance_text(m=10**30)),
+        (["csp", "unsat", "--instance", "{bad}"], _instance_text(vars=[0.5, 1])),
+        (["csp", "maxsat", "--instance", "{bad}"], _instance_text(vars=[0.5, 1])),
+        (["csp", "unsat", "--instance", "{bad}"], _instance_text(coeffs=[1, 1.5])),
+        (["csp", "unsat", "--instance", "{bad}"], _instance_text(rhs=0.5)),
+        (["csp", "reduce3", "--instance", "{bad}"], _instance_text(rhs="1")),
+        (["csp", "unsat", "--instance", "{bad}"], _instance_text(p=2**61 - 1)),
     ],
 )
 def test_cli_malformed_artifact_exits_2(tmp_path, capsys, steane_file, argv, content):
@@ -616,6 +651,18 @@ def test_level3_code_is_planted_and_orthogonal(tmp_path):
         for r, val in zip(*face_column(cx, f, Z_LAYERS, dual_a, dual_b, 2))
     ]
     assert code.h_z @ pick == gf.FMatrix.from_entries(2, code.m_z, len(sample), expected)
+
+
+def test_level2_csp_artifacts_are_pinned(level2_run):
+    """The level-2 instance and its 3-XOR text are pinned, so the instance
+    type cannot move their bytes."""
+    _, out = level2_run
+    pinned = {
+        "csp_instance.json": "42364907c411faa93d10c91c5063b7715b95dc2f8e2460ec0451da36fda7628b",
+        "csp_instance.xor": "042a2e7db131b4b702928832bacae90de50ddaf8e0289f09d3f17d582a9da64e",
+    }
+    for name, digest in pinned.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_level2_csp_certificate_refutes_ones(level2_run, monkeypatch):
