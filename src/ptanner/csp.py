@@ -54,12 +54,15 @@ class LinConstraint(NamedTuple):
     rhs: int
 
 
-def _integers(values, what: str) -> np.ndarray:
-    """`values` as an int64 vector; refuses floats, strings, booleans and big ints."""
-    a = np.asarray(values)
-    if a.ndim != 1 or (a.size and a.dtype.kind != "i"):
-        raise DomainError(f"{what} must be integers within int64")
-    return a.astype(np.int64)
+def _integers(values: list, what: str) -> np.ndarray:
+    """A list of Python ints as an int64 vector; refuses floats, strings,
+    booleans (numpy would read True mixed with ints as 1) and big ints."""
+    try:
+        if set(map(type, values)) <= {int}:
+            return np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:
+        pass
+    raise DomainError(f"{what} must be integers within int64")
 
 
 def _refuse(mask: np.ndarray, index: np.ndarray, message: str) -> None:
@@ -355,22 +358,50 @@ class XorClause(NamedTuple):
     parity: int
 
 
+def _clause_error(idx: int, cl: XorClause, num_vars: int) -> str | None:
+    """What is wrong with clause idx, or None when it is well formed."""
+    if len(cl.vars) > 3:
+        return f"clause {idx} has arity {len(cl.vars)} > 3"
+    if len(set(cl.vars)) != len(cl.vars):
+        return f"clause {idx} repeats a variable"
+    for v in cl.vars:
+        if not 0 <= v < num_vars:
+            return f"clause {idx}: variable {v} out of range"
+    if cl.parity not in (0, 1):
+        return f"clause {idx}: parity must be 0 or 1"
+    return None
+
+
 @dataclass
 class XorInstance:
     num_vars: int
     clauses: list[XorClause]
 
     def __post_init__(self):
-        for idx, cl in enumerate(self.clauses):
-            if len(cl.vars) > 3:
-                raise DomainError(f"clause {idx} has arity {len(cl.vars)} > 3")
-            if len(set(cl.vars)) != len(cl.vars):
-                raise DomainError(f"clause {idx} repeats a variable")
-            for v in cl.vars:
-                if not 0 <= v < self.num_vars:
-                    raise DomainError(f"clause {idx}: variable {v} out of range")
-            if cl.parity not in (0, 1):
-                raise DomainError(f"clause {idx}: parity must be 0 or 1")
+        try:
+            bad = np.flatnonzero(self._invalid())
+        except OverflowError:  # a value beyond int64: look clause by clause
+            bad = [i for i, cl in enumerate(self.clauses) if _clause_error(i, cl, self.num_vars)]
+        if len(bad):
+            idx = int(bad[0])
+            raise DomainError(_clause_error(idx, self.clauses[idx], self.num_vars))
+
+    def _invalid(self) -> np.ndarray:
+        """Per clause, whether `_clause_error` finds a fault, on arrays."""
+        if not self.clauses:
+            return np.zeros(0, dtype=bool)
+        var_lists, parities = zip(*self.clauses)
+        arity = np.fromiter(map(len, var_lists), dtype=np.int64, count=len(var_lists))
+        owner = np.repeat(np.arange(arity.size), arity)
+        vars_ = np.fromiter(chain.from_iterable(var_lists), dtype=np.int64, count=owner.size)
+        parity = np.fromiter(parities, dtype=np.int64, count=arity.size)
+        bad = (arity > 3) | ((parity != 0) & (parity != 1))
+        bad[owner[(vars_ < 0) | (vars_ >= self.num_vars)]] = True
+        start = np.cumsum(arity) - arity
+        for i, j in ((0, 1), (0, 2), (1, 2)):  # a longer clause is bad already
+            has = np.flatnonzero(arity > j)
+            bad[has[vars_[start[has] + i] == vars_[start[has] + j]]] = True
+        return bad
 
     @property
     def num_clauses(self) -> int:

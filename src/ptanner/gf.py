@@ -3,7 +3,9 @@
 Everything here is integer arithmetic mod p; no floating point is used
 anywhere.  Matrices carry their modulus and are stored sparse (CSR).
 Elimination over GF(2) runs on rows bit-packed into uint64 words, packed
-straight from the CSR indices; odd p eliminates a dense int64 copy.
+straight from the CSR indices; odd p eliminates a dense int64 copy.  A
+stack of GF(2) matrices of full row rank, such as one basis under many
+column permutations, is eliminated in one pass over the columns.
 
 A subspace is a `LinearCode`: the RREF of a spanning set, eliminated once,
 off which its dimension, membership, separating dual words and dual code
@@ -22,7 +24,7 @@ from typing import Iterator
 import numpy as np
 from scipy import sparse
 
-from .errors import BudgetExceeded, DimensionMismatch, InvalidField
+from .errors import BudgetExceeded, DimensionMismatch, DomainError, InvalidField
 
 __all__ = [
     "PrimeField",
@@ -46,6 +48,10 @@ __all__ = [
 DEFAULT_ENUMERATION_BUDGET = 2**24
 
 _ENUM_CHUNK = 1 << 14
+
+# Packed bytes of one `LinearCode.permuted_echelons` stack; more trials run
+# in further stacks.
+_STACK_BYTES = 1 << 23
 
 
 def _supported_prime(p: int) -> bool:
@@ -325,6 +331,53 @@ def _eliminate(rows: np.ndarray, n_cols: int) -> list[int]:
     return pivots
 
 
+def _eliminate_stack(stack: np.ndarray, n_cols: int) -> np.ndarray:
+    """Reduced row echelon form over GF(2) of every matrix in a
+    (matrices, R, words) stack of packed rows, in place.
+
+    Every matrix must have full row rank R; a stack that does not is
+    refused.  Each column is one step for the whole stack: in each matrix
+    the first row not yet holding a pivot and set in that column becomes
+    its pivot row and is XORed into the other rows set there, all of them
+    in one fancy-indexed XOR.  Pivot rows are marked, not swapped into
+    place, and sorted by pivot at the end; the RREF is unique, so this is
+    what `_eliminate` gives each matrix.  Returns the pivot columns, shape
+    (matrices, R), ascending.
+    """
+    n_mats, n_rows, n_words = stack.shape
+    flat = stack.reshape(n_mats * n_rows, n_words)
+    mats = np.arange(n_mats)
+    free = np.ones((n_mats, n_rows), dtype=bool)
+    pivot_col = np.full((n_mats, n_rows), n_cols, dtype=np.int64)
+    left = free.size
+    for c in range(n_cols):
+        if not left:
+            break
+        w = c >> 6
+        if c & 63 == 0:
+            word = flat[:, w].copy()  # word w of every row, kept in step below
+        col = ((word & _BIT[c & 63]) != 0).reshape(n_mats, n_rows)
+        open_ = col & free
+        head = open_.argmax(axis=1)
+        found = open_[mats, head]
+        col &= found[:, None]
+        col[mats, head] = False
+        hit = np.flatnonzero(col)
+        if hit.size:
+            src = (mats * n_rows + head)[hit // n_rows]
+            flat[hit, w:] ^= flat[src, w:]
+            word[hit] ^= word[src]
+        free[mats[found], head[found]] = False
+        pivot_col[mats[found], head[found]] = c
+        left -= int(found.sum())
+    if left:
+        bad = int(free.any(axis=1).argmax())
+        raise DomainError(f"matrix {bad} of the stack is not of full row rank {n_rows}")
+    order = np.argsort(pivot_col, axis=1)
+    stack[:] = np.take_along_axis(stack, order[:, :, None], axis=1)
+    return np.take_along_axis(pivot_col, order, axis=1)
+
+
 def _row_reduce_dense(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p on a dense int64 copy."""
     a = _as_array(p, a).copy()
@@ -465,6 +518,27 @@ class LinearCode:
         """The code of all u with u.c = 0 for every codeword c."""
         return LinearCode(self.p, self.n, self._kernel_rows())
 
+    def permuted_echelons(self, perms) -> Iterator[np.ndarray]:
+        """GF(2): the packed RREF of the basis with its columns permuted by
+        each row of `perms` (column j of copy t is column perms[t][j]).
+
+        Yields (copies, dim, words) stacks in the order of `perms`, each
+        eliminated at once and holding as many copies as fit in
+        `_STACK_BYTES` (one at least).  Each copy is packed straight from
+        the permuted bits, so no dense int64 basis is built.
+        """
+        if self.p != 2:
+            raise InvalidField(f"packed echelons need GF(2), not GF({self.p})")
+        bits = np.unpackbits(self._rows.view(np.uint8), axis=1, count=self.n, bitorder="little")
+        step = max(1, _STACK_BYTES // max(1, self._rows.nbytes))
+        for start in range(0, len(perms), step):
+            chunk = perms[start : start + step]
+            stack = np.empty((len(chunk), *self._rows.shape), dtype=_WORD)
+            for t, perm in enumerate(chunk):
+                stack[t] = _pack(bits.take(perm, axis=1), self.n)
+            _eliminate_stack(stack, self.n)
+            yield stack
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCode):
             return NotImplemented
@@ -480,10 +554,6 @@ class LinearCode:
 
     def __repr__(self):
         return f"LinearCode(p={self.p}, n={self.n}, dim={self.dim})"
-
-    def canonical_key(self) -> bytes:
-        """Stable identifier: the RREF basis is unique per subspace."""
-        return self.basis.tobytes()
 
 
 # ---- entry points: one elimination each -------------------------------

@@ -459,36 +459,90 @@ def _exhaustive_side(
     return best, best_w
 
 
-def _randomized_side(
+def _pair_rows(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row pairs whose sums join an echelon's rows as candidates: the
+    pairs of its first 8 rows, in `np.triu_indices` order."""
+    return np.triu_indices(min(8, dim), 1)
+
+
+def _trial_by_trial_side(
     checks: LinearCode,
     stabilizers: LinearCode,
     trials: int,
     rng: np.random.Generator,
 ) -> tuple[int | float, np.ndarray | None, int]:
-    """Information-set style search for light cosets of the dual of
-    `checks` modulo `stabilizers`."""
+    """`_randomized_side` with one dense `row_reduce` per trial: the path for
+    odd p, and the packed search's test oracle."""
     n, p = checks.n, checks.p
     gen = checks.dual().basis
     if gen.shape[0] == 0:
         return math.inf, None, 0
     best, best_w = math.inf, None
-    used = 0
+    a, b = _pair_rows(gen.shape[0])
     for _ in range(trials):
-        used += 1
         perm = rng.permutation(n)
         rref, pivots = row_reduce(gen[:, perm], p)
         rows = rref[: len(pivots)]
         unperm = np.empty_like(rows)
         unperm[:, perm] = rows
-        # pairwise sums pick up weight the echelon rows miss
-        a, b = np.triu_indices(min(8, unperm.shape[0]), 1)
         candidates = np.vstack([unperm, (unperm[a] + unperm[b]) % p])
         weights = np.count_nonzero(candidates, axis=1)
         for k in np.flatnonzero((weights > 0) & (weights < best)):
             w = int(weights[k])
             if w < best and not stabilizers.contains(candidates[k]):
                 best, best_w = w, candidates[k].copy()
-    return best, best_w, used
+    return best, best_w, trials
+
+
+def _randomized_side(
+    checks: LinearCode,
+    stabilizers: LinearCode,
+    trials: int,
+    rng: np.random.Generator,
+) -> tuple[int | float, np.ndarray | None, int]:
+    """Information-set search (Prange) for light words of the dual of
+    `checks` outside `stabilizers`.
+
+    Each trial draws a column permutation and takes the RREF of the dual
+    basis under it; its rows and the sums of pairs of its first 8 rows are
+    the candidates.  The result is the lightest candidate outside the
+    stabilizers, the earliest (trial, candidate) among equals.  Over GF(2)
+    every trial is eliminated in packed stacks and weighed on words: a
+    weight does not depend on the column order, so only the candidates
+    whose membership is asked are put back in column order, and each
+    distinct one is asked once.
+    """
+    if checks.p != 2:
+        return _trial_by_trial_side(checks, stabilizers, trials, rng)
+    n = checks.n
+    dual = checks.dual()
+    if dual.dim == 0:
+        return math.inf, None, 0
+    perms = np.array([rng.permutation(n) for _ in range(trials)], dtype=np.int64).reshape(trials, n)
+    inverse = np.argsort(perms, axis=1)
+    outside: dict[bytes, np.ndarray | None] = {}  # packed word -> the word, if outside
+
+    def outside_word(word: np.ndarray, trial: int) -> np.ndarray | None:
+        v = np.unpackbits(word.view(np.uint8), count=n, bitorder="little")[inverse[trial]]
+        key = np.packbits(v).tobytes()
+        if key not in outside:
+            outside[key] = None if stabilizers.contains(v) else v.astype(np.int64)
+        return outside[key]
+
+    a, b = _pair_rows(dual.dim)
+    best, best_w = math.inf, None
+    first = 0  # the trial of the stack's first copy
+    for stack in dual.permuted_echelons(perms):
+        words = np.concatenate([stack, stack[:, a] ^ stack[:, b]], axis=1)
+        weights = np.bitwise_count(words).sum(axis=2)  # (copies, candidates)
+        for w in np.unique(weights[weights < best]):
+            hits = (outside_word(words[t, k], first + t) for t, k in zip(*np.nonzero(weights == w)))
+            v = next((v for v in hits if v is not None), None)
+            if v is not None:
+                best, best_w = int(w), v
+                break
+        first += len(stack)
+    return best, best_w, trials
 
 
 def estimate_distance(
@@ -697,35 +751,3 @@ def estimate_ssexp(
             )
         )
     return ExpansionCurve(points=points, exact_cosets=exact_cosets)
-
-
-def steane_code() -> CssCode:
-    """[[7,1,3]] self-dual CSS code on the Hamming checks."""
-    h = FMatrix.from_dense(
-        2,
-        [
-            [1, 0, 1, 0, 1, 0, 1],
-            [0, 1, 1, 0, 0, 1, 1],
-            [0, 0, 0, 1, 1, 1, 1],
-        ],
-    )
-    return CssCode(p=2, n=7, h_x=h, h_z=h, provenance={"kind": "imported", "name": "steane"})
-
-
-def shor_code() -> CssCode:
-    """[[9,1,3]] code: Z checks pair qubits inside blocks, X checks span
-    adjacent blocks."""
-    pairs = [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)]
-    z_rows = np.zeros((6, 9), dtype=np.int64)
-    for r, (a, b) in enumerate(pairs):
-        z_rows[r, a] = z_rows[r, b] = 1
-    x_rows = np.zeros((2, 9), dtype=np.int64)
-    x_rows[0, 0:6] = 1
-    x_rows[1, 3:9] = 1
-    return CssCode(
-        p=2,
-        n=9,
-        h_x=FMatrix.from_dense(2, x_rows),
-        h_z=FMatrix.from_dense(2, z_rows),
-        provenance={"kind": "imported", "name": "shor"},
-    )

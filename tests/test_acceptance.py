@@ -62,10 +62,10 @@ from ptanner.tanner import (
     build_complex,
     check_counting_bound,
     code_dimension,
-    shor_code,
-    steane_code,
     verify_planted,
 )
+
+from small_codes import shor_code, steane_code
 
 GROUP_FOR_FIELD = {2: 3, 3: 2}
 INNER_DIMS = {3: (1, 2), 4: (2, 2), 5: (2, 3)}

@@ -37,7 +37,9 @@ from ptanner.expander import default_generators
 from ptanner.gf import LinearCode, kernel_basis, solve
 from ptanner.inner import InnerCodePair
 from ptanner.jsonio import dumps
-from ptanner.tanner import build_code, build_complex, steane_code, verify_planted
+from ptanner.tanner import build_code, build_complex, verify_planted
+
+from small_codes import steane_code
 
 
 def eval_satisfied(p, constraints, assignment):
@@ -151,6 +153,9 @@ def test_lin_instance_validation():
         LinConstraint((0, 1), (1, 1.0), 0),
         LinConstraint((0, 1), (1, 1), "1"),
         LinConstraint((0, 2**70), (1, 1), 0),
+        LinConstraint((True, 0), (1, 1), 0),
+        LinConstraint((0, 1), (1, False), 0),
+        LinConstraint((0, 1), (1, 1), True),
     ):
         with pytest.raises(DomainError):
             LinInstance.from_doc(lin_doc(2, 2, [bad], 3))
@@ -573,3 +578,40 @@ def test_xor_validation():
         XorInstance(2, [XorClause((4,), 1)])
     with pytest.raises(DomainError):
         XorInstance(2, [XorClause((0,), 2)])
+
+
+GOOD_CLAUSE = XorClause((0, 1, 2), 1)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (XorClause((0, 1, 2, 3), 0), "clause 1 has arity 4 > 3"),
+        (XorClause((0, 0), 1), "clause 1 repeats a variable"),
+        (XorClause((2, 1, 2), 1), "clause 1 repeats a variable"),
+        (XorClause((3, 4, 4), 1), "clause 1 repeats a variable"),
+        (XorClause((1, 5), 1), "clause 1: variable 5 out of range"),
+        (XorClause((-1, 9), 0), "clause 1: variable -1 out of range"),
+        (XorClause((0, 2**70), 0), f"clause 1: variable {2**70} out of range"),
+        (XorClause((0,), 2), "clause 1: parity must be 0 or 1"),
+        (XorClause((0,), -1), "clause 1: parity must be 0 or 1"),
+    ],
+)
+def test_xor_validation_names_first_bad_clause(bad, message):
+    """Each invalid form is refused with the message of its first check,
+    at the first offending clause: a later bad clause does not mask it."""
+    later = XorClause((0, 1, 2, 3, 4), 0)
+    with pytest.raises(DomainError) as err:
+        XorInstance(5, [GOOD_CLAUSE, bad, GOOD_CLAUSE, later])
+    assert str(err.value) == message
+
+
+def test_xor_validation_accepts_good_clauses():
+    clauses = [GOOD_CLAUSE, XorClause((), 0), XorClause((4,), 0), XorClause((3, 1), 1)]
+    assert XorInstance(5, clauses).num_clauses == 4
+    assert XorInstance(0, []).num_clauses == 0
+
+
+def test_xor_text_validation_names_first_bad_clause():
+    with pytest.raises(DomainError, match="^clause 2 repeats a variable$"):
+        XorInstance.from_text("p xor 3 4\nx 1 2 0\nx 3 1\nx 2 2 0\nx 9 1\n")

@@ -16,12 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptanner.errors import BudgetExceeded, DimensionMismatch, InvalidField
+from ptanner import gf
+from ptanner.errors import BudgetExceeded, DimensionMismatch, DomainError, InvalidField
 from ptanner.gf import (
     FMatrix,
     LinearCode,
     PrimeField,
+    _eliminate_stack,
+    _pack,
     _row_reduce_dense,
+    _unpack,
     coset_min_weight,
     in_rowspace,
     iter_codewords,
@@ -469,3 +473,76 @@ def test_packed_rank_at_word_edges_frozen():
     assert pivots == cols
     assert not rref[-1].any()
     assert in_rowspace(a, a[-1], 2) and not in_rowspace(a, np.eye(129)[1], 2)
+
+
+@st.composite
+def full_rank_stacks(draw):
+    """(n, mats): 1-5 GF(2) matrices of one shape R x n, each of full row
+    rank R: a unit upper triangle on R random columns, random bits in the
+    rest, rows shuffled."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 130]))
+    n_rows = draw(st.integers(1, min(n, 9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.1, 0.5]))
+    mats = []
+    for _ in range(draw(st.integers(1, 5))):
+        m = (rng.random((n_rows, n)) < density).astype(np.int64)
+        triangle = np.triu(rng.integers(0, 2, (n_rows, n_rows)), 1) + np.eye(n_rows, dtype=np.int64)
+        m[:, rng.choice(n, n_rows, replace=False)] = triangle
+        mats.append(m[rng.permutation(n_rows)])
+    return n, np.array(mats), rng
+
+
+@HYPOTHESIS
+@given(full_rank_stacks())
+def test_stacked_elimination_matches_row_reduce(case):
+    n, mats, _ = case
+    stack = np.array([_pack(m, n) for m in mats])
+    pivots = _eliminate_stack(stack, n)
+    assert pivots.shape == mats.shape[:2]
+    for t, m in enumerate(mats):
+        rref, want = row_reduce(m, 2)
+        assert pivots[t].tolist() == want
+        assert (_unpack(stack[t], n) == rref).all()
+
+
+@HYPOTHESIS
+@given(full_rank_stacks(), st.integers(1, 3))
+def test_permuted_echelons_match_row_reduce_per_permutation(case, per_stack):
+    """Copy t of the yielded stacks is row_reduce(basis[:, perm_t]); a cap
+    of `per_stack` copies splits the trials into stacks in order."""
+    n, mats, rng = case
+    code = LinearCode(2, n, mats[0])
+    perms = [rng.permutation(n) for _ in range(len(mats))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf, "_STACK_BYTES", per_stack * code.dim * -(-n // 64) * 8)
+        stacks = list(code.permuted_echelons(perms))
+    assert [len(s) for s in stacks] == [
+        min(per_stack, len(perms) - i) for i in range(0, len(perms), per_stack)
+    ]
+    for stack_t, perm in zip(np.concatenate(stacks), perms):
+        rref, _ = row_reduce(code.basis[:, perm], 2)
+        assert (_unpack(stack_t, n) == rref[: code.dim]).all()
+
+
+def test_stacked_elimination_refuses_rank_deficient_stack():
+    n = 70
+    good = np.eye(3, n, dtype=np.int64)
+    good[:, 66] = 1
+    summed = good.copy()
+    summed[2] = good[0] ^ good[1]
+    for bad in (good[[0, 1, 0]], good * [[1], [1], [0]], summed):  # repeat, zero row, sum
+        assert rank(bad, 2) == 2
+        stack = np.array([_pack(good, n), _pack(bad, n)])
+        with pytest.raises(DomainError, match="matrix 1 of the stack"):
+            _eliminate_stack(stack, n)
+
+
+def test_permuted_echelons_edge_cases():
+    code = LinearCode(2, 5, [[1, 1, 0, 0, 1]])
+    assert list(code.permuted_echelons([])) == []
+    empty = LinearCode(2, 5)
+    (stack,) = empty.permuted_echelons([np.arange(5)])
+    assert stack.shape == (1, 0, 1)
+    with pytest.raises(InvalidField):
+        list(LinearCode(3, 2, [[1, 2]]).permuted_echelons([np.arange(2)]))

@@ -307,19 +307,19 @@ def enumerate_planted_codes(p, n, k):
     for rows in product(product(range(p), repeat=n), repeat=k - 1):
         code = LinearCode(p, n, [ones] + [list(r) for r in rows])
         if code.dim == k:
-            seen[code.canonical_key()] = code
+            seen[code.basis.tobytes()] = code
     return list(seen.values())
 
 
 def test_planted_sampler_hits_every_code_uniformly():
     codes = enumerate_planted_codes(2, 4, 2)
     assert len(codes) == 7
-    counts = {c.canonical_key(): 0 for c in codes}
+    counts = {c.basis.tobytes(): 0 for c in codes}
     draws = 7000
     for i in range(draws):
         c = sample_planted_code(2, 4, 2, seed=i)
         assert c.contains([1, 1, 1, 1])
-        counts[c.canonical_key()] += 1
+        counts[c.basis.tobytes()] += 1
     expected = draws / len(codes)
     chi2 = sum((obs - expected) ** 2 / expected for obs in counts.values())
     assert all(v > 0 for v in counts.values())
@@ -333,7 +333,7 @@ def test_sum_zero_sampler_law():
         assert c.dual().contains([1, 1, 1, 1])
         for row in c.basis:
             assert int(row.sum()) % 2 == 0
-        seen.add(c.canonical_key())
+        seen.add(c.basis.tobytes())
     assert len(seen) == 7  # nonzero even-weight words in GF(2)^4
 
 

@@ -49,7 +49,9 @@ from ptanner.nlts import (
     verify_cluster_lemma,
 )
 from ptanner.nlts import _coset_weight_table, _shift_targets
-from ptanner.tanner import CssCode, estimate_ssexp, shor_code, steane_code
+from ptanner.tanner import CssCode, estimate_ssexp
+
+from small_codes import shor_code, steane_code
 
 # ---------------------------------------------------------------- helpers
 

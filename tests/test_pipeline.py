@@ -43,8 +43,9 @@ from ptanner.tanner import (
     _exhaustive_side,
     build_code,
     face_column,
-    steane_code,
 )
+
+from small_codes import steane_code
 
 SMALL_DOC = {
     "field_p": 3,
@@ -225,6 +226,24 @@ def test_flagship_estimators_are_pinned(tmp_path):
     report = max_sat(instance, mode="local-search", seed=7, restarts=2, max_steps=50)
     assert report.num_constraints == 675
     assert report.best_satisfied == 490
+
+
+L1C_DOC = {
+    "field_p": 2, "group": {"p": 3, "m": 1}, "delta": 7, "k_a": 3, "k_b": 4,
+    "rho_target": "1/8", "seed": 7, "require_generation": True,
+    "stages": ["expander", "inner", "complex", "code", "distance"],
+}
+
+
+def test_l1c_distance_is_pinned(tmp_path):
+    """The connected level-1 config (n = 1,323): the information-set search
+    keeps the bytes it had with one dense elimination per trial."""
+    run_pipeline(RunConfig.from_mapping(L1C_DOC), out_dir=tmp_path)
+    data = (tmp_path / "distance.json").read_bytes()
+    digest = "08ec3b79e5bbe39e71319d112cdd603f761dfa4b1bfbd293a2b3c9a0cf4d9e0f"
+    assert hashlib.sha256(data).hexdigest() == digest
+    distance = json.loads(data)
+    assert (distance["upper_bound"], distance["side"], distance["trials"]) == (4, "x-logical", 64)
 
 
 def test_flagship_eliminates_each_check_matrix_once(tmp_path, monkeypatch):
@@ -474,6 +493,7 @@ def _instance_text(**change):
         (["csp", "unsat", "--instance", "{bad}"], _instance_text(m=10**30)),
         (["csp", "maxsat", "--instance", "{bad}"], _instance_text(m=10**30)),
         (["csp", "unsat", "--instance", "{bad}"], _instance_text(vars=[0.5, 1])),
+        (["csp", "unsat", "--instance", "{bad}"], _instance_text(vars=[True, 0])),
         (["csp", "maxsat", "--instance", "{bad}"], _instance_text(vars=[0.5, 1])),
         (["csp", "unsat", "--instance", "{bad}"], _instance_text(coeffs=[1, 1.5])),
         (["csp", "unsat", "--instance", "{bad}"], _instance_text(rhs=0.5)),

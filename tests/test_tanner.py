@@ -6,6 +6,7 @@ oracles written independently in this file.
 
 import json
 import math
+from functools import partial
 from itertools import combinations, product
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptanner import gf, tanner
 from ptanner.errors import BudgetExceeded, DimensionMismatch, DomainError, GroupMismatch
 from ptanner.expander import (
     GeneratorMultiset,
@@ -31,6 +33,8 @@ from ptanner.tanner import (
     Z_LAYERS,
     SquareCayleyComplex,
     _coset_weight_bound,
+    _randomized_side,
+    _trial_by_trial_side,
     build_code,
     build_complex,
     check_counting_bound,
@@ -39,10 +43,10 @@ from ptanner.tanner import (
     face_column,
     estimate_distance,
     estimate_ssexp,
-    shor_code,
-    steane_code,
     verify_planted,
 )
+
+from small_codes import shor_code, steane_code
 
 
 def ternary_complex(delta=3, convention="paired"):
@@ -376,6 +380,79 @@ def test_distance_randomized_path():
         if res[c]:
             res = (res - res[c] * rref[r]) % 2
     assert res.any()
+
+
+def hypergraph_product(h1, h2) -> CssCode:
+    """The CSS code H_X = [H1 x I | I x H2^T], H_Z = [I x H2 | H1^T x I]."""
+    (m1, n1), (m2, n2) = h1.shape, h2.shape
+    eye = partial(np.eye, dtype=np.int64)
+    h_x = np.hstack([np.kron(h1, eye(n2)), np.kron(eye(m1), h2.T)])
+    h_z = np.hstack([np.kron(eye(n1), h2), np.kron(h1.T, eye(m2))])
+    code = CssCode(2, h_x.shape[1], FMatrix.from_dense(2, h_x), FMatrix.from_dense(2, h_z))
+    code.validate()
+    return code
+
+
+HAMMING = np.array([[1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]])
+RING_3 = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+CHAIN_4 = np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
+SEARCH_CODES = {
+    "steane": steane_code,
+    "shor": shor_code,
+    "toric_3": lambda: hypergraph_product(RING_3, RING_3),
+    "hamming_x_chain": lambda: hypergraph_product(HAMMING, CHAIN_4),
+    "hamming_x_hamming": lambda: hypergraph_product(HAMMING, HAMMING),
+}
+
+
+def _same_report(got, want):
+    assert (got.upper_bound, got.side, got.trials, got.method) == (
+        want.upper_bound, want.side, want.trials, want.method
+    )
+    assert got.witness.dtype == want.witness.dtype == np.int64
+    assert (got.witness == want.witness).all()
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_CODES))
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_packed_search_matches_trial_by_trial(name, seed, monkeypatch):
+    """Bound, witness, side and trials agree with one `row_reduce` per
+    trial, with all trials in one stack and with one trial per stack."""
+    code = SEARCH_CODES[name]()
+    kw = dict(budget=0, seed=seed, trials=9)
+    got = estimate_distance(code, **kw)
+    monkeypatch.setattr(gf, "_STACK_BYTES", 1)
+    chunked = estimate_distance(code, **kw)
+    monkeypatch.setattr(tanner, "_randomized_side", _trial_by_trial_side)
+    want = estimate_distance(code, **kw)
+    assert want.trials == 18 and not want.exact
+    _same_report(got, want)
+    _same_report(chunked, want)
+
+
+def test_packed_search_edge_cases():
+    code = hypergraph_product(HAMMING, CHAIN_4)
+    sides = (code.rowspace_z, code.rowspace_x), (code.rowspace_x, code.rowspace_z)
+    for checks, stabilizers in sides:
+        for trials in (0, 1):
+            got = _randomized_side(checks, stabilizers, trials, np.random.default_rng(3))
+            want = _trial_by_trial_side(checks, stabilizers, trials, np.random.default_rng(3))
+            assert got[0] == want[0] and got[2] == want[2] == trials
+            if trials:
+                assert (got[1] == want[1]).all()
+            else:
+                assert got[1] is want[1] is None
+    # a dual of dimension 0 draws no permutation and reports no trial
+    full = LinearCode(2, 4, np.eye(4, dtype=np.int64))
+    rng = np.random.default_rng(0)
+    assert _randomized_side(full, LinearCode(2, 4), 5, rng) == (math.inf, None, 0)
+    assert rng.integers(2**62) == np.random.default_rng(0).integers(2**62)
+
+
+def test_packed_search_makes_no_row_reduce_call(monkeypatch):
+    monkeypatch.setattr(tanner, "row_reduce", lambda *args: pytest.fail("row_reduce called"))
+    report = estimate_distance(hypergraph_product(HAMMING, HAMMING), budget=0, trials=4)
+    assert report.upper_bound == 3 and report.trials == 8
 
 
 def ssexp_oracle(code, max_w):
