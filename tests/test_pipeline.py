@@ -493,12 +493,12 @@ def _instance_text(**change):
         (["csp", "unsat", "--instance", "{bad}"], _instance_text(m=10**30)),
         (["csp", "maxsat", "--instance", "{bad}"], _instance_text(m=10**30)),
         (["csp", "unsat", "--instance", "{bad}"], _instance_text(vars=[0.5, 1])),
-        (["csp", "unsat", "--instance", "{bad}"], _instance_text(vars=[True, 0])),
         (["csp", "maxsat", "--instance", "{bad}"], _instance_text(vars=[0.5, 1])),
         (["csp", "unsat", "--instance", "{bad}"], _instance_text(coeffs=[1, 1.5])),
         (["csp", "unsat", "--instance", "{bad}"], _instance_text(rhs=0.5)),
         (["csp", "reduce3", "--instance", "{bad}"], _instance_text(rhs="1")),
         (["csp", "unsat", "--instance", "{bad}"], _instance_text(p=2**61 - 1)),
+        (["csp", "unsat", "--instance", "{bad}"], _instance_text(vars=[True, 0])),
     ],
 )
 def test_cli_malformed_artifact_exits_2(tmp_path, capsys, steane_file, argv, content):
