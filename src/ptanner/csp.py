@@ -34,14 +34,16 @@ from .errors import (
 )
 from .gf import FMatrix, LinearCode, PrimeField, as_vector, iter_codewords, solve
 from .inner import InnerCodePair
-from .jsonio import dumps
+from .jsonio import Encoded, dumps
 from .tanner import (
     Z_LAYERS,
     CssCode,
     SquareCayleyComplex,
+    _cell_table,
+    _column,
+    _rows,
     check_inner_length,
     check_matrix,
-    face_column,
     num_check_rows,
 )
 
@@ -111,12 +113,20 @@ class LinInstance:
         return self.rhs.copy()
 
     def to_doc(self) -> dict:
-        rows, rhs = self.matrix.rows(), self.rhs.tolist()
+        """The constraints come as one `Encoded` list, written from the CSR
+        arrays: per row '{"coeffs":[...],"rhs":r,"vars":[...]}'."""
+        indptr, indices, data = self.matrix.csr()
+        ptr = indptr.tolist()
+        cols, vals = list(map(str, indices.tolist())), list(map(str, data.tolist()))
+        rows = [
+            f'{{"coeffs":[{",".join(vals[a:b])}],"rhs":{r},"vars":[{",".join(cols[a:b])}]}}'
+            for a, b, r in zip(ptr, ptr[1:], self.rhs.tolist())
+        ]
         return {
             "p": self.p,
             "m": self.num_vars,
             "arity_bound": self.arity_bound,
-            "constraints": [{"vars": v, "coeffs": c, "rhs": r} for (v, c), r in zip(rows, rhs)],
+            "constraints": Encoded("[" + ",".join(rows) + "]"),
             "provenance": self.provenance,
         }
 
@@ -184,9 +194,10 @@ class TannerConstraintStream:
 
     Constraint f is `tanner.face_column` of face f on the Z layers with the
     dual inner bases (column f of H_Z, evaluated by group arithmetic from f
-    alone) and right-hand side beta[f].  No check matrix is formed, so the
-    cost of one constraint does not grow with the block length.  `as_instance`
-    reads all of them off `tanner.check_matrix`; the tests compare the two.
+    alone) and right-hand side beta[f].  The bases' per-cell table is made
+    once, here, and no check matrix is formed, so the cost of one
+    constraint does not grow with the block length.  `as_instance` reads
+    all of them off `tanner.check_matrix`; the tests compare the two.
     """
 
     def __init__(self, complex_: SquareCayleyComplex, pair: InnerCodePair, beta):
@@ -200,6 +211,8 @@ class TannerConstraintStream:
             )
         self._dual_a = pair.code_a.dual().basis.tolist()
         self._dual_b = pair.code_b.dual().basis.tolist()
+        self._table = _cell_table(complex_.delta, _rows(self._dual_a), _rows(self._dual_b), self.p)
+        self._kk = len(self._dual_a) * len(self._dual_b)
 
     @property
     def num_constraints(self) -> int:
@@ -210,9 +223,7 @@ class TannerConstraintStream:
         return num_check_rows(self.complex, Z_LAYERS, self._dual_a, self._dual_b)
 
     def constraint(self, f: int) -> LinConstraint:
-        checks, coeffs = face_column(
-            self.complex, f, Z_LAYERS, self._dual_a, self._dual_b, self.p
-        )
+        checks, coeffs = _column(self.complex, f, Z_LAYERS, self._table, self._kk)
         return LinConstraint(tuple(checks), tuple(coeffs), int(self.beta[f]))
 
     def as_instance(self, provenance=None) -> LinInstance:
@@ -353,6 +364,13 @@ def sos_level_bound(c1: float, c2: float, m: int, ell: int) -> float:
     return value
 
 
+def _runs(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For consecutive runs of the given lengths, each position's run and
+    its offset within the run."""
+    run = np.repeat(np.arange(lengths.size), lengths)
+    return run, np.arange(run.size) - (np.cumsum(lengths) - lengths)[run]
+
+
 class XorClause(NamedTuple):
     vars: tuple[int, ...]
     parity: int
@@ -372,47 +390,86 @@ def _clause_error(idx: int, cl: XorClause, num_vars: int) -> str | None:
     return None
 
 
-@dataclass
 class XorInstance:
-    num_vars: int
-    clauses: list[XorClause]
+    """Parity clauses over num_vars variables, held as arrays: clause k is
+    sum of y[v] for v in vars[indptr[k]:indptr[k + 1]] = parity[k].
 
-    def __post_init__(self):
+    Built from clauses (`XorInstance(num_vars, clauses)`, `from_text`) or
+    by `reduce_to_3xor`; either way the arrays are checked once, and the
+    first bad clause is named.
+    """
+
+    __slots__ = ("num_vars", "indptr", "vars", "parity")
+
+    def __init__(self, num_vars: int, clauses):
+        clauses = list(clauses)
         try:
-            bad = np.flatnonzero(self._invalid())
+            arity = np.fromiter((len(cl[0]) for cl in clauses), dtype=np.int64, count=len(clauses))
+            vars_ = np.fromiter(
+                chain.from_iterable(cl[0] for cl in clauses), dtype=np.int64, count=int(arity.sum())
+            )
+            parity = np.fromiter((cl[1] for cl in clauses), dtype=np.int64, count=len(clauses))
+            self._set(num_vars, np.concatenate([[0], np.cumsum(arity)]), vars_, parity)
         except OverflowError:  # a value beyond int64: look clause by clause
-            bad = [i for i, cl in enumerate(self.clauses) if _clause_error(i, cl, self.num_vars)]
+            for idx, cl in enumerate(clauses):
+                if error := _clause_error(idx, XorClause(*cl), num_vars):
+                    raise DomainError(error) from None
+            raise DomainError("variables must be integers within int64") from None
+
+    @classmethod
+    def _from_arrays(cls, num_vars: int, indptr, vars_, parity) -> "XorInstance":
+        inst = cls.__new__(cls)
+        inst._set(num_vars, indptr, vars_, parity)
+        return inst
+
+    def _set(self, num_vars: int, indptr, vars_, parity) -> None:
+        self.num_vars, self.indptr, self.vars, self.parity = num_vars, indptr, vars_, parity
+        bad = np.flatnonzero(self._invalid())
         if len(bad):
             idx = int(bad[0])
-            raise DomainError(_clause_error(idx, self.clauses[idx], self.num_vars))
+            raise DomainError(_clause_error(idx, self.clauses[idx], num_vars))
 
     def _invalid(self) -> np.ndarray:
         """Per clause, whether `_clause_error` finds a fault, on arrays."""
-        if not self.clauses:
-            return np.zeros(0, dtype=bool)
-        var_lists, parities = zip(*self.clauses)
-        arity = np.fromiter(map(len, var_lists), dtype=np.int64, count=len(var_lists))
-        owner = np.repeat(np.arange(arity.size), arity)
-        vars_ = np.fromiter(chain.from_iterable(var_lists), dtype=np.int64, count=owner.size)
-        parity = np.fromiter(parities, dtype=np.int64, count=arity.size)
+        arity, vars_, parity = np.diff(self.indptr), self.vars, self.parity
+        owner, _ = _runs(arity)
         bad = (arity > 3) | ((parity != 0) & (parity != 1))
         bad[owner[(vars_ < 0) | (vars_ >= self.num_vars)]] = True
-        start = np.cumsum(arity) - arity
+        start = self.indptr[:-1]
         for i, j in ((0, 1), (0, 2), (1, 2)):  # a longer clause is bad already
             has = np.flatnonzero(arity > j)
             bad[has[vars_[start[has] + i] == vars_[start[has] + j]]] = True
         return bad
 
     @property
+    def clauses(self) -> list[XorClause]:
+        """The clauses one by one, built on each call."""
+        ptr, vars_ = self.indptr.tolist(), self.vars.tolist()
+        return [
+            XorClause(tuple(vars_[a:b]), par)
+            for a, b, par in zip(ptr, ptr[1:], self.parity.tolist())
+        ]
+
+    @property
     def num_clauses(self) -> int:
-        return len(self.clauses)
+        return len(self.parity)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, XorInstance):
+            return NotImplemented
+        return (self.num_vars, self.clauses) == (other.num_vars, other.clauses)
+
+    def to_doc(self) -> dict:
+        return {"num_vars": self.num_vars, "clauses": self.clauses}
 
     def to_text(self) -> str:
         """DIMACS-flavored dump: 1-indexed variables, parity last."""
+        ptr, names = self.indptr.tolist(), list(map(str, (self.vars + 1).tolist()))
         lines = [f"p xor {self.num_vars} {self.num_clauses}"]
-        for cl in self.clauses:
-            body = " ".join(str(v + 1) for v in cl.vars)
-            lines.append(f"x {body} {cl.parity}".replace("  ", " "))
+        lines += [
+            " ".join(["x", *names[a:b], par])
+            for a, b, par in zip(ptr, ptr[1:], map(str, self.parity.tolist()))
+        ]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -440,21 +497,32 @@ def reduce_to_3xor(instance: LinInstance) -> XorInstance:
         x1 + x2 + z1 = 0
         z_{j-1} + x_{j+1} + z_j = 0        (j = 2 .. w-2)
         z_{w-2} + xw = b
-    adding w-2 dummies; short constraints pass through unchanged.
+    adding w-2 dummies, numbered on from num_vars in constraint order;
+    short constraints pass through unchanged.  Index arithmetic on the CSR
+    arrays: output position k of a long row is slot k % 3 of chain clause
+    k // 3.
     """
     if instance.p != 2:
         raise UnsupportedField(f"3-XOR reduction requires GF(2), got GF({instance.p})")
-    next_var = instance.num_vars
-    clauses: list[XorClause] = []
-    for (vs, _), b in zip(instance.matrix.rows(), instance.rhs.tolist()):
-        w = len(vs)
-        if w <= 3:
-            clauses.append(XorClause(tuple(vs), b))
-            continue
-        zs = list(range(next_var, next_var + w - 2))
-        next_var += w - 2
-        clauses.append(XorClause((vs[0], vs[1], zs[0]), 0))
-        for j in range(2, w - 1):
-            clauses.append(XorClause((zs[j - 2], vs[j], zs[j - 1]), 0))
-        clauses.append(XorClause((zs[w - 3], vs[w - 1]), b))
-    return XorInstance(num_vars=next_var, clauses=clauses)
+    indptr, cols, _ = instance.matrix.csr()
+    width = np.diff(indptr).astype(np.int64)
+    long = width > 3
+    dummies = np.where(long, width - 2, 0)
+    first_dummy = instance.num_vars + np.cumsum(dummies) - dummies
+    # clauses: one per short row, w - 1 per long row (arity 3, the last 2)
+    per_row = np.where(long, width - 1, 1)
+    row, j = _runs(per_row)
+    arity = np.where(long[row], np.where(j == width[row] - 2, 2, 3), width[row])
+    parity = np.where(j == per_row[row] - 1, instance.rhs[row], 0)
+    # variables: x_k on a short row; on a long one x_0 x_1 z_0, then z_{j-1} x_{j+1} z_j
+    row, k = _runs(np.where(long, 3 * width - 4, width))
+    start = indptr[row].astype(np.int64)
+    vars_ = cols[start + np.minimum(k, width[row] - 1)].astype(np.int64)  # short rows
+    at = np.flatnonzero(long[row])
+    j, slot = k[at] // 3, k[at] % 3
+    z = first_dummy[row[at]] + j - (slot == 0)  # z_{j-1} in slot 0, z_j in slot 2
+    x = cols[start[at] + np.where(slot == 1, j + 1, 0)]  # x_{j+1} in slot 1, x_0 in slot 0
+    vars_[at] = np.where((slot == 1) | ((slot == 0) & (j == 0)), x, z)
+    clause_ptr = np.concatenate([[0], np.cumsum(arity)])
+    num_vars = instance.num_vars + int(dummies.sum())
+    return XorInstance._from_arrays(num_vars, clause_ptr, vars_, parity)

@@ -4,15 +4,16 @@ The vertex group at level m is the kernel of reduction SL2(Z/p^{m+1}) ->
 SL2(Z/p).  Its p^{3m} elements are coordinatized by triples (a, b, c) in
 [0, p^m)^3: the matrix is I + p*[[a, b], [c, d]] with d completed so the
 determinant is 1.  The group law `_mul` works on the coordinates, as Python ints
-(a neighbor query costs poly(m) at any group order) or as int64 arrays.
+(a neighbor query costs poly(m) at any group order) or as int64 arrays, and
+carries d along, so a product needs no modular inverse.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -62,36 +63,54 @@ def _check_level(p: int, m: int) -> None:
 
 
 def _mul(p: int, q: int, x, y):
-    """(a, b, c) of (I + pX)(I + pY) = I + p(X + Y + pXY); ints or int64 arrays."""
+    """(a, b, c, d) of (I + pX)(I + pY) = I + p(X + Y + pXY); ints or int64 arrays."""
     a1, b1, c1, d1 = x
     a2, b2, c2, d2 = y
     return (
         (a1 + a2 + p * (a1 * a2 + b1 * c2)) % q,
         (b1 + b2 + p * (a1 * b2 + b1 * d2)) % q,
         (c1 + c2 + p * (c1 * a2 + d1 * c2)) % q,
+        (d1 + d2 + p * (c1 * b2 + d1 * d2)) % q,
     )
+
+
+def _complete(p: int, q: int, a: int, b: int, c: int) -> int:
+    """The d with det(I + p[[a, b], [c, d]]) = 1 mod pq: d(1 + pa) = pbc - a mod q."""
+    return pow(1 + p * a, -1, q) * (p * b * c - a) % q
+
+
+def _decode(p: int, q: int, idx: int) -> tuple[int, int, int, int]:
+    """(a, b, c, d) of the element with index idx = a + q b + q^2 c."""
+    a, bc = idx % q, idx // q
+    b, c = bc % q, bc // q
+    return a, b, c, _complete(p, q, a, b, c)
 
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Kernel element in coordinate form; the matrix lives mod p^(m+1)."""
+    """Kernel element in coordinate form; the matrix lives mod p^(m+1).
+
+    d is completed from (a, b, c) unless the caller passes it: a product
+    and an inverse know theirs.
+    """
 
     p: int
     m: int
     a: int
     b: int
     c: int
+    d: int = field(default=None, compare=False, repr=False)
 
-    @cached_property
-    def d(self) -> int:
-        p, q = self.p, self.p**self.m
-        return pow(1 + p * self.a, -1, q) * (p * self.b * self.c - self.a) % q
+    def __post_init__(self):
+        if self.d is None:
+            d = _complete(self.p, self.p**self.m, self.a, self.b, self.c)
+            object.__setattr__(self, "d", d)
 
     @property
     def coords(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
-    @cached_property
+    @property
     def matrix(self) -> tuple[int, int, int, int]:
         """I + p[[a, b], [c, d]]; with a, b, c, d < p^m no entry reaches p^(m+1)."""
         p = self.p
@@ -112,7 +131,7 @@ class GroupElement:
     def inv(self) -> "GroupElement":
         """(I + pA)^-1 is the adjugate I + p[[d, -b], [-c, a]]."""
         q = self.p**self.m
-        return GroupElement(self.p, self.m, self.d, -self.b % q, -self.c % q)
+        return GroupElement(self.p, self.m, self.d, -self.b % q, -self.c % q, self.a)
 
     def is_identity(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0
@@ -156,10 +175,7 @@ def element_from_index(p: int, m: int, idx: int) -> GroupElement:
     q = p**m
     if not 0 <= idx < q**3:
         raise DomainError(f"vertex index {idx} outside [0, {q ** 3})")
-    a = idx % q
-    b = (idx // q) % q
-    c = idx // (q * q)
-    return GroupElement(p, m, a, b, c)
+    return GroupElement(p, m, *_decode(p, q, idx))
 
 
 def cayley_table(p: int, m: int, elements, side: str) -> np.ndarray:
@@ -177,7 +193,7 @@ def cayley_table(p: int, m: int, elements, side: str) -> np.ndarray:
         if (s.p, s.m) != (p, m):
             raise GroupMismatch(f"element of ({s.p},{s.m}) in a table of ({p},{m})")
         x = (s.a, s.b, s.c, s.d)
-        a2, b2, c2 = _mul(p, q, x, g) if side == "left" else _mul(p, q, g, x)
+        a2, b2, c2, _ = _mul(p, q, x, g) if side == "left" else _mul(p, q, g, x)
         table[j] = a2 + q * (b2 + q * c2)
     return table
 

@@ -179,6 +179,10 @@ class FMatrix:
         coo = self._csr.tocoo()
         return list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
 
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The canonical storage as (indptr, indices, data); read only."""
+        return self._csr.indptr, self._csr.indices, self._csr.data
+
     def rows(self) -> list[tuple[list[int], list[int]]]:
         """Per row: its nonzero column indices, ascending, and their values."""
         ptr = self._csr.indptr.tolist()
@@ -431,7 +435,7 @@ class LinearCode:
     that one echelon.  `basis` is the dense RREF, unpacked on first use.
     """
 
-    __slots__ = ("p", "n", "pivots", "_rows", "_basis")
+    __slots__ = ("p", "n", "pivots", "_rows", "_basis", "_dual")
 
     def __init__(self, p: int, n: int, rows=None):
         """`rows` spans the code: an FMatrix, or anything `np.asarray`
@@ -456,6 +460,7 @@ class LinearCode:
         self.pivots = np.array(pivots, dtype=np.int64)
         self._rows = echelon[: len(pivots)].copy()  # frees the zero rows
         self._basis = None if p == 2 else self._rows
+        self._dual = None
 
     @property
     def dim(self) -> int:
@@ -515,8 +520,12 @@ class LinearCode:
         return self._kernel_rows(outside[:1])[0] if outside.size else None
 
     def dual(self) -> "LinearCode":
-        """The code of all u with u.c = 0 for every codeword c."""
-        return LinearCode(self.p, self.n, self._kernel_rows())
+        """The code of all u with u.c = 0 for every codeword c; made on the
+        first call and kept, and its own dual is this code."""
+        if self._dual is None:
+            self._dual = LinearCode(self.p, self.n, self._kernel_rows())
+            self._dual._dual = self
+        return self._dual
 
     def permuted_echelons(self, perms) -> Iterator[np.ndarray]:
         """GF(2): the packed RREF of the basis with its columns permuted by

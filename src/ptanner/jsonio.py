@@ -1,8 +1,9 @@
 """The JSON codec of every artifact and CLI output.
 
 Types describe their documents: `to_doc()` gives the document (nested
-objects may stay objects; they are encoded in turn) and, for types that
-are read back, `from_doc(doc)` rebuilds the object.  This module alone
+objects may stay objects; they are encoded in turn, and a large part may
+come as `Encoded` text) and, for types that are read back, `from_doc(doc)`
+rebuilds the object.  This module alone
 decides the bytes: sorted keys, no whitespace, no NaN or infinity.  So
 `dumps(json.loads(text)) == text` for every text `dumps` writes, and a
 rerun that builds the same objects writes the same bytes.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +33,36 @@ def _encode(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+class Encoded:
+    """A value already written as canonical JSON text, for values too large
+    to build as objects first; `dumps` copies it where the value sits."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+_SLOT = "\udfff"  # a lone surrogate, written as the escape \udfff
+
+
 def dumps(doc) -> str:
     """Canonical JSON text of `doc`; raises ValueError on NaN or infinity."""
-    return json.dumps(
-        doc, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_encode
-    )
+    texts: list[str] = []
+
+    def encode(obj):
+        if isinstance(obj, Encoded):
+            texts.append(obj.text)
+            return _SLOT
+        return _encode(obj)
+
+    out = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False, default=encode)
+    if not texts:
+        return out
+    parts = out.split(json.dumps(_SLOT))
+    if len(parts) != len(texts) + 1:
+        raise ValueError("a string in the document reads as an Encoded slot")
+    return "".join(chain.from_iterable(zip(parts, texts))) + parts[-1]
 
 
 def read_artifact(path, parse, what: str = "file"):

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator
 
@@ -41,8 +42,9 @@ from .errors import (
 from .expander import (
     GeneratorMultiset,
     GroupElement,
+    _decode,
+    _mul,
     cayley_table,
-    element_from_index,
     group_order,
 )
 from .gf import (
@@ -67,11 +69,13 @@ DEFAULT_SSEXP_EXHAUSTIVE = 2**14
 class SquareCayleyComplex:
     """Faces G x [delta] x [delta] with four-corner incidence.
 
-    The local view of a vertex is a delta x delta integer grid of face
-    indices.  Under the "paired" convention the grid coordinate of face
-    (g, i, j) at a corner replaces each generator index actually used to
-    reach that corner by the index of its inverse; under "direct" the raw
-    (i, j) is used at all four corners.
+    The local view of a vertex is a delta x delta grid of face indices.
+    Under the "paired" convention the grid coordinate of face (g, i, j) at
+    a corner replaces each generator index actually used to reach that
+    corner by the index of its inverse; under "direct" the raw (i, j) is
+    used at all four corners.  Queries run on coordinate quadruples
+    (a, b, c, d) through one corner routine, so each costs poly(m) at any
+    group order.
     """
 
     def __init__(
@@ -98,9 +102,15 @@ class SquareCayleyComplex:
         self.delta = gens_a.degree
         self.group_size = group_order(self.p, self.m)
         self.num_faces = self.group_size * self.delta * self.delta
-        # precomputed inverse lists: inv_a[i] = a_i^{-1} = a_{pairing[i]}
-        self._inv_a = [gens_a.elements[j] for j in gens_a.pairing]
-        self._inv_b = [gens_b.elements[j] for j in gens_b.pairing]
+        self._q = self.p**self.m
+        self._steps_a = [(g.a, g.b, g.c, g.d) for g in gens_a.elements]
+        self._steps_b = [(g.a, g.b, g.c, g.d) for g in gens_b.elements]
+        # the grid index of a_i (b_j) at a corner reached through it; an involution
+        same = tuple(range(self.delta))
+        self._sig_a = gens_a.pairing if convention == "paired" else same
+        self._sig_b = gens_b.pairing if convention == "paired" else same
+        fits = self.num_faces - 1 <= np.iinfo(np.int64).max
+        self._face_dtype = np.int64 if fits else object
 
     @property
     def num_vertices(self) -> int:
@@ -112,14 +122,33 @@ class SquareCayleyComplex:
         if (v.p, v.m) != (self.p, self.m):
             raise GroupMismatch(f"vertex of ({v.p},{v.m}) in a complex of ({self.p},{self.m})")
 
+    def _face(self, f: int) -> tuple[tuple[int, int, int, int], int, int]:
+        """(a, b, c, d) of face f's g, and its i, j."""
+        f = int(f)
+        if not 0 <= f < self.num_faces:
+            raise DomainError(f"face index {f} out of range")
+        g, ij = divmod(f, self.delta * self.delta)
+        i, j = divmod(ij, self.delta)
+        return _decode(self.p, self._q, g), i, j
+
+    def _corner(self, layer: str, x, i: int, j: int):
+        """The corner on `layer` of face (g, i, j), g given as its quadruple
+        x, as a quadruple, and the face's (row, col) in its local view."""
+        r, c = i, j
+        if layer[1] == "1":  # 01 and 11 are reached through a_i on the left
+            x = _mul(self.p, self._q, self._steps_a[i], x)
+            r = self._sig_a[i]
+        if layer[0] == "1":  # 10 and 11 through b_j on the right
+            x = _mul(self.p, self._q, x, self._steps_b[j])
+            c = self._sig_b[j]
+        return x, r, c
+
+    def _index(self, x) -> int:
+        return x[0] + self._q * (x[1] + self._q * x[2])
+
     def face_from_index(self, idx: int) -> tuple[GroupElement, int, int]:
-        idx = int(idx)
-        if not 0 <= idx < self.num_faces:
-            raise DomainError(f"face index {idx} out of range")
-        j = idx % self.delta
-        i = (idx // self.delta) % self.delta
-        g = element_from_index(self.p, self.m, idx // (self.delta * self.delta))
-        return g, i, j
+        x, i, j = self._face(idx)
+        return GroupElement(self.p, self.m, *x), i, j
 
     def incidence(
         self, layer: str, g: GroupElement, i: int, j: int
@@ -127,34 +156,31 @@ class SquareCayleyComplex:
         """The vertex of face (g, i, j) on `layer` and the face's (row, col)
         in that vertex's local view: the inverse of `local_view`."""
         self._check_query(layer, g)
-        paired = self.convention == "paired"
-        v, r, c = g, i, j
-        if layer[1] == "1":  # 01 and 11 are reached through a_i on the left
-            v = self.gens_a.elements[i] * v
-            r = self.gens_a.pairing[i] if paired else i
-        if layer[0] == "1":  # 10 and 11 through b_j on the right
-            v = v * self.gens_b.elements[j]
-            c = self.gens_b.pairing[j] if paired else j
-        return v, r, c
+        x, r, c = self._corner(layer, (g.a, g.b, g.c, g.d), i, j)
+        return GroupElement(self.p, self.m, *x), r, c
 
     def local_view(self, layer: str, v: GroupElement) -> np.ndarray:
-        """Grid of the delta^2 face indices incident to vertex (v, layer)."""
+        """Grid of the delta^2 face indices incident to vertex (v, layer):
+        int64, or Python ints in an object array once face indices pass
+        int64."""
         self._check_query(layer, v)
-        d = self.delta
-        paired = self.convention == "paired"
-        # row r uses a_i and column c uses b_j; the face's g is a_i^-1 v b_j^-1,
-        # each factor only on a layer reached through it (11: d + d^2 products)
+        d, pair_a, pair_b = self.delta, self.gens_a.pairing, self.gens_b.pairing
+        # cell (r, c) holds the face (g, i, j) whose corner here is v: i = sig_a[r]
+        # and j = sig_b[c] on the axes that reach this layer, and
+        # g = a_i^-1 v b_j^-1, the 10 corner and then the 01 corner of v taken
+        # with the inverse generators (11: d + d^2 products)
         ii = jj = range(d)
-        ends = [v]
+        ends = [(v.a, v.b, v.c, v.d)]
         if layer[0] == "1":
-            jj = self.gens_b.pairing if paired else jj
-            ends = [v * self._inv_b[j] for j in jj]
+            jj = self._sig_b
+            ends = [self._corner("10", ends[0], 0, pair_b[j])[0] for j in jj]
         grid = [ends]
         if layer[1] == "1":
-            ii = self.gens_a.pairing if paired else ii
-            grid = [[self._inv_a[i] * w for w in ends] for i in ii]
-        g = np.array([[w.index for w in row] for row in grid], dtype=np.int64)
-        return (g * d + np.array(ii)[:, None]) * d + np.array(jj)
+            ii = self._sig_a
+            grid = [[self._corner("01", w, pair_a[i], 0)[0] for w in ends] for i in ii]
+        dtype = self._face_dtype
+        g = np.array([[self._index(w) for w in row] for row in grid], dtype=dtype)
+        return (g * d + np.array(ii, dtype=dtype)[:, None]) * d + np.array(jj, dtype=dtype)
 
     def summary(self) -> dict:
         return {
@@ -288,26 +314,50 @@ def num_check_rows(complex_: SquareCayleyComplex, layers, basis_a, basis_b) -> i
     return len(layers) * complex_.group_size * len(basis_a) * len(basis_b)
 
 
+def _rows(basis) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(x) for x in row) for row in basis)
+
+
+@lru_cache(maxsize=16)
+def _cell_table(d: int, basis_a, basis_b, p: int) -> tuple:
+    """Per cell r * d + c of a local view, the check entries a face in that
+    cell meets: offsets s * k_b + t, ascending, and the nonzero values
+    basis_a[s][r] * basis_b[t][c] mod p.  Bases as tuples of int rows."""
+    kb = len(basis_b)
+    table = []
+    for r, c in product(range(d), repeat=2):
+        cell = [
+            (s * kb + t, row_a[r] * row_b[c] % p)
+            for s, row_a in enumerate(basis_a)
+            for t, row_b in enumerate(basis_b)
+            if row_a[r] * row_b[c] % p
+        ]
+        table.append((tuple(st for st, _ in cell), tuple(val for _, val in cell)))
+    return tuple(table)
+
+
+def _column(complex_: SquareCayleyComplex, f: int, layers, table, kk: int):
+    """`face_column` with the bases' `_cell_table` made, kk = k_a * k_b."""
+    cx = complex_
+    x, i, j = cx._face(f)
+    rows, vals = [], []
+    for layer_no, layer in enumerate(layers):
+        v, r, c = cx._corner(layer, x, i, j)
+        base = (layer_no * cx.group_size + cx._index(v)) * kk
+        offsets, cell_vals = table[r * cx.delta + c]
+        rows += [base + st for st in offsets]
+        vals += cell_vals
+    return rows, vals
+
+
 def face_column(
     complex_: SquareCayleyComplex, f: int, layers, basis_a, basis_b, p: int
 ) -> tuple[list[int], list[int]]:
     """Ascending check rows and their values in column f of the check
-    matrix on `layers`; the bases are lists of int rows."""
-    g, i, j = complex_.face_from_index(f)
-    ka, kb = len(basis_a), len(basis_b)
-    rows, vals = [], []
-    for layer_no, layer in enumerate(layers):
-        v, r, c = complex_.incidence(layer, g, i, j)
-        base = (layer_no * complex_.group_size + v.index) * ka * kb
-        for s, row_a in enumerate(basis_a):
-            if not row_a[r]:
-                continue
-            for t, row_b in enumerate(basis_b):
-                val = row_a[r] * row_b[c] % p
-                if val:
-                    rows.append(base + s * kb + t)
-                    vals.append(val)
-    return rows, vals
+    matrix on `layers`: each corner's cell looked up in the bases' table."""
+    basis_a, basis_b = _rows(basis_a), _rows(basis_b)
+    table = _cell_table(complex_.delta, basis_a, basis_b, p)
+    return _column(complex_, f, layers, table, len(basis_a) * len(basis_b))
 
 
 def check_matrix(complex_: SquareCayleyComplex, layers, basis_a, basis_b, p: int) -> FMatrix:
@@ -317,8 +367,7 @@ def check_matrix(complex_: SquareCayleyComplex, layers, basis_a, basis_b, p: int
     kk = len(basis_a) * len(basis_b)
     left = cayley_table(cx.p, cx.m, cx.gens_a.elements, "left")  # a_i * g
     right = cayley_table(cx.p, cx.m, cx.gens_b.elements, "right")  # g * b_j
-    sig_a = np.array(cx.gens_a.pairing if cx.convention == "paired" else range(d))
-    sig_b = np.array(cx.gens_b.pairing if cx.convention == "paired" else range(d))
+    sig_a, sig_b = np.array(cx._sig_a), np.array(cx._sig_b)
     g, i, j = np.unravel_index(np.arange(cx.num_faces), (cx.group_size, d, d))
     parts = []
     for layer_no, layer in enumerate(layers):

@@ -199,6 +199,8 @@ def test_from_doc_matches_loop_oracle(doc, data):
     text = dumps(inst)
     assert dumps(LinInstance.from_doc(json.loads(text))) == text
     canonical = dict(doc, constraints=[c._asdict() for c in loop_constraints(doc)])
+    # the writer on the CSR arrays gives the bytes of the document as objects
+    assert inst.to_json() == text == dumps(canonical)
     assert dumps(LinInstance.from_doc(json.loads(dumps(canonical)))) == dumps(canonical)
 
     # each invalid form, planted in one nonempty constraint
@@ -543,6 +545,50 @@ def test_reduce_corpus_preserves_perfect_satisfiability():
         xor_cons = [(cl.vars, (1,) * len(cl.vars), cl.parity) for cl in xor.clauses]
         red_perfect = brute_best(2, xor.num_vars, xor_cons) == xor.num_clauses
         assert orig_perfect == red_perfect
+
+
+def loop_reduce_to_3xor(instance):
+    """Oracle for `reduce_to_3xor`: the chain built one constraint at a
+    time, as (num_vars, clauses)."""
+    next_var = instance.num_vars
+    clauses = []
+    for con in instance.constraints:
+        vs, b, w = con.vars, con.rhs, len(con.vars)
+        if w <= 3:
+            clauses.append(XorClause(tuple(vs), b))
+            continue
+        zs = list(range(next_var, next_var + w - 2))
+        next_var += w - 2
+        clauses.append(XorClause((vs[0], vs[1], zs[0]), 0))
+        for j in range(2, w - 1):
+            clauses.append(XorClause((zs[j - 2], vs[j], zs[j - 1]), 0))
+        clauses.append(XorClause((zs[w - 3], vs[w - 1]), b))
+    return next_var, clauses
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(8, 12).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.lists(st.tuples(st.sets(st.integers(0, m - 1), max_size=8), st.integers(0, 1)),
+                 max_size=8),
+    )
+))
+def test_reduce_on_arrays_matches_loop_oracle(case):
+    """The chain on the CSR arrays equals the constraint-by-constraint loop
+    on rows of width 0 to 8: clause order, dummy numbering, text."""
+    m, rows = case
+    cons = [LinConstraint(tuple(sorted(vs)), (1,) * len(vs), b) for vs, b in rows]
+    inst = LinInstance.from_doc(lin_doc(2, m, cons, 8))
+    xor = reduce_to_3xor(inst)
+    num_vars, clauses = loop_reduce_to_3xor(inst)
+    assert (xor.num_vars, xor.clauses) == (num_vars, clauses)
+    assert xor == XorInstance(num_vars, clauses)
+    lines = [f"p xor {num_vars} {len(clauses)}"] + [
+        " ".join(["x", *(str(v + 1) for v in cl.vars), str(cl.parity)]) for cl in clauses
+    ]
+    assert xor.to_text() == "\n".join(lines) + "\n"
+    assert XorInstance.from_text(xor.to_text()) == xor
 
 
 def test_reduce_rejects_other_fields():

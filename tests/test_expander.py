@@ -130,6 +130,18 @@ def test_coordinate_law_matches_matrix_product(level, data):
     assert x.inv().matrix == adjugate
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from([2, 3, 5]), m=st.sampled_from([1, 2, 30]), data=st.data())
+def test_product_d_matches_modular_inverse_formula(p, m, data):
+    """A product carries d = d1 + d2 + p(c1 b2 + d1 d2) and an inverse
+    d = a; both equal the completion d = (1 + pa)^-1 (pbc - a) mod p^m."""
+    q, coord = p**m, st.integers(0, p**m - 1)
+    x = element_from_coords(p, m, *data.draw(st.tuples(coord, coord, coord)))
+    y = element_from_coords(p, m, *data.draw(st.tuples(coord, coord, coord)))
+    for g in (x, y, x * y, y * x, x.inv(), (x * y).inv() * x):
+        assert g.d == pow(1 + p * g.a, -1, q) * (p * g.b * g.c - g.a) % q
+
+
 def test_bad_level_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(InvalidField):

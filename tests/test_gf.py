@@ -231,6 +231,25 @@ def test_dual_code_dimensions_and_orthogonality():
     assert d.dual() == c
 
 
+def test_dual_is_made_once_and_kept(monkeypatch):
+    """A second dual() call eliminates nothing, and the dual's dual is the
+    code itself, which a fresh elimination of the dual's kernel agrees with."""
+    seen = []
+    eliminate, reduce_dense = gf._eliminate, gf._row_reduce_dense
+    monkeypatch.setattr(gf, "_eliminate", lambda *args: seen.append(2) or eliminate(*args))
+    monkeypatch.setattr(
+        gf, "_row_reduce_dense", lambda *args: seen.append(3) or reduce_dense(*args)
+    )
+    for p, rows in ((2, [[1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1, 1]]), (3, [[1, 2, 0, 1]])):
+        code = LinearCode(p, len(rows[0]), rows)
+        seen.clear()
+        dual = code.dual()
+        assert seen == [p]
+        assert code.dual() is dual and dual.dual() is code
+        assert seen == [p]
+        assert LinearCode(p, code.n, dual._kernel_rows()) == code
+
+
 def test_fmatrix_json_round_trip():
     rng = random.Random(7)
     for p in (2, 5):
