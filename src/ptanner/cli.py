@@ -72,8 +72,9 @@ def _deliver(args, text: str) -> int:
     return 0
 
 
-def _load_code(path) -> CssCode:
-    return read_artifact(path, CssCode.from_doc)
+def _load_code(path, commuting: bool = False) -> CssCode:
+    parse = (lambda doc: CssCode.from_doc(doc).validate()) if commuting else CssCode.from_doc
+    return read_artifact(path, parse)
 
 
 def _load_instance(path) -> LinInstance:
@@ -200,7 +201,7 @@ def _cmd_code_ssexp(args) -> int:
 
 
 def _cmd_nlts_clusters(args) -> int:
-    code = _load_code(args.code)
+    code = _load_code(args.code, commuting=True)
     sset = enumerate_syndrome_set(code, args.basis, args.eps)
     part = build_clusters(sset, args.c1)
     report = verify_cluster_lemma(part, args.c2)
@@ -218,7 +219,7 @@ def _load_state(source: str, n: int, seed: int, rng_trial: int) -> np.ndarray:
 
 
 def _cmd_nlts_spread(args) -> int:
-    code = _load_code(args.code)
+    code = _load_code(args.code, commuting=True)
     part_x = build_clusters(enumerate_syndrome_set(code, "X", args.eps), args.c1)
     part_z = build_clusters(enumerate_syndrome_set(code, "Z", args.eps), args.c1)
     logicals = logical_pair(code)

@@ -1,17 +1,18 @@
 """Low-energy structure lab for small CSS codes.
 
 Everything here is exact and exhaustive by design: syndrome sets are full
-enumerations of the hypercube, cluster partitions are the components of the
-near-coset relation, whose edges y ~ y + d are gathered once per word d of
-the close set (the words of small coset weight), Hamiltonians are dense
-matrices on at most 12 qubits, and measurement statistics are computed by
-literal basis change.  Bit strings are packed big-endian into Python ints
+enumerations of the hypercube, Hamiltonians are dense matrices on at most
+12 qubits, and measurement statistics are computed by literal basis change.
+Cluster partitions are the components of the near-coset relation; with
+commuting checks (checked) they are taken on the cosets of the opposite
+stabilizer space S, each word reduced modulo S's RREF.  Nearest-word
+distances are min-plus transforms over the 2^n cube, O(n 2^n), not passes
+over member pairs.  Bit strings are packed big-endian into Python ints
 (coordinate 0 is the most significant bit) so that integer order equals
 lexicographic order on vectors; that makes "lexicographically least
 representative" a plain min().  Stabilizer and kernel words are the
 codewords of the code's cached row spaces (`CssCode.rowspace_x`,
-`rowspace_z`) and of their duals, listed by `gf.iter_codewords`, so no
-check matrix is eliminated here.
+`rowspace_z`) and of their duals, listed by `gf.iter_codewords`.
 """
 
 from __future__ import annotations
@@ -90,9 +91,6 @@ class SyndromeSet:
     def n(self) -> int:
         return self.code.n
 
-    def __contains__(self, y: int) -> bool:
-        return y in self.syndrome_of
-
     def to_doc(self) -> dict:
         return {
             "basis": self.basis,
@@ -110,7 +108,7 @@ def enumerate_syndrome_set(
     _require_gf2(code)
     if basis not in ("X", "Z"):
         raise DomainError(f"basis must be X or Z, got {basis!r}")
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise DomainError("epsilon must be nonnegative")
     n = code.n
     total = 1 << n
@@ -176,14 +174,17 @@ class ClusterPartition:
     representative_cluster_of: dict[int, int]
     _coset_table: np.ndarray = field(repr=False, default=None)
     _positions: np.ndarray = field(repr=False, default=None)  # word -> member index, or -1
+    _syndromes: np.ndarray = field(repr=False, default=None)  # per member, in member order
 
     def decode(self, y: int) -> int:
         """y plus the representative of its syndrome."""
         return y ^ self.representatives[self.syndrome_of[y]]
 
     def decoded(self) -> np.ndarray:
-        """decode(y) for every member, in member order."""
-        return np.array([self.decode(y) for y in self.members], dtype=np.int64)
+        """decode(y) for every member, in member order, by distinct syndrome."""
+        distinct, index = np.unique(self._syndromes, return_inverse=True)
+        reps = np.array([self.representatives[s] for s in distinct.tolist()], dtype=np.int64)
+        return np.array(self.members, dtype=np.int64) ^ reps[index]
 
     def to_doc(self) -> dict:
         return {
@@ -201,9 +202,10 @@ class ClusterPartition:
 def build_clusters(
     sset: SyndromeSet, c1: float, cap: int = ENUMERATION_CAP
 ) -> ClusterPartition:
-    if c1 <= 0:
+    if not c1 > 0:
         raise DomainError("c1 must be positive")
     code, n = sset.code, sset.code.n
+    code.validate()  # commuting checks: the member set is a union of S-cosets
     stabilizers = code.rowspace_x if sset.basis == "Z" else code.rowspace_z
     table = _coset_weight_table(stabilizers, cap)
     threshold = 2.0 * c1 * sset.epsilon * n + 1e-12
@@ -212,17 +214,13 @@ def build_clusters(
     size = len(members)
     pos = np.full(1 << n, -1, dtype=np.int64)
     pos[mm] = np.arange(size)
-    # related pairs i < j, y_j = y_i + d for a close word d (d = 0 is one)
-    ar = np.arange(size)
-    rows, cols = [], []
-    for d in np.flatnonzero(table <= threshold):
-        nb = pos[mm ^ d]
-        keep = nb > ar
-        rows.append(ar[keep])
-        cols.append(nb[keep])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    adj = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(size, size))
-    _, labels = connected_components(adj, directed=False)
+    # y ~ y + d for close d joins S-cosets: link coset c to c + d (via a member)
+    cosets, coset_of = np.unique(_reduce(mm, stabilizers), return_inverse=True)
+    close = np.unique(_reduce(np.flatnonzero(table <= threshold), stabilizers))
+    nb = pos[cosets[:, None] ^ close]
+    rows, cols = np.nonzero(nb >= 0)[0], coset_of[nb[nb >= 0]]
+    adj = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(len(cosets),) * 2)
+    labels = connected_components(adj, directed=False)[1][coset_of]
     raw: dict[int, list[int]] = {}
     for y, lab in zip(members, labels.tolist()):
         raw.setdefault(lab, []).append(y)
@@ -262,7 +260,15 @@ def build_clusters(
         representative_cluster_of=rep_cluster_of,
         _coset_table=table,
         _positions=pos,
+        _syndromes=np.array([sset.syndrome_of[y] for y in members]),
     )
+
+
+def _reduce(words: np.ndarray, space: LinearCode) -> np.ndarray:
+    """Packed words modulo the space: their RREF pivot bits cleared."""
+    for g, p in zip(space.basis, space.pivots.tolist()):
+        words = words ^ (words >> (space.n - 1 - p) & 1) * pack_bits(g)
+    return words
 
 
 @dataclass
@@ -294,6 +300,8 @@ def verify_cluster_lemma(part: ClusterPartition, c2: float) -> ClusterLemmaRepor
         otherwise;
     (4) decoding members of one cluster lands in a single stabilizer coset.
     """
+    if math.isnan(c2):
+        raise DomainError("c2 must be a number")
     table, pos = part._coset_table, part._positions
     mm = np.array(part.members, dtype=np.int64)
     labels = np.array([part.cluster_of[y] for y in part.members], dtype=np.int64)
@@ -318,9 +326,10 @@ def verify_cluster_lemma(part: ClusterPartition, c2: float) -> ClusterLemmaRepor
 
     min_dist, witness = None, None
     if np.unique(labels).size > 1:
-        dist, nearest = _nearest(mm, mm, labels)
+        dist = _nearest_other(mm, labels, part.n)[1][mm]
         i = int(dist.argmin())
-        min_dist, witness = int(dist[i]), (int(mm[i]), int(mm[nearest[i]]))
+        j = ((labels != labels[i]) & (np.bitwise_count(mm ^ mm[i]) == dist[i])).argmax()
+        min_dist, witness = int(dist[i]), (int(mm[i]), int(mm[j]))
     distance_ok = min_dist is None or min_dist >= c2 * part.n
     if not distance_ok and counterexample is None:
         counterexample = {"check": 2, "pair": witness, "distance": min_dist}
@@ -359,20 +368,48 @@ def verify_cluster_lemma(part: ClusterPartition, c2: float) -> ClusterLemmaRepor
     )
 
 
-def _nearest(a: np.ndarray, b: np.ndarray, labels=None) -> tuple[np.ndarray, np.ndarray]:
-    """Per word of a: the least Hamming distance to a word of b, and the first
-    index of b attaining it.  With labels (a and b the same words), only pairs
-    with different labels count, and a word with none gets distance 64."""
-    dist = np.empty(len(a), dtype=np.int64)
-    arg = np.empty(len(a), dtype=np.int64)
-    step = max(1, PAIR_BLOCK // len(b))
-    for s in range(0, len(a), step):
-        d = np.bitwise_count(a[s : s + step, None] ^ b)
-        if labels is not None:
-            d[labels[s : s + step, None] == labels] = 64
-        arg[s : s + step] = d.argmin(axis=1)
-        dist[s : s + step] = d[np.arange(len(d)), arg[s : s + step]]
-    return dist, arg
+def _cube_pairs(*arrays):
+    """Per bit of the 2^n cube index, lowest first: each array as (-1, 2, h)
+    pairs across it.  The low bits are visited on transposed copies, written
+    back before the high bits, so that no view has short rows."""
+    n = arrays[0].shape[0].bit_length() - 1
+    swapped = [x.reshape(-1, 1 << n // 2).T.copy() for x in arrays]
+    for k in range(n - n // 2, n):
+        yield [x.reshape(-1, 2, 1 << k) for x in swapped]
+    for x, t in zip(arrays, swapped):
+        x.reshape(-1, 1 << n // 2)[...] = t.T
+    for k in range(n // 2, n):
+        yield [x.reshape(-1, 2, 1 << k) for x in arrays]
+
+
+def _distance_to(words: np.ndarray, n: int) -> np.ndarray:
+    """Per word of the 2^n cube: the Hamming distance to the nearest of
+    `words` (n + 1 when there is none), one min-plus pass per bit."""
+    dist = np.full(1 << n, n + 1, dtype=np.int8)
+    dist[words] = 0
+    for (pairs,) in _cube_pairs(dist):
+        np.minimum(pairs[:, 0], pairs[:, 1] + 1, out=pairs[:, 0])
+        # the merged low half only adds high-half words two steps away
+        np.minimum(pairs[:, 1], pairs[:, 0] + 1, out=pairs[:, 1])
+    return dist
+
+
+def _nearest_other(words: np.ndarray, labels: np.ndarray, n: int):
+    """Per word v of the 2^n cube, (d1 << 24 | l1, d2): the distance d1 to
+    the nearest of `words`, the least label l1 (< 2^24) at that distance, and
+    the distance d2 to the nearest word labelled other than l1 (n + 1 if none)."""
+    mask = (1 << 24) - 1
+    key = np.full(1 << n, (n + 1) << 24 | mask, dtype=np.int32)
+    other = np.full(1 << n, n + 1, dtype=np.int8)
+    key[words] = labels
+    for keys, dists in _cube_pairs(key, other):
+        for a, b in ((0, 1), (1, 0)):  # as in _distance_to, merged halves are as good
+            k, far, d = keys[:, a], keys[:, b] + (1 << 24), dists[:, a]
+            cross = np.maximum(k, far) >> 24  # the farther of two differently labelled words
+            cross[((k ^ far) & mask) == 0] = n + 1
+            np.minimum(d, np.minimum(cross, dists[:, b] + 1), out=d, casting="unsafe")
+            np.minimum(k, far, out=k)
+    return key, other
 
 
 def _shift_targets(cl, shifts, pos, labels, sizes) -> np.ndarray:
@@ -551,13 +588,11 @@ class SpreadReport:
 
 
 def _fwht(vec: np.ndarray) -> np.ndarray:
-    a, h = vec.copy(), 1
-    while h < a.shape[0]:
-        pairs = a.reshape(-1, 2, h)
+    a = vec.copy()
+    for (pairs,) in _cube_pairs(a):
         diff = pairs[:, 0] - pairs[:, 1]
         pairs[:, 0] += pairs[:, 1]
         pairs[:, 1] = diff
-        h *= 2
     return a
 
 
@@ -591,13 +626,6 @@ def _distributions(state: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         d_x = np.diag(mixed).real / dim
         return d_z, d_x
     raise StateDimensionMismatch("state must be a vector or a square matrix")
-
-
-def _set_separation(s0: list[int], s1: list[int]) -> int | None:
-    if not s0 or not s1:
-        return None
-    dist, _ = _nearest(np.array(s0, dtype=np.int64), np.array(s1, dtype=np.int64))
-    return int(dist.min())
 
 
 def _spread_sides(part: ClusterPartition, readout: int) -> tuple[list[int], list[int]]:
@@ -637,7 +665,7 @@ def measure_spread(
                 s1=s1,
                 mass0=mass0,
                 mass1=mass1,
-                separation=_set_separation(s0, s1),
+                separation=int(_distance_to(np.array(s1), n)[s0].min()) if s0 and s1 else None,
                 mass_threshold_strict=SPREAD_MASS_STRICT,
                 mass_threshold_relaxed=SPREAD_MASS_RELAXED,
             )

@@ -278,10 +278,11 @@ class CssCode:
     def css_orthogonal(self) -> bool:
         return (self.h_x @ self.h_z.T).nnz() == 0
 
-    def validate(self) -> None:
-        """Raise DomainError unless the X/Z checks commute."""
+    def validate(self) -> "CssCode":
+        """The code itself; DomainError unless the X/Z checks commute."""
         if not self.css_orthogonal():
             raise DomainError("X and Z checks do not commute")
+        return self
 
     def to_doc(self) -> dict:
         return {

@@ -48,7 +48,7 @@ from ptanner.nlts import (
     unpack_bits,
     verify_cluster_lemma,
 )
-from ptanner.nlts import _coset_weight_table, _shift_targets
+from ptanner.nlts import _coset_weight_table, _distance_to, _nearest_other, _shift_targets
 from ptanner.tanner import CssCode, estimate_ssexp
 
 from small_codes import shor_code, steane_code
@@ -164,6 +164,26 @@ def test_syndrome_set_errors(steane):
     ternary = CssCode(p=3, n=2, h_x=FMatrix.zeros(3, 0, 2), h_z=FMatrix.zeros(3, 0, 2))
     with pytest.raises(UnsupportedField):
         enumerate_syndrome_set(ternary, "Z", 0.5)
+
+
+def test_nan_constants_are_refused(steane):
+    # NaN passes both `epsilon < 0` and `c1 <= 0`; each constant is refused
+    with pytest.raises(DomainError, match="epsilon"):
+        enumerate_syndrome_set(steane, "Z", math.nan)
+    sset = enumerate_syndrome_set(steane, "Z", 1.0 / 3.0)
+    with pytest.raises(DomainError, match="c1"):
+        build_clusters(sset, math.nan)
+    with pytest.raises(DomainError, match="c2"):
+        verify_cluster_lemma(build_clusters(sset, 0.1), math.nan)
+
+
+def test_clusters_refuse_noncommuting_checks():
+    # the coset-class reduction needs the member set closed under S
+    code = CssCode(p=2, n=2, h_x=FMatrix.from_dense(2, [[1, 0]]),
+                   h_z=FMatrix.from_dense(2, [[1, 1]]))
+    sset = enumerate_syndrome_set(code, "Z", 0.5)
+    with pytest.raises(DomainError, match="do not commute"):
+        build_clusters(sset, 0.1)
 
 
 def test_syndrome_set_json_smoke(steane):
@@ -999,3 +1019,102 @@ def test_decoder_witness_matches_loop_oracle():
     report = verify_cluster_lemma(tampered, 0.0)
     assert report.counterexample == {"check": 4, "cluster": 0, "pair": (0, 128)}
     assert report.to_doc() == {**loop_lemma(tampered, 0.0), "all_ok": False}
+
+
+# ------------------------------------- differential: cube transforms vs pairs
+
+
+def pair_nearest(a, b, labels=None):
+    """The member-pair kernel the cube transforms replaced: per word of a, the
+    least Hamming distance to a word of b and the first index of b attaining
+    it.  With labels (a and b the same words), only pairs with different
+    labels count, and a word with none gets distance 64."""
+    dist = np.empty(len(a), dtype=np.int64)
+    arg = np.empty(len(a), dtype=np.int64)
+    step = max(1, (1 << 20) // len(b))
+    for s in range(0, len(a), step):
+        d = np.bitwise_count(a[s : s + step, None] ^ b)
+        if labels is not None:
+            d[labels[s : s + step, None] == labels] = 64
+        arg[s : s + step] = d.argmin(axis=1)
+        dist[s : s + step] = d[np.arange(len(d)), arg[s : s + step]]
+    return dist, arg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 12), st.sampled_from(["one", "distinct", "three"]), st.data())
+def test_cube_transforms_match_pair_minimum(n, labelling, data):
+    cube = (1 << n) - 1
+    words = np.array(sorted(data.draw(st.sets(st.integers(0, cube), max_size=40))), dtype=np.int64)
+    dist = np.bitwise_count(np.arange(cube + 1)[:, None] ^ words).astype(np.int64)
+    nearest = dist.min(axis=1) if words.size else np.full(cube + 1, n + 1)
+    assert _distance_to(words, n).tolist() == nearest.tolist()
+    if not words.size:
+        return
+    # three labels make ties between labels at equal distance common
+    labels = {
+        "one": lambda: np.zeros(len(words), dtype=np.int64),
+        "distinct": lambda: np.array(data.draw(st.lists(
+            st.integers(0, (1 << 24) - 1), min_size=len(words), max_size=len(words), unique=True))),
+        "three": lambda: np.array(data.draw(st.lists(
+            st.integers(0, 2), min_size=len(words), max_size=len(words)))),
+    }[labelling]()
+    key, other = _nearest_other(words, labels, n)
+    assert (key >> 24).tolist() == nearest.tolist()
+    least = np.where(dist == nearest[:, None], labels, 1 << 24).min(axis=1)
+    assert (key & ((1 << 24) - 1)).tolist() == least.tolist()
+    far = np.where(labels != least[:, None], dist, n + 1).min(axis=1)
+    assert other.tolist() == far.tolist()
+    # at the words themselves: the old kernel's distance to another label
+    if np.unique(labels).size > 1:
+        assert other[words].tolist() == pair_nearest(words, words, labels)[0].tolist()
+
+
+def hypergraph_product(h):
+    """CSS code of the hypergraph product of a classical check matrix with itself."""
+    h = np.asarray(h, dtype=np.int64)
+    r, c = h.shape
+    eye_r, eye_c = np.eye(r, dtype=np.int64), np.eye(c, dtype=np.int64)
+    h_x = np.hstack([np.kron(h, eye_c), np.kron(eye_r, h.T)])
+    h_z = np.hstack([np.kron(eye_c, h), np.kron(h.T, eye_r)])
+    return CssCode(p=2, n=h_x.shape[1], h_x=FMatrix.from_dense(2, h_x), h_z=FMatrix.from_dense(2, h_z))
+
+
+@pytest.mark.parametrize(
+    "h, eps, c1, c2",
+    [
+        ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 1 / 8, 1 / 10, 1 / 18),  # 3x3 toric code, n = 18
+        ([[1, 1, 0], [0, 1, 1]], 1 / 2, 1 / 20, 1 / 13),  # planar code, n = 13
+        ([[1, 1, 0], [0, 1, 1]], 1 / 2, 1 / 10, 1 / 13),  # c1 outside the regime: one cluster
+    ],
+    ids=["toric", "planar", "planar_wide"],
+)
+def test_lab_codes_match_pair_kernels(h, eps, c1, c2):
+    code = hypergraph_product(h)
+    parts = {}
+    for basis in ("X", "Z"):
+        sset = enumerate_syndrome_set(code, basis, eps)
+        part = parts[basis] = build_clusters(sset, c1)
+        clusters, representatives, rep_cluster_of = loop_clusters(sset, c1)
+        assert part.clusters == clusters
+        assert part.representatives == representatives
+        assert part.representative_cluster_of == rep_cluster_of
+        assert part.decoded().tolist() == [part.decode(y) for y in part.members]
+        # c2 = 1 fails check 2 wherever check 1 passes, so the witness shows
+        for c2_ in (c2, 1.0):
+            report = verify_cluster_lemma(part, c2_)
+            assert report.to_doc() == {**loop_lemma(part, c2_), "all_ok": report.all_ok}
+        if len(part.clusters) > 1:
+            mm = np.array(part.members, dtype=np.int64)
+            labels = np.array([part.cluster_of[y] for y in part.members])
+            dist, nearest = pair_nearest(mm, mm, labels)
+            i = int(dist.argmin())
+            assert report.counterexample == {
+                "check": 2, "pair": (int(mm[i]), int(mm[nearest[i]])), "distance": dist[i]}
+    logicals = logical_pair(code)
+    vec = np.random.default_rng(7).normal(size=1 << code.n) + 0j
+    reports = measure_spread(vec, code, parts["X"], parts["Z"], logicals)
+    for r, (s0, s1, mass0, mass1, separation) in zip(reports, loop_spread(vec, parts, logicals)):
+        assert (r.s0, r.s1, r.mass0.hex(), r.mass1.hex()) == (s0, s1, mass0.hex(), mass1.hex())
+        old = pair_nearest(np.array(s0), np.array(s1))[0].min() if s0 and s1 else None
+        assert r.separation == separation == old

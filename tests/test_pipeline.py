@@ -466,6 +466,13 @@ HUGE_ENTRY_CODE = json.dumps({
     "h_z": {"p": 2, "rows": 0, "cols": 1, "entries": []},
 })
 
+# X1 and Z1Z2 anticommute; the NLTS lab refuses such a code
+NONCOMMUTING_CODE = json.dumps({
+    "p": 2, "n": 2,
+    "h_x": {"p": 2, "rows": 1, "cols": 2, "entries": [[0, 0, 1]]},
+    "h_z": {"p": 2, "rows": 1, "cols": 2, "entries": [[0, 0, 1], [0, 1, 1]]},
+})
+
 
 def _instance_text(**change):
     """A two-variable instance document with `change` applied to its one
@@ -499,6 +506,9 @@ def _instance_text(**change):
         (["csp", "reduce3", "--instance", "{bad}"], _instance_text(rhs="1")),
         (["csp", "unsat", "--instance", "{bad}"], _instance_text(p=2**61 - 1)),
         (["csp", "unsat", "--instance", "{bad}"], _instance_text(vars=[True, 0])),
+        (["nlts", "clusters", "--code", "{bad}", "--eps", "0.5", "--c1", "0.1", "--c2", "0.1"],
+         NONCOMMUTING_CODE),
+        (["nlts", "spread", "--code", "{bad}"], NONCOMMUTING_CODE),
     ],
 )
 def test_cli_malformed_artifact_exits_2(tmp_path, capsys, steane_file, argv, content):
@@ -509,6 +519,8 @@ def test_cli_malformed_artifact_exits_2(tmp_path, capsys, steane_file, argv, con
     err = capsys.readouterr().err
     assert "precondition failed" in err
     assert str(bad) in err
+    if content == NONCOMMUTING_CODE:
+        assert "X and Z checks do not commute" in err
 
 
 @pytest.mark.parametrize(
