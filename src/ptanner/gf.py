@@ -8,8 +8,11 @@ stack of GF(2) matrices of full row rank, such as one basis under many
 column permutations, is eliminated in one pass over the columns.
 
 A subspace is a `LinearCode`: the RREF of a spanning set, eliminated once,
-off which its dimension, membership, separating dual words and dual code
-are read; `rank`, `kernel_basis` and `in_rowspace` each build one.
+off which its dimension, membership (of one vector or of a batch, in one
+residual), separating dual words and dual code are read; `rank`,
+`kernel_basis` and `in_rowspace` each build one.  Over GF(2) the kernel
+rows are packed straight from the packed RREF, so the dual code and the
+distance search's permuted echelons never go through a dense int64 array.
 
 Enumeration-style operations (minimum distance, coset weight) take an
 explicit budget and refuse to start work that would exceed it.
@@ -37,6 +40,7 @@ __all__ = [
     "kernel_basis",
     "row_reduce",
     "rank_work",
+    "permuted_echelons",
     "solve",
     "in_rowspace",
     "coset_min_weight",
@@ -49,9 +53,13 @@ DEFAULT_ENUMERATION_BUDGET = 2**24
 
 _ENUM_CHUNK = 1 << 14
 
-# Packed bytes of one `LinearCode.permuted_echelons` stack; more trials run
-# in further stacks.
+# Packed bytes of one `permuted_echelons` stack; more trials run in further
+# stacks.
 _STACK_BYTES = 1 << 23
+
+# RREF words unpacked at once while `LinearCode._kernel_rows` packs the GF(2)
+# dual rows of their free columns.
+_KERNEL_WORDS = 4
 
 
 def _supported_prime(p: int) -> bool:
@@ -452,15 +460,19 @@ class LinearCode:
             m = _as_array(p, rows)
         if m.shape[1] != self.n:
             raise DimensionMismatch(f"rows of length {m.shape[1]}, expected {self.n}")
-        if p == 2:
-            echelon = _pack(m, self.n)
-            pivots = _eliminate(echelon, self.n)
-        else:
-            echelon, pivots = _row_reduce_dense(_dense(m), p)
-        self.pivots = np.array(pivots, dtype=np.int64)
-        self._rows = echelon[: len(pivots)].copy()  # frees the zero rows
-        self._basis = None if p == 2 else self._rows
         self._dual = None
+        self._reduce(_pack(m, self.n) if p == 2 else _dense(m))
+
+    def _reduce(self, rows: np.ndarray) -> None:
+        """Keep the RREF of `rows`, storage rows spanning the code: packed
+        over GF(2), eliminated in place; dense int64 for odd p."""
+        if self.p == 2:
+            pivots = _eliminate(rows, self.n)
+        else:
+            rows, pivots = _row_reduce_dense(rows, self.p)
+        self.pivots = np.array(pivots, dtype=np.int64)
+        self._rows = rows[: len(pivots)].copy()  # frees the zero rows
+        self._basis = None if self.p == 2 else self._rows
 
     @property
     def dim(self) -> int:
@@ -470,43 +482,78 @@ class LinearCode:
     def basis(self) -> np.ndarray:
         """The RREF rows as a dense int64 array of shape (dim, n)."""
         if self._basis is None:
-            self._basis = _unpack(self._rows, self.n)
+            self._basis = self._dense_rows(self._rows)
         return self._basis
 
-    def _columns(self, cols: np.ndarray) -> np.ndarray:
-        """The RREF entries in columns `cols`, shape (dim, len(cols))."""
-        if self.p != 2:
-            return self._rows[:, cols]
-        bits = self._rows[:, cols >> 6] >> (cols & 63).astype(np.uint64)
-        return (bits & np.uint64(1)).astype(np.int64)
-
     def _kernel_rows(self, free: np.ndarray | None = None) -> np.ndarray:
-        """Dual basis rows, one per free column f (all of them by default,
-        ascending): 1 at f, 0 at the other free columns and -rref[i, f] at
-        pivot i.  This is `kernel_basis` of the spanning rows."""
+        """Dual basis rows as storage rows, one per free column f (all of
+        them by default, ascending): 1 at f, 0 at the other free columns and
+        -rref[i, f] at pivot i.  This is `kernel_basis` of the spanning rows.
+
+        Over GF(2) the rows are packed straight from the packed RREF, the
+        free columns of `_KERNEL_WORDS` RREF words at a time, so no dense
+        (free, n) array is made.
+        """
         if free is None:
             free = np.setdiff1d(np.arange(self.n), self.pivots)
-        u = np.zeros((free.size, self.n), dtype=np.int64)
-        u[np.arange(free.size), free] = 1
-        u[:, self.pivots] = (-self._columns(free).T) % self.p
-        return u
+        if self.p != 2:
+            u = np.zeros((free.size, self.n), dtype=np.int64)
+            u[np.arange(free.size), free] = 1
+            u[:, self.pivots] = (-self._rows[:, free].T) % self.p
+            return u
+        out = np.empty((free.size, self._rows.shape[1]), dtype=_WORD)
+        span = 64 * _KERNEL_WORDS
+        for lo in range(0, self.n, span):
+            a, b = np.searchsorted(free, (lo, lo + span))
+            if a == b:
+                continue
+            # the words' bytes column by column, so that a column's bits are a row
+            cols = np.ascontiguousarray(self._rows[:, lo >> 6 : (lo + span) >> 6].view(np.uint8).T)
+            bits = np.unpackbits(cols[:, None, :], axis=1, bitorder="little")
+            block = np.zeros((b - a, self.n), dtype=bool)
+            block[np.arange(b - a), free[a:b]] = True
+            block[:, self.pivots] = bits.reshape(8 * len(cols), self.dim)[free[a:b] - lo]
+            out[a:b] = _pack(block, self.n)
+        return out
+
+    def _dense_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Storage rows as dense int64 rows."""
+        return _unpack(rows, self.n) if self.p == 2 else rows
+
+    def _residuals(self, rows: np.ndarray) -> np.ndarray:
+        """Storage rows (packed over GF(2), dense and reduced mod p
+        otherwise) minus, each, the one combination of basis rows that
+        agrees with it on the pivots (an RREF row is the only one nonzero
+        at its pivot); a row is zero exactly when it lies in the code."""
+        if self.p != 2:
+            return (rows - rows[:, self.pivots] @ self._rows) % self.p
+        piv = self.pivots  # column c is bit c % 8 of byte c // 8
+        coeffs = (rows.view(np.uint8)[:, piv >> 3] >> (piv & 7).astype(np.uint8)) & 1
+        vec, row = np.nonzero(coeffs)  # row-major, so grouped by vector
+        out = rows.copy()
+        if vec.size:
+            starts = np.flatnonzero(np.diff(vec, prepend=-1))
+            out[vec[starts]] ^= np.bitwise_xor.reduceat(self._rows[row], starts, axis=0)
+        return out
 
     def _residual(self, v) -> np.ndarray:
-        """v minus the one combination of basis rows that agrees with it on
-        the pivots (an RREF row is the only one nonzero at its pivot), as a
-        row of the storage; zero exactly when v lies in the code."""
         v = as_vector(self.p, v)
         if v.shape[0] != self.n:
             raise DimensionMismatch(f"vector length {v.shape[0]} vs {self.n} columns")
-        coeffs = v[self.pivots]
-        used = np.flatnonzero(coeffs)
-        if self.p == 2:
-            combo = np.bitwise_xor.reduce(self._rows[used], axis=0)
-            return _pack(v.reshape(1, -1), self.n) ^ combo
-        return (v - coeffs[used] @ self._rows[used]) % self.p
+        return self._residuals(_pack(v[None], self.n) if self.p == 2 else v[None])[0]
 
     def contains(self, v) -> bool:
         return not self._residual(v).any()
+
+    def contains_packed(self, rows: np.ndarray) -> np.ndarray:
+        """GF(2): whether each of `rows`, packed into uint64 words as
+        `permuted_echelons` yields them, lies in the code; one residual
+        answers all of them."""
+        if self.p != 2:
+            raise InvalidField(f"packed rows need GF(2), not GF({self.p})")
+        if rows.dtype != _WORD or rows.ndim != 2 or rows.shape[1] != self._rows.shape[1]:
+            raise DimensionMismatch(f"packed rows {rows.dtype}{rows.shape} for {self.n} columns")
+        return ~self._residuals(rows).any(axis=1)
 
     def dual_witness(self, v) -> np.ndarray | None:
         """The first dual basis row u (in `kernel_basis` order) with
@@ -515,38 +562,19 @@ class LinearCode:
         The residual of v is zero on the pivots, and at a free column f it
         equals u_f.v, so its first nonzero entry names u.
         """
-        r = self._residual(v)
-        outside = np.flatnonzero(_unpack(r, self.n) if self.p == 2 else r)
-        return self._kernel_rows(outside[:1])[0] if outside.size else None
+        outside = np.flatnonzero(self._dense_rows(self._residual(v)[None]))
+        return self._dense_rows(self._kernel_rows(outside[:1]))[0] if outside.size else None
 
     def dual(self) -> "LinearCode":
         """The code of all u with u.c = 0 for every codeword c; made on the
-        first call and kept, and its own dual is this code."""
+        first call, by eliminating `_kernel_rows`, and kept.  Its own dual
+        is this code."""
         if self._dual is None:
-            self._dual = LinearCode(self.p, self.n, self._kernel_rows())
-            self._dual._dual = self
+            dual = LinearCode.__new__(LinearCode)
+            dual.p, dual.n, dual._dual = self.p, self.n, self
+            dual._reduce(self._kernel_rows())
+            self._dual = dual
         return self._dual
-
-    def permuted_echelons(self, perms) -> Iterator[np.ndarray]:
-        """GF(2): the packed RREF of the basis with its columns permuted by
-        each row of `perms` (column j of copy t is column perms[t][j]).
-
-        Yields (copies, dim, words) stacks in the order of `perms`, each
-        eliminated at once and holding as many copies as fit in
-        `_STACK_BYTES` (one at least).  Each copy is packed straight from
-        the permuted bits, so no dense int64 basis is built.
-        """
-        if self.p != 2:
-            raise InvalidField(f"packed echelons need GF(2), not GF({self.p})")
-        bits = np.unpackbits(self._rows.view(np.uint8), axis=1, count=self.n, bitorder="little")
-        step = max(1, _STACK_BYTES // max(1, self._rows.nbytes))
-        for start in range(0, len(perms), step):
-            chunk = perms[start : start + step]
-            stack = np.empty((len(chunk), *self._rows.shape), dtype=_WORD)
-            for t, perm in enumerate(chunk):
-                stack[t] = _pack(bits.take(perm, axis=1), self.n)
-            _eliminate_stack(stack, self.n)
-            yield stack
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCode):
@@ -563,6 +591,33 @@ class LinearCode:
 
     def __repr__(self):
         return f"LinearCode(p={self.p}, n={self.n}, dim={self.dim})"
+
+
+def permuted_echelons(rows: np.ndarray, n: int, perms) -> Iterator[np.ndarray]:
+    """GF(2): the packed RREF of the span of `rows` with its columns
+    permuted by each row of `perms` (column j of copy t is column
+    perms[t][j]).
+
+    `rows` is any basis of the span, packed over n columns: uint64 words of
+    full row rank.  The RREF of a span is unique, so every basis gives the
+    same stacks.  Yields (copies, len(rows), words) stacks in the order of
+    `perms`, each eliminated at once and holding as many copies as fit in
+    `_STACK_BYTES` (one at least).  Each copy is packed straight from the
+    permuted bits, so no dense int64 basis is built.
+    """
+    if rows.dtype != _WORD or rows.ndim != 2:
+        raise InvalidField(f"packed echelons need GF(2) rows in uint64 words, not {rows.dtype}")
+    if rows.shape[1] != -(-n // 64):
+        raise DimensionMismatch(f"{rows.shape[1]} words per row for {n} columns")
+    bits = np.unpackbits(rows.view(np.uint8), axis=1, count=n, bitorder="little")
+    step = max(1, _STACK_BYTES // max(1, rows.nbytes))
+    for start in range(0, len(perms), step):
+        chunk = perms[start : start + step]
+        stack = np.empty((len(chunk), *rows.shape), dtype=_WORD)
+        for t, perm in enumerate(chunk):
+            stack[t] = _pack(bits.take(perm, axis=1), n)
+        _eliminate_stack(stack, n)
+        yield stack
 
 
 # ---- entry points: one elimination each -------------------------------
@@ -591,7 +646,8 @@ def kernel_basis(m: FMatrix | np.ndarray, p: int | None = None) -> np.ndarray:
     so the result is deterministic.  Shape (dim_kernel, n_cols).
     """
     m, p = _operand(m, p)
-    return LinearCode(p, m.shape[1], m)._kernel_rows()
+    code = LinearCode(p, m.shape[1], m)
+    return code._dense_rows(code._kernel_rows())
 
 
 def solve(m: FMatrix | np.ndarray, b, p: int | None = None) -> np.ndarray | None:

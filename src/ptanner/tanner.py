@@ -28,7 +28,6 @@ import math
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterator
 
 import numpy as np
 from scipy import sparse
@@ -52,6 +51,7 @@ from .gf import (
     LinearCode,
     coset_min_weight,
     iter_codewords,
+    permuted_echelons,
     rank_work,
     row_reduce,
 )
@@ -415,7 +415,9 @@ def code_dimension(code: CssCode, budget: int = DEFAULT_RANK_BUDGET) -> int:
     """k = (n - rank H_Z) - rank H_X."""
     work = sum(rank_work(m, code.n, code.p) for m in (code.m_x, code.m_z))
     if work > budget:
-        raise BudgetExceeded(f"rank work {work} exceeds budget {budget}")
+        raise BudgetExceeded(
+            f"rank work {work} exceeds budget {budget}; tanner.DEFAULT_RANK_BUDGET lifts it"
+        )
     return (code.n - code.rank_z) - code.rank_x
 
 
@@ -544,6 +546,32 @@ def _trial_by_trial_side(
     return best, best_w, trials
 
 
+def _first_outside(
+    words: np.ndarray, trials: np.ndarray, inverse: np.ndarray, stabilizers: LinearCode
+) -> np.ndarray | None:
+    """The first of the packed `words` lying outside `stabilizers`, as an
+    int64 vector, or None.
+
+    Word i is in the column order of trial trials[i] (ascending), and
+    inverse[t] puts trial t's columns back in order.  The words are put
+    back one trial at a time and stay packed; the distinct ones are asked
+    together, in one residual.
+    """
+    n = stabilizers.n
+    ordered = np.zeros_like(words)
+    runs, starts = np.unique(trials, return_index=True)
+    for t, lo, hi in zip(runs, starts, np.append(starts[1:], len(words))):
+        bits = np.unpackbits(words[lo:hi].view(np.uint8), axis=1, count=n, bitorder="little")
+        packed = np.packbits(bits.take(inverse[t], axis=1), axis=1, bitorder="little")
+        ordered.view(np.uint8)[lo:hi, : packed.shape[1]] = packed
+    keys = ordered.view(np.dtype((np.void, ordered.itemsize * ordered.shape[1]))).ravel()
+    _, first, back = np.unique(keys, return_index=True, return_inverse=True)
+    hit = np.flatnonzero(~stabilizers.contains_packed(ordered[first])[back])
+    if not hit.size:
+        return None
+    return np.unpackbits(ordered[hit[0]].view(np.uint8), count=n, bitorder="little").astype(np.int64)
+
+
 def _randomized_side(
     checks: LinearCode,
     stabilizers: LinearCode,
@@ -554,40 +582,32 @@ def _randomized_side(
     `checks` outside `stabilizers`.
 
     Each trial draws a column permutation and takes the RREF of the dual
-    basis under it; its rows and the sums of pairs of its first 8 rows are
-    the candidates.  The result is the lightest candidate outside the
+    under it; its rows and the sums of pairs of its first 8 rows are the
+    candidates.  The result is the lightest candidate outside the
     stabilizers, the earliest (trial, candidate) among equals.  Over GF(2)
-    every trial is eliminated in packed stacks and weighed on words: a
-    weight does not depend on the column order, so only the candidates
-    whose membership is asked are put back in column order, and each
-    distinct one is asked once.
+    the trials start from the packed kernel rows of `checks`, so the dual
+    is never eliminated in column order, and every trial is eliminated in
+    packed stacks and weighed on words.  A weight does not depend on the
+    column order, so membership is asked once per weight class, lightest
+    first, of the class's distinct words put back in column order.
     """
     if checks.p != 2:
         return _trial_by_trial_side(checks, stabilizers, trials, rng)
     n = checks.n
-    dual = checks.dual()
-    if dual.dim == 0:
+    kernel = checks._kernel_rows()
+    if len(kernel) == 0:
         return math.inf, None, 0
     perms = np.array([rng.permutation(n) for _ in range(trials)], dtype=np.int64).reshape(trials, n)
     inverse = np.argsort(perms, axis=1)
-    outside: dict[bytes, np.ndarray | None] = {}  # packed word -> the word, if outside
-
-    def outside_word(word: np.ndarray, trial: int) -> np.ndarray | None:
-        v = np.unpackbits(word.view(np.uint8), count=n, bitorder="little")[inverse[trial]]
-        key = np.packbits(v).tobytes()
-        if key not in outside:
-            outside[key] = None if stabilizers.contains(v) else v.astype(np.int64)
-        return outside[key]
-
-    a, b = _pair_rows(dual.dim)
+    a, b = _pair_rows(len(kernel))
     best, best_w = math.inf, None
     first = 0  # the trial of the stack's first copy
-    for stack in dual.permuted_echelons(perms):
+    for stack in permuted_echelons(kernel, n, perms):
         words = np.concatenate([stack, stack[:, a] ^ stack[:, b]], axis=1)
         weights = np.bitwise_count(words).sum(axis=2)  # (copies, candidates)
         for w in np.unique(weights[weights < best]):
-            hits = (outside_word(words[t, k], first + t) for t, k in zip(*np.nonzero(weights == w)))
-            v = next((v for v in hits if v is not None), None)
+            t, k = np.nonzero(weights == w)
+            v = _first_outside(words[t, k], first + t, inverse, stabilizers)
             if v is not None:
                 best, best_w = int(w), v
                 break
@@ -676,70 +696,125 @@ class ExpansionCurve:
         }
 
 
-def _coset_weight_bound(
-    v: np.ndarray,
-    stab_rows: list[tuple[list[int], list[int]]],
-    stab_cols: list[tuple[list[int], list[int]]],
-    stab_code: LinearCode | None,
-    p: int,
-) -> int:
-    """|v| modulo the stabilizer rowspace: exact via enumeration when the
-    rowspace is small, else a greedy upper bound that repeatedly adds the
-    multiple of a stabilizer row that lowers the weight most (first scale,
-    then first row, on ties).  `stab_rows` and `stab_cols` are the
-    stabilizer matrix's `rows()` and its transpose's."""
-    if stab_code is not None:
-        return coset_min_weight(v, stab_code)
-    cur = {int(j): int(v[j]) for j in np.flatnonzero(v)}
-    while cur:
-        # a row missing supp(cur) scores |cur| + |row| > |cur| and can never
-        # win, so only the rows meeting it are scored, in ascending order
-        meet = sorted({r for j in cur for r in stab_cols[j][0]})
-        best, best_w = None, len(cur)
-        for scale in range(1, p):
-            for r in meet:
-                w = len(cur)
-                for c, x in zip(*stab_rows[r]):
-                    if c not in cur:
-                        w += 1
-                    elif (cur[c] + scale * x) % p == 0:
-                        w -= 1
-                if w < best_w:
-                    best, best_w = (scale, r), w
-        if best is None:
+def _csr(m: FMatrix, data=None) -> sparse.csr_array:
+    """m's CSR storage as a scipy array, with `data` in place of its values
+    when given."""
+    indptr, indices, values = m.csr()
+    return sparse.csr_array((values if data is None else data, indices, indptr), shape=m.shape)
+
+
+def _support(m: FMatrix) -> sparse.csr_array:
+    return _csr(m, np.ones(m.nnz(), dtype=np.int64))
+
+
+def _value_columns(m: FMatrix, values: np.ndarray) -> sparse.csr_array:
+    """The 0/1 matrix with a 1 at column c * p + values[e] for each stored
+    entry e of m at column c: two rows' product counts the columns where
+    their values match."""
+    indptr, indices, _ = m.csr()
+    return sparse.csr_array(
+        (np.ones(len(indices), dtype=np.int64), indices * m.p + values, indptr),
+        shape=(m.shape[0], m.shape[1] * m.p),
+    )
+
+
+def _coset_weight_bounds(vectors: FMatrix, stab: FMatrix) -> np.ndarray:
+    """Per row v of `vectors`, a greedy upper bound on |v| modulo the
+    stabilizer rowspace: while some multiple of a stabilizer row lowers
+    the weight, add the one that lowers it most (first scale, then first
+    row, on ties).
+
+    All rows take each round together.  Adding s * r to cur gives weight
+    |cur| + |r| - overlap - zeros(s), where overlap counts the columns both
+    meet and zeros(s) those where cur + s * r vanishes: one sparse product
+    of the supports for the overlap (over GF(2), zeros = overlap) and, for
+    odd p, one of value columns per scale.  Only rows meeting cur are
+    scored; the others weigh more than cur.  A row that finds no lighter
+    word is done and leaves the batch.
+    """
+    p = stab.p
+    indptr, _, x = stab.csr()
+    row_weight = np.diff(indptr)
+    stab_rows = _csr(stab)
+    support_t = _support(stab).T.tocsr()
+    # cur + s * x vanishes where cur = -s * x
+    targets = [_value_columns(stab, -s * x % p).T.tocsr() for s in range(1, p)] if p > 2 else []
+    bound = np.diff(vectors.csr()[0])
+    live = np.arange(vectors.shape[0])
+    cur = vectors
+    while live.size:
+        weight = bound[live]
+        overlap = _support(cur) @ support_t
+        values = _value_columns(cur, cur.csr()[2]) if p > 2 else None
+        scored = []  # (new weight, scale, vector, row) per pair that meets
+        for s in range(1, p):
+            # the zeros lie on the overlap's support, so the sum keeps its layout
+            zeros = overlap if p == 2 else values @ targets[s - 1]
+            pairs = (overlap + zeros).tocoo()
+            at, row = pairs.coords
+            scored.append((weight[at] + row_weight[row] - pairs.data, np.full(at.size, s), at, row))
+        w, scale, at, row = map(np.concatenate, zip(*scored))
+        better = w < weight[at]
+        w, scale, at, row = w[better], scale[better], at[better], row[better]
+        order = np.lexsort((row, scale, w, at))
+        pick = order[np.flatnonzero(np.diff(at[order], prepend=-1))]
+        if not pick.size:
             break
-        scale, r = best
-        for c, x in zip(*stab_rows[r]):
-            val = (cur.get(c, 0) + scale * x) % p
-            if val:
-                cur[c] = val
-            else:
-                del cur[c]
-    return len(cur)
+        step = sparse.csr_array(
+            (scale[pick], (np.arange(pick.size), row[pick])), shape=(pick.size, stab.shape[0])
+        )
+        cur = FMatrix(p, _csr(cur)[at[pick]] + step @ stab_rows)
+        live = live[at[pick]]
+        bound[live] = np.diff(cur.csr()[0])
+    return bound
 
 
-def _enumerate_small(n: int, max_w: int, p: int) -> Iterator[np.ndarray]:
-    """All nonzero vectors of weight at most max_w."""
-    for w in range(1, max_w + 1):
-        for support in combinations(range(n), w):
-            for vals in product(range(1, p), repeat=w):
-                v = np.zeros(n, dtype=np.int64)
-                v[list(support)] = vals
-                yield v
+def _coset_weights(vectors: FMatrix, stab: FMatrix, stab_code: LinearCode | None) -> np.ndarray:
+    """Per row v of `vectors`, |v| modulo the stabilizer rowspace: exact by
+    enumeration when `stab_code` is given, else `_coset_weight_bounds`."""
+    if stab_code is None:
+        return _coset_weight_bounds(vectors, stab)
+    out = []
+    for cols, vals in vectors.rows():
+        v = np.zeros(vectors.shape[1], dtype=np.int64)
+        v[cols] = vals
+        out.append(coset_min_weight(v, stab_code))
+    return np.array(out, dtype=np.int64)
 
 
 def _small_count(n: int, max_w: int, p: int) -> int:
     return sum(math.comb(n, w) * (p - 1) ** w for w in range(1, max_w + 1))
 
 
-def _sample_small(
-    n: int, max_w: int, p: int, rng: np.random.Generator
-) -> np.ndarray:
-    w = int(rng.integers(1, max_w + 1))
-    v = np.zeros(n, dtype=np.int64)
-    support = rng.choice(n, size=w, replace=False)
-    v[support] = rng.integers(1, p, size=w)
-    return v
+def _batch(p: int, n: int, supports: list, values: list) -> FMatrix:
+    """The vectors with the given supports and values, one per row."""
+    ptr = np.cumsum([0] + [len(c) for c in supports])
+    cols = np.concatenate(supports) if supports else np.zeros(0, dtype=np.int64)
+    data = np.concatenate(values) if values else np.zeros(0, dtype=np.int64)
+    return FMatrix(p, sparse.csr_array((data, cols, ptr), shape=(len(supports), n)))
+
+
+def _enumerate_small(n: int, max_w: int, p: int) -> FMatrix:
+    """All nonzero vectors of weight at most max_w, one per row: by weight,
+    then support, then values, each in lexicographic order."""
+    supports, values = [], []
+    for w in range(1, max_w + 1):
+        vals = list(product(range(1, p), repeat=w))
+        for support in combinations(range(n), w):
+            supports += [support] * len(vals)
+            values += vals
+    return _batch(p, n, supports, values)
+
+
+def _sample_small(n: int, max_w: int, p: int, rng: np.random.Generator, trials: int) -> FMatrix:
+    """`trials` random vectors of weight 1 to max_w, one per row; each draws
+    its weight, then its support, then its values."""
+    supports, values = [], []
+    for _ in range(trials):
+        w = int(rng.integers(1, max_w + 1))
+        supports.append(rng.choice(n, size=w, replace=False))
+        values.append(rng.integers(1, p, size=w))
+    return _batch(p, n, supports, values)
 
 
 def estimate_ssexp(
@@ -754,7 +829,13 @@ def estimate_ssexp(
     ratio of normalized syndrome weight to normalized coset weight, on both
     the boundary (Z checks, X stabilizers) and coboundary (X checks, Z
     stabilizers) sides.  Elements of the stabilizer rowspace are skipped as
-    0/0.  Coset weights are exact only when the rowspace fits the budget."""
+    0/0.  Coset weights are exact only when the rowspace fits the budget.
+
+    Each epsilon's vectors, all of them or `trials` samples drawn one after
+    another, are the rows of one sparse matrix.  Per side, their syndrome
+    weights come from one product with the check matrix and their coset
+    weights from `_coset_weight_bounds`, which runs the greedy for all of
+    them at once."""
     p, n = code.p, code.n
     sides = {}
     exact_cosets = True
@@ -764,7 +845,7 @@ def estimate_ssexp(
     ):
         if p**stab_code.dim > coset_budget:
             stab_code, exact_cosets = None, False
-        sides[name] = (checks, stab.rows(), stab.T.rows(), stab_code)
+        sides[name] = (checks.T, stab, stab_code)
     rng = np.random.default_rng(seed)
     points = []
     for eps in epsilon_grid:
@@ -776,19 +857,19 @@ def estimate_ssexp(
         exhaustive = max_w >= 1 and _small_count(n, max_w, p) <= exhaustive_limit
         if max_w >= 1:
             if exhaustive:
-                vectors: Iterator[np.ndarray] = _enumerate_small(n, max_w, p)
+                vectors = _enumerate_small(n, max_w, p)
             else:
-                vectors = (_sample_small(n, max_w, p, rng) for _ in range(trials))
-            for v in vectors:
-                for name, (checks, stab_rows, stab_cols, stab_code) in sides.items():
-                    syn = int(np.count_nonzero(checks.apply(v)))
-                    cw = _coset_weight_bound(v, stab_rows, stab_cols, stab_code, p)
-                    if cw == 0:
-                        continue
-                    ratio = (syn / checks.shape[0]) / (cw / n)
-                    counts[name] += 1
-                    if mins[name] is None or ratio < mins[name]:
-                        mins[name] = ratio
+                vectors = _sample_small(n, max_w, p, rng, trials)
+            for name, (checks_t, stab, stab_code) in sides.items():
+                syn = np.array((vectors @ checks_t).row_weights(), dtype=np.int64)
+                cw = _coset_weights(vectors, stab, stab_code)
+                kept = cw > 0  # stabilizer words are 0/0
+                if kept.any():
+                    if not checks_t.shape[1]:
+                        raise DomainError(f"no {name} checks to expand against")
+                    ratios = (syn[kept] / checks_t.shape[1]) / (cw[kept] / n)
+                    mins[name] = float(ratios.min())
+                counts[name] = int(kept.sum())
         points.append(
             CurvePoint(
                 epsilon=float(eps),

@@ -31,6 +31,7 @@ from ptanner.gf import (
     iter_codewords,
     kernel_basis,
     min_distance,
+    permuted_echelons,
     rank,
     row_reduce,
     solve,
@@ -247,7 +248,7 @@ def test_dual_is_made_once_and_kept(monkeypatch):
         assert seen == [p]
         assert code.dual() is dual and dual.dual() is code
         assert seen == [p]
-        assert LinearCode(p, code.n, dual._kernel_rows()) == code
+        assert LinearCode(p, code.n, kernel_basis(dual.basis, p)) == code
 
 
 def test_fmatrix_json_round_trip():
@@ -479,6 +480,13 @@ def test_rowspace_matches_dense_oracle(case, as_fmatrix):
             assert got_u.dtype == np.int64 and (got_u == want_u).all()
     with pytest.raises(DimensionMismatch):
         space.contains(np.zeros(n_cols + 1, dtype=np.int64))
+    if p == 2:  # a batch of packed rows, one residual
+        batch = np.array([inside, rng.integers(0, 2, n_cols), unit, 0 * unit])
+        got = space.contains_packed(_pack(batch, n_cols))
+        assert got.tolist() == [space.contains(v) for v in batch]
+    else:
+        with pytest.raises(InvalidField):
+            space.contains_packed(_pack(inside[None] % 2, n_cols))
 
 
 def test_packed_rank_at_word_edges_frozen():
@@ -528,20 +536,22 @@ def test_stacked_elimination_matches_row_reduce(case):
 @HYPOTHESIS
 @given(full_rank_stacks(), st.integers(1, 3))
 def test_permuted_echelons_match_row_reduce_per_permutation(case, per_stack):
-    """Copy t of the yielded stacks is row_reduce(basis[:, perm_t]); a cap
-    of `per_stack` copies splits the trials into stacks in order."""
+    """Copy t of the yielded stacks is row_reduce(basis[:, perm_t]), from
+    the code's packed RREF and from its spanning rows packed as they are; a
+    cap of `per_stack` copies splits the trials into stacks in order."""
     n, mats, rng = case
     code = LinearCode(2, n, mats[0])
     perms = [rng.permutation(n) for _ in range(len(mats))]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gf, "_STACK_BYTES", per_stack * code.dim * -(-n // 64) * 8)
-        stacks = list(code.permuted_echelons(perms))
-    assert [len(s) for s in stacks] == [
-        min(per_stack, len(perms) - i) for i in range(0, len(perms), per_stack)
-    ]
-    for stack_t, perm in zip(np.concatenate(stacks), perms):
-        rref, _ = row_reduce(code.basis[:, perm], 2)
-        assert (_unpack(stack_t, n) == rref[: code.dim]).all()
+    for basis in (code._rows, _pack(mats[0], n)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf, "_STACK_BYTES", per_stack * code.dim * -(-n // 64) * 8)
+            stacks = list(permuted_echelons(basis, n, perms))
+        assert [len(s) for s in stacks] == [
+            min(per_stack, len(perms) - i) for i in range(0, len(perms), per_stack)
+        ]
+        for stack_t, perm in zip(np.concatenate(stacks), perms):
+            rref, _ = row_reduce(code.basis[:, perm], 2)
+            assert (_unpack(stack_t, n) == rref[: code.dim]).all()
 
 
 def test_stacked_elimination_refuses_rank_deficient_stack():
@@ -555,13 +565,44 @@ def test_stacked_elimination_refuses_rank_deficient_stack():
         stack = np.array([_pack(good, n), _pack(bad, n)])
         with pytest.raises(DomainError, match="matrix 1 of the stack"):
             _eliminate_stack(stack, n)
+        with pytest.raises(DomainError, match="matrix 0 of the stack"):
+            list(permuted_echelons(_pack(bad, n), n, [np.arange(n)]))
 
 
 def test_permuted_echelons_edge_cases():
     code = LinearCode(2, 5, [[1, 1, 0, 0, 1]])
-    assert list(code.permuted_echelons([])) == []
+    assert list(permuted_echelons(code._rows, 5, [])) == []
     empty = LinearCode(2, 5)
-    (stack,) = empty.permuted_echelons([np.arange(5)])
+    (stack,) = permuted_echelons(empty._rows, 5, [np.arange(5)])
     assert stack.shape == (1, 0, 1)
+    # odd p keeps its RREF dense, which is no packed basis
     with pytest.raises(InvalidField):
-        list(LinearCode(3, 2, [[1, 2]]).permuted_echelons([np.arange(2)]))
+        list(permuted_echelons(LinearCode(3, 2, [[1, 2]])._rows, 2, [np.arange(2)]))
+    with pytest.raises(DimensionMismatch):
+        list(permuted_echelons(code._rows, 65, [np.arange(65)]))
+
+
+@HYPOTHESIS
+@given(field_matrices(primes=(2,)), st.sampled_from([1, 2, 4]))
+def test_packed_kernel_rows_and_dual_match_loop_oracle(case, kernel_words):
+    """Over GF(2) `_kernel_rows` packs the dual rows straight from the
+    packed RREF, `_KERNEL_WORDS` words of it at a time: unpacked, they are
+    the loop oracle's kernel, for all free columns and for a subset, and
+    `dual()` is that kernel's RREF."""
+    _, a, rng = case
+    n = a.shape[1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf, "_KERNEL_WORDS", kernel_words)
+        code = LinearCode(2, n, a)
+        rows = code._kernel_rows()
+        free = np.setdiff1d(np.arange(n), code.pivots)
+        some = np.sort(rng.choice(free, size=min(3, free.size), replace=False))
+        subset = code._kernel_rows(some)
+        dual = code.dual()
+    want = kernel_oracle(a, 2)
+    assert rows.dtype == np.uint64 and rows.shape == (want.shape[0], -(-n // 64))
+    assert (_unpack(rows, n) == want).all()
+    assert (_unpack(subset, n) == want[np.searchsorted(free, some)]).all()
+    assert dual.dim == want.shape[0]
+    assert (dual.basis == _row_reduce_dense(want, 2)[0][: dual.dim]).all()
+    assert dual.dual() is code

@@ -10,6 +10,7 @@ import hashlib
 import importlib.util
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -248,11 +249,13 @@ def test_l1c_distance_is_pinned(tmp_path):
 
 def test_flagship_eliminates_each_check_matrix_once(tmp_path, monkeypatch):
     """H_X and H_Z (324 x 675) are eliminated once each and kept on the
-    code for verify, distance, ssexp and csp; certify_unsat reads the
-    ones-CSP's certificate off the cached H_Z echelon (A^T = H_Z) and, b
-    lying outside, never solves the 675 x 325 augmented system.  The inner
-    falsifier keeps each candidate's decomposition, so it never solves
-    the 25 x 20 tagged-basis system."""
+    code for verify, distance, ssexp and csp.  The distance search starts
+    each side's trials from the packed kernel rows of the check echelon, so
+    the 363 x 675 duals are never eliminated in column order.
+    certify_unsat reads the ones-CSP's certificate off the cached H_Z
+    echelon (A^T = H_Z) and, b lying outside, never solves the 675 x 325
+    augmented system.  The inner falsifier keeps each candidate's
+    decomposition, so it never solves the 25 x 20 tagged-basis system."""
     seen = collections.Counter()
     eliminate = gf._eliminate
 
@@ -263,6 +266,7 @@ def test_flagship_eliminates_each_check_matrix_once(tmp_path, monkeypatch):
     monkeypatch.setattr(gf, "_eliminate", counting)
     run_pipeline(RunConfig.from_mapping(FLAGSHIP_DOC), out_dir=tmp_path)
     assert seen[324, 675] == 2
+    assert seen[363, 675] == 0
     assert seen[675, 325] == 0
     assert seen[25, 20] == 0
     unsat = json.loads((tmp_path / "csp_unsat.json").read_text())
@@ -718,6 +722,29 @@ def test_level2_csp_certificate_refutes_ones(level2_run, monkeypatch):
     for checks, stabilizers in (spaces[::-1], spaces):
         assert _exhaustive_side(checks, stabilizers, DEFAULT_DISTANCE_BUDGET) is None
     assert calls == []
+
+
+def test_level2_dual_is_built_from_packed_kernel_rows(level2_run):
+    """ker H_Z at n = 18,225: `rowspace_z.dual()` has dimension 9,567, its
+    rows satisfy H_Z u^T = 0, and building it peaks under 256 MB as traced
+    (its kernel rows as a dense int64 array would take 1.39 GB)."""
+    _, out = level2_run
+    code = read_artifact(out / "code.json", CssCode.from_doc)
+    checks = code.rowspace_z
+    tracemalloc.start()
+    try:
+        dual = checks.dual()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dual.dim == 9567 == code.n - checks.dim
+    assert peak < 256 * 2**20, peak
+    indptr, indices, data = code.h_z.csr()
+    h_z = sparse.csr_array((data, indices, indptr), shape=code.h_z.shape)
+    for lo in range(0, dual.dim, 1024):
+        u = np.unpackbits(dual._rows[lo : lo + 1024].view(np.uint8), axis=1, count=code.n,
+                          bitorder="little")
+        assert not ((h_z @ u.T.astype(np.int64)) % 2).any()
 
 
 # ------------------------------------------------------ benchmark seams

@@ -6,6 +6,7 @@ oracles written independently in this file.
 
 import json
 import math
+from dataclasses import asdict
 import random
 import time
 from functools import lru_cache, partial
@@ -37,7 +38,7 @@ from ptanner.tanner import (
     X_LAYERS,
     Z_LAYERS,
     SquareCayleyComplex,
-    _coset_weight_bound,
+    _coset_weight_bounds,
     _randomized_side,
     _trial_by_trial_side,
     build_code,
@@ -425,7 +426,7 @@ def test_dimension_toys():
 
 def test_dimension_budget_refuses_before_eliminating():
     code = build_code(ternary_complex(), planted_pair_gf2())
-    with pytest.raises(BudgetExceeded, match="rank work"):
+    with pytest.raises(BudgetExceeded, match=r"rank work .* tanner\.DEFAULT_RANK_BUDGET"):
         code_dimension(code, budget=1)
     assert code._rowspace_x is None and code._rowspace_z is None
     assert code_dimension(code) == (code.n - code.rank_z) - code.rank_x
@@ -686,23 +687,38 @@ def all_rows_greedy(v, stab_rows, p):
     return w
 
 
-def coset_bound(v, stab):
-    return _coset_weight_bound(v, stab.rows(), stab.T.rows(), None, stab.p)
+def coset_bounds(vs, stab):
+    """The batched greedy on the rows of the dense matrix `vs`."""
+    return _coset_weight_bounds(FMatrix.from_dense(stab.p, vs), stab).tolist()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([2, 3]), st.integers(0, 12), st.integers(1, 40), st.integers(0, 2**32 - 1))
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 12), st.integers(1, 40), st.integers(0, 2**32 - 1))
 def test_coset_bound_matches_all_rows_greedy(p, n_rows, n, seed):
+    """One batch per case: noisy stabilizer combinations, a zero vector and
+    a stabilizer word; on odd seeds the last stabilizer row is a multiple
+    of the first, so rows and scales tie."""
     rng = np.random.default_rng(seed)
     stab = (rng.random((n_rows, n)) < 0.25) * rng.integers(1, p, (n_rows, n))
-    # a few stabilizer rows plus light noise, so the greedy has work to do
-    v = (rng.integers(0, p, n_rows) * (rng.random(n_rows) < 0.3)) @ stab
-    v = (v + (rng.random(n) < 0.1) * rng.integers(1, p, n)) % p
-    assert coset_bound(v, FMatrix.from_dense(p, stab)) == all_rows_greedy(v, stab, p)
+    if n_rows >= 2 and seed % 2:
+        stab[-1] = stab[0] * rng.integers(1, p) % p
+    batch = []
+    for _ in range(6):
+        # a few stabilizer rows plus light noise, so the greedy has work to do
+        v = (rng.integers(0, p, n_rows) * (rng.random(n_rows) < 0.3)) @ stab
+        batch.append((v + (rng.random(n) < 0.1) * rng.integers(1, p, n)) % p)
+    batch.append(np.zeros(n, dtype=np.int64))
+    batch.append(rng.integers(0, p, n_rows) @ stab % p)
+    batch = np.array(batch, dtype=np.int64)
+    want = [all_rows_greedy(v, stab, p) for v in batch]
+    assert coset_bounds(batch, FMatrix.from_dense(p, stab)) == want
+    assert want[-2] == 0
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_coset_bound_matches_all_rows_greedy_on_tanner_codes(p):
+    """60 noisy three-row combinations in one batch, with a zero vector, a
+    stabilizer row and a stabilizer word."""
     if p == 2:
         code = build_code(ternary_complex(), planted_pair_gf2())
     else:
@@ -710,16 +726,106 @@ def test_coset_bound_matches_all_rows_greedy_on_tanner_codes(p):
     rng = np.random.default_rng(p)
     for stab in (code.h_x, code.h_z):
         dense = stab.toarray()
+        batch = [np.zeros(code.n, dtype=np.int64), dense[0]]
         for _ in range(60):
             rows = rng.choice(stab.shape[0], size=3, replace=False)
             v = rng.integers(1, p, 3) @ dense[rows] % p
             v[rng.choice(code.n, size=2, replace=False)] = rng.integers(0, p, 2)
-            assert coset_bound(v, stab) == all_rows_greedy(v, dense, p)
+            batch.append(v)
+        batch.append(rng.integers(0, p, stab.shape[0]) @ dense % p)
+        batch = np.array(batch)
+        assert coset_bounds(batch, stab) == [all_rows_greedy(v, dense, p) for v in batch]
+
+
+def ssexp_loop_oracle(code, epsilon_grid, trials, seed, exhaustive_limit, coset_budget):
+    """`estimate_ssexp` as it ran, one dense vector at a time: the same
+    draws in the same order, one product with each check matrix, and each
+    coset weight by enumeration or by `all_rows_greedy`.  Points as tuples
+    in `CurvePoint` field order."""
+    p, n = code.p, code.n
+    sides = []
+    for checks, stab, space in (
+        (code.h_z, code.h_x, code.rowspace_x),
+        (code.h_x, code.h_z, code.rowspace_z),
+    ):
+        exact = space if p**space.dim <= coset_budget else None
+        sides.append((checks.toarray(), stab.toarray(), exact))
+    rng = np.random.default_rng(seed)
+    points = []
+    for eps in epsilon_grid:
+        max_w = math.floor(eps * n)
+        count = sum(math.comb(n, w) * (p - 1) ** w for w in range(1, max_w + 1))
+        exhaustive = max_w >= 1 and count <= exhaustive_limit
+        draws = []
+        if exhaustive:
+            for w in range(1, max_w + 1):
+                for support in combinations(range(n), w):
+                    draws += [(list(support), vals) for vals in product(range(1, p), repeat=w)]
+        elif max_w >= 1:
+            for _ in range(trials):
+                w = int(rng.integers(1, max_w + 1))
+                draws.append((rng.choice(n, size=w, replace=False), rng.integers(1, p, size=w)))
+        mins, counts = [None, None], [0, 0]
+        for support, vals in draws:
+            v = np.zeros(n, dtype=np.int64)
+            v[support] = vals
+            for k, (checks, stab, exact) in enumerate(sides):
+                syn = int(np.count_nonzero(checks @ v % p))
+                cw = gf.coset_min_weight(v, exact) if exact else all_rows_greedy(v, stab, p)
+                if cw == 0:
+                    continue
+                ratio = (syn / checks.shape[0]) / (cw / n)
+                counts[k] += 1
+                if mins[k] is None or ratio < mins[k]:
+                    mins[k] = ratio
+        points.append((float(eps), max_w, *mins, *counts, exhaustive))
+    return points
+
+
+ORACLE_CODES = {
+    **SEARCH_CODES,
+    "gf3_tanner": lambda: build_code(binary_complex(delta=4), planted_pair_gf3_len4()),
+}
+
+
+@lru_cache(maxsize=None)
+def oracle_code(name):
+    return ORACLE_CODES[name]()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(sorted(ORACLE_CODES)),
+    st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    st.integers(1, 25),
+    st.integers(0, 2**16),
+    st.sampled_from([0, 40, 400]),
+    st.sampled_from([0, 2**12]),
+)
+def test_ssexp_matches_loop_oracle(name, halves, trials, seed, exhaustive_limit, coset_budget):
+    """The batched curve equals the per-vector loop's, point for point and
+    float for float, on exhaustive and sampled points; coset_budget = 0
+    forces the greedy on both sides."""
+    code = oracle_code(name)
+    grid = [h / (2 * code.n) for h in halves]  # max weights 0 to 3
+    kw = dict(trials=trials, seed=seed, exhaustive_limit=exhaustive_limit, coset_budget=coset_budget)
+    curve = estimate_ssexp(code, grid, **kw)
+    got = [tuple(asdict(pt).values()) for pt in curve.points]
+    assert got == ssexp_loop_oracle(code, grid, **kw)
+    if coset_budget == 0:
+        assert not curve.exact_cosets
 
 
 def test_ssexp_rejects_bad_epsilon():
     with pytest.raises(DomainError):
         estimate_ssexp(steane_code(), [0.0])
+
+
+def test_ssexp_refuses_a_side_without_checks():
+    """No Z checks: a word outside the X rowspace has no syndrome ratio."""
+    no_z = CssCode(2, 3, FMatrix.from_dense(2, [[1, 1, 1]]), FMatrix.zeros(2, 0, 3))
+    with pytest.raises(DomainError, match="no boundary checks"):
+        estimate_ssexp(no_z, [1 / 3])
 
 
 def test_css_code_json_round_trip():
