@@ -4,15 +4,15 @@ Everything here is integer arithmetic mod p; no floating point is used
 anywhere.  Matrices carry their modulus and are stored sparse (CSR).
 Elimination over GF(2) runs on rows bit-packed into uint64 words, packed
 straight from the CSR indices; odd p eliminates a dense int64 copy.  A
-stack of GF(2) matrices of full row rank, such as one basis under many
-column permutations, is eliminated in one pass over the columns.
+systematic form walks from one information set to the next one pivot step
+at a time, with no elimination.
 
 A subspace is a `LinearCode`: the RREF of a spanning set, eliminated once,
 off which its dimension, membership (of one vector or of a batch, in one
 residual), separating dual words and dual code are read; `rank`,
 `kernel_basis` and `in_rowspace` each build one.  Over GF(2) the kernel
 rows are packed straight from the packed RREF, so the dual code and the
-distance search's permuted echelons never go through a dense int64 array.
+distance search's systematic form never go through a dense int64 array.
 
 Enumeration-style operations (minimum distance, coset weight) take an
 explicit budget and refuse to start work that would exceed it.
@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 from scipy import sparse
 
-from .errors import BudgetExceeded, DimensionMismatch, DomainError, InvalidField
+from .errors import BudgetExceeded, DimensionMismatch, InvalidField
 
 __all__ = [
     "PrimeField",
@@ -40,7 +40,7 @@ __all__ = [
     "kernel_basis",
     "row_reduce",
     "rank_work",
-    "permuted_echelons",
+    "information_set_walk",
     "solve",
     "in_rowspace",
     "coset_min_weight",
@@ -52,10 +52,6 @@ __all__ = [
 DEFAULT_ENUMERATION_BUDGET = 2**24
 
 _ENUM_CHUNK = 1 << 14
-
-# Packed bytes of one `permuted_echelons` stack; more trials run in further
-# stacks.
-_STACK_BYTES = 1 << 23
 
 # RREF words unpacked at once while `LinearCode._kernel_rows` packs the GF(2)
 # dual rows of their free columns.
@@ -343,53 +339,6 @@ def _eliminate(rows: np.ndarray, n_cols: int) -> list[int]:
     return pivots
 
 
-def _eliminate_stack(stack: np.ndarray, n_cols: int) -> np.ndarray:
-    """Reduced row echelon form over GF(2) of every matrix in a
-    (matrices, R, words) stack of packed rows, in place.
-
-    Every matrix must have full row rank R; a stack that does not is
-    refused.  Each column is one step for the whole stack: in each matrix
-    the first row not yet holding a pivot and set in that column becomes
-    its pivot row and is XORed into the other rows set there, all of them
-    in one fancy-indexed XOR.  Pivot rows are marked, not swapped into
-    place, and sorted by pivot at the end; the RREF is unique, so this is
-    what `_eliminate` gives each matrix.  Returns the pivot columns, shape
-    (matrices, R), ascending.
-    """
-    n_mats, n_rows, n_words = stack.shape
-    flat = stack.reshape(n_mats * n_rows, n_words)
-    mats = np.arange(n_mats)
-    free = np.ones((n_mats, n_rows), dtype=bool)
-    pivot_col = np.full((n_mats, n_rows), n_cols, dtype=np.int64)
-    left = free.size
-    for c in range(n_cols):
-        if not left:
-            break
-        w = c >> 6
-        if c & 63 == 0:
-            word = flat[:, w].copy()  # word w of every row, kept in step below
-        col = ((word & _BIT[c & 63]) != 0).reshape(n_mats, n_rows)
-        open_ = col & free
-        head = open_.argmax(axis=1)
-        found = open_[mats, head]
-        col &= found[:, None]
-        col[mats, head] = False
-        hit = np.flatnonzero(col)
-        if hit.size:
-            src = (mats * n_rows + head)[hit // n_rows]
-            flat[hit, w:] ^= flat[src, w:]
-            word[hit] ^= word[src]
-        free[mats[found], head[found]] = False
-        pivot_col[mats[found], head[found]] = c
-        left -= int(found.sum())
-    if left:
-        bad = int(free.any(axis=1).argmax())
-        raise DomainError(f"matrix {bad} of the stack is not of full row rank {n_rows}")
-    order = np.argsort(pivot_col, axis=1)
-    stack[:] = np.take_along_axis(stack, order[:, :, None], axis=1)
-    return np.take_along_axis(pivot_col, order, axis=1)
-
-
 def _row_reduce_dense(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p on a dense int64 copy."""
     a = _as_array(p, a).copy()
@@ -546,9 +495,9 @@ class LinearCode:
         return not self._residual(v).any()
 
     def contains_packed(self, rows: np.ndarray) -> np.ndarray:
-        """GF(2): whether each of `rows`, packed into uint64 words as
-        `permuted_echelons` yields them, lies in the code; one residual
-        answers all of them."""
+        """GF(2): whether each of `rows`, packed into uint64 words as the
+        code's own storage rows are, lies in the code; one residual answers
+        all of them."""
         if self.p != 2:
             raise InvalidField(f"packed rows need GF(2), not GF({self.p})")
         if rows.dtype != _WORD or rows.ndim != 2 or rows.shape[1] != self._rows.shape[1]:
@@ -593,31 +542,41 @@ class LinearCode:
         return f"LinearCode(p={self.p}, n={self.n}, dim={self.dim})"
 
 
-def permuted_echelons(rows: np.ndarray, n: int, perms) -> Iterator[np.ndarray]:
-    """GF(2): the packed RREF of the span of `rows` with its columns
-    permuted by each row of `perms` (column j of copy t is column
-    perms[t][j]).
+def information_set_walk(
+    rows: np.ndarray, info: np.ndarray, n: int, p: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Walk a systematic form from one information set to the next, in
+    place (Canteaut-Chabaud).
 
-    `rows` is any basis of the span, packed over n columns: uint64 words of
-    full row rank.  The RREF of a span is unique, so every basis gives the
-    same stacks.  Yields (copies, len(rows), words) stacks in the order of
-    `perms`, each eliminated at once and holding as many copies as fit in
-    `_STACK_BYTES` (one at least).  Each copy is packed straight from the
-    permuted bits, so no dense int64 basis is built.
+    `rows` are storage rows over n columns (packed over GF(2), dense int64
+    otherwise); row i is 1 at column info[i] and 0 at the other columns of
+    `info`.  Each step draws from `rng` a column c outside `info` where the
+    form is nonzero, then a row r nonzero at c, scales row r to 1 at c (odd
+    p), clears c from every other row with it and puts c in r's place in
+    `info`.  It yields the rows it cleared, ascending; the walk ends when no
+    column is left to draw.  A step is a row operation, so a column of the
+    form is nonzero exactly when it was at the start.
     """
-    if rows.dtype != _WORD or rows.ndim != 2:
-        raise InvalidField(f"packed echelons need GF(2) rows in uint64 words, not {rows.dtype}")
-    if rows.shape[1] != -(-n // 64):
-        raise DimensionMismatch(f"{rows.shape[1]} words per row for {n} columns")
-    bits = np.unpackbits(rows.view(np.uint8), axis=1, count=n, bitorder="little")
-    step = max(1, _STACK_BYTES // max(1, rows.nbytes))
-    for start in range(0, len(perms), step):
-        chunk = perms[start : start + step]
-        stack = np.empty((len(chunk), *rows.shape), dtype=_WORD)
-        for t, perm in enumerate(chunk):
-            stack[t] = _pack(bits.take(perm, axis=1), n)
-        _eliminate_stack(stack, n)
-        yield stack
+    if p == 2:
+        support = np.bitwise_or.reduce(rows, axis=0).view(np.uint8)
+        outside = np.unpackbits(support, count=n, bitorder="little").astype(bool)
+    else:
+        outside = rows.any(axis=0)
+    outside[info] = False
+    while outside.any():
+        cols = np.flatnonzero(outside)
+        c = int(cols[rng.integers(cols.size)])
+        hit = np.flatnonzero(rows[:, c >> 6] & _BIT[c & 63] if p == 2 else rows[:, c])
+        r = int(hit[rng.integers(hit.size)])
+        others = hit[hit != r]
+        if p == 2:
+            rows[others] ^= rows[r]
+        else:
+            rows[r] = rows[r] * PrimeField(p).inv(int(rows[r, c])) % p
+            rows[others] = (rows[others] - np.outer(rows[others, c], rows[r])) % p
+        outside[info[r]], outside[c] = True, False
+        info[r] = c
+        yield others
 
 
 # ---- entry points: one elimination each -------------------------------

@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 
 import numpy as np
 from scipy import sparse
@@ -51,9 +51,8 @@ from .gf import (
     LinearCode,
     coset_min_weight,
     iter_codewords,
-    permuted_echelons,
+    information_set_walk,
     rank_work,
-    row_reduce,
 )
 from .inner import InnerCodePair
 
@@ -512,64 +511,9 @@ def _exhaustive_side(
 
 
 def _pair_rows(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The row pairs whose sums join an echelon's rows as candidates: the
-    pairs of its first 8 rows, in `np.triu_indices` order."""
+    """The row pairs whose sums join a trial's changed rows as candidates:
+    the pairs of the first 8 of them, in `np.triu_indices` order."""
     return np.triu_indices(min(8, dim), 1)
-
-
-def _trial_by_trial_side(
-    checks: LinearCode,
-    stabilizers: LinearCode,
-    trials: int,
-    rng: np.random.Generator,
-) -> tuple[int | float, np.ndarray | None, int]:
-    """`_randomized_side` with one dense `row_reduce` per trial: the path for
-    odd p, and the packed search's test oracle."""
-    n, p = checks.n, checks.p
-    gen = checks.dual().basis
-    if gen.shape[0] == 0:
-        return math.inf, None, 0
-    best, best_w = math.inf, None
-    a, b = _pair_rows(gen.shape[0])
-    for _ in range(trials):
-        perm = rng.permutation(n)
-        rref, pivots = row_reduce(gen[:, perm], p)
-        rows = rref[: len(pivots)]
-        unperm = np.empty_like(rows)
-        unperm[:, perm] = rows
-        candidates = np.vstack([unperm, (unperm[a] + unperm[b]) % p])
-        weights = np.count_nonzero(candidates, axis=1)
-        for k in np.flatnonzero((weights > 0) & (weights < best)):
-            w = int(weights[k])
-            if w < best and not stabilizers.contains(candidates[k]):
-                best, best_w = w, candidates[k].copy()
-    return best, best_w, trials
-
-
-def _first_outside(
-    words: np.ndarray, trials: np.ndarray, inverse: np.ndarray, stabilizers: LinearCode
-) -> np.ndarray | None:
-    """The first of the packed `words` lying outside `stabilizers`, as an
-    int64 vector, or None.
-
-    Word i is in the column order of trial trials[i] (ascending), and
-    inverse[t] puts trial t's columns back in order.  The words are put
-    back one trial at a time and stay packed; the distinct ones are asked
-    together, in one residual.
-    """
-    n = stabilizers.n
-    ordered = np.zeros_like(words)
-    runs, starts = np.unique(trials, return_index=True)
-    for t, lo, hi in zip(runs, starts, np.append(starts[1:], len(words))):
-        bits = np.unpackbits(words[lo:hi].view(np.uint8), axis=1, count=n, bitorder="little")
-        packed = np.packbits(bits.take(inverse[t], axis=1), axis=1, bitorder="little")
-        ordered.view(np.uint8)[lo:hi, : packed.shape[1]] = packed
-    keys = ordered.view(np.dtype((np.void, ordered.itemsize * ordered.shape[1]))).ravel()
-    _, first, back = np.unique(keys, return_index=True, return_inverse=True)
-    hit = np.flatnonzero(~stabilizers.contains_packed(ordered[first])[back])
-    if not hit.size:
-        return None
-    return np.unpackbits(ordered[hit[0]].view(np.uint8), count=n, bitorder="little").astype(np.int64)
 
 
 def _randomized_side(
@@ -578,41 +522,42 @@ def _randomized_side(
     trials: int,
     rng: np.random.Generator,
 ) -> tuple[int | float, np.ndarray | None, int]:
-    """Information-set search (Prange) for light words of the dual of
-    `checks` outside `stabilizers`.
+    """Information-set search for light words of the dual of `checks`
+    outside `stabilizers`, as a walk (Canteaut-Chabaud, scored after
+    Stern).
 
-    Each trial draws a column permutation and takes the RREF of the dual
-    under it; its rows and the sums of pairs of its first 8 rows are the
-    candidates.  The result is the lightest candidate outside the
-    stabilizers, the earliest (trial, candidate) among equals.  Over GF(2)
-    the trials start from the packed kernel rows of `checks`, so the dual
-    is never eliminated in column order, and every trial is eliminated in
-    packed stacks and weighed on words.  A weight does not depend on the
-    column order, so membership is asked once per weight class, lightest
-    first, of the class's distinct words put back in column order.
+    Trial 1 is the kernel rows of `checks`, already systematic on its free
+    columns, so nothing is eliminated; every later trial is one
+    `information_set_walk` step.  A trial's candidates are the rows it
+    changed (all of them at trial 1) and the sums of pairs of the first 8
+    of those: sums of one or two independent rows, so nonzero and distinct.
+    Per trial the weight classes lighter than the best so far are asked
+    lightest first, each in one residual.  Returns the lightest candidate
+    outside the stabilizers, the earliest (trial, candidate) among equals,
+    and the trials scored: fewer than `trials` when the walk runs out of
+    columns.
     """
-    if checks.p != 2:
-        return _trial_by_trial_side(checks, stabilizers, trials, rng)
-    n = checks.n
-    kernel = checks._kernel_rows()
-    if len(kernel) == 0:
+    p = checks.p
+    rows = checks._kernel_rows()
+    if trials == 0 or len(rows) == 0:
         return math.inf, None, 0
-    perms = np.array([rng.permutation(n) for _ in range(trials)], dtype=np.int64).reshape(trials, n)
-    inverse = np.argsort(perms, axis=1)
-    a, b = _pair_rows(len(kernel))
-    best, best_w = math.inf, None
-    first = 0  # the trial of the stack's first copy
-    for stack in permuted_echelons(kernel, n, perms):
-        words = np.concatenate([stack, stack[:, a] ^ stack[:, b]], axis=1)
-        weights = np.bitwise_count(words).sum(axis=2)  # (copies, candidates)
+    info = np.setdiff1d(np.arange(checks.n), checks.pivots)
+    steps = chain([np.arange(len(rows))], information_set_walk(rows, info, checks.n, p, rng))
+    best, best_w, scored = math.inf, None, 0
+    for changed in islice(steps, trials):
+        scored += 1
+        i, j = _pair_rows(len(changed))
+        a, b = rows[changed[i]], rows[changed[j]]
+        pairs = a ^ b if p == 2 else (a + b) % p
+        words = np.concatenate([rows[changed], pairs])
+        weights = np.bitwise_count(words).sum(axis=1) if p == 2 else np.count_nonzero(words, axis=1)
         for w in np.unique(weights[weights < best]):
-            t, k = np.nonzero(weights == w)
-            v = _first_outside(words[t, k], first + t, inverse, stabilizers)
-            if v is not None:
-                best, best_w = int(w), v
+            k = np.flatnonzero(weights == w)
+            outside = k[stabilizers._residuals(words[k]).any(axis=1)]
+            if outside.size:
+                best, best_w = int(w), stabilizers._dense_rows(words[outside[:1]])[0]
                 break
-        first += len(stack)
-    return best, best_w, trials
+    return best, best_w, scored
 
 
 def estimate_distance(

@@ -9,7 +9,7 @@ import json
 import math
 import random
 import time
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -22,16 +22,15 @@ from ptanner.gf import (
     FMatrix,
     LinearCode,
     PrimeField,
-    _eliminate_stack,
     _pack,
     _row_reduce_dense,
     _unpack,
     coset_min_weight,
     in_rowspace,
+    information_set_walk,
     iter_codewords,
     kernel_basis,
     min_distance,
-    permuted_echelons,
     rank,
     row_reduce,
     solve,
@@ -502,84 +501,38 @@ def test_packed_rank_at_word_edges_frozen():
     assert in_rowspace(a, a[-1], 2) and not in_rowspace(a, np.eye(129)[1], 2)
 
 
-@st.composite
-def full_rank_stacks(draw):
-    """(n, mats): 1-5 GF(2) matrices of one shape R x n, each of full row
-    rank R: a unit upper triangle on R random columns, random bits in the
-    rest, rows shuffled."""
-    n = draw(st.sampled_from([1, 63, 64, 65, 130]))
-    n_rows = draw(st.integers(1, min(n, 9)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    density = draw(st.sampled_from([0.1, 0.5]))
-    mats = []
-    for _ in range(draw(st.integers(1, 5))):
-        m = (rng.random((n_rows, n)) < density).astype(np.int64)
-        triangle = np.triu(rng.integers(0, 2, (n_rows, n_rows)), 1) + np.eye(n_rows, dtype=np.int64)
-        m[:, rng.choice(n, n_rows, replace=False)] = triangle
-        mats.append(m[rng.permutation(n_rows)])
-    return n, np.array(mats), rng
-
-
 @HYPOTHESIS
-@given(full_rank_stacks())
-def test_stacked_elimination_matches_row_reduce(case):
-    n, mats, _ = case
-    stack = np.array([_pack(m, n) for m in mats])
-    pivots = _eliminate_stack(stack, n)
-    assert pivots.shape == mats.shape[:2]
-    for t, m in enumerate(mats):
-        rref, want = row_reduce(m, 2)
-        assert pivots[t].tolist() == want
-        assert (_unpack(stack[t], n) == rref).all()
-
-
-@HYPOTHESIS
-@given(full_rank_stacks(), st.integers(1, 3))
-def test_permuted_echelons_match_row_reduce_per_permutation(case, per_stack):
-    """Copy t of the yielded stacks is row_reduce(basis[:, perm_t]), from
-    the code's packed RREF and from its spanning rows packed as they are; a
-    cap of `per_stack` copies splits the trials into stacks in order."""
-    n, mats, rng = case
-    code = LinearCode(2, n, mats[0])
-    perms = [rng.permutation(n) for _ in range(len(mats))]
-    for basis in (code._rows, _pack(mats[0], n)):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gf, "_STACK_BYTES", per_stack * code.dim * -(-n // 64) * 8)
-            stacks = list(permuted_echelons(basis, n, perms))
-        assert [len(s) for s in stacks] == [
-            min(per_stack, len(perms) - i) for i in range(0, len(perms), per_stack)
-        ]
-        for stack_t, perm in zip(np.concatenate(stacks), perms):
-            rref, _ = row_reduce(code.basis[:, perm], 2)
-            assert (_unpack(stack_t, n) == rref[: code.dim]).all()
-
-
-def test_stacked_elimination_refuses_rank_deficient_stack():
-    n = 70
-    good = np.eye(3, n, dtype=np.int64)
-    good[:, 66] = 1
-    summed = good.copy()
-    summed[2] = good[0] ^ good[1]
-    for bad in (good[[0, 1, 0]], good * [[1], [1], [0]], summed):  # repeat, zero row, sum
-        assert rank(bad, 2) == 2
-        stack = np.array([_pack(good, n), _pack(bad, n)])
-        with pytest.raises(DomainError, match="matrix 1 of the stack"):
-            _eliminate_stack(stack, n)
-        with pytest.raises(DomainError, match="matrix 0 of the stack"):
-            list(permuted_echelons(_pack(bad, n), n, [np.arange(n)]))
-
-
-def test_permuted_echelons_edge_cases():
-    code = LinearCode(2, 5, [[1, 1, 0, 0, 1]])
-    assert list(permuted_echelons(code._rows, 5, [])) == []
-    empty = LinearCode(2, 5)
-    (stack,) = permuted_echelons(empty._rows, 5, [np.arange(5)])
-    assert stack.shape == (1, 0, 1)
-    # odd p keeps its RREF dense, which is no packed basis
-    with pytest.raises(InvalidField):
-        list(permuted_echelons(LinearCode(3, 2, [[1, 2]])._rows, 2, [np.arange(2)]))
-    with pytest.raises(DimensionMismatch):
-        list(permuted_echelons(code._rows, 65, [np.arange(65)]))
+@given(field_matrices(primes=(2, 3)), st.booleans(), st.integers(1, 12))
+def test_information_set_walk_matches_row_reduce(case, on_kernel, steps):
+    """After every step, the walked form equals `row_reduce` of the span
+    with the walk's information set moved first, the step yields the rows
+    it cleared, and the walk ends only when no column outside the
+    information set is nonzero.  It walks the code's own RREF on its pivots
+    or its kernel rows on the free columns, both systematic."""
+    p, a, rng = case
+    n = a.shape[1]
+    code = LinearCode(p, n, a)
+    if on_kernel:
+        code = code.dual()
+        rows, info = code._dual._kernel_rows(), np.setdiff1d(np.arange(n), code._dual.pivots)
+    else:
+        rows, info = code._rows.copy(), code.pivots.copy()
+    before = code._dense_rows(rows).copy()
+    taken = 0
+    for changed in islice(information_set_walk(rows, info, n, p, rng), steps):
+        taken += 1
+        form = code._dense_rows(rows).copy()
+        perm = np.concatenate([info, np.setdiff1d(np.arange(n), info)])
+        rref, pivots = row_reduce(code.basis[:, perm], p)
+        assert pivots == list(range(code.dim))
+        assert (form[:, perm] == rref[: code.dim]).all()
+        moved = set(np.flatnonzero((form != before).any(axis=1)).tolist())
+        assert changed.tolist() == sorted(changed.tolist())
+        assert set(changed.tolist()) <= moved and len(moved - set(changed.tolist())) <= (p != 2)
+        before = form
+    if taken < steps:  # the walk ended: nothing left to draw
+        outside = np.setdiff1d(np.arange(n), info)
+        assert not code._dense_rows(rows)[:, outside].any()
 
 
 @HYPOTHESIS

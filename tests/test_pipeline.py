@@ -43,6 +43,7 @@ from ptanner.tanner import (
     SquareCayleyComplex,
     _exhaustive_side,
     build_code,
+    estimate_distance,
     face_column,
 )
 
@@ -205,12 +206,12 @@ FLAGSHIP_DOC = {
 
 def test_flagship_estimators_are_pinned(tmp_path):
     """Group (3,1), delta 5, GF(2), k = (2,3), seed 7, all stages: the
-    distance and ssexp artifacts keep the hashes they had on the dense
-    elimination; the CSP artifacts are pinned too, so the instance type
-    cannot move their bytes."""
+    distance and ssexp artifacts are pinned (the distance witness is the
+    information-set walk's); the CSP artifacts are pinned too, so the
+    instance type cannot move their bytes."""
     run_pipeline(RunConfig.from_mapping(FLAGSHIP_DOC), out_dir=tmp_path)
     pinned = {
-        "distance.json": "ae52b995366f18ddef48e23ba137b9a002d0ebcde3a7b6494bac1e696180c9ad",
+        "distance.json": "32aab19c4db3f0043d4534fbfa0512762d6f5ea6438c93ba879a9224d450b6d3",
         "ssexp_curve.json": "16a28d7e5c18afe6d5f52976db27541d2161bc0643bbcf37e6a9c2d9277d9914",
         "csp_instance.json": "9bf9fa73e42eb7bb0cf91968ced1dd206b003261a5db25e7d5d19ca844dd7231",
         "csp_unsat.json": "3fcfe87344161655d87f4fac363897202f688a6fc4c1360128ad89a22af148f0",
@@ -237,11 +238,11 @@ L1C_DOC = {
 
 
 def test_l1c_distance_is_pinned(tmp_path):
-    """The connected level-1 config (n = 1,323): the information-set search
-    keeps the bytes it had with one dense elimination per trial."""
+    """The connected level-1 config (n = 1,323): the information-set walk's
+    bound, side, trials and witness are pinned."""
     run_pipeline(RunConfig.from_mapping(L1C_DOC), out_dir=tmp_path)
     data = (tmp_path / "distance.json").read_bytes()
-    digest = "08ec3b79e5bbe39e71319d112cdd603f761dfa4b1bfbd293a2b3c9a0cf4d9e0f"
+    digest = "d4b8bd6db082c335f3e66e8347b389355c4b2615296736ce8da1f7f506c955f4"
     assert hashlib.sha256(data).hexdigest() == digest
     distance = json.loads(data)
     assert (distance["upper_bound"], distance["side"], distance["trials"]) == (4, "x-logical", 64)
@@ -249,9 +250,9 @@ def test_l1c_distance_is_pinned(tmp_path):
 
 def test_flagship_eliminates_each_check_matrix_once(tmp_path, monkeypatch):
     """H_X and H_Z (324 x 675) are eliminated once each and kept on the
-    code for verify, distance, ssexp and csp.  The distance search starts
-    each side's trials from the packed kernel rows of the check echelon, so
-    the 363 x 675 duals are never eliminated in column order.
+    code for verify, distance, ssexp and csp.  The distance search walks
+    from the packed kernel rows of the check echelon one pivot step at a
+    time, so the 363 x 675 duals are never eliminated.
     certify_unsat reads the ones-CSP's certificate off the cached H_Z
     echelon (A^T = H_Z) and, b lying outside, never solves the 675 x 325
     augmented system.  The inner falsifier keeps each candidate's
@@ -745,6 +746,26 @@ def test_level2_dual_is_built_from_packed_kernel_rows(level2_run):
         u = np.unpackbits(dual._rows[lo : lo + 1024].view(np.uint8), axis=1, count=code.n,
                           bitorder="little")
         assert not ((h_z @ u.T.astype(np.int64)) % 2).any()
+
+
+def test_level2_distance_walk_bounds_the_distance(level2_run):
+    """The information-set walk on the level-2 code (kernels of 9,567 rows
+    over 18,225 columns) scores 64 trials as the `distance` stage would and
+    finds a logical of weight at most 6: in the kernel of its side's checks
+    and outside the other side's stabilizers."""
+    _, out = level2_run
+    code = read_artifact(out / "code.json", CssCode.from_doc)
+    report = estimate_distance(
+        code, seed=stage_seed(7, "distance"), trials=DEFAULT_BUDGETS["distance_trials"]
+    )
+    assert not report.exact and report.trials == 64
+    assert report.upper_bound <= 6
+    w = report.witness
+    assert np.count_nonzero(w) == report.upper_bound
+    checks, stabilizers = (code.h_z, code.rowspace_x) if report.side == "z-logical" else (
+        code.h_x, code.rowspace_z)
+    assert not checks.apply(w).any()
+    assert not stabilizers.contains(w)
 
 
 # ------------------------------------------------------ benchmark seams

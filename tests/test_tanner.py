@@ -40,7 +40,6 @@ from ptanner.tanner import (
     SquareCayleyComplex,
     _coset_weight_bounds,
     _randomized_side,
-    _trial_by_trial_side,
     build_code,
     build_complex,
     check_counting_bound,
@@ -488,24 +487,41 @@ def test_verify_planted_flags_field_dividing_n():
     assert verify_planted(code).n_mod_p == 0
 
 
+def _outside_rowspace(v, rref, pivots, p):
+    res = v.copy()
+    for r, c in enumerate(pivots):
+        if res[c]:
+            res = (res - res[c] * rref[r]) % p
+    return bool(res.any())
+
+
 def distance_oracle(code):
     """Brute force over both logical sides via full kernel enumeration."""
     best = math.inf
     for ker_m, row_m in [(code.h_z, code.h_x), (code.h_x, code.h_z)]:
         kb = kernel_basis(ker_m.toarray(), code.p)
         rref, pivots = row_reduce(row_m.toarray(), code.p)
-        rref = rref[: len(pivots)]
         for coeffs in product(range(code.p), repeat=kb.shape[0]):
             v = (np.array(coeffs, dtype=np.int64) @ kb) % code.p
-            if not v.any():
-                continue
-            res = v.copy()
-            for r, c in enumerate(pivots):
-                if res[c]:
-                    res = (res - res[c] * rref[r]) % code.p
-            if res.any():
+            if v.any() and _outside_rowspace(v, rref, pivots, code.p):
                 best = min(best, int(np.count_nonzero(v)))
     return best
+
+
+def low_weight_distance_oracle(code, max_w):
+    """GF(2): the distance when it is at most `max_w`, else inf, by trying
+    every support of weight 1, 2, ..., max_w on both logical sides; for
+    kernels too large for `distance_oracle`."""
+    for w in range(1, max_w + 1):
+        supports = np.array(list(combinations(range(code.n), w)))
+        vs = np.zeros((len(supports), code.n), dtype=np.int64)
+        np.put_along_axis(vs, supports, 1, axis=1)
+        for ker_m, row_m in [(code.h_z, code.h_x), (code.h_x, code.h_z)]:
+            in_ker = ~((vs @ ker_m.toarray().T) % 2).any(axis=1)
+            rref, pivots = row_reduce(row_m.toarray(), 2)
+            if any(_outside_rowspace(v, rref, pivots, 2) for v in vs[in_ker]):
+                return w
+    return math.inf
 
 
 def test_distance_steane_exact():
@@ -571,45 +587,100 @@ def _same_report(got, want):
     assert (got.witness == want.witness).all()
 
 
+def trial_by_trial_side(checks, stabilizers, trials, rng):
+    """`_randomized_side` with one dense `row_reduce` per trial: each
+    trial's form is the RREF of the dual basis with the information set
+    moved first, its changed rows are those that differ from the last
+    form, its draws are read off that form, and each candidate is asked
+    alone, in order."""
+    n = checks.n
+    basis = kernel_basis(checks.basis, checks.p)
+    if trials == 0 or len(basis) == 0:
+        return math.inf, None, 0
+    info = np.setdiff1d(np.arange(n), checks.pivots).tolist()
+    best, best_w, form = math.inf, None, None
+    for trial in range(trials):
+        if trial:
+            outside = np.setdiff1d(np.flatnonzero(form.any(axis=0)), info)
+            if not outside.size:
+                return best, best_w, trial
+            c = outside[rng.integers(outside.size)]
+            hit = np.flatnonzero(form[:, c])
+            info[hit[rng.integers(hit.size)]] = c
+        perm = np.concatenate([info, np.setdiff1d(np.arange(n), info)])
+        rref, pivots = row_reduce(basis[:, perm], checks.p)
+        assert pivots == list(range(len(info)))
+        last, form = form, np.empty_like(basis)
+        form[:, perm] = rref[: len(info)]
+        changed = np.flatnonzero((form != last).any(axis=1)) if trial else np.arange(len(form))
+        firsts = changed[:8]
+        pairs = [(form[i] + form[j]) % checks.p for i, j in combinations(firsts, 2)]
+        for v in [*form[changed], *pairs]:
+            w = int(np.count_nonzero(v))
+            if w < best and not stabilizers.contains(v):
+                best, best_w = w, v
+    return best, best_w, trials
+
+
 @pytest.mark.parametrize("name", sorted(SEARCH_CODES))
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_packed_search_matches_trial_by_trial(name, seed, monkeypatch):
-    """Bound, witness, side and trials agree with one `row_reduce` per
-    trial, with all trials in one stack and with one trial per stack."""
+    """At 9 trials a side the walk finds the exact distance of every search
+    code, and bound, witness, side and trials agree with one `row_reduce`
+    per trial."""
     code = SEARCH_CODES[name]()
     kw = dict(budget=0, seed=seed, trials=9)
     got = estimate_distance(code, **kw)
-    monkeypatch.setattr(gf, "_STACK_BYTES", 1)
-    chunked = estimate_distance(code, **kw)
-    monkeypatch.setattr(tanner, "_randomized_side", _trial_by_trial_side)
+    assert got.upper_bound == low_weight_distance_oracle(code, 3) == 3
+    monkeypatch.setattr(tanner, "_randomized_side", trial_by_trial_side)
     want = estimate_distance(code, **kw)
     assert want.trials == 18 and not want.exact
     _same_report(got, want)
-    _same_report(chunked, want)
 
 
 def test_packed_search_edge_cases():
+    """0 and 1 trials draw nothing; a dual of dimension 0 reports no
+    trial; a form with no nonzero column outside its information set ends
+    the walk after the trials it scored; pair sums are candidates."""
     code = hypergraph_product(HAMMING, CHAIN_4)
     sides = (code.rowspace_z, code.rowspace_x), (code.rowspace_x, code.rowspace_z)
+    untouched = np.random.default_rng(3).integers(2**62)
     for checks, stabilizers in sides:
         for trials in (0, 1):
-            got = _randomized_side(checks, stabilizers, trials, np.random.default_rng(3))
-            want = _trial_by_trial_side(checks, stabilizers, trials, np.random.default_rng(3))
+            rng = np.random.default_rng(3)
+            got = _randomized_side(checks, stabilizers, trials, rng)
+            want = trial_by_trial_side(checks, stabilizers, trials, np.random.default_rng(3))
             assert got[0] == want[0] and got[2] == want[2] == trials
             if trials:
                 assert (got[1] == want[1]).all()
             else:
-                assert got[1] is want[1] is None
-    # a dual of dimension 0 draws no permutation and reports no trial
+                assert got[0] == math.inf and got[1] is None
+            assert rng.integers(2**62) == untouched
+    # a dual of dimension 0 draws nothing and reports no trial
     full = LinearCode(2, 4, np.eye(4, dtype=np.int64))
     rng = np.random.default_rng(0)
     assert _randomized_side(full, LinearCode(2, 4), 5, rng) == (math.inf, None, 0)
     assert rng.integers(2**62) == np.random.default_rng(0).integers(2**62)
+    # the dual of <e_3> is <e_0, e_1, e_2>: every nonzero column is in the
+    # information set, so the walk stops after trial 1
+    for p in (2, 3):
+        rng = np.random.default_rng(0)
+        ub, w, scored = _randomized_side(LinearCode(p, 4, [[0, 0, 0, 1]]), LinearCode(p, 4), 5, rng)
+        assert (ub, w.tolist(), scored) == (1, [1, 0, 0, 0], 1)
+        assert rng.integers(2**62) == np.random.default_rng(0).integers(2**62)
+    # the kernel rows 11110 and 11101 weigh 4; trial 1 finds their sum
+    checks = LinearCode(2, 5, [[1, 0, 0, 1, 1], [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]])
+    ub, w, _ = _randomized_side(checks, LinearCode(2, 5), 1, np.random.default_rng(0))
+    assert (ub, w.tolist()) == (2, [0, 0, 0, 1, 1])
 
 
 def test_packed_search_makes_no_row_reduce_call(monkeypatch):
-    monkeypatch.setattr(tanner, "row_reduce", lambda *args: pytest.fail("row_reduce called"))
-    report = estimate_distance(hypergraph_product(HAMMING, HAMMING), budget=0, trials=4)
+    """With the check echelons made, the search eliminates nothing."""
+    code = hypergraph_product(HAMMING, HAMMING)
+    code.rowspace_x, code.rowspace_z
+    for name in ("row_reduce", "_eliminate", "_row_reduce_dense"):
+        monkeypatch.setattr(gf, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    report = estimate_distance(code, budget=0, trials=4)
     assert report.upper_bound == 3 and report.trials == 8
 
 
