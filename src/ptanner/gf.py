@@ -53,7 +53,7 @@ DEFAULT_ENUMERATION_BUDGET = 2**24
 
 _ENUM_CHUNK = 1 << 14
 
-# RREF words unpacked at once while `LinearCode._kernel_rows` packs the GF(2)
+# RREF words transposed at once while `LinearCode._kernel_rows` packs the GF(2)
 # dual rows of their free columns.
 _KERNEL_WORDS = 4
 
@@ -456,12 +456,12 @@ class LinearCode:
             a, b = np.searchsorted(free, (lo, lo + span))
             if a == b:
                 continue
-            # the words' bytes column by column, so that a column's bits are a row
+            # the words' bytes column by column: column c is bit c % 8 of byte c // 8
             cols = np.ascontiguousarray(self._rows[:, lo >> 6 : (lo + span) >> 6].view(np.uint8).T)
-            bits = np.unpackbits(cols[:, None, :], axis=1, bitorder="little")
+            c = free[a:b] - lo
             block = np.zeros((b - a, self.n), dtype=bool)
             block[np.arange(b - a), free[a:b]] = True
-            block[:, self.pivots] = bits.reshape(8 * len(cols), self.dim)[free[a:b] - lo]
+            block[:, self.pivots] = cols[c >> 3] >> (c & 7).astype(np.uint8)[:, None] & 1
             out[a:b] = _pack(block, self.n)
         return out
 

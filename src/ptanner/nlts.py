@@ -5,14 +5,17 @@ enumerations of the hypercube, Hamiltonians are dense matrices on at most
 12 qubits, and measurement statistics are computed by literal basis change.
 Cluster partitions are the components of the near-coset relation; with
 commuting checks (checked) they are taken on the cosets of the opposite
-stabilizer space S, each word reduced modulo S's RREF.  Nearest-word
-distances are min-plus transforms over the 2^n cube, O(n 2^n), not passes
-over member pairs.  Bit strings are packed big-endian into Python ints
-(coordinate 0 is the most significant bit) so that integer order equals
-lexicographic order on vectors; that makes "lexicographically least
-representative" a plain min().  Stabilizer and kernel words are the
-codewords of the code's cached row spaces (`CssCode.rowspace_x`,
-`rowspace_z`) and of their duals, listed by `gf.iter_codewords`.
+stabilizer space S, each word reduced modulo S's RREF.  The lemma checks
+and the spread separation run on classes modulo Q = S when the labels
+(clusters, spread sides) are constant on S-cosets, as for every
+`build_clusters` partition, else Q = {0}: class distances are min-plus
+transforms over the 2^(n - dim Q) quotient words, not passes over member
+pairs.  Bit strings are packed big-endian into Python ints (coordinate 0
+is the most significant bit) so that integer order equals lexicographic
+order on vectors; that makes "lexicographically least representative" a
+plain min().  Stabilizer and kernel words are the codewords of the code's
+cached row spaces (`CssCode.rowspace_x`, `rowspace_z`) and of their duals,
+listed by `gf.iter_codewords`.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ HAMILTONIAN_QUBIT_CAP = 12
 SPREAD_MASS_STRICT = 0.25 - 0.25 / math.sqrt(2)  # about 0.0732
 SPREAD_MASS_RELAXED = 0.02
 UNCERTAINTY_BOUND = 0.5 + 0.5 / math.sqrt(2)
-PAIR_BLOCK = 1 << 20  # word pairs compared per vectorized block
+PAIR_BLOCK = 1 << 20  # (class, shift) pairs moved per vectorized block
 
 
 def _pack_rows(rows) -> list[int]:
@@ -150,6 +153,30 @@ def _coset_weight_table(stabilizers: LinearCode, cap: int) -> np.ndarray:
     return table
 
 
+class _Classes:
+    """Packed words in classes modulo a subspace Q (None for Q = {0}): a class
+    word is a member with the pivot bits of Q's RREF cleared, then dropped
+    (`index`).  The least Hamming distance between members of two classes
+    is the fewest reduced unit vectors (`gens`) whose sum is their class words' XOR."""
+
+    def __init__(self, space: LinearCode | None, n: int, members: np.ndarray):
+        self.n, pivots = n, [] if space is None else space.pivots.tolist()
+        self._rows = list(zip(_pack_rows(space.basis), pivots)) if pivots else []
+        self.free = sorted(set(range(n)) - set(pivots))
+        self.gens = self.index(1 << (n - 1 - np.arange(n, dtype=np.int64)))
+        self.words, self.of = np.unique(self.index(members), return_inverse=True)
+        self.slot = np.full(1 << len(self.free), -1, dtype=np.int64)  # class word -> class
+        self.slot[self.words] = np.arange(len(self.words))
+
+    def index(self, words: np.ndarray) -> np.ndarray:
+        """Each packed word's class word."""
+        for g, p in self._rows:
+            words = words ^ (words >> (self.n - 1 - p) & 1) * g
+        m, n = len(self.free), self.n
+        bits = ((words >> (n - 1 - f) & 1) << (m - 1 - j) for j, f in enumerate(self.free))
+        return sum(bits, np.zeros_like(words))
+
+
 @dataclass
 class ClusterPartition:
     """Connected components of the near-coset relation on a syndrome set.
@@ -173,7 +200,7 @@ class ClusterPartition:
     representatives: dict[int, int]
     representative_cluster_of: dict[int, int]
     _coset_table: np.ndarray = field(repr=False, default=None)
-    _positions: np.ndarray = field(repr=False, default=None)  # word -> member index, or -1
+    _cosets: _Classes = field(repr=False, default=None)  # the members modulo S
     _syndromes: np.ndarray = field(repr=False, default=None)  # per member, in member order
 
     def decode(self, y: int) -> int:
@@ -199,9 +226,7 @@ class ClusterPartition:
         }
 
 
-def build_clusters(
-    sset: SyndromeSet, c1: float, cap: int = ENUMERATION_CAP
-) -> ClusterPartition:
+def build_clusters(sset: SyndromeSet, c1: float, cap: int = ENUMERATION_CAP) -> ClusterPartition:
     if not c1 > 0:
         raise DomainError("c1 must be positive")
     code, n = sset.code, sset.code.n
@@ -211,30 +236,29 @@ def build_clusters(
     threshold = 2.0 * c1 * sset.epsilon * n + 1e-12
     members = sorted(sset.members)
     mm = np.array(members, dtype=np.int64)
-    size = len(members)
-    pos = np.full(1 << n, -1, dtype=np.int64)
-    pos[mm] = np.arange(size)
-    # y ~ y + d for close d joins S-cosets: link coset c to c + d (via a member)
-    cosets, coset_of = np.unique(_reduce(mm, stabilizers), return_inverse=True)
-    close = np.unique(_reduce(np.flatnonzero(table <= threshold), stabilizers))
-    nb = pos[cosets[:, None] ^ close]
-    rows, cols = np.nonzero(nb >= 0)[0], coset_of[nb[nb >= 0]]
-    adj = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(len(cosets),) * 2)
-    labels = connected_components(adj, directed=False)[1][coset_of]
+    # y ~ y + d for close d joins S-cosets: link coset c to c + d
+    cosets = _Classes(stabilizers, n, mm)
+    close = np.unique(cosets.index(np.flatnonzero(table <= threshold)))
+    nb = cosets.slot[cosets.words[:, None] ^ close]
+    rows, cols = np.nonzero(nb >= 0)[0], nb[nb >= 0]
+    adj = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(len(nb),) * 2)
+    labels = connected_components(adj, directed=False)[1][cosets.of]
     raw: dict[int, list[int]] = {}
     for y, lab in zip(members, labels.tolist()):
         raw.setdefault(lab, []).append(y)
     clusters = list(raw.values())  # each ascends, and they come in order of first member
     cluster_of = {y: cid for cid, cl in enumerate(clusters) for y in cl}
     # translate orbits: shifting by any zero-syndrome word permutes clusters
-    kernel_words = _zero_syndrome_words(members, sset.syndrome_of)
-    cids = np.array([cluster_of[y] for y in members], dtype=np.int64)
+    shifts = np.unique(cosets.index(_zero_syndrome_words(members, sset.syndrome_of)))
+    cid_of = np.empty(len(cosets.words), dtype=np.int64)
+    cid_of[cosets.of] = [cluster_of[y] for y in members]
+    firsts = cosets.words[cosets.of[np.searchsorted(mm, [cl[0] for cl in clusters])]]
     rep_cluster_of: dict[int, int] = {}
     for cid in range(len(clusters)):
         if cid in rep_cluster_of:
             continue
-        moved = pos[clusters[cid][0] ^ kernel_words]
-        orbit = np.unique(cids[moved[moved >= 0]]).tolist()
+        moved = cosets.slot[firsts[cid] ^ shifts]
+        orbit = np.unique(cid_of[moved[moved >= 0]]).tolist()
         designated = min(orbit, key=lambda k: clusters[k][0])
         for k in orbit:
             rep_cluster_of.setdefault(k, designated)
@@ -247,28 +271,12 @@ def build_clusters(
         rep_cid = rep_cluster_of[cluster_of[cls[0]]]
         representatives[s] = next((y for y in cls if cluster_of[y] == rep_cid), cls[0])
     return ClusterPartition(
-        basis=sset.basis,
-        epsilon=sset.epsilon,
-        c1=float(c1),
-        threshold=float(threshold),
-        n=n,
-        members=members,
-        clusters=clusters,
-        cluster_of=cluster_of,
-        syndrome_of=dict(sset.syndrome_of),
-        representatives=representatives,
-        representative_cluster_of=rep_cluster_of,
-        _coset_table=table,
-        _positions=pos,
+        basis=sset.basis, epsilon=sset.epsilon, c1=float(c1), threshold=float(threshold), n=n,
+        members=members, clusters=clusters, cluster_of=cluster_of,
+        syndrome_of=dict(sset.syndrome_of), representatives=representatives,
+        representative_cluster_of=rep_cluster_of, _coset_table=table, _cosets=cosets,
         _syndromes=np.array([sset.syndrome_of[y] for y in members]),
     )
-
-
-def _reduce(words: np.ndarray, space: LinearCode) -> np.ndarray:
-    """Packed words modulo the space: their RREF pivot bits cleared."""
-    for g, p in zip(space.basis, space.pivots.tolist()):
-        words = words ^ (words >> (space.n - 1 - p) & 1) * pack_bits(g)
-    return words
 
 
 @dataclass
@@ -302,21 +310,22 @@ def verify_cluster_lemma(part: ClusterPartition, c2: float) -> ClusterLemmaRepor
     """
     if math.isnan(c2):
         raise DomainError("c2 must be a number")
-    table, pos = part._coset_table, part._positions
+    table = part._coset_table
     mm = np.array(part.members, dtype=np.int64)
     labels = np.array([part.cluster_of[y] for y in part.members], dtype=np.int64)
-    sizes = np.bincount(labels)
+    cls, lab = _classes(part, labels)
+    sizes = np.bincount(lab)
     counterexample = None
 
-    # (1) y's related set is its cluster: as many neighbours, none outside
-    count = np.zeros(len(mm), dtype=np.int64)
-    stray = np.zeros(len(mm), dtype=bool)
-    for d in np.flatnonzero(table <= part.threshold):
-        nb = pos[mm ^ d]
+    # (1) a class's related classes are its cluster's: as many, none outside
+    count = np.zeros(len(cls.words), dtype=np.int64)
+    stray = np.zeros(len(cls.words), dtype=bool)
+    for d in np.unique(cls.index(np.flatnonzero(table <= part.threshold))):
+        nb = cls.slot[cls.words ^ d]
         hit = nb >= 0
         count += hit
-        stray |= hit & (labels[nb] != labels)
-    failing = np.flatnonzero(stray | (count != sizes[labels]))
+        stray |= hit & (lab[nb] != lab)
+    failing = np.flatnonzero((stray | (count != sizes[lab]))[cls.of])
     partition_ok = not failing.size
     if failing.size:
         i = int(failing[0])
@@ -326,7 +335,7 @@ def verify_cluster_lemma(part: ClusterPartition, c2: float) -> ClusterLemmaRepor
 
     min_dist, witness = None, None
     if np.unique(labels).size > 1:
-        dist = _nearest_other(mm, labels, part.n)[1][mm]
+        dist = _quotient_nearest(cls, lab)[1][cls.words][cls.of]
         i = int(dist.argmin())
         j = ((labels != labels[i]) & (np.bitwise_count(mm ^ mm[i]) == dist[i])).argmax()
         min_dist, witness = int(dist[i]), (int(mm[i]), int(mm[j]))
@@ -334,21 +343,22 @@ def verify_cluster_lemma(part: ClusterPartition, c2: float) -> ClusterLemmaRepor
     if not distance_ok and counterexample is None:
         counterexample = {"check": 2, "pair": witness, "distance": min_dist}
 
-    translate_ok = True
+    # (3) per class of shifts: Q lies in S, so a whole class is in S or outside it
     kernel_words = _zero_syndrome_words(part.members, part.syndrome_of)
-    in_stab = table[kernel_words] == 0
-    for cid, cl in enumerate(part.clusters):
-        target = _shift_targets(np.array(cl), kernel_words, pos, labels, sizes)
-        bad = np.flatnonzero((target < 0) | ((target == cid) != in_stab))
-        if bad.size:
-            translate_ok = False
-            if counterexample is None:
-                counterexample = {"check": 3, "cluster": cid, "shift": int(kernel_words[bad[0]])}
-            break
+    shifts, shift_of = np.unique(cls.index(kernel_words), return_inverse=True)
+    in_stab = np.zeros(len(shifts), dtype=bool)
+    in_stab[shift_of] = table[kernel_words] == 0
+    target = _moved_clusters(cls, lab, shifts)
+    bad = (target < 0) | ((target == np.arange(len(target))[:, None]) != in_stab)
+    translate_ok = not bad.any()
+    if not translate_ok and counterexample is None:
+        cid = int(bad.any(axis=1).argmax())
+        shift = int(kernel_words[bad[cid][shift_of]][0])
+        counterexample = {"check": 3, "cluster": cid, "shift": shift}
 
     # (4) every member decodes into the stabilizer coset of its cluster's first
     decoded = part.decoded()
-    firsts = pos[np.array([cl[0] for cl in part.clusters], dtype=np.int64)]
+    firsts = np.searchsorted(mm, [cl[0] for cl in part.clusters])
     drift = np.flatnonzero(table[decoded ^ decoded[firsts[labels]]] != 0)
     decoder_ok = not drift.size
     if drift.size and counterexample is None:
@@ -357,70 +367,56 @@ def verify_cluster_lemma(part: ClusterPartition, c2: float) -> ClusterLemmaRepor
         counterexample = {"check": 4, "cluster": cid, "pair": (part.clusters[cid][0], y)}
 
     return ClusterLemmaReport(
-        partition_ok=partition_ok,
-        distance_ok=bool(distance_ok),
-        translate_ok=translate_ok,
-        decoder_ok=decoder_ok,
-        min_intercluster_distance=min_dist,
-        c2=float(c2),
-        n=part.n,
+        partition_ok=partition_ok, distance_ok=bool(distance_ok), translate_ok=translate_ok,
+        decoder_ok=decoder_ok, min_intercluster_distance=min_dist, c2=float(c2), n=part.n,
         counterexample=counterexample,
     )
 
 
-def _cube_pairs(*arrays):
-    """Per bit of the 2^n cube index, lowest first: each array as (-1, 2, h)
-    pairs across it.  The low bits are visited on transposed copies, written
-    back before the high bits, so that no view has short rows."""
-    n = arrays[0].shape[0].bit_length() - 1
-    swapped = [x.reshape(-1, 1 << n // 2).T.copy() for x in arrays]
-    for k in range(n - n // 2, n):
-        yield [x.reshape(-1, 2, 1 << k) for x in swapped]
-    for x, t in zip(arrays, swapped):
-        x.reshape(-1, 1 << n // 2)[...] = t.T
-    for k in range(n // 2, n):
-        yield [x.reshape(-1, 2, 1 << k) for x in arrays]
+def _classes(part: ClusterPartition, labels: np.ndarray) -> tuple[_Classes, np.ndarray]:
+    """The members' classes under a labelling, with a label per class: the
+    S-cosets if the labels are constant on them (Q = S), else the members."""
+    cls, lab = part._cosets, np.empty(len(part._cosets.words), dtype=labels.dtype)
+    lab[cls.of] = labels
+    if (lab[cls.of] == labels).all():
+        return cls, lab
+    return _Classes(None, part.n, np.array(part.members)), labels  # the members ascend
 
 
-def _distance_to(words: np.ndarray, n: int) -> np.ndarray:
-    """Per word of the 2^n cube: the Hamming distance to the nearest of
-    `words` (n + 1 when there is none), one min-plus pass per bit."""
-    dist = np.full(1 << n, n + 1, dtype=np.int8)
-    dist[words] = 0
-    for (pairs,) in _cube_pairs(dist):
-        np.minimum(pairs[:, 0], pairs[:, 1] + 1, out=pairs[:, 0])
-        # the merged low half only adds high-half words two steps away
-        np.minimum(pairs[:, 1], pairs[:, 0] + 1, out=pairs[:, 1])
-    return dist
-
-
-def _nearest_other(words: np.ndarray, labels: np.ndarray, n: int):
-    """Per word v of the 2^n cube, (d1 << 24 | l1, d2): the distance d1 to
-    the nearest of `words`, the least label l1 (< 2^24) at that distance, and
-    the distance d2 to the nearest word labelled other than l1 (n + 1 if none)."""
-    mask = (1 << 24) - 1
-    key = np.full(1 << n, (n + 1) << 24 | mask, dtype=np.int32)
-    other = np.full(1 << n, n + 1, dtype=np.int8)
-    key[words] = labels
-    for keys, dists in _cube_pairs(key, other):
-        for a, b in ((0, 1), (1, 0)):  # as in _distance_to, merged halves are as good
-            k, far, d = keys[:, a], keys[:, b] + (1 << 24), dists[:, a]
-            cross = np.maximum(k, far) >> 24  # the farther of two differently labelled words
-            cross[((k ^ far) & mask) == 0] = n + 1
-            np.minimum(d, np.minimum(cross, dists[:, b] + 1), out=d, casting="unsafe")
-            np.minimum(k, far, out=k)
+def _quotient_nearest(cls: _Classes, labels: np.ndarray):
+    """Per class word v, (d1 << 24 | l1, d2): the distance d1 to the nearest
+    class, the least label l1 (< 2^24) at that distance, and the distance d2
+    to the nearest class labelled other than l1 (n + 1 if none).  One
+    min-plus step per reduced unit vector, as in `_coset_weight_table`."""
+    n, size, mask = cls.n, len(cls.slot), (1 << 24) - 1
+    key = np.full(size, (n + 1) << 24 | mask, dtype=np.int32)
+    other = np.full(size, n + 1, dtype=np.int8)
+    key[cls.words] = labels
+    for g in np.unique(cls.gens[cls.gens != 0]).tolist():  # a repeated step gains nothing
+        step = np.arange(size) ^ g
+        far = key[step] + (1 << 24)
+        cross = np.maximum(key, far) >> 24  # the farther of two differently labelled classes
+        cross[((key ^ far) & mask) == 0] = n + 1
+        np.minimum(other, np.minimum(cross, other[step] + 1), out=other, casting="unsafe")
+        np.minimum(key, far, out=key)
     return key, other
 
 
-def _shift_targets(cl, shifts, pos, labels, sizes) -> np.ndarray:
-    """Per shift c: the cluster equal to cl + c, or -1 when cl + c is none."""
-    out = np.empty(len(shifts), dtype=np.int64)
-    step = max(1, PAIR_BLOCK // len(cl))
+def _moved_clusters(cls: _Classes, labels: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Per cluster (class label) and shift class c: the cluster whose
+    classes are the cluster's own plus c, or -1 when there is none."""
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels)
+    starts = np.cumsum(sizes) - sizes
+    out = np.empty((len(sizes), len(shifts)), dtype=np.int64)
+    step = max(1, PAIR_BLOCK // len(order))
     for s in range(0, len(shifts), step):
-        moved = pos[shifts[s : s + step, None] ^ cl]
-        lab = labels[moved[:, 0]]
-        inside = ((moved >= 0) & (labels[moved] == lab[:, None])).all(axis=1)
-        out[s : s + step] = np.where(inside & (sizes[lab] == len(cl)), lab, -1)
+        moved = cls.slot[cls.words[order, None] ^ shifts[s : s + step]]
+        lab = np.where(moved >= 0, labels[moved], -1)
+        target = lab[starts]
+        inside = np.logical_and.reduceat(lab == target[labels[order]], starts, axis=0)
+        inside &= (target >= 0) & (sizes[target] == sizes[:, None])
+        out[:, s : s + step] = np.where(inside, target, -1)
     return out
 
 
@@ -588,8 +584,17 @@ class SpreadReport:
 
 
 def _fwht(vec: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform, one butterfly pass per bit of the index,
+    lowest first.  The low half of the bits is visited on a transposed copy,
+    written back before the high half, so that no view has short rows."""
     a = vec.copy()
-    for (pairs,) in _cube_pairs(a):
+    n = a.shape[0].bit_length() - 1
+    h = n // 2
+    low = a.reshape(-1, 1 << h).T.copy()  # bit k < h of a is bit k + n - h of low
+    for k in range(n):
+        if k == h:
+            a.reshape(-1, 1 << h)[...] = low.T
+        pairs = low.reshape(-1, 2, 1 << k + n - h) if k < h else a.reshape(-1, 2, 1 << k)
         diff = pairs[:, 0] - pairs[:, 1]
         pairs[:, 0] += pairs[:, 1]
         pairs[:, 1] = diff
@@ -628,12 +633,6 @@ def _distributions(state: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     raise StateDimensionMismatch("state must be a vector or a square matrix")
 
 
-def _spread_sides(part: ClusterPartition, readout: int) -> tuple[list[int], list[int]]:
-    mm = np.array(part.members, dtype=np.int64)
-    odd = np.bitwise_count(part.decoded() & readout) % 2 == 1
-    return mm[~odd].tolist(), mm[odd].tolist()
-
-
 def measure_spread(
     state,
     code: CssCode,
@@ -642,34 +641,35 @@ def measure_spread(
     logicals: tuple[np.ndarray, np.ndarray],
 ) -> tuple[SpreadReport, SpreadReport]:
     """Exact X- and Z-basis spread of a state over the decoded halves of
-    the two syndrome sets.  logicals = (x_readout, z_readout) with odd
-    mutual overlap."""
+    the two syndrome sets.  logicals = (x_readout, z_readout), binary words
+    in ker H_X and ker H_Z with odd mutual overlap; the kernel condition
+    makes each half a union of stabilizer cosets."""
     _require_gf2(code)
     n = code.n
-    c_x, c_z = (pack_bits(logicals[0]), pack_bits(logicals[1]))
+    if (partition_x.basis, partition_z.basis, partition_x.n, partition_z.n) != ("X", "Z", n, n):
+        raise DomainError(f"partitions must be the X and the Z partition on {n} qubits, in order")
+    words = [np.asarray(w) for w in logicals]
+    if any(w.shape != (n,) or not np.isin(w, (0, 1)).all() for w in words):
+        raise DomainError(f"readout words must be binary of length {n}")
+    if code.h_x.apply(words[0]).any() or code.h_z.apply(words[1]).any():
+        raise DomainError("readout words must lie in ker H_X and ker H_Z")
+    c_x, c_z = pack_bits(words[0]), pack_bits(words[1])
     if (c_x & c_z).bit_count() % 2 != 1:
         raise DomainError("readout words must have odd overlap")
     d_z, d_x = _distributions(state, n)
     reports = []
-    for basis, part, readout, dist in (
-        ("X", partition_x, c_z, d_x),
-        ("Z", partition_z, c_x, d_z),
-    ):
-        s0, s1 = _spread_sides(part, readout)
+    for basis, part, readout, dist in (("X", partition_x, c_z, d_x), ("Z", partition_z, c_x, d_z)):
+        mm = np.array(part.members, dtype=np.int64)
+        odd = (np.bitwise_count(part.decoded() & readout) & 1).astype(np.int64)
+        s0, s1 = mm[odd == 0].tolist(), mm[odd == 1].tolist()
         # summed in order, as a Python sum adds, so masses keep every bit
         mass0, mass1 = (float(np.cumsum(dist[s])[-1]) if s else 0.0 for s in (s0, s1))
-        reports.append(
-            SpreadReport(
-                basis=basis,
-                s0=s0,
-                s1=s1,
-                mass0=mass0,
-                mass1=mass1,
-                separation=int(_distance_to(np.array(s1), n)[s0].min()) if s0 and s1 else None,
-                mass_threshold_strict=SPREAD_MASS_STRICT,
-                mass_threshold_relaxed=SPREAD_MASS_RELAXED,
-            )
-        )
+        cls, lab = _classes(part, odd)
+        separation = int(_quotient_nearest(cls, lab)[1][cls.words].min()) if s0 and s1 else None
+        reports.append(SpreadReport(
+            basis=basis, s0=s0, s1=s1, mass0=mass0, mass1=mass1, separation=separation,
+            mass_threshold_strict=SPREAD_MASS_STRICT, mass_threshold_relaxed=SPREAD_MASS_RELAXED,
+        ))
     return reports[0], reports[1]
 
 

@@ -48,7 +48,13 @@ from ptanner.nlts import (
     unpack_bits,
     verify_cluster_lemma,
 )
-from ptanner.nlts import _coset_weight_table, _distance_to, _nearest_other, _shift_targets
+from ptanner.nlts import (
+    _classes,
+    _Classes,
+    _coset_weight_table,
+    _moved_clusters,
+    _quotient_nearest,
+)
 from ptanner.tanner import CssCode, estimate_ssexp
 
 from small_codes import shor_code, steane_code
@@ -588,6 +594,49 @@ def test_spread_input_validation(steane, spread_setup):
         measure_spread(good, steane, part_x, part_z, even_pair)
 
 
+def _short(x, z, parts):
+    return (x[:-1], z[:-1]), parts
+
+
+def _long(x, z, parts):
+    return (np.append(x, 0), np.append(z, 0)), parts
+
+
+def _three(x, z, parts):
+    return (np.where(x == 1, 3, x), z), parts
+
+
+def _z_outside_kernel(x, z, parts):
+    # one bit flipped where x is 0: the overlap stays odd
+    z = z.copy()
+    z[np.flatnonzero(x == 0)[0]] ^= 1
+    return (x, z), parts
+
+
+def _even_overlap(x, z, parts):
+    return (x, np.zeros_like(z)), parts  # both in the kernels
+
+
+def _swapped(x, z, parts):
+    return (x, z), parts[::-1]
+
+
+def _other_length(x, z, parts):
+    shor = shor_code()
+    return (x, z), tuple(build_clusters(enumerate_syndrome_set(shor, b, 1 / 3), 0.1) for b in "XZ")
+
+
+@pytest.mark.parametrize(
+    "tamper", [_short, _long, _three, _z_outside_kernel, _even_overlap, _swapped, _other_length],
+    ids=["short", "long", "three", "z_outside_kernel", "even_overlap", "swapped", "other_length"],
+)
+def test_spread_refuses_bad_readouts_and_partitions(steane, spread_setup, tamper):
+    part_x, part_z, (x, z) = spread_setup
+    logicals, (px, pz) = tamper(np.asarray(x), np.asarray(z), (part_x, part_z))
+    with pytest.raises(DomainError):
+        measure_spread(dense_state(sector_state(steane, 0, 0), 7), steane, px, pz, logicals)
+
+
 # -------------------------------------------------- uncertainty relation
 
 
@@ -985,14 +1034,19 @@ def test_lab_kernels_match_loop_oracles(code, basis, eps, c1, c2, data):
         assert report.to_doc() == {**loop_lemma(variant, c2_), "all_ok": report.all_ok}
 
     # where sizes changed, a shifted cluster can land inside a larger one;
-    # the translate test's shift targets must see that
+    # the translate test's shift targets must see that, on S-cosets where
+    # the labels allow them (Q = S) and on the members themselves (Q = {0})
     own = (code.h_z if basis == "Z" else code.h_x).toarray()
     shifts = np.array(loop_kernel_words(own, n), dtype=np.int64)
-    for variant in resized:
+    for variant in [part, *resized]:
         labels = np.array([variant.cluster_of[y] for y in variant.members])
-        for cl in variant.clusters:
-            got = _shift_targets(np.array(cl), shifts, variant._positions, labels, np.bincount(labels))
-            assert got.tolist() == loop_shift_targets(variant, cl, shifts.tolist())
+        singletons = _Classes(None, n, np.array(variant.members, dtype=np.int64))
+        for grouping, lab in (_classes(variant, labels), (singletons, labels)):
+            shift_classes, shift_of = np.unique(grouping.index(shifts), return_inverse=True)
+            got = _moved_clusters(grouping, lab, shift_classes)
+            for cid, cl in enumerate(variant.clusters):
+                want = loop_shift_targets(variant, cl, shifts.tolist())
+                assert got[cid][shift_of].tolist() == want
 
     if code.rank_x + code.rank_z < n:  # k >= 1: a logical pair to read out
         parts = {basis: part, other: build_clusters(enumerate_syndrome_set(code, other, eps), c1)}
@@ -1003,6 +1057,26 @@ def test_lab_kernels_match_loop_oracles(code, basis, eps, c1, c2, data):
         assert [
             (r.s0, r.s1, r.mass0, r.mass1, r.separation) for r in reports
         ] == loop_spread(vec, parts, logicals)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    small_css_codes(),
+    st.sampled_from([0.0, 1 / 8, 1 / 4, 1 / 3, 1 / 2, 1.0]),
+    st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0]),
+)
+def test_clusters_and_spread_sides_are_unions_of_stabilizer_cosets(code, eps, c1):
+    # what lets the lemma checks and the spread separation run modulo S
+    parts, stab = {}, {"X": span_words(code.h_z), "Z": span_words(code.h_x)}
+    for basis in ("X", "Z"):
+        part = parts[basis] = build_clusters(enumerate_syndrome_set(code, basis, eps), c1)
+        for cl in part.clusters:
+            assert {y ^ s for y in cl for s in stab[basis]} == set(cl)
+    if code.rank_x + code.rank_z < code.n:
+        vec = np.ones(1 << code.n, dtype=complex)
+        for r in measure_spread(vec, code, parts["X"], parts["Z"], logical_pair(code)):
+            for side in (r.s0, r.s1):
+                assert {y ^ s for y in side for s in stab[r.basis]} == set(side)
 
 
 def test_decoder_witness_matches_loop_oracle():
@@ -1044,30 +1118,41 @@ def pair_nearest(a, b, labels=None):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 12), st.sampled_from(["one", "distinct", "three"]), st.data())
 def test_cube_transforms_match_pair_minimum(n, labelling, data):
+    # classes modulo Q = {0} (no rows drawn) or modulo the span Q of up to
+    # three drawn rows; the members are the drawn words' cosets
     cube = (1 << n) - 1
-    words = np.array(sorted(data.draw(st.sets(st.integers(0, cube), max_size=40))), dtype=np.int64)
-    dist = np.bitwise_count(np.arange(cube + 1)[:, None] ^ words).astype(np.int64)
-    nearest = dist.min(axis=1) if words.size else np.full(cube + 1, n + 1)
-    assert _distance_to(words, n).tolist() == nearest.tolist()
-    if not words.size:
-        return
+    drawn_rows = data.draw(st.lists(st.integers(0, cube), max_size=3)) if n else []
+    rows = [unpack_bits(r, n) for r in drawn_rows]
+    span = sorted(span_words(FMatrix.from_dense(2, rows))) if rows else [0]
+    drawn = data.draw(st.sets(st.integers(0, cube), max_size=40))
+    members = np.array(sorted({w ^ q for w in drawn for q in span}), dtype=np.int64)
+    cls = _Classes(LinearCode(2, n, rows) if rows else None, n, members)
     # three labels make ties between labels at equal distance common
+    k = len(cls.words)
     labels = {
-        "one": lambda: np.zeros(len(words), dtype=np.int64),
+        "one": lambda: np.zeros(k, dtype=np.int64),
         "distinct": lambda: np.array(data.draw(st.lists(
-            st.integers(0, (1 << 24) - 1), min_size=len(words), max_size=len(words), unique=True))),
-        "three": lambda: np.array(data.draw(st.lists(
-            st.integers(0, 2), min_size=len(words), max_size=len(words)))),
-    }[labelling]()
-    key, other = _nearest_other(words, labels, n)
-    assert (key >> 24).tolist() == nearest.tolist()
-    least = np.where(dist == nearest[:, None], labels, 1 << 24).min(axis=1)
-    assert (key & ((1 << 24) - 1)).tolist() == least.tolist()
-    far = np.where(labels != least[:, None], dist, n + 1).min(axis=1)
-    assert other.tolist() == far.tolist()
-    # at the words themselves: the old kernel's distance to another label
+            st.integers(0, (1 << 24) - 1), min_size=k, max_size=k, unique=True))),
+        "three": lambda: np.array(data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))),
+    }[labelling]().astype(np.int64)
+    member_labels = labels[cls.of]
+    assert np.bincount(cls.of, minlength=k).tolist() == [len(span)] * k
+
+    key, other = _quotient_nearest(cls, labels)
+    at = cls.index(np.arange(cube + 1, dtype=np.int64))
+    dist = np.bitwise_count(np.arange(cube + 1)[:, None] ^ members).astype(np.int64)
+    nearest = dist.min(axis=1) if members.size else np.full(cube + 1, n + 1)
+    assert (key[at] >> 24).tolist() == nearest.tolist()
+    if not members.size:
+        return
+    least = np.where(dist == nearest[:, None], member_labels, 1 << 24).min(axis=1)
+    assert (key[at] & ((1 << 24) - 1)).tolist() == least.tolist()
+    far = np.where(member_labels != least[:, None], dist, n + 1).min(axis=1)
+    assert other[at].tolist() == far.tolist()
+    # at the members themselves: the old kernel's distance to another label
     if np.unique(labels).size > 1:
-        assert other[words].tolist() == pair_nearest(words, words, labels)[0].tolist()
+        assert other[cls.words[cls.of]].tolist() == pair_nearest(
+            members, members, member_labels)[0].tolist()
 
 
 def hypergraph_product(h):
