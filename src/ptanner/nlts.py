@@ -1,12 +1,14 @@
 """Low-energy structure lab for small CSS codes.
 
-Everything here is exact and exhaustive by design: syndrome sets are full
-enumerations of the hypercube, Hamiltonians are dense matrices on at most
-12 qubits, and measurement statistics are computed by literal basis change.
+Everything here is exact and exhaustive by design: syndrome sets are the
+kernel cosets of all reachable small syndromes, Hamiltonians are dense
+matrices on at most 12 qubits, and X-basis statistics are the butterflies
+of the Walsh-Hadamard transform that the syndrome set's words need.
 Cluster partitions are the components of the near-coset relation; with
 commuting checks (checked) they are taken on the cosets of the opposite
-stabilizer space S, each word reduced modulo S's RREF.  The lemma checks
-and the spread separation run on classes modulo Q = S when the labels
+stabilizer space S, each word reduced modulo S's RREF; a coset's least
+weight is its class word's distance from class 0.  The lemma checks and
+the spread separation run on classes modulo Q = S when the labels
 (clusters, spread sides) are constant on S-cosets, as for every
 `build_clusters` partition, else Q = {0}: class distances are min-plus
 transforms over the 2^(n - dim Q) quotient words, not passes over member
@@ -17,7 +19,6 @@ plain min().  Stabilizer and kernel words are the codewords of the code's
 cached row spaces (`CssCode.rowspace_x`, `rowspace_z`) and of their duals,
 listed by `gf.iter_codewords`.
 """
-
 from __future__ import annotations
 
 import math
@@ -69,10 +70,10 @@ def _require_gf2(code: CssCode) -> None:
         raise UnsupportedField(f"binary-only operation called over GF({code.p})")
 
 
-def _words(space: LinearCode) -> list[int]:
+def _words(space: LinearCode, cap: int = ENUMERATION_CAP) -> list[int]:
     """Every word of a binary code, packed, in `iter_codewords` order;
-    BudgetExceeded past ENUMERATION_CAP words."""
-    return [w for block in iter_codewords(space, ENUMERATION_CAP) for w in _pack_rows(block)]
+    BudgetExceeded past `cap` words."""
+    return [w for block in iter_codewords(space, cap) for w in _pack_rows(block)]
 
 
 @dataclass
@@ -107,50 +108,34 @@ class SyndromeSet:
 def enumerate_syndrome_set(
     code: CssCode, basis: str, epsilon: float, cap: int = ENUMERATION_CAP
 ) -> SyndromeSet:
-    """Exhaustive small-syndrome set over all 2^n words."""
+    """Exact small-syndrome set: for each syndrome in the span of H's
+    columns of weight at most epsilon * m, the coset of ker H that has it,
+    all in ascending order.  Refused past 2^n > cap words."""
     _require_gf2(code)
     if basis not in ("X", "Z"):
         raise DomainError(f"basis must be X or Z, got {basis!r}")
     if not epsilon >= 0:
         raise DomainError("epsilon must be nonnegative")
     n = code.n
-    total = 1 << n
-    if total > cap:
+    if (1 << n) > cap:
         raise BudgetExceeded(f"2^{n} states exceeds cap {cap}")
-    rows = _pack_rows((code.h_x if basis == "X" else code.h_z).toarray())
-    m = len(rows)
-    thr = epsilon * m + 1e-12
-    members: list[int] = []
-    syndrome_of: dict[int, int] = {}
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        ints = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        parities = [np.bitwise_count(ints & r) & 1 for r in rows]
-        syn = np.array(parities, dtype=np.int64).reshape(m, len(ints)).T
+    space = code.rowspace_x if basis == "X" else code.rowspace_z
+    checks = (code.h_x if basis == "X" else code.h_z).toarray()
+    thr = epsilon * len(checks) + 1e-12
+    lifts, syndromes = [], []
+    # the words on H's pivot columns meet each reachable syndrome once
+    on_pivots = LinearCode(2, n, np.eye(n, dtype=np.int64)[space.pivots])
+    for block in iter_codewords(on_pivots, cap):
+        syn = block @ checks.T % 2
         keep = syn.sum(axis=1) <= thr
-        ys = ints[keep].tolist()
-        members += ys
-        syndrome_of.update(zip(ys, _pack_rows(syn[keep])))
-    return SyndromeSet(
-        code=code, basis=basis, epsilon=float(epsilon), members=members,
-        syndrome_of=syndrome_of,
-    )
-
-
-def _coset_weight_table(stabilizers: LinearCode, cap: int) -> np.ndarray:
-    """table[v] = min weight of v + (stabilizers), for every packed v."""
-    n, k = stabilizers.n, stabilizers.dim
-    total = 1 << n
-    if total > cap:
-        raise BudgetExceeded(f"2^{n} coset table exceeds cap {cap}")
-    if (1 << k) > cap:
-        raise BudgetExceeded(f"2^{k} stabilizer words exceed cap {cap}")
-    idx = np.arange(total, dtype=np.int64)
-    table = np.bitwise_count(idx).astype(np.int64)
-    # the span doubles with each generator g, and so does the minimum over it
-    for g in stabilizers.basis:
-        np.minimum(table, table[idx ^ pack_bits(g)], out=table)
-    return table
+        lifts += _pack_rows(block[keep])
+        syndromes += _pack_rows(syn[keep])
+    kernel = np.array(_words(space.dual(), cap), dtype=np.int64)
+    words = (np.array(lifts, dtype=np.int64)[:, None] ^ kernel).ravel()
+    order = np.argsort(words)
+    members = words[order].tolist()
+    syndrome_of = dict(zip(members, [syndromes[i] for i in (order // len(kernel)).tolist()]))
+    return SyndromeSet(code, basis, float(epsilon), members, syndrome_of)
 
 
 class _Classes:
@@ -199,9 +184,10 @@ class ClusterPartition:
     syndrome_of: dict[int, int]
     representatives: dict[int, int]
     representative_cluster_of: dict[int, int]
-    _coset_table: np.ndarray = field(repr=False, default=None)
     _cosets: _Classes = field(repr=False, default=None)  # the members modulo S
+    _coset_weights: np.ndarray = field(repr=False, default=None)  # per S-class word
     _syndromes: np.ndarray = field(repr=False, default=None)  # per member, in member order
+    _readout: list = field(repr=False, default=None)  # `_walsh_plan` of the members, on first use
 
     def decode(self, y: int) -> int:
         """y plus the representative of its syndrome."""
@@ -232,13 +218,15 @@ def build_clusters(sset: SyndromeSet, c1: float, cap: int = ENUMERATION_CAP) -> 
     code, n = sset.code, sset.code.n
     code.validate()  # commuting checks: the member set is a union of S-cosets
     stabilizers = code.rowspace_x if sset.basis == "Z" else code.rowspace_z
-    table = _coset_weight_table(stabilizers, cap)
+    if (1 << n - stabilizers.dim) > cap:
+        raise BudgetExceeded(f"2^{n - stabilizers.dim} S-class words exceed cap {cap}")
     threshold = 2.0 * c1 * sset.epsilon * n + 1e-12
     members = sorted(sset.members)
     mm = np.array(members, dtype=np.int64)
     # y ~ y + d for close d joins S-cosets: link coset c to c + d
     cosets = _Classes(stabilizers, n, mm)
-    close = np.unique(cosets.index(np.flatnonzero(table <= threshold)))
+    weights = _quotient_nearest(cosets, 0, 0)[0] >> 24  # from class 0: least weight per S-class
+    close = np.flatnonzero(weights <= threshold)
     nb = cosets.slot[cosets.words[:, None] ^ close]
     rows, cols = np.nonzero(nb >= 0)[0], nb[nb >= 0]
     adj = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(len(nb),) * 2)
@@ -274,7 +262,7 @@ def build_clusters(sset: SyndromeSet, c1: float, cap: int = ENUMERATION_CAP) -> 
         basis=sset.basis, epsilon=sset.epsilon, c1=float(c1), threshold=float(threshold), n=n,
         members=members, clusters=clusters, cluster_of=cluster_of,
         syndrome_of=dict(sset.syndrome_of), representatives=representatives,
-        representative_cluster_of=rep_cluster_of, _coset_table=table, _cosets=cosets,
+        representative_cluster_of=rep_cluster_of, _cosets=cosets, _coset_weights=weights,
         _syndromes=np.array([sset.syndrome_of[y] for y in members]),
     )
 
@@ -310,26 +298,26 @@ def verify_cluster_lemma(part: ClusterPartition, c2: float) -> ClusterLemmaRepor
     """
     if math.isnan(c2):
         raise DomainError("c2 must be a number")
-    table = part._coset_table
+    cosets, weights = part._cosets, part._coset_weights
     mm = np.array(part.members, dtype=np.int64)
     labels = np.array([part.cluster_of[y] for y in part.members], dtype=np.int64)
     cls, lab = _classes(part, labels)
-    sizes = np.bincount(lab)
     counterexample = None
 
-    # (1) a class's related classes are its cluster's: as many, none outside
-    count = np.zeros(len(cls.words), dtype=np.int64)
-    stray = np.zeros(len(cls.words), dtype=bool)
-    for d in np.unique(cls.index(np.flatnonzero(table <= part.threshold))):
-        nb = cls.slot[cls.words ^ d]
-        hit = nb >= 0
-        count += hit
-        stray |= hit & (lab[nb] != lab)
-    failing = np.flatnonzero((stray | (count != sizes[lab]))[cls.of])
+    # (1) an S-class's related classes hold its cluster and no other: all of
+    # one label, as many members as the cluster (-1: a class mixing labels)
+    pure = np.empty(len(cosets.words), dtype=np.int64)
+    pure[cosets.of] = labels
+    pure[cosets.of[pure[cosets.of] != labels]] = -1
+    nb = cosets.slot[cosets.words[:, None] ^ np.flatnonzero(weights <= part.threshold)]
+    hit = nb >= 0
+    count = np.where(hit, np.bincount(cosets.of)[nb], 0).sum(axis=1)
+    ok = (np.where(hit, pure[nb], pure[:, None]) == pure[:, None]).all(axis=1) & (pure >= 0)
+    failing = np.flatnonzero(~(ok & (count == np.bincount(labels)[pure]))[cosets.of])
     partition_ok = not failing.size
     if failing.size:
         i = int(failing[0])
-        related = table[mm ^ mm[i]] <= part.threshold
+        related = weights[cosets.words[cosets.of] ^ cosets.words[cosets.of[i]]] <= part.threshold
         bad = int(mm[np.nonzero(related != (labels == labels[i]))[0][0]])
         counterexample = {"check": 1, "y": part.members[i], "y_prime": bad}
 
@@ -347,7 +335,7 @@ def verify_cluster_lemma(part: ClusterPartition, c2: float) -> ClusterLemmaRepor
     kernel_words = _zero_syndrome_words(part.members, part.syndrome_of)
     shifts, shift_of = np.unique(cls.index(kernel_words), return_inverse=True)
     in_stab = np.zeros(len(shifts), dtype=bool)
-    in_stab[shift_of] = table[kernel_words] == 0
+    in_stab[shift_of] = cosets.index(kernel_words) == 0
     target = _moved_clusters(cls, lab, shifts)
     bad = (target < 0) | ((target == np.arange(len(target))[:, None]) != in_stab)
     translate_ok = not bad.any()
@@ -359,7 +347,7 @@ def verify_cluster_lemma(part: ClusterPartition, c2: float) -> ClusterLemmaRepor
     # (4) every member decodes into the stabilizer coset of its cluster's first
     decoded = part.decoded()
     firsts = np.searchsorted(mm, [cl[0] for cl in part.clusters])
-    drift = np.flatnonzero(table[decoded ^ decoded[firsts[labels]]] != 0)
+    drift = np.flatnonzero(cosets.index(decoded ^ decoded[firsts[labels]]) != 0)
     decoder_ok = not drift.size
     if drift.size and counterexample is None:
         cid = int(labels[drift].min())
@@ -383,15 +371,16 @@ def _classes(part: ClusterPartition, labels: np.ndarray) -> tuple[_Classes, np.n
     return _Classes(None, part.n, np.array(part.members)), labels  # the members ascend
 
 
-def _quotient_nearest(cls: _Classes, labels: np.ndarray):
+def _quotient_nearest(cls: _Classes, labels, words=None):
     """Per class word v, (d1 << 24 | l1, d2): the distance d1 to the nearest
-    class, the least label l1 (< 2^24) at that distance, and the distance d2
-    to the nearest class labelled other than l1 (n + 1 if none).  One
-    min-plus step per reduced unit vector, as in `_coset_weight_table`."""
+    labelled class (one per class word of `words`, by default cls.words),
+    the least label l1 (< 2^24) at that distance, and the distance d2 to the
+    nearest class labelled other than l1 (n + 1 if none).  One min-plus step
+    per reduced unit vector; from class 0 alone, d1 is a class's least weight."""
     n, size, mask = cls.n, len(cls.slot), (1 << 24) - 1
     key = np.full(size, (n + 1) << 24 | mask, dtype=np.int32)
     other = np.full(size, n + 1, dtype=np.int8)
-    key[cls.words] = labels
+    key[cls.words if words is None else words] = labels
     for g in np.unique(cls.gens[cls.gens != 0]).tolist():  # a repeated step gains nothing
         step = np.arange(size) ^ g
         far = key[step] + (1 << 24)
@@ -583,54 +572,66 @@ class SpreadReport:
         }
 
 
-def _fwht(vec: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform, one butterfly pass per bit of the index,
-    lowest first.  The low half of the bits is visited on a transposed copy,
-    written back before the high half, so that no view has short rows."""
-    a = vec.copy()
-    n = a.shape[0].bit_length() - 1
-    h = n // 2
-    low = a.reshape(-1, 1 << h).T.copy()  # bit k < h of a is bit k + n - h of low
+def _walsh_plan(words: np.ndarray, n: int) -> list:
+    """Per index bit k, the rows of `_walsh_at` that the ascending packed
+    `words` need (patterns of their low k + 1 bits): None for all, else
+    their indices in [sums, differences]."""
+    plan, rows = [], np.zeros(1, dtype=np.int64)
     for k in range(n):
-        if k == h:
-            a.reshape(-1, 1 << h)[...] = low.T
-        pairs = low.reshape(-1, 2, 1 << k + n - h) if k < h else a.reshape(-1, 2, 1 << k)
-        diff = pairs[:, 0] - pairs[:, 1]
-        pairs[:, 0] += pairs[:, 1]
-        pairs[:, 1] = diff
-    return a
+        need = np.sort(words & ((2 << k) - 1))
+        need = need[np.r_[True, need[1:] != need[:-1]]]
+        low = np.searchsorted(rows, need & ((1 << k) - 1))
+        plan.append(None if len(need) == 2 * len(rows) else low + len(rows) * (need >> k))
+        rows = need
+    return plan
 
 
-def _distributions(state: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Z-basis, X-basis) outcome distributions for a vector or density
-    matrix on n qubits."""
+def _walsh_at(a: np.ndarray, plan: list) -> np.ndarray:
+    """Walsh-Hadamard transform of each row of a (b, 2^n), read at the words
+    of `plan`: one butterfly pass per index bit, lowest first, so each value
+    is the same sum to the bit whichever words are read.  Each pass pairs
+    neighbouring entries and writes sums, then differences (constant
+    geometry): rows are the patterns of the bits passed, each pass's bit
+    is the lowest of the columns left, and only the plan's rows go on.
+    Two buffers of b * 2^n entries take turns."""
+    b, size = a.shape
+    cur, (one, two), rows = a, np.empty((2, b * size), dtype=complex), 1
+    for k, keep in enumerate(plan):
+        half = size >> k + 1
+        src = cur.reshape(-1)[: b * rows * 2 * half].reshape(b, rows * half, 2)
+        dst = one[: b * rows * 2 * half].reshape(b, 2, rows * half)
+        np.add(src[..., 0], src[..., 1], out=dst[:, 0])
+        np.subtract(src[..., 0], src[..., 1], out=dst[:, 1])
+        if keep is None:
+            cur, one, two, rows = one, two, one, 2 * rows
+        else:
+            cur = two[: b * len(keep) * half].reshape(b, len(keep), half)
+            np.take(dst.reshape(b, 2 * rows, half), keep, axis=1, out=cur, mode="clip")
+            rows = len(keep)
+    return cur.reshape(-1)[: b * rows].reshape(b, rows)
+
+
+def _distributions(state, n: int, z_words: list, x_plan: list) -> tuple[np.ndarray, np.ndarray]:
+    """(Z-basis outcome probabilities at z_words, X-basis ones at the words
+    of x_plan) for a vector or density matrix on n qubits."""
     dim = 1 << n
-    state = np.asarray(state)
+    state = np.asarray(state, dtype=complex)
+    if state.shape not in ((dim,), (dim, dim)):
+        raise StateDimensionMismatch(f"state shape {state.shape} is not (2^{n},) or (2^{n}, 2^{n})")
+    if not np.isfinite(state).all():
+        raise DomainError("state entries must be finite numbers")
     if state.ndim == 1:
-        if state.shape[0] != dim:
-            raise StateDimensionMismatch(f"vector length {state.shape[0]} != 2^{n}")
-        vec = state.astype(complex)
-        norm = np.linalg.norm(vec)
+        norm = np.linalg.norm(state)
         if norm == 0:
             raise DomainError("zero state vector")
-        vec = vec / norm
-        d_z = np.abs(vec) ** 2
-        d_x = np.abs(_fwht(vec)) ** 2 / dim
-        return d_z, d_x
-    if state.ndim == 2:
-        if state.shape != (dim, dim):
-            raise StateDimensionMismatch(f"density shape {state.shape} != 2^{n} square")
-        rho = state.astype(complex)
-        tr = np.trace(rho).real
-        if abs(tr) < 1e-12:
-            raise DomainError("zero-trace density operator")
-        rho = rho / tr
-        d_z = np.diag(rho).real.copy()
-        mixed = np.apply_along_axis(_fwht, 0, rho)
-        mixed = np.apply_along_axis(_fwht, 1, mixed)
-        d_x = np.diag(mixed).real / dim
-        return d_z, d_x
-    raise StateDimensionMismatch("state must be a vector or a square matrix")
+        vec = state / norm
+        return np.abs(vec[z_words]) ** 2, np.abs(_walsh_at(vec[None], x_plan)[0]) ** 2 / dim
+    tr = np.trace(state).real
+    if abs(tr) < 1e-12:
+        raise DomainError("zero-trace density operator")
+    rho = state / tr
+    mixed = _walsh_at(_walsh_at(rho.T, x_plan).T, x_plan)  # columns, then rows
+    return rho[z_words, z_words].real, np.diag(mixed).real / dim
 
 
 def measure_spread(
@@ -656,20 +657,19 @@ def measure_spread(
     c_x, c_z = pack_bits(words[0]), pack_bits(words[1])
     if (c_x & c_z).bit_count() % 2 != 1:
         raise DomainError("readout words must have odd overlap")
-    d_z, d_x = _distributions(state, n)
+    partition_x._readout = partition_x._readout or _walsh_plan(np.array(partition_x.members), n)
+    d_z, d_x = _distributions(state, n, partition_z.members, partition_x._readout)
     reports = []
     for basis, part, readout, dist in (("X", partition_x, c_z, d_x), ("Z", partition_z, c_x, d_z)):
         mm = np.array(part.members, dtype=np.int64)
         odd = (np.bitwise_count(part.decoded() & readout) & 1).astype(np.int64)
         s0, s1 = mm[odd == 0].tolist(), mm[odd == 1].tolist()
-        # summed in order, as a Python sum adds, so masses keep every bit
-        mass0, mass1 = (float(np.cumsum(dist[s])[-1]) if s else 0.0 for s in (s0, s1))
+        # summed in order from 0, as a Python sum adds, so masses keep every bit
+        mass0, mass1 = (float(np.cumsum(np.r_[0.0, dist[odd == b]])[-1]) for b in (0, 1))
         cls, lab = _classes(part, odd)
         separation = int(_quotient_nearest(cls, lab)[1][cls.words].min()) if s0 and s1 else None
         reports.append(SpreadReport(
-            basis=basis, s0=s0, s1=s1, mass0=mass0, mass1=mass1, separation=separation,
-            mass_threshold_strict=SPREAD_MASS_STRICT, mass_threshold_relaxed=SPREAD_MASS_RELAXED,
-        ))
+            basis, s0, s1, mass0, mass1, separation, SPREAD_MASS_STRICT, SPREAD_MASS_RELAXED))
     return reports[0], reports[1]
 
 

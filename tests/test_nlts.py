@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
@@ -51,9 +51,10 @@ from ptanner.nlts import (
 from ptanner.nlts import (
     _classes,
     _Classes,
-    _coset_weight_table,
     _moved_clusters,
     _quotient_nearest,
+    _walsh_at,
+    _walsh_plan,
 )
 from ptanner.tanner import CssCode, estimate_ssexp
 
@@ -594,6 +595,19 @@ def test_spread_input_validation(steane, spread_setup):
         measure_spread(good, steane, part_x, part_z, even_pair)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_spread_refuses_non_finite_states(steane, spread_setup, bad):
+    part_x, part_z, logicals = spread_setup
+    vec = dense_state(sector_state(steane, 0, 0), 7).astype(complex)
+    vec[5] = bad
+    with pytest.raises(DomainError, match="finite"):
+        measure_spread(vec, steane, part_x, part_z, logicals)
+    rho = np.outer(vec, vec.conj()) if np.isfinite(vec[5]) else np.eye(128, dtype=complex)
+    rho[3, 9] = bad
+    with pytest.raises(DomainError, match="finite"):
+        measure_spread(rho, steane, part_x, part_z, logicals)
+
+
 def _short(x, z, parts):
     return (x[:-1], z[:-1]), parts
 
@@ -856,9 +870,11 @@ def loop_clusters(sset, c1):
     return clusters, representatives, rep_cluster_of
 
 
-def loop_lemma(part, c2):
-    """The cluster-lemma report as a dict, by per-member and per-shift loops."""
-    table = part._coset_table
+def loop_lemma(part, c2, code):
+    """The cluster-lemma report as a dict, by per-member and per-shift loops
+    over the code's own coset weight table."""
+    stab = (code.h_x if part.basis == "Z" else code.h_z).toarray()
+    table = loop_coset_weight_table(stab, part.n)
     mm = np.array(part.members, dtype=np.int64)
     labels = np.array([part.cluster_of[y] for y in part.members], dtype=np.int64)
     counterexample = None
@@ -931,6 +947,32 @@ def loop_fwht(vec):
     return a
 
 
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64).tolist()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 13), st.sampled_from(["cube", "one", "some"]), st.data())
+def test_walsh_readout_matches_full_transform(n, subset, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cube = np.arange(1 << n, dtype=np.int64)
+    words = {
+        "cube": lambda: cube,
+        "one": lambda: cube[[data.draw(st.integers(0, len(cube) - 1))]],
+        "some": lambda: cube[rng.random(len(cube)) < rng.random()],
+    }[subset]()
+    if not words.size:
+        words = cube[-1:]
+    plan = _walsh_plan(words, n)
+    vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    assert bits(_walsh_at(vec[None], plan)[0]) == bits(loop_fwht(vec)[words])
+    if n <= 6:  # a density matrix: its columns, then its rows, read on the diagonal
+        rho = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+        mixed = np.apply_along_axis(loop_fwht, 1, np.apply_along_axis(loop_fwht, 0, rho))
+        got = _walsh_at(_walsh_at(rho.T, plan).T, plan)
+        assert bits(np.diag(got)) == bits(np.diag(mixed)[words])
+
+
 def loop_spread(vec, parts, logicals):
     """Per basis (X, Z): (s0, s1, mass0, mass1, separation) by per-member loops."""
     vec = vec / np.linalg.norm(vec)
@@ -963,6 +1005,38 @@ def small_css_codes(draw):
     return CssCode(p=2, n=n, h_x=FMatrix.from_dense(2, h_x), h_z=FMatrix.from_dense(2, h_z))
 
 
+def loop_syndrome_set(code, basis, eps):
+    """(members, syndrome_of) by one pass over all 2^n words, in word order."""
+    checks = (code.h_x if basis == "X" else code.h_z).toarray()
+    members, syndrome_of = [], {}
+    for y in range(1 << code.n):
+        syn = checks @ unpack_bits(y, code.n) % 2
+        if syn.sum() <= eps * len(checks) + 1e-12:
+            members.append(y)
+            syndrome_of[y] = pack_bits(syn)
+    return members, syndrome_of
+
+
+NO_X_CHECKS = CssCode(p=2, n=4, h_x=FMatrix.zeros(2, 0, 4),
+                      h_z=FMatrix.from_dense(2, [[1, 1, 0, 1]]))
+NO_Z_CHECKS = CssCode(p=2, n=4, h_x=FMatrix.from_dense(2, [[0, 1, 1, 1], [1, 1, 0, 0]]),
+                      h_z=FMatrix.zeros(2, 0, 4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_css_codes(), st.sampled_from([0.0, 1 / 8, 1 / 4, 1 / 3, 1 / 2, 1.0]))
+@example(NO_X_CHECKS, 0.0)
+@example(NO_X_CHECKS, 1 / 2)
+@example(NO_Z_CHECKS, 0.0)
+@example(NO_Z_CHECKS, 1 / 2)
+def test_syndrome_sets_match_cube_scan(code, eps):
+    for basis in ("X", "Z"):
+        sset = enumerate_syndrome_set(code, basis, eps)
+        members, syndrome_of = loop_syndrome_set(code, basis, eps)
+        assert sset.members == members
+        assert list(sset.syndrome_of.items()) == list(syndrome_of.items())
+
+
 def regrouped(part, groups):
     """A copy of part whose clusters are the given groups of its members."""
     clusters = sorted(sorted(g) for g in groups)
@@ -991,12 +1065,13 @@ def loop_shift_targets(part, cl, shifts):
 )
 def test_lab_kernels_match_loop_oracles(code, basis, eps, c1, c2, data):
     n, other = code.n, {"X": "Z", "Z": "X"}[basis]
-    stab = (code.h_x if basis == "Z" else code.h_z).toarray()
-    table = _coset_weight_table(LinearCode(2, n, stab), 1 << 22)
-    assert (table == loop_coset_weight_table(stab, n)).all()
-
     sset = enumerate_syndrome_set(code, basis, eps)
     part = build_clusters(sset, c1)
+    # the class-word weight table, read at every word's S-class
+    stab = (code.h_x if basis == "Z" else code.h_z).toarray()
+    cube = np.arange(1 << n, dtype=np.int64)
+    table = part._coset_weights[part._cosets.index(cube)]
+    assert (table == loop_coset_weight_table(stab, n)).all()
     clusters, representatives, rep_cluster_of = loop_clusters(sset, c1)
     assert part.clusters == clusters
     assert part.representatives == representatives
@@ -1031,7 +1106,7 @@ def test_lab_kernels_match_loop_oracles(code, basis, eps, c1, c2, data):
     variants.append((replace(part, representatives={**part.representatives, s: cls[-1]}), 0.0))
     for variant, c2_ in variants:
         report = verify_cluster_lemma(variant, c2_)
-        assert report.to_doc() == {**loop_lemma(variant, c2_), "all_ok": report.all_ok}
+        assert report.to_doc() == {**loop_lemma(variant, c2_, code), "all_ok": report.all_ok}
 
     # where sizes changed, a shifted cluster can land inside a larger one;
     # the translate test's shift targets must see that, on S-cosets where
@@ -1092,7 +1167,7 @@ def test_decoder_witness_matches_loop_oracle():
     tampered = replace(part, representatives={**part.representatives, 0: zero_class[-1]})
     report = verify_cluster_lemma(tampered, 0.0)
     assert report.counterexample == {"check": 4, "cluster": 0, "pair": (0, 128)}
-    assert report.to_doc() == {**loop_lemma(tampered, 0.0), "all_ok": False}
+    assert report.to_doc() == {**loop_lemma(tampered, 0.0, code), "all_ok": False}
 
 
 # ------------------------------------- differential: cube transforms vs pairs
@@ -1188,7 +1263,7 @@ def test_lab_codes_match_pair_kernels(h, eps, c1, c2):
         # c2 = 1 fails check 2 wherever check 1 passes, so the witness shows
         for c2_ in (c2, 1.0):
             report = verify_cluster_lemma(part, c2_)
-            assert report.to_doc() == {**loop_lemma(part, c2_), "all_ok": report.all_ok}
+            assert report.to_doc() == {**loop_lemma(part, c2_, code), "all_ok": report.all_ok}
         if len(part.clusters) > 1:
             mm = np.array(part.members, dtype=np.int64)
             labels = np.array([part.cluster_of[y] for y in part.members])

@@ -395,6 +395,14 @@ def test_cli_nlts(steane_file, capsys):
     )
 
 
+def test_cli_spread_refuses_non_finite_state(steane_file, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps([[float("nan"), 0.0]] + [[1.0, 0.0]] * 127))
+    assert main(["nlts", "spread", "--code", str(steane_file), "--state", str(state)]) == 2
+    err = capsys.readouterr().err
+    assert "precondition failed" in err and "finite" in err
+
+
 def test_cli_csp_chain(steane_file, tmp_path, capsys):
     lin_file = tmp_path / "lin.json"
     assert main(
