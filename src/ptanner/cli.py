@@ -214,8 +214,7 @@ def _load_state(source: str, n: int, seed: int, rng_trial: int) -> np.ndarray:
             source, lambda doc: np.array([complex(re, im) for re, im in doc])
         )
     rng = np.random.default_rng((seed, rng_trial))
-    vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return vec / np.linalg.norm(vec)
+    return rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)  # the spread normalizes it
 
 
 def _cmd_nlts_spread(args) -> int:

@@ -14,7 +14,12 @@ residual), separating dual words and dual code are read; `rank`,
 rows are packed straight from the packed RREF, so the dual code and the
 distance search's systematic form never go through a dense int64 array.
 
-Enumeration-style operations (minimum distance, coset weight) take an
+One scorer serves every light-word search: it asks each weight class of
+a batch of storage rows lighter than the best so far once, lightest first,
+in one residual against the subspace to stay outside.  One enumeration
+loop over `iter_codewords` feeds it (`min_distance`, `coset_min_weight`,
+`lightest_outside`), and so does `information_set_search`, with the rows
+each walk step changes; both return dense words.  Enumerations take an
 explicit budget and refuse to start work that would exceed it.
 """
 
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterator
 
 import numpy as np
@@ -35,16 +41,17 @@ __all__ = [
     "LinearCode",
     "DEFAULT_ENUMERATION_BUDGET",
     "as_vector",
-    "weight",
     "rank",
     "kernel_basis",
     "row_reduce",
     "rank_work",
     "information_set_walk",
+    "information_set_search",
     "solve",
     "in_rowspace",
     "coset_min_weight",
     "min_distance",
+    "lightest_outside",
     "iter_codewords",
 ]
 
@@ -97,10 +104,6 @@ def as_vector(p: int, data) -> np.ndarray:
     if v.ndim != 1:
         raise DimensionMismatch(f"expected a vector, got shape {v.shape}")
     return v
-
-
-def weight(v: np.ndarray) -> int:
-    return int(np.count_nonzero(v))
 
 
 def _as_array(p: int, data) -> np.ndarray:
@@ -410,7 +413,7 @@ class LinearCode:
         if m.shape[1] != self.n:
             raise DimensionMismatch(f"rows of length {m.shape[1]}, expected {self.n}")
         self._dual = None
-        self._reduce(_pack(m, self.n) if p == 2 else _dense(m))
+        self._reduce(self._storage(m))
 
     def _reduce(self, rows: np.ndarray) -> None:
         """Keep the RREF of `rows`, storage rows spanning the code: packed
@@ -465,6 +468,11 @@ class LinearCode:
             out[a:b] = _pack(block, self.n)
         return out
 
+    def _storage(self, m: FMatrix | np.ndarray) -> np.ndarray:
+        """Rows over the code's n columns as storage rows: packed over
+        GF(2), dense int64 otherwise."""
+        return _pack(m, self.n) if self.p == 2 else _dense(m)
+
     def _dense_rows(self, rows: np.ndarray) -> np.ndarray:
         """Storage rows as dense int64 rows."""
         return _unpack(rows, self.n) if self.p == 2 else rows
@@ -489,20 +497,10 @@ class LinearCode:
         v = as_vector(self.p, v)
         if v.shape[0] != self.n:
             raise DimensionMismatch(f"vector length {v.shape[0]} vs {self.n} columns")
-        return self._residuals(_pack(v[None], self.n) if self.p == 2 else v[None])[0]
+        return self._residuals(self._storage(v[None]))[0]
 
     def contains(self, v) -> bool:
         return not self._residual(v).any()
-
-    def contains_packed(self, rows: np.ndarray) -> np.ndarray:
-        """GF(2): whether each of `rows`, packed into uint64 words as the
-        code's own storage rows are, lies in the code; one residual answers
-        all of them."""
-        if self.p != 2:
-            raise InvalidField(f"packed rows need GF(2), not GF({self.p})")
-        if rows.dtype != _WORD or rows.ndim != 2 or rows.shape[1] != self._rows.shape[1]:
-            raise DimensionMismatch(f"packed rows {rows.dtype}{rows.shape} for {self.n} columns")
-        return ~self._residuals(rows).any(axis=1)
 
     def dual_witness(self, v) -> np.ndarray | None:
         """The first dual basis row u (in `kernel_basis` order) with
@@ -577,6 +575,60 @@ def information_set_walk(
         outside[info[r]], outside[c] = True, False
         info[r] = c
         yield others
+
+
+def _first_light(
+    words: np.ndarray, weights: np.ndarray, outside: LinearCode | None, best: int | float
+) -> tuple[int, int] | None:
+    """The lightest of the storage rows `words` that weighs less than
+    `best` and lies outside the subspace `outside` (any row, when it is
+    None), the first in row order among equals, as (weight, row index); None
+    when no row passes.  Each weight class lighter than `best` is asked
+    once, lightest first, in one residual."""
+    for w in np.unique(weights[weights < best]):
+        k = np.flatnonzero(weights == w)
+        if outside is not None:
+            k = k[outside._residuals(words[k]).any(axis=1)]
+        if k.size:
+            return int(w), int(k[0])
+    return None
+
+
+def information_set_search(
+    checks: LinearCode, stabilizers: LinearCode, trials: int, rng: np.random.Generator
+) -> tuple[int | float, np.ndarray | None, int]:
+    """Information-set search for light words of the dual of `checks`
+    outside `stabilizers`, as a walk (Canteaut-Chabaud, scored after
+    Stern).
+
+    Trial 1 is the kernel rows of `checks`, already systematic on its free
+    columns, so nothing is eliminated; every later trial is one
+    `information_set_walk` step.  A trial's candidates are the rows it
+    changed (all of them at trial 1) and the sums of pairs of the first 8
+    of those, in `np.triu_indices` order: sums of one or two independent
+    rows, so nonzero and distinct.  Returns (weight, word, trials scored):
+    the lightest candidate outside the stabilizers as a dense row, the
+    earliest (trial, candidate) among equals, or (inf, None); and fewer
+    trials than `trials` when the walk runs out of columns.
+    """
+    p = checks.p
+    if trials == 0 or checks.dim == checks.n:
+        return math.inf, None, 0
+    rows = checks._kernel_rows()
+    info = np.setdiff1d(np.arange(checks.n), checks.pivots)
+    steps = chain([np.arange(len(rows))], information_set_walk(rows, info, checks.n, p, rng))
+    best, word, scored = math.inf, None, 0
+    for changed in islice(steps, trials):
+        scored += 1
+        i, j = np.triu_indices(min(8, len(changed)), 1)
+        a, b = rows[changed[i]], rows[changed[j]]
+        words = np.concatenate([rows[changed], a ^ b if p == 2 else (a + b) % p])
+        weights = np.bitwise_count(words).sum(axis=1) if p == 2 else np.count_nonzero(words, axis=1)
+        found = _first_light(words, weights, stabilizers, best)
+        if found is not None:
+            best, k = found
+            word = stabilizers._dense_rows(words[[k]])[0]
+    return best, word, scored
 
 
 # ---- entry points: one elimination each -------------------------------
@@ -666,6 +718,39 @@ def iter_codewords(
         yield (coeffs @ code.basis) % p
 
 
+def _lightest(
+    code: LinearCode,
+    outside: LinearCode | None,
+    budget: int | None,
+    shift: np.ndarray | None = None,
+) -> tuple[int | float, np.ndarray | None]:
+    """The lightest word of shift + code outside `outside` (any word, when
+    it is None) as (weight, dense row), the earliest in `iter_codewords`
+    order among equals; (inf, None) when every word lies in `outside`."""
+    best, word = math.inf, None
+    for block in iter_codewords(code, budget):
+        if shift is not None:
+            block = (block + shift) % code.p
+        rows = block if outside is None else outside._storage(block)
+        found = _first_light(rows, np.count_nonzero(block, axis=1), outside, best)
+        if found is not None:
+            best, word = found[0], block[found[1]].copy()
+            if best == 0:
+                break
+    return best, word
+
+
+def lightest_outside(
+    code: LinearCode,
+    outside: LinearCode,
+    budget: int | None = DEFAULT_ENUMERATION_BUDGET,
+) -> tuple[int | float, np.ndarray | None]:
+    """The lightest codeword outside the subspace `outside`, by
+    enumeration, as (weight, word): the earliest in `iter_codewords` order
+    among equals, or (inf, None) when the code lies in `outside`."""
+    return _lightest(code, outside, budget)
+
+
 def coset_min_weight(
     v,
     code: LinearCode,
@@ -675,23 +760,15 @@ def coset_min_weight(
     v = as_vector(code.p, v)
     if v.shape[0] != code.n:
         raise DimensionMismatch(f"vector length {v.shape[0]} vs n={code.n}")
-    best = code.n  # |v| itself bounds it
-    for block in iter_codewords(code, budget):
-        best = min(best, int(np.count_nonzero((block + v) % code.p, axis=1).min()))
-        if best == 0:
-            break
-    return best
+    return _lightest(code, None, budget, shift=v)[0]
 
 
 def min_distance(
     code: LinearCode,
     budget: int | None = DEFAULT_ENUMERATION_BUDGET,
 ) -> int | float:
-    """Minimum nonzero codeword weight; +inf for the zero code."""
+    """Minimum nonzero codeword weight: the lightest codeword outside the
+    zero code; +inf for the zero code."""
     if code.dim == 0:
         return math.inf
-    best = code.n  # a nonzero codeword exists, and weighs at most n
-    for block in iter_codewords(code, budget):
-        w = np.count_nonzero(block, axis=1)
-        best = min(best, int(w.min(initial=best, where=w > 0)))
-    return best
+    return lightest_outside(code, LinearCode(code.p, code.n), budget)[0]

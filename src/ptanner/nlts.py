@@ -184,10 +184,11 @@ class ClusterPartition:
     syndrome_of: dict[int, int]
     representatives: dict[int, int]
     representative_cluster_of: dict[int, int]
-    _cosets: _Classes = field(repr=False, default=None)  # the members modulo S
-    _coset_weights: np.ndarray = field(repr=False, default=None)  # per S-class word
-    _syndromes: np.ndarray = field(repr=False, default=None)  # per member, in member order
-    _readout: list = field(repr=False, default=None)  # `_walsh_plan` of the members, on first use
+    # caches of what the fields above determine; `==` compares the partition itself
+    _cosets: _Classes = field(repr=False, compare=False, default=None)  # the members modulo S
+    _coset_weights: np.ndarray = field(repr=False, compare=False, default=None)  # per S-class
+    _syndromes: np.ndarray = field(repr=False, compare=False, default=None)  # per member
+    _readout: list = field(repr=False, compare=False, default=None)  # `_walsh_plan`, on first use
 
     def decode(self, y: int) -> int:
         """y plus the representative of its syndrome."""
@@ -212,14 +213,14 @@ class ClusterPartition:
         }
 
 
-def build_clusters(sset: SyndromeSet, c1: float, cap: int = ENUMERATION_CAP) -> ClusterPartition:
+def build_clusters(sset: SyndromeSet, c1: float) -> ClusterPartition:
     if not c1 > 0:
         raise DomainError("c1 must be positive")
     code, n = sset.code, sset.code.n
     code.validate()  # commuting checks: the member set is a union of S-cosets
     stabilizers = code.rowspace_x if sset.basis == "Z" else code.rowspace_z
-    if (1 << n - stabilizers.dim) > cap:
-        raise BudgetExceeded(f"2^{n - stabilizers.dim} S-class words exceed cap {cap}")
+    if (1 << n - stabilizers.dim) > ENUMERATION_CAP:
+        raise BudgetExceeded(f"2^{n - stabilizers.dim} S-class words exceed cap {ENUMERATION_CAP}")
     threshold = 2.0 * c1 * sset.epsilon * n + 1e-12
     members = sorted(sset.members)
     mm = np.array(members, dtype=np.int64)
@@ -621,7 +622,10 @@ def _distributions(state, n: int, z_words: list, x_plan: list) -> tuple[np.ndarr
     if not np.isfinite(state).all():
         raise DomainError("state entries must be finite numbers")
     if state.ndim == 1:
-        norm = np.linalg.norm(state)
+        # summed in NumPy's fixed pairwise order, not by a threaded BLAS call,
+        # so the masses keep their bits whatever the thread count
+        re, im = state.real, state.imag
+        norm = np.sqrt(np.add.reduce(re * re) + np.add.reduce(im * im))
         if norm == 0:
             raise DomainError("zero state vector")
         vec = state / norm

@@ -19,6 +19,10 @@ in v's local view.  `face_column` evaluates this layout one face at a time and
 `check_matrix` all faces at once; the tests check one against the other.  The
 grid convention placing a face in a local view is "paired" or "direct"; both
 satisfy CSS orthogonality, and mixing them does not (see the tests).
+
+`estimate_distance` picks the logical sides and writes the report; the
+searches of a side (`gf.lightest_outside`, `gf.information_set_search`)
+live in `gf`, with the packed rows they work on.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, islice, product
+from itertools import combinations, product
 
 import numpy as np
 from scipy import sparse
@@ -50,8 +54,8 @@ from .gf import (
     FMatrix,
     LinearCode,
     coset_min_weight,
-    iter_codewords,
-    information_set_walk,
+    information_set_search,
+    lightest_outside,
     rank_work,
 )
 from .inner import InnerCodePair
@@ -486,123 +490,29 @@ class DistanceReport:
         return {**asdict(self), "upper_bound": bound}
 
 
-def _exhaustive_side(
-    checks: LinearCode, stabilizers: LinearCode, budget: int
-) -> tuple[int | float, np.ndarray | None] | None:
-    """Min weight over the dual of `checks` minus `stabilizers`, or None
-    when its p^(n - rank) words exceed the budget, which is checked before
-    the kernel is built."""
-    if checks.p ** (checks.n - checks.dim) > budget:
-        return None
-    best, best_w = math.inf, None
-    for block in iter_codewords(checks.dual(), budget=None):
-        weights = np.count_nonzero(block, axis=1)
-        for order in np.argsort(weights, kind="stable"):
-            w = int(weights[order])
-            if w == 0:
-                continue
-            if w >= best:
-                break
-            v = block[order]
-            if not stabilizers.contains(v):
-                best, best_w = w, v.copy()
-                break
-    return best, best_w
-
-
-def _pair_rows(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The row pairs whose sums join a trial's changed rows as candidates:
-    the pairs of the first 8 of them, in `np.triu_indices` order."""
-    return np.triu_indices(min(8, dim), 1)
-
-
-def _randomized_side(
-    checks: LinearCode,
-    stabilizers: LinearCode,
-    trials: int,
-    rng: np.random.Generator,
-) -> tuple[int | float, np.ndarray | None, int]:
-    """Information-set search for light words of the dual of `checks`
-    outside `stabilizers`, as a walk (Canteaut-Chabaud, scored after
-    Stern).
-
-    Trial 1 is the kernel rows of `checks`, already systematic on its free
-    columns, so nothing is eliminated; every later trial is one
-    `information_set_walk` step.  A trial's candidates are the rows it
-    changed (all of them at trial 1) and the sums of pairs of the first 8
-    of those: sums of one or two independent rows, so nonzero and distinct.
-    Per trial the weight classes lighter than the best so far are asked
-    lightest first, each in one residual.  Returns the lightest candidate
-    outside the stabilizers, the earliest (trial, candidate) among equals,
-    and the trials scored: fewer than `trials` when the walk runs out of
-    columns.
-    """
-    p = checks.p
-    rows = checks._kernel_rows()
-    if trials == 0 or len(rows) == 0:
-        return math.inf, None, 0
-    info = np.setdiff1d(np.arange(checks.n), checks.pivots)
-    steps = chain([np.arange(len(rows))], information_set_walk(rows, info, checks.n, p, rng))
-    best, best_w, scored = math.inf, None, 0
-    for changed in islice(steps, trials):
-        scored += 1
-        i, j = _pair_rows(len(changed))
-        a, b = rows[changed[i]], rows[changed[j]]
-        pairs = a ^ b if p == 2 else (a + b) % p
-        words = np.concatenate([rows[changed], pairs])
-        weights = np.bitwise_count(words).sum(axis=1) if p == 2 else np.count_nonzero(words, axis=1)
-        for w in np.unique(weights[weights < best]):
-            k = np.flatnonzero(weights == w)
-            outside = k[stabilizers._residuals(words[k]).any(axis=1)]
-            if outside.size:
-                best, best_w = int(w), stabilizers._dense_rows(words[outside[:1]])[0]
-                break
-    return best, best_w, scored
-
-
 def estimate_distance(
     code: CssCode,
     budget: int = DEFAULT_DISTANCE_BUDGET,
     seed: int = 0,
     trials: int = 32,
 ) -> DistanceReport:
-    """Exact distance when kernel enumeration fits the budget, else an
-    upper bound from randomized information-set search over both sides."""
+    """Exact distance when both sides' kernels, p^(n - rank) words each,
+    fit the budget (tested before any kernel is built), else an upper bound
+    from randomized information-set search over both sides."""
     sides = [
         ("z-logical", code.rowspace_z, code.rowspace_x),  # ker H_Z minus rowspace H_X
         ("x-logical", code.rowspace_x, code.rowspace_z),
     ]
-    exact_results = []
-    for name, checks, stabilizers in sides:
-        res = _exhaustive_side(checks, stabilizers, budget)
-        if res is None:
-            break
-        exact_results.append((name, *res))
-    else:  # both sides enumerated
-        name, bound, witness = min(exact_results, key=lambda t: t[1])
-        return DistanceReport(
-            upper_bound=bound,
-            exact=True,
-            method="exhaustive",
-            trials=0,
-            side=name,
-            witness=witness,
-        )
+    if all(checks.p ** (checks.n - checks.dim) <= budget for _, checks, _ in sides):
+        found = [(*lightest_outside(c.dual(), s, budget), name) for name, c, s in sides]
+        bound, witness, side = min(found, key=lambda t: t[0])
+        return DistanceReport(bound, True, "exhaustive", 0, side, witness)
     rng = np.random.default_rng(seed)
-    overall, overall_w, overall_side, used = math.inf, None, None, 0
-    for name, checks, stabilizers in sides:
-        ub, w, t = _randomized_side(checks, stabilizers, trials, rng)
-        used += t
-        if ub < overall:
-            overall, overall_w, overall_side = ub, w, name
-    return DistanceReport(
-        upper_bound=overall,
-        exact=False,
-        method="information-set",
-        trials=used,
-        side=overall_side,
-        witness=overall_w,
-    )
+    found = [(*information_set_search(c, s, trials, rng), name) for name, c, s in sides]
+    bound, witness, _, side = min(found, key=lambda t: t[0])
+    used = sum(t[2] for t in found)
+    side = None if witness is None else side
+    return DistanceReport(bound, False, "information-set", used, side, witness)
 
 
 @dataclass

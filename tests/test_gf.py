@@ -22,7 +22,6 @@ from ptanner.gf import (
     FMatrix,
     LinearCode,
     PrimeField,
-    _pack,
     _row_reduce_dense,
     _unpack,
     coset_min_weight,
@@ -479,13 +478,10 @@ def test_rowspace_matches_dense_oracle(case, as_fmatrix):
             assert got_u.dtype == np.int64 and (got_u == want_u).all()
     with pytest.raises(DimensionMismatch):
         space.contains(np.zeros(n_cols + 1, dtype=np.int64))
-    if p == 2:  # a batch of packed rows, one residual
-        batch = np.array([inside, rng.integers(0, 2, n_cols), unit, 0 * unit])
-        got = space.contains_packed(_pack(batch, n_cols))
-        assert got.tolist() == [space.contains(v) for v in batch]
-    else:
-        with pytest.raises(InvalidField):
-            space.contains_packed(_pack(inside[None] % 2, n_cols))
+    # a batch of storage rows (packed over GF(2)), one residual
+    batch = np.array([inside, rng.integers(0, p, n_cols), unit, 0 * unit])
+    got = space._residuals(space._storage(batch)).any(axis=1)
+    assert got.tolist() == [not space.contains(v) for v in batch]
 
 
 def test_packed_rank_at_word_edges_frozen():

@@ -9,6 +9,9 @@ statistics.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -221,6 +224,18 @@ def test_clusters_match_coset_oracle_below_unit_threshold(steane):
     assert part.clusters == expected_coset_fragments(sset, stab)
     assert len(part.clusters) == 8
     assert all(len(cl) == 8 for cl in part.clusters)
+
+
+def test_partitions_compare_on_their_clusters_not_their_caches(steane):
+    """Two builds of the Steane Z partition compare equal, though each
+    holds its own caches; changing one cluster makes them unequal."""
+    sset = enumerate_syndrome_set(steane, "Z", 1.0 / 3.0)
+    part, again = build_clusters(sset, c1=0.1), build_clusters(sset, c1=0.1)
+    assert part._cosets is not again._cosets
+    assert part == again
+    clusters = [list(cl) for cl in part.clusters]
+    clusters[0] = clusters[0][1:]
+    assert part != replace(part, clusters=clusters)
 
 
 def test_clusters_zero_epsilon_are_stabilizer_cosets(steane):
@@ -975,7 +990,7 @@ def test_walsh_readout_matches_full_transform(n, subset, data):
 
 def loop_spread(vec, parts, logicals):
     """Per basis (X, Z): (s0, s1, mass0, mass1, separation) by per-member loops."""
-    vec = vec / np.linalg.norm(vec)
+    vec = vec / np.sqrt(np.add.reduce(vec.real * vec.real) + np.add.reduce(vec.imag * vec.imag))
     d_z, d_x = np.abs(vec) ** 2, np.abs(loop_fwht(vec)) ** 2 / len(vec)
     c_x, c_z = pack_bits(logicals[0]), pack_bits(logicals[1])
     out = []
@@ -1278,3 +1293,21 @@ def test_lab_codes_match_pair_kernels(h, eps, c1, c2):
         assert (r.s0, r.s1, r.mass0.hex(), r.mass1.hex()) == (s0, s1, mass0.hex(), mass1.hex())
         old = pair_nearest(np.array(s0), np.array(s1))[0].min() if s0 and s1 else None
         assert r.separation == separation == old
+
+
+def test_spread_masses_do_not_depend_on_blas_threads(tmp_path):
+    """One toric spread of a random state through the CLI, in a process
+    with one OpenBLAS thread and in one with two: the masses agree to the
+    bit."""
+    path = tmp_path / "toric.json"
+    path.write_text(dumps(hypergraph_product([[1, 1, 0], [0, 1, 1], [1, 0, 1]])))
+    argv = ["nlts", "spread", "--code", str(path), "--eps", "0.125", "--c1", "0.1", "--seed", "7"]
+    script = "import sys; from ptanner.cli import main; sys.exit(main(sys.argv[1:]))"
+    masses = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                             capture_output=True, text=True, check=True)
+        [trial] = json.loads(run.stdout)
+        masses.append([trial[b][m].hex() for b in ("x", "z") for m in ("mass0", "mass1")])
+    assert masses[0] == masses[1]

@@ -41,7 +41,6 @@ from ptanner.tanner import (
     Z_LAYERS,
     CssCode,
     SquareCayleyComplex,
-    _exhaustive_side,
     build_code,
     estimate_distance,
     face_column,
@@ -711,9 +710,10 @@ def test_level2_csp_artifacts_are_pinned(level2_run):
 
 
 def test_level2_csp_certificate_refutes_ones(level2_run, monkeypatch):
-    """The ones-CSP certificate u has u.H_Z^T = 0 and u.beta != 0.  The
-    exhaustive distance side refuses the 2^9567-word kernels before building
-    them, so it eliminates nothing beyond the code's kept row spaces."""
+    """The ones-CSP certificate u has u.H_Z^T = 0 and u.beta != 0.
+    `estimate_distance` refuses to enumerate the 2^9567-word kernels before
+    building them: with no trials it builds no dual and eliminates nothing
+    beyond the code's kept row spaces."""
     manifest, out = level2_run
     unsat = json.loads((out / "csp_unsat.json").read_text())
     assert unsat["consistent"] is False
@@ -725,11 +725,12 @@ def test_level2_csp_certificate_refutes_ones(level2_run, monkeypatch):
     assert not code.h_z.apply(u).any()
     assert int(u @ np.ones(code.n, dtype=np.int64)) % 2 == 1
 
-    spaces = code.rowspace_x, code.rowspace_z
+    code.rowspace_x, code.rowspace_z
     calls = []
     monkeypatch.setattr(gf, "_eliminate", lambda *args: calls.append(args))
-    for checks, stabilizers in (spaces[::-1], spaces):
-        assert _exhaustive_side(checks, stabilizers, DEFAULT_DISTANCE_BUDGET) is None
+    monkeypatch.setattr(gf.LinearCode, "dual", lambda self: calls.append(self))
+    report = estimate_distance(code, DEFAULT_DISTANCE_BUDGET, trials=0)
+    assert (report.exact, report.trials, report.witness) == (False, 0, None)
     assert calls == []
 
 

@@ -27,7 +27,7 @@ from ptanner.expander import (
     element_from_matrix,
     identity,
 )
-from ptanner.gf import FMatrix, LinearCode, kernel_basis, row_reduce
+from ptanner.gf import FMatrix, LinearCode, information_set_search, kernel_basis, row_reduce
 from ptanner.inner import InnerCodePair, search_inner_pair
 from ptanner.jsonio import dumps
 from ptanner.pipeline import stage_seed
@@ -39,7 +39,6 @@ from ptanner.tanner import (
     Z_LAYERS,
     SquareCayleyComplex,
     _coset_weight_bounds,
-    _randomized_side,
     build_code,
     build_complex,
     check_counting_bound,
@@ -556,6 +555,74 @@ def test_distance_randomized_path():
     assert res.any()
 
 
+@st.composite
+def small_css_codes(draw):
+    """A random CSS code over GF(2) on n <= 8 qubits or over GF(3) on
+    n <= 7: either H_Z rows are random combinations of a basis of ker H_X,
+    or the code is the hypergraph product of two matrices with no zero
+    entry, so that distances above 1 occur."""
+    p = draw(st.sampled_from([2, 3]))
+    limit = 8 if p == 2 else 7
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        dims = st.tuples(*[st.integers(1, 2), st.integers(2, 3)] * 2)
+        m1, n1, m2, n2 = draw(dims.filter(lambda d: d[1] * d[3] + d[0] * d[2] <= limit))
+        h1, h2 = rng.integers(1, p, size=(m1, n1)), rng.integers(1, p, size=(m2, n2))
+        eye = partial(np.eye, dtype=np.int64)
+        h_x = np.hstack([np.kron(h1, eye(n2)), np.kron(eye(m1), h2.T)]) % p
+        h_z = np.hstack([np.kron(eye(n1), h2), -np.kron(h1.T, eye(m2))]) % p
+    else:
+        n = draw(st.integers(1, limit))
+        h_x = rng.integers(0, p, size=(draw(st.integers(0, n)), n))
+        kernel = kernel_basis(h_x, p) if h_x.size else np.eye(n, dtype=np.int64)
+        mix = rng.integers(0, p, size=(draw(st.integers(0, n)), kernel.shape[0]))
+        h_z = ((mix @ kernel) % p).reshape(-1, n)
+    n = h_x.shape[1]
+    code = CssCode(p=p, n=n, h_x=FMatrix.from_dense(p, h_x), h_z=FMatrix.from_dense(p, h_z))
+    code.validate()
+    return code
+
+
+def exhaustive_side_oracle(checks, stabilizers, p):
+    """(weight, word) of the lightest word of ker(checks) outside the row
+    space of `stabilizers`, the first among equals in `iter_codewords`
+    order: every kernel word is found among all p^n vectors, and the
+    kernel's RREF basis and each membership test come from
+    `_row_reduce_dense`."""
+    n = checks.shape[1]
+    vectors = np.array(list(product(range(p), repeat=n)), dtype=np.int64).reshape(-1, n)
+    kernel = vectors[~((vectors @ checks.T) % p).any(axis=1)]
+    rref, pivots = gf._row_reduce_dense(kernel, p)
+    basis = rref[: len(pivots)]
+    stab_rank = len(gf._row_reduce_dense(stabilizers, p)[1])
+    best = (math.inf, None)
+    for coeffs in product(range(p), repeat=len(basis)):
+        v = (np.array(coeffs, dtype=np.int64) @ basis) % p if len(basis) else np.zeros(n, np.int64)
+        w = int(np.count_nonzero(v))
+        stacked = np.vstack([stabilizers.reshape(-1, n), v])
+        if w < best[0] and len(gf._row_reduce_dense(stacked, p)[1]) > stab_rank:
+            best = (w, v)
+    return best
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(small_css_codes())
+def test_exhaustive_distance_matches_brute_force(code):
+    """The exact side over small GF(2) and GF(3) codes: bound, side and
+    witness agree with brute force over every kernel word."""
+    p, h_x, h_z = code.p, code.h_x.toarray(), code.h_z.toarray()
+    report = estimate_distance(code, budget=p**code.n)
+    assert report.exact and report.method == "exhaustive" and report.trials == 0
+    sides = [("z-logical", *exhaustive_side_oracle(h_z, h_x, p)),
+             ("x-logical", *exhaustive_side_oracle(h_x, h_z, p))]
+    side, bound, witness = min(sides, key=lambda t: t[1])
+    assert (report.upper_bound, report.side) == (bound, side)
+    if witness is None:
+        assert report.witness is None
+    else:
+        assert report.witness.dtype == np.int64 and report.witness.tolist() == witness.tolist()
+
+
 def hypergraph_product(h1, h2) -> CssCode:
     """The CSS code H_X = [H1 x I | I x H2^T], H_Z = [I x H2 | H1^T x I]."""
     (m1, n1), (m2, n2) = h1.shape, h2.shape
@@ -588,7 +655,7 @@ def _same_report(got, want):
 
 
 def trial_by_trial_side(checks, stabilizers, trials, rng):
-    """`_randomized_side` with one dense `row_reduce` per trial: each
+    """`gf.information_set_search` with one dense `row_reduce` per trial: each
     trial's form is the RREF of the dual basis with the information set
     moved first, its changed rows are those that differ from the last
     form, its draws are read off that form, and each candidate is asked
@@ -632,7 +699,7 @@ def test_packed_search_matches_trial_by_trial(name, seed, monkeypatch):
     kw = dict(budget=0, seed=seed, trials=9)
     got = estimate_distance(code, **kw)
     assert got.upper_bound == low_weight_distance_oracle(code, 3) == 3
-    monkeypatch.setattr(tanner, "_randomized_side", trial_by_trial_side)
+    monkeypatch.setattr(tanner, "information_set_search", trial_by_trial_side)
     want = estimate_distance(code, **kw)
     assert want.trials == 18 and not want.exact
     _same_report(got, want)
@@ -648,7 +715,7 @@ def test_packed_search_edge_cases():
     for checks, stabilizers in sides:
         for trials in (0, 1):
             rng = np.random.default_rng(3)
-            got = _randomized_side(checks, stabilizers, trials, rng)
+            got = information_set_search(checks, stabilizers, trials, rng)
             want = trial_by_trial_side(checks, stabilizers, trials, np.random.default_rng(3))
             assert got[0] == want[0] and got[2] == want[2] == trials
             if trials:
@@ -659,18 +726,19 @@ def test_packed_search_edge_cases():
     # a dual of dimension 0 draws nothing and reports no trial
     full = LinearCode(2, 4, np.eye(4, dtype=np.int64))
     rng = np.random.default_rng(0)
-    assert _randomized_side(full, LinearCode(2, 4), 5, rng) == (math.inf, None, 0)
+    assert information_set_search(full, LinearCode(2, 4), 5, rng) == (math.inf, None, 0)
     assert rng.integers(2**62) == np.random.default_rng(0).integers(2**62)
     # the dual of <e_3> is <e_0, e_1, e_2>: every nonzero column is in the
     # information set, so the walk stops after trial 1
     for p in (2, 3):
         rng = np.random.default_rng(0)
-        ub, w, scored = _randomized_side(LinearCode(p, 4, [[0, 0, 0, 1]]), LinearCode(p, 4), 5, rng)
+        checks = LinearCode(p, 4, [[0, 0, 0, 1]])
+        ub, w, scored = information_set_search(checks, LinearCode(p, 4), 5, rng)
         assert (ub, w.tolist(), scored) == (1, [1, 0, 0, 0], 1)
         assert rng.integers(2**62) == np.random.default_rng(0).integers(2**62)
     # the kernel rows 11110 and 11101 weigh 4; trial 1 finds their sum
     checks = LinearCode(2, 5, [[1, 0, 0, 1, 1], [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]])
-    ub, w, _ = _randomized_side(checks, LinearCode(2, 5), 1, np.random.default_rng(0))
+    ub, w, _ = information_set_search(checks, LinearCode(2, 5), 1, np.random.default_rng(0))
     assert (ub, w.tolist()) == (2, [0, 0, 0, 1, 1])
 
 
