@@ -32,7 +32,7 @@ from .errors import (
     DomainError,
     UnsupportedField,
 )
-from .gf import FMatrix, LinearCode, PrimeField, as_vector, iter_codewords, solve
+from .gf import FMatrix, LinearCode, PrimeField, as_vector, iter_vectors, solve
 from .inner import InnerCodePair
 from .jsonio import Encoded, dumps
 from .tanner import (
@@ -303,17 +303,16 @@ def max_sat(
         if total > budget:
             raise BudgetExceeded(f"{p}^{m} assignments exceed budget {budget}")
         best_count, best_y = -1, None
-        # the identity code's words are all assignments, in lexicographic order
-        everything = LinearCode(p, m, np.eye(m, dtype=np.int64))
         dense = a.toarray()
-        for ys in iter_codewords(everything, budget=None):
+        for ys in iter_vectors(p, m, budget=None):  # lexicographic order
             counts = ((ys @ dense.T) % p == b).sum(axis=1)
             k = int(np.argmax(counts))
             if int(counts[k]) > best_count:
                 best_count, best_y = int(counts[k]), ys[k].copy()
         exact = True
     else:
-        rows, cols, coeffs = np.array(a.entries(), dtype=np.int64).reshape(-1, 3).T
+        indptr, cols, coeffs = a.csr()
+        rows = np.repeat(np.arange(nc), np.diff(indptr))
         inverse = np.array([0] + [pow(c, -1, p) for c in range(1, p)], dtype=np.int64)
         columns = a.T.rows()  # per variable: its constraints and coefficients
         rng = np.random.default_rng(seed)

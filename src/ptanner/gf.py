@@ -9,14 +9,17 @@ at a time, with no elimination.
 
 A subspace is a `LinearCode`: the RREF of a spanning set, eliminated once,
 off which its dimension, membership (of one vector or of a batch, in one
-residual), separating dual words and dual code are read; `rank`,
-`kernel_basis` and `in_rowspace` each build one.  Over GF(2) the kernel
-rows are packed straight from the packed RREF, so the dual code and the
-distance search's systematic form never go through a dense int64 array.
+residual), separating dual words and dual code are read.  It is the one
+eliminator: `row_reduce`, `solve`, `rank`, `kernel_basis` and
+`in_rowspace` each build one.  Over GF(2) the kernel rows are packed
+straight from the packed RREF, so the dual code and the distance search's
+systematic form never go through a dense int64 array.
 
-One scorer serves every light-word search: it asks each weight class of
-a batch of storage rows lighter than the best so far once, lightest first,
-in one residual against the subspace to stay outside.  One enumeration
+`iter_vectors` is the one counter through GF(p)^k; `iter_codewords` is its
+coefficient vectors times a basis.  One scorer serves every light-word
+search: it asks each weight class of a batch of storage rows lighter than
+the best so far once, lightest first, in one residual against the subspace
+to stay outside.  One enumeration
 loop over `iter_codewords` feeds it (`min_distance`, `coset_min_weight`,
 `lightest_outside`), and so does `information_set_search`, with the rows
 each walk step changes; both return dense words.  Enumerations take an
@@ -52,6 +55,7 @@ __all__ = [
     "coset_min_weight",
     "min_distance",
     "lightest_outside",
+    "iter_vectors",
     "iter_codewords",
 ]
 
@@ -270,7 +274,8 @@ class FMatrix:
 # (column c is bit c % 64 of word c // 64) and a pivot clears its column by
 # XORing whole rows.  Odd p runs the dense int64 loop `_row_reduce_dense`,
 # which is also the GF(2) path's test oracle.  Both produce the reduced row
-# echelon form, which is unique, so they agree exactly.
+# echelon form, which is unique, so they agree exactly.  `LinearCode._reduce`
+# is their one caller.
 
 _WORD = np.dtype("<u8")
 _BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)  # _BIT[s]: bit s of a word
@@ -283,10 +288,6 @@ def _operand(m: FMatrix | np.ndarray, p: int | None) -> tuple[FMatrix | np.ndarr
     if p is None:
         raise InvalidField("modulus required for raw arrays")
     return _as_array(p, m), p
-
-
-def _dense(m: FMatrix | np.ndarray) -> np.ndarray:
-    return m.toarray() if isinstance(m, FMatrix) else m
 
 
 def _pack(m: FMatrix | np.ndarray, n_cols: int) -> np.ndarray:
@@ -366,23 +367,6 @@ def _row_reduce_dense(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return a, pivots
-
-
-def row_reduce(
-    m: FMatrix | np.ndarray, p: int | None = None
-) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p, as a dense int64 array.
-
-    Pivoting is deterministic: scan columns left to right and take the
-    first row with a nonzero entry.  Returns (rref, pivot_columns).
-    """
-    m, p = _operand(m, p)
-    if p != 2:
-        return _row_reduce_dense(_dense(m), p)
-    n_cols = m.shape[1]
-    rows = _pack(m, n_cols)
-    pivots = _eliminate(rows, n_cols)
-    return _unpack(rows, n_cols), pivots
 
 
 class LinearCode:
@@ -471,7 +455,9 @@ class LinearCode:
     def _storage(self, m: FMatrix | np.ndarray) -> np.ndarray:
         """Rows over the code's n columns as storage rows: packed over
         GF(2), dense int64 otherwise."""
-        return _pack(m, self.n) if self.p == 2 else _dense(m)
+        if self.p == 2:
+            return _pack(m, self.n)
+        return m.toarray() if isinstance(m, FMatrix) else m
 
     def _dense_rows(self, rows: np.ndarray) -> np.ndarray:
         """Storage rows as dense int64 rows."""
@@ -661,6 +647,17 @@ def kernel_basis(m: FMatrix | np.ndarray, p: int | None = None) -> np.ndarray:
     return code._dense_rows(code._kernel_rows())
 
 
+def row_reduce(m: FMatrix | np.ndarray, p: int | None = None) -> tuple[np.ndarray, list[int]]:
+    """(rref, pivot columns): the reduced row echelon form mod p as a dense
+    int64 array of m's shape, the row space's basis over zero rows.  Pivots
+    are the first row with a nonzero entry, scanning columns left to right."""
+    m, p = _operand(m, p)
+    code = LinearCode(p, m.shape[1], m)
+    rref = np.zeros(m.shape, dtype=np.int64)
+    rref[: code.dim] = code.basis
+    return rref, code.pivots.tolist()
+
+
 def solve(m: FMatrix | np.ndarray, b, p: int | None = None) -> np.ndarray | None:
     """One solution x of m x = b, or None when the system is inconsistent."""
     m, p = _operand(m, p)
@@ -669,20 +666,13 @@ def solve(m: FMatrix | np.ndarray, b, p: int | None = None) -> np.ndarray | None
     if b.shape[0] != n_rows:
         raise DimensionMismatch(f"rhs length {b.shape[0]} vs {n_rows} rows")
     # eliminate [m | b]; the system is inconsistent iff b's column pivots
-    if p == 2:
-        rows = _pack(m, n_cols + 1)
-        bit = _BIT[n_cols & 63]
-        rows[b == 1, n_cols >> 6] |= bit
-        pivots = _eliminate(rows, n_cols + 1)
-        rhs = (rows[:, n_cols >> 6] & bit) != 0
-    else:
-        aug = np.concatenate([_dense(m), b.reshape(-1, 1)], axis=1)
-        rref, pivots = _row_reduce_dense(aug, p)
-        rhs = rref[:, n_cols]
-    if n_cols in pivots:
+    a = m._csr if isinstance(m, FMatrix) else sparse.csr_array(m)
+    aug = sparse.hstack([a, sparse.csr_array(b[:, None])], format="csr")
+    code = LinearCode(p, n_cols + 1, FMatrix(p, aug))
+    if n_cols in code.pivots:
         return None
     x = np.zeros(n_cols, dtype=np.int64)
-    x[pivots] = rhs[: len(pivots)]
+    x[code.pivots] = code.basis[:, n_cols]
     return x
 
 
@@ -692,30 +682,35 @@ def in_rowspace(m: FMatrix | np.ndarray, v, p: int | None = None) -> bool:
     return LinearCode(p, m.shape[1], m).contains(v)
 
 
+def iter_vectors(
+    p: int,
+    k: int,
+    budget: int | None = DEFAULT_ENUMERATION_BUDGET,
+    chunk: int = _ENUM_CHUNK,
+) -> Iterator[np.ndarray]:
+    """Yield all p^k vectors of GF(p)^k in blocks of `chunk` rows, counting
+    up in base p with the last coordinate the fastest digit (lexicographic
+    order).  p^k >= 2^63 is refused even without a budget, since the
+    indices would overflow int64."""
+    total = p**k
+    limit = np.iinfo(np.int64).max if budget is None else budget
+    if total > limit:
+        raise BudgetExceeded(f"{total} codewords exceeds budget {limit}")
+    powers = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        yield (idx[:, None] // powers) % p
+
+
 def iter_codewords(
     code: LinearCode,
     budget: int | None = DEFAULT_ENUMERATION_BUDGET,
     chunk: int = _ENUM_CHUNK,
 ) -> Iterator[np.ndarray]:
-    """Yield all p^dim codewords in blocks (rows of each yielded array).
-
-    Order is fixed: coefficient vectors count up in base p with the last
-    basis row as the fastest digit.  Codes of p^dim >= 2^63 words are
-    refused even without a budget, since their indices overflow int64.
-    """
-    k, p = code.dim, code.p
-    total = p**k
-    limit = np.iinfo(np.int64).max if budget is None else budget
-    if total > limit:
-        raise BudgetExceeded(f"{total} codewords exceeds budget {limit}")
-    if k == 0:
-        yield np.zeros((1, code.n), dtype=np.int64)
-        return
-    powers = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        coeffs = (idx[:, None] // powers) % p
-        yield (coeffs @ code.basis) % p
+    """Yield all p^dim codewords in blocks (rows of each yielded array):
+    the `iter_vectors` coefficient vectors, in their order, times the basis."""
+    for coeffs in iter_vectors(code.p, code.dim, budget, chunk):
+        yield (coeffs @ code.basis) % code.p
 
 
 def _lightest(

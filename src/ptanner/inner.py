@@ -31,6 +31,7 @@ from .gf import (
     DEFAULT_ENUMERATION_BUDGET,
     LinearCode,
     iter_codewords,
+    iter_vectors,
     min_distance,
 )
 
@@ -190,28 +191,24 @@ def product_expansion_exact(
     total = p**dim
     tensor_words = _tensor_codewords(code1, code2)
     col_mask = np.array([t == "col" for t in tags])
-    best: Fraction | None = None
+    best = None  # (weight, cost) of the least ratio weight / (n * cost) so far
     witness = None
     chunk = max(1, 2**21 // max(tensor_words.shape[0] * n * n, 1))
-    # the identity code's words are all coefficient vectors, in lexicographic order
-    everything = LinearCode(p, dim, np.eye(dim, dtype=np.int64))
-    for coeffs in iter_codewords(everything, budget=None, chunk=chunk):
+    for coeffs in iter_vectors(p, dim, budget=None, chunk=chunk):
         xs = (coeffs @ basis) % p
         weights = np.count_nonzero(xs, axis=1)
         col_parts = (coeffs * col_mask[None, :]) @ basis % p
         row_parts = (coeffs * (~col_mask)[None, :]) @ basis % p
         costs = _decomposition_costs(col_parts, row_parts, tensor_words, n, p)
-        for i in range(xs.shape[0]):
-            if weights[i] == 0:
-                continue
-            ratio = Fraction(int(weights[i]), n * int(costs[i]))
-            if best is None or ratio < best:
-                best = ratio
+        for i in np.flatnonzero(weights).tolist():
+            w, cost = int(weights[i]), int(costs[i])
+            if best is None or w * best[1] < best[0] * cost:
+                best = (w, cost)
                 witness = (xs[i].copy(), col_parts[i].copy(), row_parts[i].copy())
     assert best is not None
     x, c0, r0 = witness
     return ProductExpansionReport(
-        rho=best,
+        rho=Fraction(best[0], n * best[1]),
         exact=True,
         mode="exact",
         num_candidates=total,
@@ -242,6 +239,8 @@ def product_expansion_falsify(
     """
     p, n = _pair_preconditions(code1, code2)
     rho = Fraction(rho).limit_denominator(10**9)
+    # w < rho * n * cost, compared in integers
+    num, den = rho.numerator * n, rho.denominator
     rng = random.Random(f"falsify:{seed}")
     if code1.dim == 0 and code2.dim == 0:
         return None
@@ -279,11 +278,11 @@ def product_expansion_falsify(
         if w == 0:
             continue
         upper = int((c0 != 0).any(axis=0).sum() + (r0 != 0).any(axis=1).sum())
-        if Fraction(w) >= rho * n * upper:
+        if w * den >= num * upper:
             continue  # even the costliest valid reading cannot violate
         flat = (c0.reshape(1, -1), r0.reshape(1, -1))
         cost = int(_decomposition_costs(*flat, tensor_words, n, p)[0])
-        if cost > 0 and Fraction(w) < rho * n * cost:
+        if cost > 0 and w * den < num * cost:
             return mat
     return None
 
@@ -446,11 +445,9 @@ def property_star_check(
     if alpha is None:
         alpha = q_entropy_inv(r / (8 * n), p)
     limit = alpha * n + 1e-12
-    # the identity code's words are all of GF(p)^n, in lexicographic order
-    everything = LinearCode(p, n, np.eye(n, dtype=np.int64))
     sparse = [
         tuple(v)
-        for block in iter_codewords(everything, budget)
+        for block in iter_vectors(p, n, budget)
         for v in block[np.count_nonzero(block, axis=1) <= limit].tolist()
         if any(v)
     ]

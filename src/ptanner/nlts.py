@@ -17,7 +17,8 @@ is the most significant bit) so that integer order equals lexicographic
 order on vectors; that makes "lexicographically least representative" a
 plain min().  Stabilizer and kernel words are the codewords of the code's
 cached row spaces (`CssCode.rowspace_x`, `rowspace_z`) and of their duals,
-listed by `gf.iter_codewords`.
+listed by `gf.iter_codewords`; a syndrome set's lifts are the vectors of
+`gf.iter_vectors` placed on the pivot columns of its checks' row space.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .errors import (
     StateDimensionMismatch,
     UnsupportedField,
 )
-from .gf import LinearCode, iter_codewords
+from .gf import LinearCode, iter_codewords, iter_vectors
 from .tanner import CssCode
 
 ENUMERATION_CAP = 2**22
@@ -124,8 +125,9 @@ def enumerate_syndrome_set(
     thr = epsilon * len(checks) + 1e-12
     lifts, syndromes = [], []
     # the words on H's pivot columns meet each reachable syndrome once
-    on_pivots = LinearCode(2, n, np.eye(n, dtype=np.int64)[space.pivots])
-    for block in iter_codewords(on_pivots, cap):
+    for coeffs in iter_vectors(2, space.dim, cap):
+        block = np.zeros((len(coeffs), n), dtype=np.int64)
+        block[:, space.pivots] = coeffs
         syn = block @ checks.T % 2
         keep = syn.sum(axis=1) <= thr
         lifts += _pack_rows(block[keep])

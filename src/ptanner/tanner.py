@@ -606,7 +606,7 @@ def _coset_weight_bounds(vectors: FMatrix, stab: FMatrix) -> np.ndarray:
             # the zeros lie on the overlap's support, so the sum keeps its layout
             zeros = overlap if p == 2 else values @ targets[s - 1]
             pairs = (overlap + zeros).tocoo()
-            at, row = pairs.coords
+            at, row = pairs.row, pairs.col
             scored.append((weight[at] + row_weight[row] - pairs.data, np.full(at.size, s), at, row))
         w, scale, at, row = map(np.concatenate, zip(*scored))
         better = w < weight[at]

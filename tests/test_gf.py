@@ -8,6 +8,7 @@ them exactly.
 import json
 import math
 import random
+import sys
 import time
 from itertools import islice, product
 
@@ -28,6 +29,7 @@ from ptanner.gf import (
     in_rowspace,
     information_set_walk,
     iter_codewords,
+    iter_vectors,
     kernel_basis,
     min_distance,
     rank,
@@ -196,6 +198,49 @@ def test_iter_codewords_refuses_int64_overflow_without_budget():
     with pytest.raises(BudgetExceeded):
         next(iter_codewords(everything, budget=None))
     assert next(iter_codewords(LinearCode(2, 62), budget=None)).shape == (1, 62)
+
+
+def test_iter_vectors_counts_in_product_order():
+    """Lexicographic (`itertools.product`) order in blocks split at chunk
+    edges, one empty row at k = 0, and the budget and 2^63 refusals."""
+    for p, k, chunk in ((2, 5, 7), (3, 3, 4), (5, 2, 25), (3, 4, 100), (7, 1, 1)):
+        blocks = list(iter_vectors(p, k, chunk=chunk))
+        assert [len(b) for b in blocks] == [min(chunk, p**k - s) for s in range(0, p**k, chunk)]
+        assert [tuple(v) for b in blocks for v in b.tolist()] == list(product(range(p), repeat=k))
+    (empty,) = iter_vectors(7, 0)
+    assert empty.shape == (1, 0)
+    with pytest.raises(BudgetExceeded):
+        next(iter_vectors(3, 5, budget=3**5 - 1))
+    assert sum(map(len, iter_vectors(3, 5, budget=3**5))) == 3**5
+    with pytest.raises(BudgetExceeded):
+        next(iter_vectors(2, 63, budget=None))
+    first = next(iter_vectors(2, 62, budget=None, chunk=3))
+    assert first.tolist() == [[0] * 62, [0] * 61 + [1], [0] * 60 + [1, 0]]
+
+
+def test_linear_code_is_the_only_eliminator(monkeypatch):
+    """Every call of the two elimination kernels made by the entry points,
+    on dense and sparse operands, and by a code and its dual, comes from
+    `LinearCode._reduce`."""
+    callers = []
+    for name in ("_eliminate", "_row_reduce_dense"):
+        def wrapped(*args, kernel=getattr(gf, name)):
+            callers.append(sys._getframe(1).f_code)
+            return kernel(*args)
+
+        monkeypatch.setattr(gf, name, wrapped)
+    rng = np.random.default_rng(20)
+    for p in (2, 3, 5):
+        a = rng.integers(0, p, size=(4, 6))
+        for m in (a, FMatrix.from_dense(p, a)):
+            row_reduce(m, p)
+            rank(m, p)
+            kernel_basis(m, p)
+            in_rowspace(m, a[0], p)
+            assert solve(m, a[:, 0], p) is not None
+        LinearCode(p, 6, a).dual()
+    assert len(callers) == 3 * 12
+    assert set(callers) == {LinearCode._reduce.__code__}
 
 
 def test_min_distance_frozen():
