@@ -301,7 +301,9 @@ def max_sat(
     if mode == "exact":
         total = p**m
         if total > budget:
-            raise BudgetExceeded(f"{p}^{m} assignments exceed budget {budget}")
+            raise BudgetExceeded(
+                f"{p}^{m} assignments over budget {budget}; `budget` (csp maxsat --budget) lifts it"
+            )
         best_count, best_y = -1, None
         dense = a.toarray()
         for ys in iter_vectors(p, m, budget=None):  # lexicographic order

@@ -41,6 +41,7 @@ __all__ = [
     "element_from_matrix",
     "element_from_index",
     "cayley_table",
+    "coset_split",
     "default_generators",
     "bfs_closure_size",
     "spectral_expansion",
@@ -196,6 +197,15 @@ def cayley_table(p: int, m: int, elements, side: str) -> np.ndarray:
         a2, b2, c2, _ = _mul(p, q, x, g) if side == "left" else _mul(p, q, g, x)
         table[j] = a2 + q * (b2 + q * c2)
     return table
+
+
+def coset_split(p: int, m: int, idx):
+    """Split vertex g = t.n over the central N = {I + p^m U}, m >= 2: the
+    index t < p^(3(m-1)) of the low base-p digits of (a, b, c), which fix gN,
+    and u + p v + p^2 w of n's top digits (u, v, w).  Ints or arrays."""
+    q, r = p**m, p ** (m - 1)
+    a, b, c = idx % q, idx // q % q, idx // (q * q)
+    return a % r + r * (b % r + r * (c % r)), a // r + p * (b // r + p * (c // r))
 
 
 @dataclass(frozen=True)
@@ -492,10 +502,30 @@ def spectral_from_adjacency(
         degree = int(round(row_sums[0]))
     if not np.allclose(row_sums, degree, atol=tolerance):
         raise DomainError("graph is not regular; spectral gap undefined here")
-    rest = _drop_trivial(np.linalg.eigvalsh(adj))
+    return _dense_report(np.linalg.eigvalsh(adj), n, degree, tolerance)
+
+
+def _dense_report(eigs: np.ndarray, n: int, degree: int, tolerance: float) -> SpectralReport:
+    rest = _drop_trivial(eigs)
     lam = float(np.abs(rest).max()) if rest.size else 0.0
     signed = float(rest.max()) if rest.size else 0.0
     return _report(n, degree, lam, signed, "dense", tolerance)
+
+
+def _character_blocks(graph: CayleyMultigraph) -> np.ndarray:
+    """(p^3, R, R) adjacency blocks of a level-m graph (m >= 2, R = p^(3(m-1))),
+    B_x[t, t'] = sum_s [s.t = t'.n] chi_x(n), chi_x(n) = exp(2 pi i x.(u, v, w) / p).
+    Right translation by the central N commutes with the adjacency, so the
+    blocks' eigenvalues make up its spectrum.  Block 0 is the level-(m-1) graph."""
+    p, m = graph.p, graph.m
+    reps = np.flatnonzero(coset_split(p, m, np.arange(graph.num_vertices))[1] == 0)
+    digits = np.array(np.unravel_index(np.arange(p**3), (p, p, p)))
+    chars = np.exp(2j * np.pi * (digits.T @ digits % p) / p)
+    table = cayley_table(p, m, graph.generators.elements, "left")[:, reps]
+    blocks = np.zeros((p**3, reps.size, reps.size), dtype=complex)
+    for moved, shift in zip(*coset_split(p, m, table)):  # s permutes the cosets
+        blocks[:, np.arange(reps.size), moved] += chars[:, shift]
+    return blocks
 
 
 def spectral_expansion(
@@ -505,17 +535,21 @@ def spectral_expansion(
 ) -> SpectralReport:
     """Measured expansion of a Cayley multigraph.
 
-    Up to `dense_budget` vertices, a dense exact eigensolve.  Above it, the
-    CSR adjacency of the neighbor lists.  A disconnected d-regular graph has
-    d once per component, so both second eigenvalues are d exactly.  On a
-    connected one d is simple, and Lanczos (`eigsh`, two extreme values from
-    a fixed start vector) gives the largest |eigenvalue| and the largest
-    eigenvalue, each with the trivial one dropped; ConvergenceFailure when
-    it does not converge.
+    Up to `dense_budget` vertices, an exact eigensolve: of the adjacency at
+    level 1, of the `_character_blocks` in one batch at level m >= 2.  Above
+    it, the CSR adjacency of the neighbor lists.  A disconnected d-regular
+    graph has d once per component, so both second eigenvalues are d
+    exactly.  On a connected one d is simple, and Lanczos (`eigsh`, two
+    extreme values from a fixed start vector) gives the largest |eigenvalue|
+    and the largest eigenvalue, each with the trivial one dropped;
+    ConvergenceFailure when it does not converge.
     """
     n, deg = graph.num_vertices, graph.degree
     if n <= dense_budget:
-        return spectral_from_adjacency(graph.adjacency(dense_budget), deg, tolerance)
+        if graph.m == 1:  # N is the whole group; one real block keeps level-1 bits
+            return spectral_from_adjacency(graph.adjacency(dense_budget), deg, tolerance)
+        eigs = np.linalg.eigvalsh(_character_blocks(graph)).ravel()
+        return _dense_report(eigs, n, deg, tolerance)
     adj = graph.sparse_adjacency()
     if connected_components(adj, directed=False, return_labels=False) > 1:
         return _report(n, deg, float(deg), float(deg), "lanczos", tolerance)

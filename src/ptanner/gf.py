@@ -695,7 +695,8 @@ def iter_vectors(
     total = p**k
     limit = np.iinfo(np.int64).max if budget is None else budget
     if total > limit:
-        raise BudgetExceeded(f"{total} codewords exceeds budget {limit}")
+        lift = "`budget` (gf.DEFAULT_ENUMERATION_BUDGET)" if budget is not None else "nothing"
+        raise BudgetExceeded(f"{total} words over budget {limit}; {lift} lifts it")
     powers = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)

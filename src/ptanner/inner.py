@@ -178,7 +178,8 @@ def product_expansion_exact(
     if not _exact_feasible(code1, code2, budget):
         raise BudgetExceeded(
             f"exact check needs {p**expected_dim} candidates x "
-            f"{p ** (code1.dim * code2.dim)} shifts, over budget {budget}"
+            f"{p ** (code1.dim * code2.dim)} shifts, over budget {budget}; "
+            "`budget` (pipeline budgets.exact_certify) lifts it"
         )
     basis, tags = _tagged_basis(code1, code2)
     dim = basis.shape[0]
@@ -470,7 +471,7 @@ def property_star_check(
         for key, gens in level.items():
             examined += 1
             if examined > budget:
-                raise BudgetExceeded("sparse subspace enumeration over budget")
+                raise BudgetExceeded(f"sparse subspaces over budget {budget}; `budget` lifts it")
             inter = sum(1 for w in key if code.contains(np.array(w)))
             inter_dim = round(math.log(inter, p))
             if inter_dim >= m / 2:

@@ -119,7 +119,7 @@ def enumerate_syndrome_set(
         raise DomainError("epsilon must be nonnegative")
     n = code.n
     if (1 << n) > cap:
-        raise BudgetExceeded(f"2^{n} states exceeds cap {cap}")
+        raise BudgetExceeded(f"2^{n} states over cap {cap}; `cap` (nlts.ENUMERATION_CAP) lifts it")
     space = code.rowspace_x if basis == "X" else code.rowspace_z
     checks = (code.h_x if basis == "X" else code.h_z).toarray()
     thr = epsilon * len(checks) + 1e-12
@@ -222,7 +222,10 @@ def build_clusters(sset: SyndromeSet, c1: float) -> ClusterPartition:
     code.validate()  # commuting checks: the member set is a union of S-cosets
     stabilizers = code.rowspace_x if sset.basis == "Z" else code.rowspace_z
     if (1 << n - stabilizers.dim) > ENUMERATION_CAP:
-        raise BudgetExceeded(f"2^{n - stabilizers.dim} S-class words exceed cap {ENUMERATION_CAP}")
+        raise BudgetExceeded(
+            f"2^{n - stabilizers.dim} S-class words exceed cap {ENUMERATION_CAP}; "
+            "nlts.ENUMERATION_CAP lifts it"
+        )
     threshold = 2.0 * c1 * sset.epsilon * n + 1e-12
     members = sorted(sset.members)
     mm = np.array(members, dtype=np.int64)
@@ -446,7 +449,9 @@ def build_code_hamiltonian(
     _require_gf2(code)
     n = code.n
     if n > qubit_cap:
-        raise BudgetExceeded(f"{n} qubits exceeds cap {qubit_cap}")
+        raise BudgetExceeded(
+            f"{n} qubits exceeds cap {qubit_cap}; `qubit_cap` (nlts.HAMILTONIAN_QUBIT_CAP) lifts it"
+        )
     x_terms = _pack_rows(code.h_x.toarray())
     z_terms = _pack_rows(code.h_z.toarray())
     dim = 1 << n
@@ -481,28 +486,6 @@ def sector_state(code: CssCode, e_x: int, e_z: int, logical: int = 0) -> dict[in
         amp = -1 if (int(w & e_x).bit_count() % 2) else 1
         state[w ^ e_z] = amp
     return state
-
-
-def apply_hamiltonian_exact(code: CssCode, state: dict[int, int]) -> dict[int, Fraction]:
-    """Apply the code Hamiltonian with rational arithmetic on a sparse
-    integer-amplitude state."""
-    _require_gf2(code)
-    x_terms = _pack_rows(code.h_x.toarray())
-    z_terms = _pack_rows(code.h_z.toarray())
-    m_x, m_z = len(x_terms), len(z_terms)
-    out: dict[int, Fraction] = {}
-    half = Fraction(1, 2)
-    for w, amp in state.items():
-        amp = Fraction(amp)
-        if m_x:
-            for g in x_terms:
-                contrib = half * amp / (2 * m_x)
-                out[w] = out.get(w, Fraction(0)) + contrib
-                out[w ^ g] = out.get(w ^ g, Fraction(0)) - contrib
-        if m_z:
-            zcount = sum(int(w & zt).bit_count() % 2 for zt in z_terms)
-            out[w] = out.get(w, Fraction(0)) + half * amp * Fraction(zcount, m_z)
-    return {w: v for w, v in out.items() if v != 0}
 
 
 def sector_eigenvalue(code: CssCode, e_x: int, e_z: int) -> Fraction:

@@ -149,10 +149,6 @@ class SquareCayleyComplex:
     def _index(self, x) -> int:
         return x[0] + self._q * (x[1] + self._q * x[2])
 
-    def face_from_index(self, idx: int) -> tuple[GroupElement, int, int]:
-        x, i, j = self._face(idx)
-        return GroupElement(self.p, self.m, *x), i, j
-
     def incidence(
         self, layer: str, g: GroupElement, i: int, j: int
     ) -> tuple[GroupElement, int, int]:

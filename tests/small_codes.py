@@ -1,9 +1,14 @@
-"""Small textbook CSS codes shared by the test suites."""
+"""Small textbook CSS codes shared by the test suites, and test-only
+helpers on codes and complexes."""
+
+from fractions import Fraction
 
 import numpy as np
 
+from ptanner.expander import GroupElement
 from ptanner.gf import FMatrix
-from ptanner.tanner import CssCode
+from ptanner.nlts import _pack_rows, _require_gf2
+from ptanner.tanner import CssCode, SquareCayleyComplex
 
 
 def steane_code() -> CssCode:
@@ -36,3 +41,31 @@ def shor_code() -> CssCode:
         h_z=FMatrix.from_dense(2, z_rows),
         provenance={"kind": "imported", "name": "shor"},
     )
+
+
+def face_from_index(cx: SquareCayleyComplex, idx: int) -> tuple[GroupElement, int, int]:
+    """Face idx of the complex as (g, i, j); DomainError out of range."""
+    x, i, j = cx._face(idx)
+    return GroupElement(cx.p, cx.m, *x), i, j
+
+
+def apply_hamiltonian_exact(code: CssCode, state: dict[int, int]) -> dict[int, Fraction]:
+    """Apply the code Hamiltonian with rational arithmetic on a sparse
+    integer-amplitude state."""
+    _require_gf2(code)
+    x_terms = _pack_rows(code.h_x.toarray())
+    z_terms = _pack_rows(code.h_z.toarray())
+    m_x, m_z = len(x_terms), len(z_terms)
+    out: dict[int, Fraction] = {}
+    half = Fraction(1, 2)
+    for w, amp in state.items():
+        amp = Fraction(amp)
+        if m_x:
+            for g in x_terms:
+                contrib = half * amp / (2 * m_x)
+                out[w] = out.get(w, Fraction(0)) + contrib
+                out[w ^ g] = out.get(w ^ g, Fraction(0)) - contrib
+        if m_z:
+            zcount = sum(int(w & zt).bit_count() % 2 for zt in z_terms)
+            out[w] = out.get(w, Fraction(0)) + half * amp * Fraction(zcount, m_z)
+    return {w: v for w, v in out.items() if v != 0}

@@ -16,15 +16,18 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from ptanner import nlts
 from ptanner.csp import (
     LinConstraint,
     LinInstance,
     TannerConstraintStream,
     emit_lin_instance,
     certify_unsat,
+    max_sat,
     reduce_to_3xor,
     sos_level_bound,
 )
+from ptanner.errors import BudgetExceeded
 from ptanner.expander import (
     CayleyMultigraph,
     GeneratorMultiset,
@@ -37,9 +40,10 @@ from ptanner.expander import (
     spectral_expansion,
     spectral_from_adjacency,
 )
-from ptanner.gf import LinearCode, min_distance, rank
+from ptanner.gf import LinearCode, iter_vectors, min_distance, rank
 from ptanner.inner import (
     product_expansion_exact,
+    property_star_check,
     q_entropy,
     q_entropy_inv,
     search_inner_pair,
@@ -543,3 +547,53 @@ def test_criterion_12_pipeline_determinism(tmp_path):
         )
     assert digests[0] == digests[1]
     assert len(digests[0]) >= 10  # every stage persisted something
+
+
+# -----------------------------------------------------------------------
+# 13. Every budget refusal names the argument, key or constant that lifts it
+
+
+def _assignments_over_budget(_):
+    inst = LinInstance.from_dense(2, np.eye(4, dtype=int), np.zeros(4, dtype=int))
+    max_sat(inst, mode="exact", budget=15)
+
+
+def _tensor_pair_over_budget(_):
+    rep3 = LinearCode(2, 3, [[1, 1, 1]])
+    product_expansion_exact(rep3, rep3, budget=0)
+
+
+def _sparse_subspaces_over_budget(_):
+    zero = LinearCode(2, 4, np.zeros((0, 4), dtype=np.int64))  # every 4-bit word is sparse
+    property_star_check(zero, alpha=1.0, budget=16)
+
+
+def _syndrome_set_over_cap(_):
+    enumerate_syndrome_set(steane_code(), "X", 0.0, cap=127)
+
+
+def _clusters_over_cap(monkeypatch):
+    sset = enumerate_syndrome_set(steane_code(), "Z", 0.0)
+    monkeypatch.setattr(nlts, "ENUMERATION_CAP", 1)
+    build_clusters(sset, 1.0)
+
+
+@pytest.mark.parametrize(
+    "refused, knob",
+    [
+        (_assignments_over_budget, r"`budget` \(csp maxsat --budget\)"),
+        (lambda _: next(iter_vectors(2, 10, budget=1023)), r"gf\.DEFAULT_ENUMERATION_BUDGET"),
+        (_tensor_pair_over_budget, r"budgets\.exact_certify"),
+        (_sparse_subspaces_over_budget, r"`budget`"),
+        (_syndrome_set_over_cap, r"`cap` \(nlts\.ENUMERATION_CAP\)"),
+        (_clusters_over_cap, r"nlts\.ENUMERATION_CAP"),
+        (lambda _: build_code_hamiltonian(steane_code(), qubit_cap=6),
+         r"nlts\.HAMILTONIAN_QUBIT_CAP"),
+        (lambda _: code_dimension(steane_code(), budget=0), r"tanner\.DEFAULT_RANK_BUDGET"),
+    ],
+    ids=["max_sat", "iter_vectors", "exact_certify", "property_star", "syndrome_set",
+         "clusters", "hamiltonian", "code_dimension"],
+)
+def test_criterion_13_budget_refusals_name_their_knob(monkeypatch, refused, knob):
+    with pytest.raises(BudgetExceeded, match=knob + r"\W* lifts it$"):
+        refused(monkeypatch)

@@ -35,11 +35,13 @@ from ptanner.expander import (
     element_from_matrix,
     group_order,
     identity,
+    _character_blocks,
+    coset_split,
     spectral_expansion,
     spectral_from_adjacency,
 )
 from ptanner.jsonio import dumps
-from ptanner.pipeline import RunConfig, run_pipeline
+from ptanner.pipeline import RunConfig, run_pipeline, stage_seed
 
 
 def test_coordinate_map_frozen_example_p3():
@@ -336,16 +338,129 @@ def test_identity_augmentation_shifts_spectrum_by_one():
     ],
 )
 def test_lanczos_agrees_with_dense(p, m, degree):
+    """The character blocks and Lanczos each against one eigensolve of the
+    full adjacency matrix."""
     gens = default_generators(p, m, degree, seed=0, require_generation=degree == 6)
     graph = CayleyMultigraph(gens)
-    dense = spectral_expansion(graph)
+    dense = spectral_from_adjacency(graph.adjacency(), degree)
+    blocks = spectral_expansion(graph)
     lanczos = spectral_expansion(graph, dense_budget=10)
-    assert dense.method == "dense"
+    assert blocks.method == dense.method == "dense"
     assert lanczos.method == "lanczos"
-    assert lanczos.second_eigenvalue == pytest.approx(dense.second_eigenvalue, abs=1e-9)
-    assert lanczos.signed_second_eigenvalue == pytest.approx(
-        dense.signed_second_eigenvalue, abs=1e-9
+    for rep in (blocks, lanczos):
+        assert rep.second_eigenvalue == pytest.approx(dense.second_eigenvalue, abs=1e-9)
+        assert rep.signed_second_eigenvalue == pytest.approx(
+            dense.signed_second_eigenvalue, abs=1e-9
+        )
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def test_coset_split_is_right_translation_by_the_central_subgroup(p, m):
+    """g = t.n = n.t with t the representative and n in N = {I + p^m U}, and
+    the array form is a bijection onto (representative, digits)."""
+    r = p ** (m - 1)
+    for idx in random.Random(f"{p}:{m}").sample(range(group_order(p, m)), 40):
+        t, n = coset_split(p, m, idx)
+        rep = element_from_coords(p, m, t % r, t // r % r, t // (r * r))
+        central = element_from_coords(p, m, r * (n % p), r * (n // p % p), r * (n // (p * p)))
+        assert rep * central == element_from_index(p, m, idx) == central * rep
+        a, b, c, d = central.matrix
+        assert all(x % p**m == 0 for x in (a - 1, b, c, d - 1))  # central is in N
+    reps, digits = coset_split(p, m, np.arange(group_order(p, m)))
+    assert len(set(zip(reps.tolist(), digits.tolist()))) == group_order(p, m)
+    assert reps.max() == r**3 - 1 and digits.max() == p**3 - 1
+
+
+def _blocks_match_dense(graph):
+    """The blocks are Hermitian and their sorted eigenvalues are those of
+    the full adjacency matrix; returns the blocks."""
+    blocks = _character_blocks(graph)
+    assert np.abs(blocks - blocks.conj().transpose(0, 2, 1)).max() <= 1e-12
+    got = np.sort(np.linalg.eigvalsh(blocks).ravel())
+    want = np.linalg.eigvalsh(graph.adjacency())
+    assert np.abs(got - want).max() <= 1e-9
+    return blocks
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (2, 4), (3, 2)])
+@pytest.mark.parametrize("degree", [5, 6, 7])
+def test_character_blocks_match_dense_spectrum(p, m, degree):
+    """The blocks are Hermitian, their sizes sum to |G|, and their sorted
+    eigenvalues are those of the full adjacency matrix."""
+    graph = CayleyMultigraph(default_generators(p, m, degree, seed=0, require_generation=False))
+    size = p ** (3 * (m - 1))
+    assert _blocks_match_dense(graph).shape == (p**3, size, size)
+    assert p**3 * size == graph.num_vertices
+
+
+_INVOLUTIONS_P2 = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (2, 2, 2), (1, 2, 0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3]))
+def test_character_blocks_match_dense_on_random_multisets(data, p):
+    """Random symmetric multisets at m = 2: generator/inverse pairs,
+    involutions (at p = 2, N and other elements of order 2) taken once, and
+    identity padding."""
+    q = p * p
+    coords = st.tuples(*[st.integers(0, q - 1)] * 3)
+    if p == 2:
+        coords = st.one_of(st.sampled_from(_INVOLUTIONS_P2), coords)
+    elements = []
+    for c in data.draw(st.lists(coords, min_size=1, max_size=4)):
+        g = element_from_coords(p, 2, *c)
+        elements += [g] if g.inv() == g else [g, g.inv()]
+    elements += [identity(p, 2)] * data.draw(st.integers(0, 2))
+    graph = CayleyMultigraph(GeneratorMultiset.from_elements(elements))
+    _blocks_match_dense(graph)
+    rep, ref = spectral_expansion(graph), spectral_from_adjacency(graph.adjacency())
+    assert rep.second_eigenvalue == pytest.approx(ref.second_eigenvalue, abs=1e-9)
+    assert rep.signed_second_eigenvalue == pytest.approx(ref.signed_second_eigenvalue, abs=1e-9)
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2)])
+def test_trivial_character_block_is_the_level_below(p, m):
+    gens = default_generators(p, m, 6, seed=0, require_generation=False)
+    below = GeneratorMultiset.from_elements(
+        [element_from_coords(p, m - 1, *g.coords) for g in gens.elements]
     )
+    block = _character_blocks(CayleyMultigraph(gens))[0]
+    assert np.array_equal(block, CayleyMultigraph(below).adjacency())
+
+
+@pytest.mark.parametrize(
+    "p, degree, require_generation",
+    [(3, 5, False), (3, 6, True), (3, 7, True), (2, 5, False), (5, 6, True)],
+)
+def test_level1_scores_keep_the_full_adjacency_bits(monkeypatch, p, degree, require_generation):
+    """default_generators ranks float scores, so at level 1 every report it
+    scores must equal the one-matrix eigensolve field for field."""
+    seen = []
+    real = expander.spectral_expansion
+
+    def recording(graph, *args, **kwargs):
+        seen.append((graph, real(graph, *args, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(expander, "spectral_expansion", recording)
+    for seed in (0, stage_seed(7, "expander")):
+        for m in (1, 2):
+            default_generators(p, m, degree, seed=seed, require_generation=require_generation)
+    assert seen
+    for graph, rep in seen:
+        assert graph.m == 1
+        assert rep == spectral_from_adjacency(graph.adjacency())
+
+
+def test_level2_spectrum_takes_under_10ms():
+    graph = CayleyMultigraph(default_generators(3, 2, 5, seed=0, require_generation=False))
+    spectral_expansion(graph)
+    times = []
+    for _ in range(20):
+        t0 = time.perf_counter()
+        spectral_expansion(graph)
+        times.append(time.perf_counter() - t0)
+    assert np.median(times) <= 0.010
 
 
 def test_level3_expander_stage_runs_lanczos(tmp_path):

@@ -35,7 +35,6 @@ from ptanner.nlts import (
     SPREAD_MASS_RELAXED,
     SPREAD_MASS_STRICT,
     UNCERTAINTY_BOUND,
-    apply_hamiltonian_exact,
     build_clusters,
     build_code_hamiltonian,
     clustering_from_ssexp,
@@ -61,7 +60,7 @@ from ptanner.nlts import (
 )
 from ptanner.tanner import CssCode, estimate_ssexp
 
-from small_codes import shor_code, steane_code
+from small_codes import apply_hamiltonian_exact, shor_code, steane_code
 
 # ---------------------------------------------------------------- helpers
 

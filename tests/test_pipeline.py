@@ -46,7 +46,7 @@ from ptanner.tanner import (
     face_column,
 )
 
-from small_codes import steane_code
+from small_codes import face_from_index, steane_code
 
 SMALL_DOC = {
     "field_p": 3,
@@ -665,7 +665,7 @@ def test_level2_code_stage_is_css_orthogonal(level2_run):
         for gi in range(cx.group_size):
             v = element_from_index(cx.p, cx.m, gi)
             for (r, c), face in np.ndenumerate(cx.local_view(layer, v)):
-                assert cx.incidence(layer, *cx.face_from_index(face)) == (v, r, c)
+                assert cx.incidence(layer, *face_from_index(cx, face)) == (v, r, c)
 
 
 def test_level3_code_is_planted_and_orthogonal(tmp_path):

@@ -50,7 +50,7 @@ from ptanner.tanner import (
     verify_planted,
 )
 
-from small_codes import shor_code, steane_code
+from small_codes import face_from_index, shor_code, steane_code
 
 
 def ternary_complex(delta=3, convention="paired"):
@@ -96,10 +96,10 @@ def test_complex_counts_and_grid():
 def test_face_index_round_trip():
     cx = ternary_complex()
     for idx in [0, 1, 42, 242]:
-        g, i, j = cx.face_from_index(idx)
+        g, i, j = face_from_index(cx, idx)
         assert (g.index * cx.delta + i) * cx.delta + j == idx
     with pytest.raises(DomainError):
-        cx.face_from_index(243)
+        face_from_index(cx, 243)
 
 
 @pytest.mark.parametrize("convention", ["paired", "direct"])
@@ -107,7 +107,7 @@ def test_corner_coordinates(convention):
     cx = ternary_complex(convention=convention)
     sig_a, sig_b = cx.gens_a.pairing, cx.gens_b.pairing
     for idx in range(cx.num_faces):
-        g, i, j = cx.face_from_index(idx)
+        g, i, j = face_from_index(cx, idx)
         a, b = cx.gens_a.elements[i], cx.gens_b.elements[j]
         corners = {"00": g, "01": a * g, "10": g * b, "11": a * g * b}
         if convention == "paired":
@@ -130,13 +130,13 @@ def test_gamma_graphs_regular_bipartite():
     cx = ternary_complex()
     deg = np.zeros(cx.num_vertices, dtype=np.int64)
     for idx in range(cx.num_faces):
-        face = cx.face_from_index(idx)
+        face = face_from_index(cx, idx)
         for layer_no, layer in enumerate(LAYERS):
             v, _, _ = cx.incidence(layer, *face)
             deg[layer_no * cx.group_size + v.index] += 1
     assert (deg == cx.delta**2).all()
     with pytest.raises(DomainError):
-        cx.incidence("22", *cx.face_from_index(0))
+        cx.incidence("22", *face_from_index(cx, 0))
 
 
 def test_complex_construction_errors():
@@ -334,7 +334,7 @@ def test_corner_queries_match_group_element_oracle(shape, convention, field_p, d
     v = element_from_index(cx.p, cx.m, data.draw(st.integers(0, cx.group_size - 1)))
     assert cx.local_view(layer, v).tolist() == oracle_local_view(cx, layer, v)
     f = data.draw(st.integers(0, cx.num_faces - 1))
-    g, i, j = cx.face_from_index(f)
+    g, i, j = face_from_index(cx, f)
     assert cx.incidence(layer, g, i, j) == oracle_incidence(cx, layer, g, i, j)
     row = st.lists(st.integers(0, field_p - 1), min_size=cx.delta, max_size=cx.delta)
     basis_a = data.draw(st.lists(row, max_size=3))
@@ -358,7 +358,7 @@ def test_l30c_queries_are_strongly_explicit():
     rng = random.Random(30)
     faces = [rng.randrange(cx.num_faces) for _ in range(40)]
     for f in faces:
-        g, i, j = cx.face_from_index(f)
+        g, i, j = face_from_index(cx, f)
         for layer in LAYERS:
             v, r, c = cx.incidence(layer, g, i, j)
             view = cx.local_view(layer, v)
