@@ -50,8 +50,8 @@ from .pipeline import (
 from .tanner import (
     DEFAULT_DISTANCE_BUDGET,
     CssCode,
+    SquareCayleyComplex,
     build_code,
-    build_complex,
     check_counting_bound,
     code_dimension,
     estimate_distance,
@@ -169,7 +169,7 @@ def _cmd_code_build(args) -> int:
         seed=args.seed,
         require_generation=not args.allow_nongenerating,
     )
-    code = build_code(build_complex(gens, gens, args.convention), pair)
+    code = build_code(SquareCayleyComplex(gens, gens, args.convention), pair)
     return _deliver(args, dumps(code))
 
 

@@ -192,7 +192,7 @@ def emit_lin_instance(code: CssCode, beta) -> LinInstance:
 class TannerConstraintStream:
     """Constraint-at-a-time emission for Tanner builds.
 
-    Constraint f is `tanner.face_column` of face f on the Z layers with the
+    Constraint f is `tanner._column` of face f on the Z layers with the
     dual inner bases (column f of H_Z, evaluated by group arithmetic from f
     alone) and right-hand side beta[f].  The bases' per-cell table is made
     once, here, and no check matrix is formed, so the cost of one

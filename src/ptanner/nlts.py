@@ -14,8 +14,10 @@ the spread separation run on classes modulo Q = S when the labels
 transforms over the 2^(n - dim Q) quotient words, not passes over member
 pairs.  Bit strings are packed big-endian into Python ints (coordinate 0
 is the most significant bit) so that integer order equals lexicographic
-order on vectors; that makes "lexicographically least representative" a
-plain min().  Stabilizer and kernel words are the codewords of the code's
+order on vectors, and a packed word is its basis-state index in the 2^n
+state vectors.  Syndrome sets and partitions keep their members as one
+ascending int64 array, with a packed syndrome and a cluster label per
+member.  Stabilizer and kernel words are the codewords of the code's
 cached row spaces (`CssCode.rowspace_x`, `rowspace_z`) and of their duals,
 listed by `gf.iter_codewords`; a syndrome set's lifts are the vectors of
 `gf.iter_vectors` placed on the pivot columns of its checks' row space.
@@ -77,20 +79,21 @@ def _words(space: LinearCode, cap: int = ENUMERATION_CAP) -> list[int]:
     return [w for block in iter_codewords(space, cap) for w in _pack_rows(block)]
 
 
-@dataclass
+@dataclass(eq=False)
 class SyndromeSet:
     """All length-n words whose syndrome weight is at most epsilon * m.
 
     The syndrome is taken against the checks of the same basis as the set
     (X checks for the X set, Z checks for the Z set); the threshold is
-    normalized by that same check count.
+    normalized by that same check count.  `syndromes` holds one packed
+    syndrome per member, as Python ints (object dtype) past 62 checks.
     """
 
     code: CssCode
     basis: str
     epsilon: float
-    members: list[int]
-    syndrome_of: dict[int, int]
+    members: np.ndarray  # int64, ascending
+    syndromes: np.ndarray
 
     @property
     def n(self) -> int:
@@ -135,9 +138,8 @@ def enumerate_syndrome_set(
     kernel = np.array(_words(space.dual(), cap), dtype=np.int64)
     words = (np.array(lifts, dtype=np.int64)[:, None] ^ kernel).ravel()
     order = np.argsort(words)
-    members = words[order].tolist()
-    syndrome_of = dict(zip(members, [syndromes[i] for i in (order // len(kernel)).tolist()]))
-    return SyndromeSet(code, basis, float(epsilon), members, syndrome_of)
+    syndromes = np.array(syndromes, dtype=np.int64 if len(checks) < 63 else object)
+    return SyndromeSet(code, basis, float(epsilon), words[order], syndromes[order // len(kernel)])
 
 
 class _Classes:
@@ -169,10 +171,11 @@ class ClusterPartition:
     """Connected components of the near-coset relation on a syndrome set.
 
     Two members relate when their difference has small weight modulo the
-    opposite-basis stabilizer rowspace.  Each syndrome gets one decoder
-    representative, chosen inside a single designated cluster per translate
-    orbit so that decoding any member of a cluster lands in one stabilizer
-    coset.
+    opposite-basis stabilizer rowspace.  `labels` numbers each member's
+    cluster, 0, 1, ... in order of first member.  Each syndrome gets one
+    decoder representative, chosen inside a single designated cluster per
+    translate orbit so that decoding any member of a cluster lands in one
+    stabilizer coset.
     """
 
     basis: str
@@ -180,27 +183,30 @@ class ClusterPartition:
     c1: float
     threshold: float
     n: int
-    members: list[int]
-    clusters: list[list[int]]
-    cluster_of: dict[int, int]
-    syndrome_of: dict[int, int]
+    members: np.ndarray  # int64, ascending, as in the syndrome set
+    labels: np.ndarray  # cluster per member
+    syndromes: np.ndarray  # packed syndrome per member
     representatives: dict[int, int]
-    representative_cluster_of: dict[int, int]
-    # caches of what the fields above determine; `==` compares the partition itself
-    _cosets: _Classes = field(repr=False, compare=False, default=None)  # the members modulo S
-    _coset_weights: np.ndarray = field(repr=False, compare=False, default=None)  # per S-class
-    _syndromes: np.ndarray = field(repr=False, compare=False, default=None)  # per member
-    _readout: list = field(repr=False, compare=False, default=None)  # `_walsh_plan`, on first use
+    # caches of what the fields above determine
+    _cosets: _Classes = field(repr=False, default=None)  # the members modulo S
+    _coset_weights: np.ndarray = field(repr=False, default=None)  # per S-class
+    _readout: list = field(repr=False, default=None)  # `_walsh_plan`, on first use
 
-    def decode(self, y: int) -> int:
-        """y plus the representative of its syndrome."""
-        return y ^ self.representatives[self.syndrome_of[y]]
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ClusterPartition) and self.to_doc() == other.to_doc()
+
+    @property
+    def clusters(self) -> list[list[int]]:
+        """Each cluster's members, ascending, in label order."""
+        order = np.argsort(self.labels, kind="stable")
+        ends = np.cumsum(np.bincount(self.labels))[:-1]
+        return [cl.tolist() for cl in np.split(self.members[order], ends)]
 
     def decoded(self) -> np.ndarray:
-        """decode(y) for every member, in member order, by distinct syndrome."""
-        distinct, index = np.unique(self._syndromes, return_inverse=True)
+        """Each member plus the representative of its syndrome, in member order."""
+        distinct, index = np.unique(self.syndromes, return_inverse=True)
         reps = np.array([self.representatives[s] for s in distinct.tolist()], dtype=np.int64)
-        return np.array(self.members, dtype=np.int64) ^ reps[index]
+        return self.members ^ reps[index]
 
     def to_doc(self) -> dict:
         return {
@@ -218,7 +224,7 @@ class ClusterPartition:
 def build_clusters(sset: SyndromeSet, c1: float) -> ClusterPartition:
     if not c1 > 0:
         raise DomainError("c1 must be positive")
-    code, n = sset.code, sset.code.n
+    code, n, mm = sset.code, sset.code.n, sset.members
     code.validate()  # commuting checks: the member set is a union of S-cosets
     stabilizers = code.rowspace_x if sset.basis == "Z" else code.rowspace_z
     if (1 << n - stabilizers.dim) > ENUMERATION_CAP:
@@ -227,8 +233,6 @@ def build_clusters(sset: SyndromeSet, c1: float) -> ClusterPartition:
             "nlts.ENUMERATION_CAP lifts it"
         )
     threshold = 2.0 * c1 * sset.epsilon * n + 1e-12
-    members = sorted(sset.members)
-    mm = np.array(members, dtype=np.int64)
     # y ~ y + d for close d joins S-cosets: link coset c to c + d
     cosets = _Classes(stabilizers, n, mm)
     weights = _quotient_nearest(cosets, 0, 0)[0] >> 24  # from class 0: least weight per S-class
@@ -236,40 +240,27 @@ def build_clusters(sset: SyndromeSet, c1: float) -> ClusterPartition:
     nb = cosets.slot[cosets.words[:, None] ^ close]
     rows, cols = np.nonzero(nb >= 0)[0], nb[nb >= 0]
     adj = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(len(nb),) * 2)
-    labels = connected_components(adj, directed=False)[1][cosets.of]
-    raw: dict[int, list[int]] = {}
-    for y, lab in zip(members, labels.tolist()):
-        raw.setdefault(lab, []).append(y)
-    clusters = list(raw.values())  # each ascends, and they come in order of first member
-    cluster_of = {y: cid for cid, cl in enumerate(clusters) for y in cl}
-    # translate orbits: shifting by any zero-syndrome word permutes clusters
-    shifts = np.unique(cosets.index(_zero_syndrome_words(members, sset.syndrome_of)))
-    cid_of = np.empty(len(cosets.words), dtype=np.int64)
-    cid_of[cosets.of] = [cluster_of[y] for y in members]
-    firsts = cosets.words[cosets.of[np.searchsorted(mm, [cl[0] for cl in clusters])]]
-    rep_cluster_of: dict[int, int] = {}
-    for cid in range(len(clusters)):
-        if cid in rep_cluster_of:
-            continue
-        moved = cosets.slot[firsts[cid] ^ shifts]
-        orbit = np.unique(cid_of[moved[moved >= 0]]).tolist()
-        designated = min(orbit, key=lambda k: clusters[k][0])
-        for k in orbit:
-            rep_cluster_of.setdefault(k, designated)
-    # one representative per syndrome, inside the designated cluster
-    classes: dict[int, list[int]] = {}
-    for y in members:
-        classes.setdefault(sset.syndrome_of[y], []).append(y)
-    representatives: dict[int, int] = {}
-    for s, cls in classes.items():  # cls ascends
-        rep_cid = rep_cluster_of[cluster_of[cls[0]]]
-        representatives[s] = next((y for y in cls if cluster_of[y] == rep_cid), cls[0])
+    components = connected_components(adj, directed=False)[1][cosets.of]
+    _, first, of = np.unique(components, return_index=True, return_inverse=True)
+    labels = np.unique(first, return_inverse=True)[1][of]  # in order of first member
+    # translate orbits: shifting by any zero-syndrome word permutes clusters,
+    # and each cluster's designated one is the least of its orbit
+    lab = np.empty(len(cosets.words), dtype=np.int64)
+    lab[cosets.of] = labels
+    shifts = np.unique(cosets.index(_zero_syndrome_words(mm, sset.syndromes)))
+    heads = cosets.words[cosets.of[np.sort(first)]]
+    designated = lab[cosets.slot[heads[:, None] ^ shifts]].min(axis=1)
+    # one representative per syndrome: its least member in the designated
+    # cluster of its least member's cluster
+    distinct, head, syn = np.unique(sset.syndromes, return_index=True, return_inverse=True)
+    order = np.lexsort((labels != designated[labels[head]][syn], syn))
+    reps = mm[order[np.searchsorted(syn[order], np.arange(len(distinct)))]]
+    by_head = np.argsort(head)
     return ClusterPartition(
         basis=sset.basis, epsilon=sset.epsilon, c1=float(c1), threshold=float(threshold), n=n,
-        members=members, clusters=clusters, cluster_of=cluster_of,
-        syndrome_of=dict(sset.syndrome_of), representatives=representatives,
-        representative_cluster_of=rep_cluster_of, _cosets=cosets, _coset_weights=weights,
-        _syndromes=np.array([sset.syndrome_of[y] for y in members]),
+        members=mm, labels=labels, syndromes=sset.syndromes,
+        representatives=dict(zip(distinct[by_head].tolist(), reps[by_head].tolist())),
+        _cosets=cosets, _coset_weights=weights,
     )
 
 
@@ -304,9 +295,7 @@ def verify_cluster_lemma(part: ClusterPartition, c2: float) -> ClusterLemmaRepor
     """
     if math.isnan(c2):
         raise DomainError("c2 must be a number")
-    cosets, weights = part._cosets, part._coset_weights
-    mm = np.array(part.members, dtype=np.int64)
-    labels = np.array([part.cluster_of[y] for y in part.members], dtype=np.int64)
+    cosets, weights, mm, labels = part._cosets, part._coset_weights, part.members, part.labels
     cls, lab = _classes(part, labels)
     counterexample = None
 
@@ -325,7 +314,7 @@ def verify_cluster_lemma(part: ClusterPartition, c2: float) -> ClusterLemmaRepor
         i = int(failing[0])
         related = weights[cosets.words[cosets.of] ^ cosets.words[cosets.of[i]]] <= part.threshold
         bad = int(mm[np.nonzero(related != (labels == labels[i]))[0][0]])
-        counterexample = {"check": 1, "y": part.members[i], "y_prime": bad}
+        counterexample = {"check": 1, "y": int(mm[i]), "y_prime": bad}
 
     min_dist, witness = None, None
     if np.unique(labels).size > 1:
@@ -338,7 +327,7 @@ def verify_cluster_lemma(part: ClusterPartition, c2: float) -> ClusterLemmaRepor
         counterexample = {"check": 2, "pair": witness, "distance": min_dist}
 
     # (3) per class of shifts: Q lies in S, so a whole class is in S or outside it
-    kernel_words = _zero_syndrome_words(part.members, part.syndrome_of)
+    kernel_words = _zero_syndrome_words(mm, part.syndromes)
     shifts, shift_of = np.unique(cls.index(kernel_words), return_inverse=True)
     in_stab = np.zeros(len(shifts), dtype=bool)
     in_stab[shift_of] = cosets.index(kernel_words) == 0
@@ -352,13 +341,13 @@ def verify_cluster_lemma(part: ClusterPartition, c2: float) -> ClusterLemmaRepor
 
     # (4) every member decodes into the stabilizer coset of its cluster's first
     decoded = part.decoded()
-    firsts = np.searchsorted(mm, [cl[0] for cl in part.clusters])
+    firsts = np.unique(labels, return_index=True)[1]
     drift = np.flatnonzero(cosets.index(decoded ^ decoded[firsts[labels]]) != 0)
     decoder_ok = not drift.size
     if drift.size and counterexample is None:
         cid = int(labels[drift].min())
-        y = part.members[drift[labels[drift] == cid][0]]
-        counterexample = {"check": 4, "cluster": cid, "pair": (part.clusters[cid][0], y)}
+        y = int(mm[drift[labels[drift] == cid][0]])
+        counterexample = {"check": 4, "cluster": cid, "pair": (int(mm[firsts[cid]]), y)}
 
     return ClusterLemmaReport(
         partition_ok=partition_ok, distance_ok=bool(distance_ok), translate_ok=translate_ok,
@@ -374,7 +363,7 @@ def _classes(part: ClusterPartition, labels: np.ndarray) -> tuple[_Classes, np.n
     lab[cls.of] = labels
     if (lab[cls.of] == labels).all():
         return cls, lab
-    return _Classes(None, part.n, np.array(part.members)), labels  # the members ascend
+    return _Classes(None, part.n, part.members), labels  # the members ascend
 
 
 def _quotient_nearest(cls: _Classes, labels, words=None):
@@ -415,10 +404,10 @@ def _moved_clusters(cls: _Classes, labels: np.ndarray, shifts: np.ndarray) -> np
     return out
 
 
-def _zero_syndrome_words(members: list[int], syndrome_of: dict[int, int]) -> np.ndarray:
+def _zero_syndrome_words(members: np.ndarray, syndromes: np.ndarray) -> np.ndarray:
     """Zero-syndrome words, recovered as differences within the syndrome-0
     class of the members (the epsilon >= 0 set always contains them)."""
-    zero = np.array([y for y in members if syndrome_of[y] == 0], dtype=np.int64)
+    zero = members[syndromes == 0]
     return np.sort(zero ^ zero[0]) if zero.size else np.zeros(1, dtype=np.int64)
 
 
@@ -531,8 +520,6 @@ class SpreadReport:
     mass0: float
     mass1: float
     separation: int | None
-    mass_threshold_strict: float
-    mass_threshold_relaxed: float
 
     @property
     def min_mass(self) -> float:
@@ -540,11 +527,11 @@ class SpreadReport:
 
     @property
     def meets_strict(self) -> bool:
-        return self.min_mass >= self.mass_threshold_strict - 1e-9
+        return self.min_mass >= SPREAD_MASS_STRICT - 1e-9
 
     @property
     def meets_relaxed(self) -> bool:
-        return self.min_mass >= self.mass_threshold_relaxed - 1e-9
+        return self.min_mass >= SPREAD_MASS_RELAXED - 1e-9
 
     def to_doc(self) -> dict:
         return {
@@ -646,19 +633,17 @@ def measure_spread(
     c_x, c_z = pack_bits(words[0]), pack_bits(words[1])
     if (c_x & c_z).bit_count() % 2 != 1:
         raise DomainError("readout words must have odd overlap")
-    partition_x._readout = partition_x._readout or _walsh_plan(np.array(partition_x.members), n)
+    partition_x._readout = partition_x._readout or _walsh_plan(partition_x.members, n)
     d_z, d_x = _distributions(state, n, partition_z.members, partition_x._readout)
     reports = []
     for basis, part, readout, dist in (("X", partition_x, c_z, d_x), ("Z", partition_z, c_x, d_z)):
-        mm = np.array(part.members, dtype=np.int64)
         odd = (np.bitwise_count(part.decoded() & readout) & 1).astype(np.int64)
-        s0, s1 = mm[odd == 0].tolist(), mm[odd == 1].tolist()
+        s0, s1 = part.members[odd == 0].tolist(), part.members[odd == 1].tolist()
         # summed in order from 0, as a Python sum adds, so masses keep every bit
         mass0, mass1 = (float(np.cumsum(np.r_[0.0, dist[odd == b]])[-1]) for b in (0, 1))
         cls, lab = _classes(part, odd)
         separation = int(_quotient_nearest(cls, lab)[1][cls.words].min()) if s0 and s1 else None
-        reports.append(SpreadReport(
-            basis, s0, s1, mass0, mass1, separation, SPREAD_MASS_STRICT, SPREAD_MASS_RELAXED))
+        reports.append(SpreadReport(basis, s0, s1, mass0, mass1, separation))
     return reports[0], reports[1]
 
 

@@ -34,8 +34,8 @@ from .jsonio import dumps, read_artifact
 from .tanner import (
     DEFAULT_DISTANCE_BUDGET,
     DEFAULT_SSEXP_EXHAUSTIVE,
+    SquareCayleyComplex,
     build_code,
-    build_complex,
     check_counting_bound,
     code_dimension,
     estimate_distance,
@@ -291,7 +291,7 @@ def _stage_inner(config: RunConfig, ctx: dict):
 
 
 def _stage_complex(config: RunConfig, ctx: dict):
-    cxp = build_complex(ctx["gens"], ctx["gens"], config.convention)
+    cxp = SquareCayleyComplex(ctx["gens"], ctx["gens"], config.convention)
     ctx["complex"] = cxp
     summary = dict(cxp.summary())
     summary["num_vertices"] = cxp.num_vertices

@@ -15,8 +15,9 @@ dual pair.  On a layer pair with inner bases of k_a and k_b rows, check row
 
 is vertex v of the pair's layer layer_no (0 or 1) with basis rows (s, t);
 at face f it holds basis_a[s][r] * basis_b[t][c], where (r, c) is f's cell
-in v's local view.  `face_column` evaluates this layout one face at a time and
-`check_matrix` all faces at once; the tests check one against the other.  The
+in v's local view.  `_column` evaluates this layout one face at a time (the
+constraint stream's path) and `check_matrix` all faces at once; the tests
+check one against the other.  The
 grid convention placing a face in a local view is "paired" or "direct"; both
 satisfy CSS orthogonality, and mixing them does not (see the tests).
 
@@ -209,14 +210,6 @@ class SquareCayleyComplex:
         return cls.from_doc(json.loads(text))
 
 
-def build_complex(
-    gens_a: GeneratorMultiset,
-    gens_b: GeneratorMultiset,
-    convention: str = "paired",
-) -> SquareCayleyComplex:
-    return SquareCayleyComplex(gens_a, gens_b, convention)
-
-
 @dataclass
 class CssCode:
     """A CSS pair of parity-check matrices over GF(p), kept unreduced."""
@@ -337,7 +330,9 @@ def _cell_table(d: int, basis_a, basis_b, p: int) -> tuple:
 
 
 def _column(complex_: SquareCayleyComplex, f: int, layers, table, kk: int):
-    """`face_column` with the bases' `_cell_table` made, kk = k_a * k_b."""
+    """Ascending check rows and their values in column f of the check
+    matrix on `layers`: each corner's cell looked up in the bases'
+    `_cell_table`, kk = k_a * k_b."""
     cx = complex_
     x, i, j = cx._face(f)
     rows, vals = [], []
@@ -350,18 +345,8 @@ def _column(complex_: SquareCayleyComplex, f: int, layers, table, kk: int):
     return rows, vals
 
 
-def face_column(
-    complex_: SquareCayleyComplex, f: int, layers, basis_a, basis_b, p: int
-) -> tuple[list[int], list[int]]:
-    """Ascending check rows and their values in column f of the check
-    matrix on `layers`: each corner's cell looked up in the bases' table."""
-    basis_a, basis_b = _rows(basis_a), _rows(basis_b)
-    table = _cell_table(complex_.delta, basis_a, basis_b, p)
-    return _column(complex_, f, layers, table, len(basis_a) * len(basis_b))
-
-
 def check_matrix(complex_: SquareCayleyComplex, layers, basis_a, basis_b, p: int) -> FMatrix:
-    """`face_column` of every face at once, the corners read off Cayley tables."""
+    """`_column` of every face at once, the corners read off Cayley tables."""
     cx, d = complex_, complex_.delta
     basis_a, basis_b = (np.asarray(x, dtype=np.int64).reshape(-1, d) for x in (basis_a, basis_b))
     kk = len(basis_a) * len(basis_b)

@@ -8,7 +8,7 @@ import numpy as np
 from ptanner.expander import GroupElement
 from ptanner.gf import FMatrix
 from ptanner.nlts import _pack_rows, _require_gf2
-from ptanner.tanner import CssCode, SquareCayleyComplex
+from ptanner.tanner import CssCode, SquareCayleyComplex, _cell_table, _column, _rows
 
 
 def steane_code() -> CssCode:
@@ -47,6 +47,16 @@ def face_from_index(cx: SquareCayleyComplex, idx: int) -> tuple[GroupElement, in
     """Face idx of the complex as (g, i, j); DomainError out of range."""
     x, i, j = cx._face(idx)
     return GroupElement(cx.p, cx.m, *x), i, j
+
+
+def face_column(
+    complex_: SquareCayleyComplex, f: int, layers, basis_a, basis_b, p: int
+) -> tuple[list[int], list[int]]:
+    """Ascending check rows and their values in column f of the check
+    matrix on `layers`, with the bases' cell table made for this one call."""
+    basis_a, basis_b = _rows(basis_a), _rows(basis_b)
+    table = _cell_table(complex_.delta, basis_a, basis_b, p)
+    return _column(complex_, f, layers, table, len(basis_a) * len(basis_b))
 
 
 def apply_hamiltonian_exact(code: CssCode, state: dict[int, int]) -> dict[int, Fraction]:

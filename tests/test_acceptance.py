@@ -62,8 +62,8 @@ from ptanner.nlts import (
 )
 from ptanner.pipeline import RunConfig, run_pipeline
 from ptanner.tanner import (
+    SquareCayleyComplex,
     build_code,
-    build_complex,
     check_counting_bound,
     code_dimension,
     verify_planted,
@@ -89,7 +89,7 @@ def grid_builds():
             gens = default_generators(
                 GROUP_FOR_FIELD[field_p], 1, delta, require_generation=False
             )
-            cxp = build_complex(gens, gens, "paired")
+            cxp = SquareCayleyComplex(gens, gens, "paired")
             builds[(field_p, delta)] = (gens, cxp, pair, build_code(cxp, pair))
     return builds
 

@@ -37,7 +37,7 @@ from ptanner.expander import default_generators
 from ptanner.gf import LinearCode, kernel_basis, solve
 from ptanner.inner import InnerCodePair
 from ptanner.jsonio import dumps
-from ptanner.tanner import build_code, build_complex, verify_planted
+from ptanner.tanner import SquareCayleyComplex, build_code, verify_planted
 
 from small_codes import steane_code
 
@@ -66,7 +66,7 @@ def steane():
 @pytest.fixture(scope="module")
 def planted_build():
     gens = default_generators(3, 1, 3, require_generation=False)
-    cx = build_complex(gens, gens, "paired")
+    cx = SquareCayleyComplex(gens, gens, "paired")
     pair = InnerCodePair(
         2, 3, LinearCode(2, 3, [[1, 1, 1], [1, 0, 0]]), LinearCode(2, 3, [[1, 1, 0]])
     )
@@ -247,7 +247,7 @@ def test_stream_matches_emitted_instance(planted_build):
 
 def test_stream_matches_for_direct_convention():
     gens = default_generators(3, 1, 3, require_generation=False)
-    cx = build_complex(gens, gens, "direct")
+    cx = SquareCayleyComplex(gens, gens, "direct")
     pair = InnerCodePair(
         2, 3, LinearCode(2, 3, [[1, 1, 1], [1, 0, 0]]), LinearCode(2, 3, [[1, 1, 0]])
     )

@@ -7,9 +7,11 @@ sector law, and measurement masses by hand-built states with known
 statistics.
 """
 
+import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from ptanner.cli import main
 from ptanner.errors import (
     BudgetExceeded,
     DomainError,
@@ -88,6 +91,17 @@ def coset_weight_oracle(v: int, stab: set[int]) -> int:
     return min((v ^ s).bit_count() for s in stab)
 
 
+def cluster_of(part) -> dict[int, int]:
+    """Each member's cluster label."""
+    return dict(zip(part.members.tolist(), part.labels.tolist()))
+
+
+def decode_each(part) -> list[int]:
+    """Each member plus the representative of its syndrome, one at a time."""
+    pairs = zip(part.members.tolist(), part.syndromes.tolist())
+    return [y ^ part.representatives[s] for y, s in pairs]
+
+
 def dense_state(state: dict[int, int], n: int) -> np.ndarray:
     vec = np.zeros(1 << n, dtype=complex)
     for w, amp in state.items():
@@ -127,14 +141,14 @@ def test_pack_unpack_roundtrip_and_lex_order():
 def test_syndrome_set_full_cube(steane):
     sset = enumerate_syndrome_set(steane, "Z", 1.0)
     assert len(sset.members) == 128
-    assert sorted(sset.members) == list(range(128))
+    assert sset.members.tolist() == list(range(128))
 
 
 def test_syndrome_set_zero_epsilon_is_kernel(steane):
     sset = enumerate_syndrome_set(steane, "Z", 0.0)
     assert set(sset.members) == kernel_words_oracle(steane.h_z, 7)
     assert len(sset.members) == 16
-    assert all(sset.syndrome_of[y] == 0 for y in sset.members)
+    assert (sset.syndromes == 0).all()
 
 
 def test_syndrome_set_oracle_recompute(steane):
@@ -148,9 +162,9 @@ def test_syndrome_set_oracle_recompute(steane):
     assert set(sset.members) == expected
     assert len(sset.members) == 64
     # stored syndromes match recomputation, packed big-endian
-    for y in sset.members:
+    for y, s in zip(sset.members.tolist(), sset.syndromes.tolist()):
         syn = (rows @ unpack_bits(y, 7)) % 2
-        assert sset.syndrome_of[y] == pack_bits(syn)
+        assert s == pack_bits(syn)
 
 
 def test_syndrome_set_normalizes_by_own_basis(shor):
@@ -208,7 +222,7 @@ def test_syndrome_set_json_smoke(steane):
 def expected_coset_fragments(sset, stab_words):
     """Oracle partition: group members by stabilizer coset."""
     groups = {}
-    for y in sset.members:
+    for y in sset.members.tolist():
         key = min(y ^ s for s in stab_words)
         groups.setdefault(key, []).append(y)
     return sorted((sorted(v) for v in groups.values()), key=lambda c: c[0])
@@ -232,9 +246,9 @@ def test_partitions_compare_on_their_clusters_not_their_caches(steane):
     part, again = build_clusters(sset, c1=0.1), build_clusters(sset, c1=0.1)
     assert part._cosets is not again._cosets
     assert part == again
-    clusters = [list(cl) for cl in part.clusters]
-    clusters[0] = clusters[0][1:]
-    assert part != replace(part, clusters=clusters)
+    labels = part.labels.copy()
+    labels[0] = 1  # the first member moves from cluster 0 to cluster 1
+    assert part != replace(part, labels=labels)
 
 
 def test_clusters_zero_epsilon_are_stabilizer_cosets(steane):
@@ -244,7 +258,7 @@ def test_clusters_zero_epsilon_are_stabilizer_cosets(steane):
     assert part.clusters == expected_coset_fragments(sset, stab)
     assert len(part.clusters) == 2
     assert part.representatives == {0: 0}
-    assert part.decode(0) == 0
+    assert decode_each(part)[0] == 0
 
 
 def test_cluster_translate_law_oracle(steane):
@@ -271,8 +285,9 @@ def test_decoder_is_coherent_within_clusters(steane):
     part = build_clusters(sset, c1=0.1)
     stab = span_words(steane.h_x)
     kernel = kernel_words_oracle(steane.h_z, 7)
+    decode = dict(zip(part.members.tolist(), decode_each(part)))
     for cl in part.clusters:
-        decoded = {part.decode(y) for y in cl}
+        decoded = {decode[y] for y in cl}
         assert decoded <= kernel
         base = next(iter(decoded))
         assert all((d ^ base) in stab for d in decoded)
@@ -303,15 +318,11 @@ def test_verify_distance_failure_reports_witness(steane):
     assert report.all_ok is False
     assert report.counterexample["check"] == 2
     y, y2 = report.counterexample["pair"]
-    assert part.cluster_of[y] != part.cluster_of[y2]
+    label = cluster_of(part)
+    assert label[y] != label[y2]
     assert (y ^ y2).bit_count() == report.min_intercluster_distance
     # brute-force the true separation
-    best = min(
-        (a ^ b).bit_count()
-        for a in part.members
-        for b in part.members
-        if part.cluster_of[a] != part.cluster_of[b]
-    )
+    best = min((a ^ b).bit_count() for a in label for b in label if label[a] != label[b])
     assert report.min_intercluster_distance == best == 1
 
 
@@ -321,11 +332,11 @@ def test_verify_partition_failure_outside_regime(steane):
     sset = enumerate_syndrome_set(steane, "Z", 1.0 / 3.0)
     part = build_clusters(sset, c1=0.25)
     stab = span_words(steane.h_x)
-    members = part.members
+    label = cluster_of(part)
     pointwise_is_component = True
-    for y in members:
-        ball = {z for z in members if coset_weight_oracle(y ^ z, stab) <= part.threshold}
-        component = {z for z in members if part.cluster_of[z] == part.cluster_of[y]}
+    for y in label:
+        ball = {z for z in label if coset_weight_oracle(y ^ z, stab) <= part.threshold}
+        component = {z for z in label if label[z] == label[y]}
         if ball != component:
             pointwise_is_component = False
             break
@@ -341,9 +352,10 @@ def test_logical_shift_moves_every_cluster(steane):
     stab = span_words(steane.h_x)
     logicals = kernel_words_oracle(steane.h_z, 7) - stab
     assert logicals
+    label = cluster_of(part)
     for c in logicals:
-        for y in part.members:
-            assert part.cluster_of[y ^ c] != part.cluster_of[y]
+        for y in label:
+            assert label[y ^ c] != label[y]
 
 
 def test_clustering_from_ssexp_values():
@@ -558,7 +570,7 @@ def test_spread_separation_matches_brute_force(steane, spread_setup):
     _, rz = measure_spread(zero, steane, part_x, part_z, logicals)
     best = min((a ^ b).bit_count() for a in rz.s0 for b in rz.s1)
     assert rz.separation == best
-    assert set(rz.s0) | set(rz.s1) == set(part_z.members)
+    assert set(rz.s0) | set(rz.s1) == set(part_z.members.tolist())
 
 
 def test_spread_low_energy_dichotomy_200_random_states(steane, spread_setup):
@@ -837,13 +849,12 @@ def loop_kernel_words(checks, n):
 
 
 def loop_clusters(sset, c1):
-    """(clusters, representatives, representative_cluster_of) by the
-    pairwise relation."""
+    """(clusters, representatives) by the pairwise relation."""
     code, n = sset.code, sset.code.n
     stab = (code.h_x if sset.basis == "Z" else code.h_z).toarray()
     table = loop_coset_weight_table(stab, n)
     threshold = 2.0 * c1 * sset.epsilon * n + 1e-12
-    members = sorted(sset.members)
+    members = sorted(sset.members.tolist())
     mm = np.array(members, dtype=np.int64)
     rows, cols = [], []
     for i in range(len(members)):
@@ -873,15 +884,15 @@ def loop_clusters(sset, c1):
         for k in orbit:
             rep_cluster_of.setdefault(k, designated)
     classes = {}
-    for y in members:
-        classes.setdefault(sset.syndrome_of[y], []).append(y)
+    for y, s in zip(sset.members.tolist(), sset.syndromes.tolist()):
+        classes.setdefault(s, []).append(y)
     representatives = {}
     for s, cls in classes.items():
         y0 = min(cls)
         rep_members = set(clusters[rep_cluster_of[cluster_of[y0]]])
         inside = [y for y in cls if y in rep_members]
         representatives[s] = min(inside) if inside else y0
-    return clusters, representatives, rep_cluster_of
+    return clusters, representatives
 
 
 def loop_lemma(part, c2, code):
@@ -889,11 +900,10 @@ def loop_lemma(part, c2, code):
     over the code's own coset weight table."""
     stab = (code.h_x if part.basis == "Z" else code.h_z).toarray()
     table = loop_coset_weight_table(stab, part.n)
-    mm = np.array(part.members, dtype=np.int64)
-    labels = np.array([part.cluster_of[y] for y in part.members], dtype=np.int64)
+    mm, labels, label, clusters = part.members, part.labels, cluster_of(part), part.clusters
     counterexample = None
     partition_ok = True
-    for i, y in enumerate(part.members):
+    for i, y in enumerate(mm.tolist()):
         related = table[mm ^ y] <= part.threshold
         if not (related == (labels == labels[i])).all():
             partition_ok = False
@@ -901,7 +911,7 @@ def loop_lemma(part, c2, code):
             counterexample = {"check": 1, "y": y, "y_prime": bad}
             break
     min_dist, witness = None, None
-    for i in range(len(part.members)):
+    for i in range(len(mm)):
         diff = np.bitwise_count(mm ^ mm[i]).astype(np.int64)
         other = labels != labels[i]
         if other.any():
@@ -912,14 +922,14 @@ def loop_lemma(part, c2, code):
     distance_ok = min_dist is None or min_dist >= c2 * part.n
     if not distance_ok and counterexample is None:
         counterexample = {"check": 2, "pair": witness, "distance": min_dist}
-    zero = [y for y in part.members if part.syndrome_of[y] == 0]
+    zero = [y for y, s in zip(mm.tolist(), part.syndromes.tolist()) if s == 0]
     kernel_words = sorted(y ^ zero[0] for y in zero) if zero else [0]
     translate_ok = True
-    for cid, cl in enumerate(part.clusters):
+    for cid, cl in enumerate(clusters):
         for c in kernel_words:
             shifted = sorted(y ^ c for y in cl)
-            target = part.cluster_of.get(shifted[0])
-            same_set = target is not None and part.clusters[target] == shifted
+            target = label.get(shifted[0])
+            same_set = target is not None and clusters[target] == shifted
             if (target == cid) != (int(table[c]) == 0) or not same_set:
                 translate_ok = False
                 if counterexample is None:
@@ -928,10 +938,11 @@ def loop_lemma(part, c2, code):
         if not translate_ok:
             break
     decoder_ok = True
-    for cid, cl in enumerate(part.clusters):
-        d0 = part.decode(cl[0])
+    decode = dict(zip(mm.tolist(), decode_each(part)))
+    for cid, cl in enumerate(clusters):
+        d0 = decode[cl[0]]
         for y in cl[1:]:
-            if int(table[part.decode(y) ^ d0]) != 0:
+            if int(table[decode[y] ^ d0]) != 0:
                 decoder_ok = False
                 if counterexample is None:
                     counterexample = {"check": 4, "cluster": cid, "pair": (cl[0], y)}
@@ -995,8 +1006,8 @@ def loop_spread(vec, parts, logicals):
     out = []
     for part, readout, dist in ((parts["X"], c_z, d_x), (parts["Z"], c_x, d_z)):
         s0, s1 = [], []
-        for y in part.members:
-            (s1 if (part.decode(y) & readout).bit_count() % 2 else s0).append(y)
+        for y, decoded in zip(part.members.tolist(), decode_each(part)):
+            (s1 if (decoded & readout).bit_count() % 2 else s0).append(y)
         separation = None
         if s0 and s1:
             separation = min(int(np.bitwise_count(np.array(s1) ^ y).min()) for y in s0)
@@ -1035,6 +1046,14 @@ NO_X_CHECKS = CssCode(p=2, n=4, h_x=FMatrix.zeros(2, 0, 4),
                       h_z=FMatrix.from_dense(2, [[1, 1, 0, 1]]))
 NO_Z_CHECKS = CssCode(p=2, n=4, h_x=FMatrix.from_dense(2, [[0, 1, 1, 1], [1, 1, 0, 0]]),
                       h_z=FMatrix.zeros(2, 0, 4))
+# 66 X checks: packed X syndromes pass int64 and are kept as Python ints
+STEANE_66 = CssCode(p=2, n=7, h_z=steane_code().h_z,
+                    h_x=FMatrix.from_dense(2, np.tile(steane_code().h_x.toarray(), (22, 1))))
+# in the X partition at (1/4, 1/4) some syndrome's least member lies outside
+# the designated cluster of its orbit, so its representative is not that member
+OFF_LEAST = CssCode(p=2, n=9, h_x=FMatrix.from_dense(2, [
+    [0, 1, 1, 1, 0, 1, 1, 1, 0], [0, 0, 0, 0, 0, 0, 1, 0, 1],
+    [1, 0, 0, 1, 1, 0, 1, 0, 1], [0, 1, 1, 1, 0, 1, 1, 0, 0]]), h_z=FMatrix.zeros(2, 0, 9))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -1043,28 +1062,33 @@ NO_Z_CHECKS = CssCode(p=2, n=4, h_x=FMatrix.from_dense(2, [[0, 1, 1, 1], [1, 1, 
 @example(NO_X_CHECKS, 1 / 2)
 @example(NO_Z_CHECKS, 0.0)
 @example(NO_Z_CHECKS, 1 / 2)
+@example(STEANE_66, 1 / 3)
 def test_syndrome_sets_match_cube_scan(code, eps):
     for basis in ("X", "Z"):
         sset = enumerate_syndrome_set(code, basis, eps)
         members, syndrome_of = loop_syndrome_set(code, basis, eps)
-        assert sset.members == members
-        assert list(sset.syndrome_of.items()) == list(syndrome_of.items())
+        assert sset.members.dtype == np.int64
+        assert sset.members.tolist() == members
+        assert sset.syndromes.tolist() == list(syndrome_of.values())
 
 
 def regrouped(part, groups):
     """A copy of part whose clusters are the given groups of its members."""
-    clusters = sorted(sorted(g) for g in groups)
-    cluster_of = {y: cid for cid, cl in enumerate(clusters) for y in cl}
-    return replace(part, clusters=clusters, cluster_of=cluster_of)
+    labels = np.empty(len(part.members), dtype=np.int64)
+    for cid, cl in enumerate(sorted(sorted(g) for g in groups)):
+        labels[np.searchsorted(part.members, cl)] = cid
+    return replace(part, labels=labels)
 
 
-def loop_shift_targets(part, cl, shifts):
-    """Per shift c: the cluster equal to cl + c, or -1."""
-    out = []
-    for c in shifts:
-        shifted = sorted(y ^ c for y in cl)
-        target = part.cluster_of.get(shifted[0])
-        out.append(target if target is not None and part.clusters[target] == shifted else -1)
+def loop_shift_targets(part, shifts):
+    """Per cluster cl and shift c: the cluster equal to cl + c, or -1."""
+    out, label, clusters = [], cluster_of(part), part.clusters
+    for cl in clusters:
+        out.append([])
+        for c in shifts:
+            shifted = sorted(y ^ c for y in cl)
+            target = label.get(shifted[0])
+            out[-1].append(target if target is not None and clusters[target] == shifted else -1)
     return out
 
 
@@ -1075,9 +1099,11 @@ def loop_shift_targets(part, cl, shifts):
     st.sampled_from([0.0, 1 / 8, 1 / 4, 1 / 3, 1 / 2, 1.0]),
     st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0]),
     st.sampled_from([0.05, 0.2, 0.5]),
-    st.data(),
+    st.randoms(use_true_random=False),
 )
-def test_lab_kernels_match_loop_oracles(code, basis, eps, c1, c2, data):
+@example(STEANE_66, "X", 1 / 3, 0.1, 0.2, random.Random(0))
+@example(OFF_LEAST, "X", 1 / 4, 0.25, 0.05, random.Random(0))
+def test_lab_kernels_match_loop_oracles(code, basis, eps, c1, c2, rnd):
     n, other = code.n, {"X": "Z", "Z": "X"}[basis]
     sset = enumerate_syndrome_set(code, basis, eps)
     part = build_clusters(sset, c1)
@@ -1086,25 +1112,24 @@ def test_lab_kernels_match_loop_oracles(code, basis, eps, c1, c2, data):
     cube = np.arange(1 << n, dtype=np.int64)
     table = part._coset_weights[part._cosets.index(cube)]
     assert (table == loop_coset_weight_table(stab, n)).all()
-    clusters, representatives, rep_cluster_of = loop_clusters(sset, c1)
+    clusters, representatives = loop_clusters(sset, c1)
     assert part.clusters == clusters
     assert part.representatives == representatives
     assert list(part.representatives) == list(representatives)
-    assert part.representative_cluster_of == rep_cluster_of
 
     # Tampered copies of the partition: cluster k joined with another or cut
     # in two (sizes change, so check 1 and often 3 fail), k's first member
     # swapped with that of a same-size cluster (sizes hold, so only a
     # neighbour outside the cluster shows it), and a representative moved
     # (check 4 can fail; c2 = 0 keeps check 2 from reporting first).
-    k = data.draw(st.integers(0, len(part.clusters) - 1))
+    k = rnd.randint(0, len(part.clusters) - 1)
     mine, others = part.clusters[k], part.clusters[:k] + part.clusters[k + 1 :]
     resized = []
     if others:
-        j = data.draw(st.integers(0, len(others) - 1))
+        j = rnd.randint(0, len(others) - 1)
         resized.append(others[:j] + others[j + 1 :] + [others[j] + mine])
     if len(mine) > 1:
-        cut = data.draw(st.integers(1, len(mine) - 1))
+        cut = rnd.randint(1, len(mine) - 1)
         resized.append(others + [mine[:cut], mine[cut:]])
     resized = [regrouped(part, groups) for groups in resized]
     variants = [(v, c2) for v in [part, *resized]]
@@ -1114,9 +1139,9 @@ def test_lab_kernels_match_loop_oracles(code, basis, eps, c1, c2, data):
         groups = others[:twin] + others[twin + 1 :] + [[b[0]] + a[1:], [a[0]] + b[1:]]
         variants.append((regrouped(part, groups), c2))
     classes = {}
-    for y in part.members:
-        classes.setdefault(part.syndrome_of[y], []).append(y)
-    s, cls = data.draw(st.sampled_from(sorted(classes.items())))
+    for y, s in zip(part.members.tolist(), part.syndromes.tolist()):
+        classes.setdefault(s, []).append(y)
+    s, cls = rnd.choice(sorted(classes.items()))
     variants.append((replace(part, representatives={**part.representatives, s: cls[-1]}), 0.0))
     for variant, c2_ in variants:
         report = verify_cluster_lemma(variant, c2_)
@@ -1128,19 +1153,17 @@ def test_lab_kernels_match_loop_oracles(code, basis, eps, c1, c2, data):
     own = (code.h_z if basis == "Z" else code.h_x).toarray()
     shifts = np.array(loop_kernel_words(own, n), dtype=np.int64)
     for variant in [part, *resized]:
-        labels = np.array([variant.cluster_of[y] for y in variant.members])
-        singletons = _Classes(None, n, np.array(variant.members, dtype=np.int64))
+        labels, want = variant.labels, loop_shift_targets(variant, shifts.tolist())
+        singletons = _Classes(None, n, variant.members)
         for grouping, lab in (_classes(variant, labels), (singletons, labels)):
             shift_classes, shift_of = np.unique(grouping.index(shifts), return_inverse=True)
             got = _moved_clusters(grouping, lab, shift_classes)
-            for cid, cl in enumerate(variant.clusters):
-                want = loop_shift_targets(variant, cl, shifts.tolist())
-                assert got[cid][shift_of].tolist() == want
+            assert got[:, shift_of].tolist() == want
 
     if code.rank_x + code.rank_z < n:  # k >= 1: a logical pair to read out
         parts = {basis: part, other: build_clusters(enumerate_syndrome_set(code, other, eps), c1)}
         logicals = logical_pair(code)
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rng = np.random.default_rng(rnd.getrandbits(32))
         vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         reports = measure_spread(vec, code, parts["X"], parts["Z"], logicals)
         assert [
@@ -1177,7 +1200,7 @@ def test_decoder_witness_matches_loop_oracle():
     code = CssCode(p=2, n=8, h_x=FMatrix.from_dense(2, h_x), h_z=FMatrix.from_dense(2, h_z))
     part = build_clusters(enumerate_syndrome_set(code, "Z", 0.25), c1=0.25)
     assert verify_cluster_lemma(part, 0.0).all_ok
-    zero_class = [y for y in part.members if part.syndrome_of[y] == 0]
+    zero_class = part.members[part.syndromes == 0].tolist()
     tampered = replace(part, representatives={**part.representatives, 0: zero_class[-1]})
     report = verify_cluster_lemma(tampered, 0.0)
     assert report.counterexample == {"check": 4, "cluster": 0, "pair": (0, 128)}
@@ -1254,34 +1277,34 @@ def hypergraph_product(h):
     return CssCode(p=2, n=h_x.shape[1], h_x=FMatrix.from_dense(2, h_x), h_z=FMatrix.from_dense(2, h_z))
 
 
-@pytest.mark.parametrize(
-    "h, eps, c1, c2",
-    [
-        ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 1 / 8, 1 / 10, 1 / 18),  # 3x3 toric code, n = 18
-        ([[1, 1, 0], [0, 1, 1]], 1 / 2, 1 / 20, 1 / 13),  # planar code, n = 13
-        ([[1, 1, 0], [0, 1, 1]], 1 / 2, 1 / 10, 1 / 13),  # c1 outside the regime: one cluster
-    ],
-    ids=["toric", "planar", "planar_wide"],
-)
+# the lab benchmark's codes and constants
+LAB_CASES = [
+    # 3x3 toric code, n = 18
+    pytest.param([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 1 / 8, 1 / 10, 1 / 18, id="toric"),
+    pytest.param([[1, 1, 0], [0, 1, 1]], 1 / 2, 1 / 20, 1 / 13, id="planar"),  # n = 13
+    # c1 outside the regime: one cluster
+    pytest.param([[1, 1, 0], [0, 1, 1]], 1 / 2, 1 / 10, 1 / 13, id="planar_wide"),
+]
+
+
+@pytest.mark.parametrize("h, eps, c1, c2", LAB_CASES)
 def test_lab_codes_match_pair_kernels(h, eps, c1, c2):
     code = hypergraph_product(h)
     parts = {}
     for basis in ("X", "Z"):
         sset = enumerate_syndrome_set(code, basis, eps)
         part = parts[basis] = build_clusters(sset, c1)
-        clusters, representatives, rep_cluster_of = loop_clusters(sset, c1)
+        clusters, representatives = loop_clusters(sset, c1)
         assert part.clusters == clusters
         assert part.representatives == representatives
-        assert part.representative_cluster_of == rep_cluster_of
-        assert part.decoded().tolist() == [part.decode(y) for y in part.members]
+        assert part.decoded().tolist() == decode_each(part)
         # c2 = 1 fails check 2 wherever check 1 passes, so the witness shows
         for c2_ in (c2, 1.0):
             report = verify_cluster_lemma(part, c2_)
             assert report.to_doc() == {**loop_lemma(part, c2_, code), "all_ok": report.all_ok}
         if len(part.clusters) > 1:
-            mm = np.array(part.members, dtype=np.int64)
-            labels = np.array([part.cluster_of[y] for y in part.members])
-            dist, nearest = pair_nearest(mm, mm, labels)
+            mm = part.members
+            dist, nearest = pair_nearest(mm, mm, part.labels)
             i = int(dist.argmin())
             assert report.counterexample == {
                 "check": 2, "pair": (int(mm[i]), int(mm[nearest[i]])), "distance": dist[i]}
@@ -1292,6 +1315,30 @@ def test_lab_codes_match_pair_kernels(h, eps, c1, c2):
         assert (r.s0, r.s1, r.mass0.hex(), r.mass1.hex()) == (s0, s1, mass0.hex(), mass1.hex())
         old = pair_nearest(np.array(s0), np.array(s1))[0].min() if s0 and s1 else None
         assert r.separation == separation == old
+
+
+LAB_CLUSTER_DIGESTS = {
+    (1 / 8, 1 / 10, "X"): "286e3c614ea672d9da738288564aa3515147f67bee6f933bdccb28586ae5795c",
+    (1 / 8, 1 / 10, "Z"): "e6e6ecc5b54eb0c22c32e83e6fb0f87121a0a866d8360f556a566d6328eeb8b9",
+    (1 / 2, 1 / 20, "X"): "be91c076d8da775b1776f5f6d3a718f58dff0fc617217d542a5401196dfd687f",
+    (1 / 2, 1 / 20, "Z"): "195dbe04b643e21854a7cc4ee6659906c8f96d3da7f64830078d46c347bfd556",
+    (1 / 2, 1 / 10, "X"): "fd91e8b261f34c1b601fcd70132fdbf9d48c20959a5e50d04543582b774d9250",
+    (1 / 2, 1 / 10, "Z"): "51ac39007e3f8e0e5a2835aaa35aaa969d68695710eed1fb442b2408d757b089",
+}
+
+
+@pytest.mark.parametrize("h, eps, c1, c2", LAB_CASES)
+def test_lab_cluster_documents_are_pinned(tmp_path, h, eps, c1, c2):
+    """The sha256 of `ptanner nlts clusters` (partition and lemma report)
+    on both bases, keyed by (epsilon, c1)."""
+    path = tmp_path / "code.json"
+    path.write_text(dumps(hypergraph_product(h)))
+    for basis in ("X", "Z"):
+        out = tmp_path / f"{basis}.json"
+        constants = ["--eps", repr(eps), "--c1", repr(c1), "--c2", repr(c2)]
+        assert main(["nlts", "clusters", "--code", str(path), *constants,
+                     "--basis", basis, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == LAB_CLUSTER_DIGESTS[eps, c1, basis]
 
 
 def test_spread_masses_do_not_depend_on_blas_threads(tmp_path):

@@ -43,10 +43,9 @@ from ptanner.tanner import (
     SquareCayleyComplex,
     build_code,
     estimate_distance,
-    face_column,
 )
 
-from small_codes import face_from_index, steane_code
+from small_codes import face_column, face_from_index, steane_code
 
 SMALL_DOC = {
     "field_p": 3,

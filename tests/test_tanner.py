@@ -40,27 +40,25 @@ from ptanner.tanner import (
     SquareCayleyComplex,
     _coset_weight_bounds,
     build_code,
-    build_complex,
     check_counting_bound,
     check_matrix,
     code_dimension,
-    face_column,
     estimate_distance,
     estimate_ssexp,
     verify_planted,
 )
 
-from small_codes import face_from_index, shor_code, steane_code
+from small_codes import face_column, face_from_index, shor_code, steane_code
 
 
 def ternary_complex(delta=3, convention="paired"):
     gens = default_generators(3, 1, delta, require_generation=False)
-    return build_complex(gens, gens, convention)
+    return SquareCayleyComplex(gens, gens, convention)
 
 
 def binary_complex(delta=4, convention="paired"):
     gens = default_generators(2, 1, delta)
-    return build_complex(gens, gens, convention)
+    return SquareCayleyComplex(gens, gens, convention)
 
 
 def planted_pair_gf2():
@@ -144,11 +142,11 @@ def test_complex_construction_errors():
     g3 = default_generators(3, 1, 3, require_generation=False)
     g3big = default_generators(3, 1, 4, require_generation=False)
     with pytest.raises(GroupMismatch):
-        build_complex(g2, g3)
+        SquareCayleyComplex(g2, g3)
     with pytest.raises(DimensionMismatch):
-        build_complex(g3, g3big)
+        SquareCayleyComplex(g3, g3big)
     with pytest.raises(DomainError):
-        build_complex(g3, g3, convention="sideways")
+        SquareCayleyComplex(g3, g3, convention="sideways")
 
 
 def test_complex_json_round_trip():
@@ -209,7 +207,7 @@ def two_axis_complex(p, m, delta, convention):
     g1, g2 = element_from_coords(p, m, 0, 1, 1), element_from_coords(p, m, 1, 1, 0)
     odd = [identity(p, m)] * (delta % 2)
     gens_b = GeneratorMultiset.from_elements([g1, g1.inv(), g2, g2.inv()][: delta - delta % 2] + odd)
-    return build_complex(gens_a, gens_b, convention)
+    return SquareCayleyComplex(gens_a, gens_b, convention)
 
 
 @pytest.mark.parametrize(
@@ -352,7 +350,7 @@ def test_l30c_queries_are_strongly_explicit():
     each Z check at a sampled vertex has coefficients summing to 0 over its
     local view, the planted all-ones word checked locally."""
     gens = default_generators(3, 30, 7, seed=7, require_generation=True)
-    cx = build_complex(gens, gens)
+    cx = SquareCayleyComplex(gens, gens)
     pair = search_inner_pair(2, 7, 3, 4, seed=stage_seed(7, "inner"))
     assert cx.num_faces == 49 * 3**90
     rng = random.Random(30)
@@ -479,7 +477,7 @@ def test_verify_planted_negative_without_planting():
 
 def test_verify_planted_flags_field_dividing_n():
     gens = default_generators(3, 1, 3, require_generation=False)
-    cx = build_complex(gens, gens)
+    cx = SquareCayleyComplex(gens, gens)
     code_a = LinearCode(3, 3, [[1, 1, 1]])
     code_b = LinearCode(3, 3, [[1, 2, 0]])
     code = build_code(cx, InnerCodePair(3, 3, code_a, code_b))
