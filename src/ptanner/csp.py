@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -39,9 +40,7 @@ from .tanner import (
     Z_LAYERS,
     CssCode,
     SquareCayleyComplex,
-    _cell_table,
-    _column,
-    _rows,
+    _FaceColumns,
     check_inner_length,
     check_matrix,
     num_check_rows,
@@ -114,19 +113,28 @@ class LinInstance:
 
     def to_doc(self) -> dict:
         """The constraints come as one `Encoded` list, written from the CSR
-        arrays: per row '{"coeffs":[...],"rhs":r,"vars":[...]}'."""
+        arrays: per row '{"coeffs":[...],"rhs":r,"vars":[...]}'.  The text is
+        one %d template, one fragment per row width, filled with each row's
+        values, rhs and variables laid out in one flat array."""
         indptr, indices, data = self.matrix.csr()
-        ptr = indptr.tolist()
-        cols, vals = list(map(str, indices.tolist())), list(map(str, data.tolist()))
-        rows = [
-            f'{{"coeffs":[{",".join(vals[a:b])}],"rhs":{r},"vars":[{",".join(cols[a:b])}]}}'
-            for a, b, r in zip(ptr, ptr[1:], self.rhs.tolist())
-        ]
+        width = np.diff(indptr)
+        n, row = len(width), np.repeat(np.arange(len(width)), width)
+        # row r's run starts after the 2 * indptr[r] + r numbers of the rows before it
+        at = np.arange(len(indices)) + indptr[row] + row
+        flat = np.empty(2 * len(indices) + n, dtype=np.int64)
+        flat[at] = data
+        flat[at + width[row] + 1] = indices
+        flat[2 * indptr[:-1] + width + np.arange(n)] = self.rhs
+        fragment = {}
+        for w in np.unique(width).tolist():
+            nums = ",".join(["%d"] * w)
+            fragment[w] = '{"coeffs":[' + nums + '],"rhs":%d,"vars":[' + nums + "]}"
+        template = "[" + ",".join([fragment[w] for w in width.tolist()]) + "]"
         return {
             "p": self.p,
             "m": self.num_vars,
             "arity_bound": self.arity_bound,
-            "constraints": Encoded("[" + ",".join(rows) + "]"),
+            "constraints": Encoded(template % tuple(flat.tolist())),
             "provenance": self.provenance,
         }
 
@@ -138,22 +146,26 @@ class LinInstance:
         p, m, bound = _integers([doc["p"], doc["m"], doc["arity_bound"]], "p, m, arity_bound")
         PrimeField(int(p))  # before the checks below reduce mod p
         cons = doc["constraints"]
-        var_lists = [c["vars"] for c in cons]
-        coeff_lists = [c["coeffs"] for c in cons]
-        arity = np.array([len(v) for v in var_lists], dtype=np.int64)
+        var_lists = list(map(itemgetter("vars"), cons))
+        coeff_lists = list(map(itemgetter("coeffs"), cons))
+        arity = np.fromiter(map(len, var_lists), dtype=np.int64, count=len(cons))
+        lengths = np.fromiter(map(len, coeff_lists), dtype=np.int64, count=len(cons))
         index = np.arange(len(cons))
-        _refuse(arity != [len(c) for c in coeff_lists], index, "vars/coeffs length mismatch")
+        _refuse(arity != lengths, index, "vars/coeffs length mismatch")
         _refuse(arity > bound, index, f"arity exceeds bound {bound}")
         rows = np.repeat(index, arity)
         vars_ = _integers(list(chain.from_iterable(var_lists)), "vars")
         coeffs = _integers(list(chain.from_iterable(coeff_lists)), "coeffs")
-        order = np.lexsort((vars_, rows))
-        rows, vars_, coeffs = rows[order], vars_[order], coeffs[order]
+        # sort each constraint's vars; rows are ascending already and stay put
+        if not ((vars_[1:] > vars_[:-1]) | (rows[1:] > rows[:-1])).all():
+            order = np.lexsort((vars_, rows))
+            vars_, coeffs = vars_[order], coeffs[order]
         _refuse((rows[1:] == rows[:-1]) & (vars_[1:] == vars_[:-1]), rows, "repeated variable")
         _refuse((vars_ < 0) | (vars_ >= m), rows, "variable out of range")
         _refuse(coeffs % p == 0, rows, "zero coefficient stored")
-        matrix = FMatrix(int(p), sparse.csr_array((coeffs, (rows, vars_)), shape=(len(cons), m)))
-        rhs = _integers([c["rhs"] for c in cons], "rhs")
+        indptr = np.concatenate([[0], np.cumsum(arity)])
+        matrix = FMatrix(int(p), sparse.csr_array((coeffs, vars_, indptr), shape=(len(cons), m)))
+        rhs = _integers(list(map(itemgetter("rhs"), cons)), "rhs")
         return cls(matrix, rhs, int(bound), doc.get("provenance", {}))
 
     def to_json(self) -> str:
@@ -192,12 +204,15 @@ def emit_lin_instance(code: CssCode, beta) -> LinInstance:
 class TannerConstraintStream:
     """Constraint-at-a-time emission for Tanner builds.
 
-    Constraint f is `tanner._column` of face f on the Z layers with the
-    dual inner bases (column f of H_Z, evaluated by group arithmetic from f
-    alone) and right-hand side beta[f].  The bases' per-cell table is made
-    once, here, and no check matrix is formed, so the cost of one
-    constraint does not grow with the block length.  `as_instance` reads
-    all of them off `tanner.check_matrix`; the tests compare the two.
+    Constraint f is column f of H_Z (a `tanner._FaceColumns` on the Z layers
+    with the dual inner bases, evaluated by the complex's affine corner maps
+    from f alone) with right-hand side beta[f].  The bases' entries per
+    face cell are laid out once, here, and no check matrix is formed, so the
+    cost of one constraint does not grow with the block length.  The stream
+    keeps the corners of the last vertex it met, so the delta^2 consecutive
+    faces of one vertex share the 2 delta corners they reach, and a random
+    face costs one corner map per layer.  `as_instance` reads all of them
+    off `tanner.check_matrix`; the tests compare the two.
     """
 
     def __init__(self, complex_: SquareCayleyComplex, pair: InnerCodePair, beta):
@@ -211,8 +226,7 @@ class TannerConstraintStream:
             )
         self._dual_a = pair.code_a.dual().basis.tolist()
         self._dual_b = pair.code_b.dual().basis.tolist()
-        self._table = _cell_table(complex_.delta, _rows(self._dual_a), _rows(self._dual_b), self.p)
-        self._kk = len(self._dual_a) * len(self._dual_b)
+        self._columns = _FaceColumns(complex_, Z_LAYERS, self._dual_a, self._dual_b, self.p)
 
     @property
     def num_constraints(self) -> int:
@@ -223,8 +237,8 @@ class TannerConstraintStream:
         return num_check_rows(self.complex, Z_LAYERS, self._dual_a, self._dual_b)
 
     def constraint(self, f: int) -> LinConstraint:
-        checks, coeffs = _column(self.complex, f, Z_LAYERS, self._table, self._kk)
-        return LinConstraint(tuple(checks), tuple(coeffs), int(self.beta[f]))
+        checks, coeffs = self._columns.column(f)
+        return LinConstraint(checks, coeffs, int(self.beta[f]))
 
     def as_instance(self, provenance=None) -> LinInstance:
         h_z = check_matrix(self.complex, Z_LAYERS, self._dual_a, self._dual_b, self.p)

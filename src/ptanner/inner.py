@@ -23,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice
 
 import numpy as np
 
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 EXACT_CERTIFY_BUDGET = 2**20
+FALSIFY_BLOCK = 4096  # most falsifier candidates built and screened at a time
 
 
 def _rng_vector(rng: random.Random, p: int, n: int) -> np.ndarray:
@@ -158,6 +160,12 @@ def _decomposition_costs(
     return (col_w + row_w).min(axis=1)
 
 
+def _cost_chunk(tensor_words: np.ndarray, n: int) -> int:
+    """Candidates per `_decomposition_costs` call: its arrays hold at most
+    2^21 (candidate, shift, cell) entries."""
+    return max(1, 2**21 // max(tensor_words.shape[0] * n * n, 1))
+
+
 def _exact_feasible(code1: LinearCode, code2: LinearCode, budget: int) -> bool:
     """Whether full enumeration fits `budget`: at most `budget` candidates
     and at most 64 * `budget` (candidate, tensor shift) pairs."""
@@ -194,7 +202,7 @@ def product_expansion_exact(
     col_mask = np.array([t == "col" for t in tags])
     best = None  # (weight, cost) of the least ratio weight / (n * cost) so far
     witness = None
-    chunk = max(1, 2**21 // max(tensor_words.shape[0] * n * n, 1))
+    chunk = _cost_chunk(tensor_words, n)
     for coeffs in iter_vectors(p, dim, budget=None, chunk=chunk):
         xs = (coeffs @ basis) % p
         weights = np.count_nonzero(xs, axis=1)
@@ -220,6 +228,11 @@ def product_expansion_exact(
     )
 
 
+def _violates(w: np.ndarray, cost: np.ndarray, num: int, den: int) -> np.ndarray:
+    """Per candidate, cost > 0 and w < (num / den) * cost, in exact integers."""
+    return (cost > 0) & (w.astype(object) * den < cost.astype(object) * num)
+
+
 def product_expansion_falsify(
     code1: LinearCode,
     code2: LinearCode,
@@ -236,7 +249,13 @@ def product_expansion_falsify(
     decomposition bounds D(x) from above, which discards hopeless
     candidates cheaply, and a candidate is only reported after its exact
     decomposition cost confirms the violation, so a returned witness is
-    never false.
+    never false.  The first violator in candidate order is returned.
+
+    Candidates are screened in blocks, with weights and upper bounds for a
+    whole block at once and the exact costs of its survivors in
+    `_cost_chunk`s, as in `product_expansion_exact`.  Blocks double from one
+    candidate up to FALSIFY_BLOCK, so a violator found early costs at most
+    about twice the candidates before it, and a long search few blocks.
     """
     p, n = _pair_preconditions(code1, code2)
     rho = Fraction(rho).limit_denominator(10**9)
@@ -246,6 +265,7 @@ def product_expansion_falsify(
     if code1.dim == 0 and code2.dim == 0:
         return None
     tensor_words = _tensor_codewords(code1, code2)
+    chunk = _cost_chunk(tensor_words, n)
 
     zero, eye = np.zeros((n, n), dtype=np.int64), np.eye(n, dtype=np.int64)
     # (column part, row part): column j is u, then row i is v, codeword-major
@@ -270,21 +290,25 @@ def product_expansion_falsify(
             row_part[i, :] = np.array(coeffs, dtype=np.int64) @ code2.basis % p
         return col_part, row_part
 
-    queue = iter(structured)
-    for _ in range(trials):
-        parts = next(queue, None)
-        c0, r0 = parts if parts is not None else random_candidate()
-        mat = (c0 + r0) % p
-        w = int(np.count_nonzero(mat))
-        if w == 0:
-            continue
-        upper = int((c0 != 0).any(axis=0).sum() + (r0 != 0).any(axis=1).sum())
-        if w * den >= num * upper:
-            continue  # even the costliest valid reading cannot violate
-        flat = (c0.reshape(1, -1), r0.reshape(1, -1))
-        cost = int(_decomposition_costs(*flat, tensor_words, n, p)[0])
-        if cost > 0 and w * den < num * cost:
-            return mat
+    # random candidates are drawn only once the structured ones run out, in order
+    queue = islice(chain(structured, iter(random_candidate, None)), max(trials, 0))
+    size = 1
+    while block := list(islice(queue, size)):
+        size = min(2 * size, FALSIFY_BLOCK)
+        c0 = np.array([c for c, _ in block])
+        r0 = np.array([r for _, r in block])
+        mats = (c0 + r0) % p
+        w = np.count_nonzero(mats, axis=(1, 2))
+        upper = (c0 != 0).any(axis=1).sum(axis=1) + (r0 != 0).any(axis=2).sum(axis=1)
+        # D(x) is at most the kept decomposition's cost: past it, no violation
+        live = np.flatnonzero((w > 0) & _violates(w, upper, num, den))
+        for at in range(0, live.size, chunk):
+            part = live[at : at + chunk]
+            flat = (c0[part].reshape(part.size, -1), r0[part].reshape(part.size, -1))
+            costs = _decomposition_costs(*flat, tensor_words, n, p)
+            hit = np.flatnonzero(_violates(w[part], costs, num, den))
+            if hit.size:
+                return mats[part[hit[0]]]
     return None
 
 

@@ -15,9 +15,10 @@ dual pair.  On a layer pair with inner bases of k_a and k_b rows, check row
 
 is vertex v of the pair's layer layer_no (0 or 1) with basis rows (s, t);
 at face f it holds basis_a[s][r] * basis_b[t][c], where (r, c) is f's cell
-in v's local view.  `_column` evaluates this layout one face at a time (the
-constraint stream's path) and `check_matrix` all faces at once; the tests
-check one against the other.  The
+in v's local view.  `_FaceColumns` evaluates this layout one face at a time
+(the constraint stream's path), through the complex's affine corner maps,
+and `check_matrix` all faces at once from Cayley tables; the tests check one
+against the other.  The
 grid convention placing a face in a local view is "paired" or "direct"; both
 satisfy CSS orthogonality, and mixing them does not (see the tests).
 
@@ -32,7 +33,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import numpy as np
 from scipy import sparse
@@ -77,9 +78,18 @@ class SquareCayleyComplex:
     Under the "paired" convention the grid coordinate of face (g, i, j) at
     a corner replaces each generator index actually used to reach that
     corner by the index of its inverse; under "direct" the raw (i, j) is
-    used at all four corners.  Queries run on coordinate quadruples
-    (a, b, c, d) through one corner routine, so each costs poly(m) at any
-    group order.
+    used at all four corners.
+
+    On the coordinates (a, b, c, d) mod q = p^m, x -> a_i x and x -> x b_j
+    are affine maps (on I + pX they are X -> S + (I + pS) X and
+    X -> T + X (I + pT)), and so is each corner map x -> a_i x b_j.  Each
+    layer's distinct corner maps are built once, here, from `_mul`: the
+    rows of (a, b, c) as integers mod q, O(delta^2) of them whatever the
+    group order.  They are the one corner routine: `incidence` and the check
+    columns apply one map to g (`_corner`), and `local_view` applies one
+    stacked (3 delta^2 x 4) map of the inverse corners, precomposed here,
+    as one matrix-vector product, in int64 or, once face indices pass int64
+    (m = 30), on Python ints in object arrays.  Each query costs poly(m).
     """
 
     def __init__(
@@ -107,14 +117,61 @@ class SquareCayleyComplex:
         self.group_size = group_order(self.p, self.m)
         self.num_faces = self.group_size * self.delta * self.delta
         self._q = self.p**self.m
-        self._steps_a = [(g.a, g.b, g.c, g.d) for g in gens_a.elements]
-        self._steps_b = [(g.a, g.b, g.c, g.d) for g in gens_b.elements]
         # the grid index of a_i (b_j) at a corner reached through it; an involution
         same = tuple(range(self.delta))
         self._sig_a = gens_a.pairing if convention == "paired" else same
         self._sig_b = gens_b.pairing if convention == "paired" else same
         fits = self.num_faces - 1 <= np.iinfo(np.int64).max
         self._face_dtype = np.int64 if fits else object
+        self._maps, self._pick, self._cell, self._views = {}, {}, {}, {}
+        for layer in LAYERS:
+            self._build_layer(layer)
+
+    def _build_layer(self, layer: str) -> None:
+        """The corner maps of `layer` and the stacked map of its local view.
+
+        `_maps[layer][k]` is one map x -> corner: per coordinate a, b, c of
+        the corner, the row (r_a, r_b, r_c, r_d, t) of r . x + t mod q.  Face
+        (g, i, j), at cell ij = i * delta + j, reaches its corner through map
+        `_pick[layer][ij]` and sits at cell r * delta + c = `_cell[layer][ij]`
+        of the corner's local view."""
+        p, q, d = self.p, self._q, self.delta
+        on_a, on_b = layer[1] == "1", layer[0] == "1"  # reached through a_i, b_j
+        steps_a = [(g.a, g.b, g.c, g.d) for g in self.gens_a.elements]
+        steps_b = [(g.a, g.b, g.c, g.d) for g in self.gens_b.elements]
+
+        def corner(x, i, j):
+            x = _mul(p, q, steps_a[i], x) if on_a else x
+            return _mul(p, q, x, steps_b[j]) if on_b else x
+
+        def key(i, j):
+            return (i if on_a else 0) * (d if on_b else 1) + (j if on_b else 0)
+
+        # an affine map is its value at 0 plus its differences along the unit vectors
+        unit = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        maps = []
+        for i, j in product(range(d if on_a else 1), range(d if on_b else 1)):
+            t, e = corner((0, 0, 0, 0), i, j), [corner(u, i, j) for u in unit]
+            maps.append(tuple((*((v[row] - t[row]) % q for v in e), t[row]) for row in range(3)))
+        self._maps[layer] = maps
+        cells = list(product(range(d), repeat=2))
+        sig_a = self._sig_a if on_a else range(d)
+        sig_b = self._sig_b if on_b else range(d)
+        self._pick[layer] = tuple(key(i, j) for i, j in cells)
+        self._cell[layer] = tuple(sig_a[i] * d + sig_b[j] for i, j in cells)
+        # cell (r, c) of a local view holds the face (g, i, j) whose corner is v:
+        # i = sig_a[r], j = sig_b[c], and g = a_i^-1 v b_j^-1, the corner map
+        # of the inverse generators
+        pair_a, pair_b = self.gens_a.pairing, self.gens_b.pairing
+        ij = [(sig_a[r], sig_b[c]) for r, c in cells]
+        stack = [row for i, j in ij for row in maps[key(pair_a[i], pair_b[j])]]
+        dtype = self._face_dtype
+        self._views[layer] = (
+            np.array([row[:4] for row in stack], dtype=dtype),
+            np.array([row[4] for row in stack], dtype=dtype),
+            np.array([i * d + j for i, j in ij], dtype=dtype),
+            np.array([1, q, q * q], dtype=dtype) * (d * d),  # (a, b, c) -> g * delta^2
+        )
 
     @property
     def num_vertices(self) -> int:
@@ -126,29 +183,21 @@ class SquareCayleyComplex:
         if (v.p, v.m) != (self.p, self.m):
             raise GroupMismatch(f"vertex of ({v.p},{v.m}) in a complex of ({self.p},{self.m})")
 
-    def _face(self, f: int) -> tuple[tuple[int, int, int, int], int, int]:
-        """(a, b, c, d) of face f's g, and its i, j."""
+    def _face(self, f: int) -> tuple[int, int]:
+        """Face f's vertex index g and its cell i * delta + j."""
         f = int(f)
         if not 0 <= f < self.num_faces:
             raise DomainError(f"face index {f} out of range")
-        g, ij = divmod(f, self.delta * self.delta)
-        i, j = divmod(ij, self.delta)
-        return _decode(self.p, self._q, g), i, j
+        return divmod(f, self.delta * self.delta)
 
-    def _corner(self, layer: str, x, i: int, j: int):
-        """The corner on `layer` of face (g, i, j), g given as its quadruple
-        x, as a quadruple, and the face's (row, col) in its local view."""
-        r, c = i, j
-        if layer[1] == "1":  # 01 and 11 are reached through a_i on the left
-            x = _mul(self.p, self._q, self._steps_a[i], x)
-            r = self._sig_a[i]
-        if layer[0] == "1":  # 10 and 11 through b_j on the right
-            x = _mul(self.p, self._q, x, self._steps_b[j])
-            c = self._sig_b[j]
-        return x, r, c
-
-    def _index(self, x) -> int:
-        return x[0] + self._q * (x[1] + self._q * x[2])
+    def _corner(self, layer: str, k: int, x) -> list[int]:
+        """(a, b, c) of map k of `layer` applied to x = (a, b, c, d)."""
+        x0, x1, x2, x3 = x
+        q = self._q
+        return [
+            (r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3 + t) % q
+            for r0, r1, r2, r3, t in self._maps[layer][k]
+        ]
 
     def incidence(
         self, layer: str, g: GroupElement, i: int, j: int
@@ -156,31 +205,22 @@ class SquareCayleyComplex:
         """The vertex of face (g, i, j) on `layer` and the face's (row, col)
         in that vertex's local view: the inverse of `local_view`."""
         self._check_query(layer, g)
-        x, r, c = self._corner(layer, (g.a, g.b, g.c, g.d), i, j)
-        return GroupElement(self.p, self.m, *x), r, c
+        d = self.delta
+        if not (0 <= i < d and 0 <= j < d):
+            raise DomainError(f"generator indices ({i}, {j}) outside [0, {d})")
+        ij = i * d + j
+        v = self._corner(layer, self._pick[layer][ij], (g.a, g.b, g.c, g.d))
+        return GroupElement(self.p, self.m, *v), *divmod(self._cell[layer][ij], d)
 
     def local_view(self, layer: str, v: GroupElement) -> np.ndarray:
         """Grid of the delta^2 face indices incident to vertex (v, layer):
         int64, or Python ints in an object array once face indices pass
         int64."""
         self._check_query(layer, v)
-        d, pair_a, pair_b = self.delta, self.gens_a.pairing, self.gens_b.pairing
-        # cell (r, c) holds the face (g, i, j) whose corner here is v: i = sig_a[r]
-        # and j = sig_b[c] on the axes that reach this layer, and
-        # g = a_i^-1 v b_j^-1, the 10 corner and then the 01 corner of v taken
-        # with the inverse generators (11: d + d^2 products)
-        ii = jj = range(d)
-        ends = [(v.a, v.b, v.c, v.d)]
-        if layer[0] == "1":
-            jj = self._sig_b
-            ends = [self._corner("10", ends[0], 0, pair_b[j])[0] for j in jj]
-        grid = [ends]
-        if layer[1] == "1":
-            ii = self._sig_a
-            grid = [[self._corner("01", w, pair_a[i], 0)[0] for w in ends] for i in ii]
-        dtype = self._face_dtype
-        g = np.array([[self._index(w) for w in row] for row in grid], dtype=dtype)
-        return (g * d + np.array(ii, dtype=dtype)[:, None]) * d + np.array(jj, dtype=dtype)
+        d = self.delta
+        linear, offset, cell, digits = self._views[layer]
+        x = np.array((v.a, v.b, v.c, v.d), dtype=self._face_dtype)
+        return (((linear @ x + offset) % self._q).reshape(d * d, 3) @ digits + cell).reshape(d, d)
 
     def summary(self) -> dict:
         return {
@@ -312,12 +352,16 @@ def _rows(basis) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=16)
-def _cell_table(d: int, basis_a, basis_b, p: int) -> tuple:
-    """Per cell r * d + c of a local view, the check entries a face in that
-    cell meets: offsets s * k_b + t, ascending, and the nonzero values
-    basis_a[s][r] * basis_b[t][c] mod p.  Bases as tuples of int rows."""
-    kb = len(basis_b)
-    table = []
+def _face_plan(complex_: SquareCayleyComplex, layers, basis_a, basis_b, p: int) -> tuple:
+    """Per cell ij = i * delta + j of a face (g, i, j), what its check column
+    on `layers` needs beyond g: per layer, the corner map it reaches and the
+    offsets s * k_b + t, ascending, of the check entries it meets in that
+    corner's block; and the entries' values basis_a[s][r] * basis_b[t][c]
+    mod p, (r, c) the face's cell in each corner's local view.  The maps are
+    numbered over the layers in order, each as (layer, its number in the
+    layer, layer_no * |G|).  Bases as tuples of int rows."""
+    d, kb = complex_.delta, len(basis_b)
+    table = []  # per local-view cell: (offsets, values)
     for r, c in product(range(d), repeat=2):
         cell = [
             (s * kb + t, row_a[r] * row_b[c] % p)
@@ -326,27 +370,58 @@ def _cell_table(d: int, basis_a, basis_b, p: int) -> tuple:
             if row_a[r] * row_b[c] % p
         ]
         table.append((tuple(st for st, _ in cell), tuple(val for _, val in cell)))
-    return tuple(table)
+    sizes = [len(complex_._maps[layer]) for layer in layers]
+    first = list(accumulate([0] + sizes))
+    maps = tuple(
+        (layer, k, layer_no * complex_.group_size)
+        for layer_no, (layer, size) in enumerate(zip(layers, sizes))
+        for k in range(size)
+    )
+    plan, vals = [], []
+    for ij in range(d * d):
+        cells = [table[complex_._cell[layer][ij]] for layer in layers]
+        picks = [k0 + complex_._pick[layer][ij] for k0, layer in zip(first, layers)]
+        plan.append(tuple((k, offsets) for k, (offsets, _) in zip(picks, cells)))
+        vals.append(tuple(val for _, cell_vals in cells for val in cell_vals))
+    return tuple(plan), tuple(vals), maps
 
 
-def _column(complex_: SquareCayleyComplex, f: int, layers, table, kk: int):
-    """Ascending check rows and their values in column f of the check
-    matrix on `layers`: each corner's cell looked up in the bases'
-    `_cell_table`, kk = k_a * k_b."""
-    cx = complex_
-    x, i, j = cx._face(f)
-    rows, vals = [], []
-    for layer_no, layer in enumerate(layers):
-        v, r, c = cx._corner(layer, x, i, j)
-        base = (layer_no * cx.group_size + cx._index(v)) * kk
-        offsets, cell_vals = table[r * cx.delta + c]
-        rows += [base + st for st in offsets]
-        vals += cell_vals
-    return rows, vals
+class _FaceColumns:
+    """Column f of the check matrix on `layers`, one face at a time: ascending
+    check rows and their values.  Beyond its cell, which `_face_plan` lays
+    out once, a face needs the first check row (layer_no * |G| + v) * kk of
+    each corner v it reaches, one `_corner` map of its vertex g each.  Those
+    are kept per vertex, so the delta^2 faces over one g (consecutive in a
+    stream) share them, and a random face costs one map per layer."""
+
+    def __init__(self, complex_: SquareCayleyComplex, layers, basis_a, basis_b, p: int):
+        basis_a, basis_b = _rows(basis_a), _rows(basis_b)
+        self.complex = complex_
+        self.kk = len(basis_a) * len(basis_b)
+        self._plan, self._vals, self._maps = _face_plan(
+            complex_, tuple(layers), basis_a, basis_b, p
+        )
+        self._vertex, self._x, self._bases = None, None, []
+
+    def column(self, f: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        cx = self.complex
+        g, ij = cx._face(f)
+        if g != self._vertex:
+            self._vertex, self._x = g, _decode(cx.p, cx._q, g)
+            self._bases = [None] * len(self._maps)
+        bases, rows = self._bases, []
+        for k, offsets in self._plan[ij]:
+            base = bases[k]
+            if base is None:
+                layer, n, shift = self._maps[k]
+                a, b, c = cx._corner(layer, n, self._x)
+                base = bases[k] = (shift + a + cx._q * (b + cx._q * c)) * self.kk
+            rows += [base + st for st in offsets]
+        return tuple(rows), self._vals[ij]
 
 
 def check_matrix(complex_: SquareCayleyComplex, layers, basis_a, basis_b, p: int) -> FMatrix:
-    """`_column` of every face at once, the corners read off Cayley tables."""
+    """`_FaceColumns` of every face at once, the corners read off Cayley tables."""
     cx, d = complex_, complex_.delta
     basis_a, basis_b = (np.asarray(x, dtype=np.int64).reshape(-1, d) for x in (basis_a, basis_b))
     kk = len(basis_a) * len(basis_b)

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from ptanner.expander import GroupElement
+from ptanner.expander import GroupElement, element_from_index
 from ptanner.gf import FMatrix
 from ptanner.nlts import _pack_rows, _require_gf2
-from ptanner.tanner import CssCode, SquareCayleyComplex, _cell_table, _column, _rows
+from ptanner.tanner import CssCode, SquareCayleyComplex, _FaceColumns
 
 
 def steane_code() -> CssCode:
@@ -45,18 +45,17 @@ def shor_code() -> CssCode:
 
 def face_from_index(cx: SquareCayleyComplex, idx: int) -> tuple[GroupElement, int, int]:
     """Face idx of the complex as (g, i, j); DomainError out of range."""
-    x, i, j = cx._face(idx)
-    return GroupElement(cx.p, cx.m, *x), i, j
+    g, ij = cx._face(idx)
+    return element_from_index(cx.p, cx.m, g), *divmod(ij, cx.delta)
 
 
 def face_column(
     complex_: SquareCayleyComplex, f: int, layers, basis_a, basis_b, p: int
 ) -> tuple[list[int], list[int]]:
     """Ascending check rows and their values in column f of the check
-    matrix on `layers`, with the bases' cell table made for this one call."""
-    basis_a, basis_b = _rows(basis_a), _rows(basis_b)
-    table = _cell_table(complex_.delta, basis_a, basis_b, p)
-    return _column(complex_, f, layers, table, len(basis_a) * len(basis_b))
+    matrix on `layers`, read by a `_FaceColumns` made for this one call."""
+    rows, vals = _FaceColumns(complex_, layers, basis_a, basis_b, p).column(f)
+    return list(rows), list(vals)
 
 
 def apply_hamiltonian_exact(code: CssCode, state: dict[int, int]) -> dict[int, Fraction]:

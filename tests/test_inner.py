@@ -3,14 +3,16 @@
 The product-expansion checker is validated against a from-scratch oracle
 that filters matrices by dual orthogonality and tries every column part
 by brute force; nothing is shared with the implementation under test.
-The falsifier is checked against its earlier form, which solved for each
-candidate's decomposition over a tagged basis.
+The falsifier is checked against its earlier forms: one that solved for
+each candidate's decomposition over a tagged basis, and the loop that
+scored the kept decompositions one candidate at a time.
 """
 
 import math
 import random
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from ptanner.inner import (
     sample_sum_zero_code,
     search_inner_pair,
 )
+import ptanner.inner as inner
 from ptanner.inner import (
     _decomposition_costs,
     _exact_feasible,
@@ -278,6 +281,133 @@ def test_falsifier_matches_solve_oracle(p, n, k1, k2, rho, trials, data):
     assert (got is None) == (want is None)
     if got is not None:
         assert got.dtype == want.dtype and (got == want).all()
+
+
+def loop_falsify(code1, code2, rho, trials=500, seed=0):
+    """The falsifier one candidate at a time: the same candidates, each
+    kept decomposition screened by its upper bound and then scored alone."""
+    p, n = code1.p, code1.n
+    rho = Fraction(rho).limit_denominator(10**9)
+    num, den = rho.numerator * n, rho.denominator
+    rng = random.Random(f"falsify:{seed}")
+    if code1.dim == 0 and code2.dim == 0:
+        return None
+    tensor_words = _tensor_codewords(code1, code2)
+
+    zero, eye = np.zeros((n, n), dtype=np.int64), np.eye(n, dtype=np.int64)
+    structured = [(np.outer(u, eye[j]), zero) for u in code1.basis for j in range(n)]
+    structured += [(zero, np.outer(eye[i], v)) for v in code2.basis for i in range(n)]
+    snapshot = structured[:40]
+    structured += [
+        ((c_a + c_b) % p, (r_a + r_b) % p)
+        for a, (c_a, r_a) in enumerate(snapshot)
+        for c_b, r_b in snapshot[a + 1 :]
+    ]
+
+    def random_candidate():
+        col_part, row_part = zero.copy(), zero.copy()
+        n_cols = rng.randint(0, min(3, n))
+        n_rows = rng.randint(0 if n_cols else 1, min(3, n))
+        for j in rng.sample(range(n), n_cols):
+            coeffs = [rng.randrange(p) for _ in range(code1.dim)]
+            col_part[:, j] = np.array(coeffs, dtype=np.int64) @ code1.basis % p
+        for i in rng.sample(range(n), n_rows):
+            coeffs = [rng.randrange(p) for _ in range(code2.dim)]
+            row_part[i, :] = np.array(coeffs, dtype=np.int64) @ code2.basis % p
+        return col_part, row_part
+
+    queue = iter(structured)
+    for _ in range(trials):
+        parts = next(queue, None)
+        c0, r0 = parts if parts is not None else random_candidate()
+        mat = (c0 + r0) % p
+        w = int(np.count_nonzero(mat))
+        if w == 0:
+            continue
+        upper = int((c0 != 0).any(axis=0).sum() + (r0 != 0).any(axis=1).sum())
+        if w * den >= num * upper:
+            continue
+        flat = (c0.reshape(1, -1), r0.reshape(1, -1))
+        cost = int(_decomposition_costs(*flat, tensor_words, n, p)[0])
+        if cost > 0 and w * den < num * cost:
+            return mat
+    return None
+
+
+def structured_count(code1, code2):
+    singles = (code1.dim + code2.dim) * code1.n
+    return singles + math.comb(min(singles, 40), 2)
+
+
+def assert_same_witness(got, want):
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.dtype == want.dtype and got.shape == want.shape and (got == want).all()
+
+
+@pytest.mark.parametrize("p, n, k1, k2", [(2, 5, 2, 3), (2, 5, 3, 2), (2, 6, 3, 3), (3, 4, 2, 2)])
+@pytest.mark.parametrize("rho", [Fraction(1, 8), Fraction(1, 2), Fraction(5, 4)])
+def test_batched_falsifier_matches_loop(p, n, k1, k2, rho):
+    """Structured candidates only, and structured then random, on sampled
+    planted pairs and their duals; with small blocks and cost chunks too, so
+    a hit late in a block or a chunk shows."""
+    for seed in range(2):
+        code1 = sample_planted_code(p, n, k1, seed=seed)
+        code2 = sample_sum_zero_code(p, n, k2, seed=seed)
+        for c1, c2 in ((code1, code2), (code1.dual(), code2.dual())):
+            structured = structured_count(c1, c2)
+            for trials in (structured // 2, structured + 75):
+                want = loop_falsify(c1, c2, rho, trials=trials, seed=seed)
+                got = product_expansion_falsify(c1, c2, rho, trials=trials, seed=seed)
+                assert_same_witness(got, want)
+                with mock.patch.object(inner, "FALSIFY_BLOCK", 7), \
+                        mock.patch.object(inner, "_cost_chunk", lambda *_: 3):
+                    small = product_expansion_falsify(c1, c2, rho, trials=trials, seed=seed)
+                assert_same_witness(small, want)
+
+
+def test_batched_falsifier_hits_and_misses():
+    """The cases above include early hits and full misses."""
+    c = rep_code(2, 3)
+    assert loop_falsify(c, c, Fraction(6, 5), trials=300, seed=1) is not None
+    hit = product_expansion_falsify(c, c, Fraction(6, 5), trials=1, seed=1)
+    assert_same_witness(hit, loop_falsify(c, c, Fraction(6, 5), trials=1, seed=1))
+    code1, code2 = sample_planted_code(2, 5, 2, seed=0), sample_sum_zero_code(2, 5, 3, seed=0)
+    assert product_expansion_falsify(code1, code2, Fraction(1, 8), trials=5000) is None
+    assert product_expansion_falsify(code1, code2, Fraction(5, 4), trials=5000) is not None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.sampled_from([2, 3]),
+    n=st.integers(2, 6),
+    k1=st.integers(0, 3),
+    k2=st.integers(0, 3),
+    rho=st.fractions(Fraction(1, 16), Fraction(3, 2)),
+    trials=st.integers(0, 600),
+    block=st.integers(1, 64),
+    chunk=st.integers(1, 9),
+    data=st.data(),
+)
+def test_batched_falsifier_matches_loop_on_random_codes(
+    p, n, k1, k2, rho, trials, block, chunk, data
+):
+    def code(k):
+        rows = data.draw(st.lists(
+            st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+            min_size=min(k, n), max_size=min(k, n),
+        ))
+        return LinearCode(p, n, rows)
+
+    code1, code2 = code(k1), code(k2)
+    seed = data.draw(st.integers(0, 10**6))
+    want = loop_falsify(code1, code2, rho, trials=trials, seed=seed)
+    with mock.patch.object(inner, "FALSIFY_BLOCK", block), \
+            mock.patch.object(inner, "_cost_chunk", lambda *_: chunk):
+        got = product_expansion_falsify(code1, code2, rho, trials=trials, seed=seed)
+    assert_same_witness(got, want)
+    default = product_expansion_falsify(code1, code2, rho, trials=trials, seed=seed)
+    assert_same_witness(default, want)
 
 
 @pytest.mark.parametrize(

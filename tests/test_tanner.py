@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptanner import gf, tanner
+from ptanner.csp import TannerConstraintStream
 from ptanner.errors import BudgetExceeded, DimensionMismatch, DomainError, GroupMismatch
 from ptanner.expander import (
     GeneratorMultiset,
@@ -38,6 +39,7 @@ from ptanner.tanner import (
     X_LAYERS,
     Z_LAYERS,
     SquareCayleyComplex,
+    _FaceColumns,
     _coset_weight_bounds,
     build_code,
     check_counting_bound,
@@ -72,6 +74,14 @@ def planted_pair_gf3_len4():
     code_a = LinearCode(3, 4, [[1, 1, 1, 1], [1, 0, 0, 0]])
     code_b = LinearCode(3, 4, [[1, 2, 0, 0], [0, 0, 1, 2]])
     return InnerCodePair(3, 4, code_a, code_b)
+
+
+def pair_len5_gf2():
+    return InnerCodePair(
+        2, 5,
+        LinearCode(2, 5, [[1, 1, 1, 1, 1], [0, 1, 1, 0, 1]]),
+        LinearCode(2, 5, [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0]]),
+    )
 
 
 def test_complex_counts_and_grid():
@@ -135,6 +145,10 @@ def test_gamma_graphs_regular_bipartite():
     assert (deg == cx.delta**2).all()
     with pytest.raises(DomainError):
         cx.incidence("22", *face_from_index(cx, 0))
+    g = face_from_index(cx, 0)[0]
+    for i, j in ((cx.delta, 0), (0, cx.delta), (-1, 0)):
+        with pytest.raises(DomainError):
+            cx.incidence("00", g, i, j)
 
 
 def test_complex_construction_errors():
@@ -217,14 +231,7 @@ def two_axis_complex(p, m, delta, convention):
         (two_axis_complex(3, 1, 3, "direct"), planted_pair_gf2()),
         (two_axis_complex(2, 1, 4, "paired"), planted_pair_gf3_len4()),  # GF(3)
         (two_axis_complex(2, 1, 4, "direct"), planted_pair_gf3_len4()),
-        (
-            two_axis_complex(3, 2, 5, "paired"),  # nonabelian: left != right
-            InnerCodePair(
-                2, 5,
-                LinearCode(2, 5, [[1, 1, 1, 1, 1], [0, 1, 1, 0, 1]]),
-                LinearCode(2, 5, [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0]]),
-            ),
-        ),
+        (two_axis_complex(3, 2, 5, "paired"), pair_len5_gf2()),  # nonabelian: left != right
     ],
     ids=["level1-paired", "level1-direct", "gf3-paired", "gf3-direct", "level2-paired"],
 )
@@ -341,6 +348,75 @@ def test_corner_queries_match_group_element_oracle(shape, convention, field_p, d
     assert face_column(cx, f, layers, basis_a, basis_b, field_p) == oracle_face_column(
         cx, f, layers, basis_a, basis_b, field_p
     )
+
+
+@st.composite
+def face_orders(draw, num_faces, dd):
+    """Faces to query in turn: a sequential run, random faces, or runs over
+    a few vertices' blocks of dd faces, revisited in turn."""
+    kind = draw(st.sampled_from(["sequential", "random", "blocks"]))
+    if kind == "sequential":
+        start = draw(st.integers(0, num_faces - 1))
+        return list(range(start, min(start + draw(st.integers(1, 3 * dd)), num_faces)))
+    if kind == "random":
+        return draw(st.lists(st.integers(0, num_faces - 1), min_size=1, max_size=40))
+    vertices = draw(st.lists(st.integers(0, num_faces // dd - 1), min_size=1, max_size=4))
+    cells = st.lists(st.integers(0, dd - 1), min_size=1, max_size=dd)
+    rounds = draw(st.integers(1, 3))
+    return [g * dd + c for _ in range(rounds) for g in vertices for c in draw(cells)]
+
+
+STREAM_CASES = [
+    (shape, convention, pair)
+    for shape, pair in (((3, 1, 3), "gf2-len3"), ((2, 1, 4), "gf3-len4"), ((3, 2, 5), "gf2-len5"))
+    for convention in CONVENTIONS
+]
+
+
+@lru_cache(maxsize=None)
+def stream_case(shape, convention, pair_name):
+    """A stream with a random right-hand side, and its instance's constraints."""
+    cx = oracle_complex(*shape, convention)
+    pair = {
+        "gf2-len3": planted_pair_gf2, "gf3-len4": planted_pair_gf3_len4, "gf2-len5": pair_len5_gf2,
+    }[pair_name]()
+    beta = np.random.default_rng(cx.num_faces).integers(0, pair.p, cx.num_faces)
+    stream = TannerConstraintStream(cx, pair, beta)
+    return stream, stream.as_instance().constraints
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(STREAM_CASES), data=st.data())
+def test_stream_matches_instance_in_any_order(case, data):
+    """The stream keeps its last vertex's corners: under sequential, random
+    and block-revisiting orders each constraint still equals its row of
+    `as_instance()`, over GF(2) and GF(3) and under both conventions."""
+    stream, want = stream_case(*case)
+    dd = stream.complex.delta**2
+    for f in data.draw(face_orders(stream.num_constraints, dd)):
+        assert stream.constraint(f) == want[f]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    convention=st.sampled_from(CONVENTIONS),
+    field_p=st.sampled_from([2, 3]),
+    layers=st.sampled_from([X_LAYERS, Z_LAYERS, LAYERS]),
+    data=st.data(),
+)
+def test_face_columns_in_any_order_at_m30(convention, field_p, layers, data):
+    """At m = 30, where no stream's beta fits in memory, one `_FaceColumns`
+    queried in any order equals the GroupElement oracle face by face."""
+    cx = oracle_complex(3, 30, 5, convention)
+    row = st.lists(st.integers(0, field_p - 1), min_size=5, max_size=5)
+    basis_a = data.draw(st.lists(row, min_size=1, max_size=3))
+    basis_b = data.draw(st.lists(row, min_size=1, max_size=3))
+    columns = _FaceColumns(cx, layers, basis_a, basis_b, field_p)
+    for f in data.draw(face_orders(cx.num_faces, 25)):
+        rows, vals = columns.column(f)
+        assert (list(rows), list(vals)) == oracle_face_column(
+            cx, f, layers, basis_a, basis_b, field_p
+        )
 
 
 def test_l30c_queries_are_strongly_explicit():
