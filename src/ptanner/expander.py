@@ -17,8 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import (
     ConvergenceFailure,
@@ -326,9 +324,21 @@ class CayleyMultigraph:
 
 
 def bfs_closure_size(gens: GeneratorMultiset) -> int:
-    """Size of the subgroup generated: the identity's component in the Cayley graph."""
-    _, labels = connected_components(CayleyMultigraph(gens).sparse_adjacency(), directed=False)
-    return int(np.count_nonzero(labels == labels[0]))
+    """Size of the subgroup generated: the identity's component in the Cayley graph.
+
+    In a finite group the forward closure of a multiset is the subgroup it
+    generates, so a breadth-first search along `neighbor_lists` suffices.
+    """
+    table = CayleyMultigraph(gens).neighbor_lists()
+    seen = np.zeros(table.shape[0], dtype=bool)
+    seen[0] = True  # index 0 is the identity
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        reached = np.zeros_like(seen)
+        reached[table[frontier]] = True
+        frontier = np.flatnonzero(reached & ~seen)
+        seen |= reached
+    return int(np.count_nonzero(seen))
 
 
 def _direction_tuples(p: int) -> list[tuple[int, int, int]]:
@@ -537,12 +547,13 @@ def spectral_expansion(
 
     Up to `dense_budget` vertices, an exact eigensolve: of the adjacency at
     level 1, of the `_character_blocks` in one batch at level m >= 2.  Above
-    it, the CSR adjacency of the neighbor lists.  A disconnected d-regular
-    graph has d once per component, so both second eigenvalues are d
-    exactly.  On a connected one d is simple, and Lanczos (`eigsh`, two
-    extreme values from a fixed start vector) gives the largest |eigenvalue|
-    and the largest eigenvalue, each with the trivial one dropped;
-    ConvergenceFailure when it does not converge.
+    it, a d-regular graph whose generators' closure is a proper subgroup is
+    disconnected and has d once per component, so both second eigenvalues
+    are d exactly.  On a connected one d is simple, and Lanczos (`eigsh` on
+    the CSR adjacency of the neighbor lists, two extreme values from a
+    fixed start vector) gives the largest |eigenvalue| and the largest
+    eigenvalue, each with the trivial one dropped; ConvergenceFailure when
+    it does not converge.
     """
     n, deg = graph.num_vertices, graph.degree
     if n <= dense_budget:
@@ -550,9 +561,11 @@ def spectral_expansion(
             return spectral_from_adjacency(graph.adjacency(dense_budget), deg, tolerance)
         eigs = np.linalg.eigvalsh(_character_blocks(graph)).ravel()
         return _dense_report(eigs, n, deg, tolerance)
-    adj = graph.sparse_adjacency()
-    if connected_components(adj, directed=False, return_labels=False) > 1:
+    if bfs_closure_size(graph.generators) < n:  # disconnected
         return _report(n, deg, float(deg), float(deg), "lanczos", tolerance)
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh  # loaded only here
+
+    adj = graph.sparse_adjacency()
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
         by_modulus = eigsh(adj, k=2, which="LM", v0=v0, return_eigenvectors=False)

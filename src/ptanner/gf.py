@@ -18,8 +18,8 @@ systematic form never go through a dense int64 array.
 `iter_vectors` is the one counter through GF(p)^k; `iter_codewords` is its
 coefficient vectors times a basis.  One scorer serves every light-word
 search: it asks each weight class of a batch of storage rows lighter than
-the best so far once, lightest first, in one residual against the subspace
-to stay outside.  One enumeration
+the best so far, lightest first, in bands of residuals against the
+subspace to stay outside, up to the class's first row outside.  One enumeration
 loop over `iter_codewords` feeds it (`min_distance`, `coset_min_weight`,
 `lightest_outside`), and so does `information_set_search`, with the rows
 each walk step changes; both return dense words.  Enumerations take an
@@ -563,20 +563,40 @@ def information_set_walk(
         yield others
 
 
+_WEIGH_BYTES = 1 << 20  # a band's gathered rows or residual coefficients
+
+
+def _row_weights(rows: np.ndarray, idx: np.ndarray, p: int) -> np.ndarray:
+    """Hamming weights of the storage rows rows[idx], gathered in bands of
+    about `_WEIGH_BYTES`."""
+    band = max(1, _WEIGH_BYTES // max(1, rows[:1].nbytes))
+    out = np.empty(len(idx), dtype=np.int64)
+    for s in range(0, len(idx), band):
+        block = rows[idx[s : s + band]]
+        out[s : s + band] = (
+            np.bitwise_count(block).sum(axis=1) if p == 2 else np.count_nonzero(block, axis=1)
+        )
+    return out
+
+
 def _first_light(
     words: np.ndarray, weights: np.ndarray, outside: LinearCode | None, best: int | float
 ) -> tuple[int, int] | None:
     """The lightest of the storage rows `words` that weighs less than
     `best` and lies outside the subspace `outside` (any row, when it is
     None), the first in row order among equals, as (weight, row index); None
-    when no row passes.  Each weight class lighter than `best` is asked
-    once, lightest first, in one residual."""
+    when no row passes.  The weight classes lighter than `best` are asked
+    lightest first, each in bands of rows (about `_WEIGH_BYTES` of residual
+    coefficients) up to its first row outside."""
     for w in np.unique(weights[weights < best]):
         k = np.flatnonzero(weights == w)
-        if outside is not None:
-            k = k[outside._residuals(words[k]).any(axis=1)]
-        if k.size:
+        if outside is None:
             return int(w), int(k[0])
+        band = max(1, _WEIGH_BYTES // max(1, outside.dim, words[:1].nbytes))
+        for s in range(0, k.size, band):
+            hit = k[s : s + band][outside._residuals(words[k[s : s + band]]).any(axis=1)]
+            if hit.size:
+                return int(w), int(hit[0])
     return None
 
 
@@ -604,16 +624,22 @@ def information_set_search(
     info = np.setdiff1d(np.arange(checks.n), checks.pivots)
     steps = chain([np.arange(len(rows))], information_set_walk(rows, info, checks.n, p, rng))
     best, word, scored = math.inf, None, 0
+    weights = np.empty(len(rows), dtype=np.int64)
     for changed in islice(steps, trials):
         scored += 1
         i, j = np.triu_indices(min(8, len(changed)), 1)
         a, b = rows[changed[i]], rows[changed[j]]
-        words = np.concatenate([rows[changed], a ^ b if p == 2 else (a + b) % p])
-        weights = np.bitwise_count(words).sum(axis=1) if p == 2 else np.count_nonzero(words, axis=1)
-        found = _first_light(words, weights, stabilizers, best)
-        if found is not None:
-            best, k = found
-            word = stabilizers._dense_rows(words[[k]])[0]
+        sums = a ^ b if p == 2 else (a + b) % p
+        # the changed rows are weighed in place (n + 1 leaves the others
+        # out) and asked before the sums, which then must be strictly
+        # lighter: the earliest candidate, without a copy of the form
+        weights.fill(checks.n + 1)
+        weights[changed] = _row_weights(rows, changed, p)
+        for words, w in ((rows, weights), (sums, _row_weights(sums, np.arange(len(sums)), p))):
+            found = _first_light(words, w, stabilizers, min(best, checks.n + 1))
+            if found is not None:
+                best, k = found
+                word = stabilizers._dense_rows(words[[k]])[0]
     return best, word, scored
 
 

@@ -31,7 +31,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     BudgetExceeded,
@@ -240,6 +239,8 @@ def build_clusters(sset: SyndromeSet, c1: float) -> ClusterPartition:
     nb = cosets.slot[cosets.words[:, None] ^ close]
     rows, cols = np.nonzero(nb >= 0)[0], nb[nb >= 0]
     adj = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(len(nb),) * 2)
+    from scipy.sparse.csgraph import connected_components  # loaded on the first call
+
     components = connected_components(adj, directed=False)[1][cosets.of]
     _, first, of = np.unique(components, return_index=True, return_inverse=True)
     labels = np.unique(first, return_inverse=True)[1][of]  # in order of first member

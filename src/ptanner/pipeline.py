@@ -16,9 +16,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
-
-import jsonschema
 
 from .csp import certify_unsat, emit_lin_instance, reduce_to_3xor, sos_level_bound
 from .errors import ArtifactError, DomainError, MissingArtifact
@@ -131,6 +130,17 @@ def stage_seed(root_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+@lru_cache(maxsize=1)
+def _config_validator():
+    """CONFIG_SCHEMA's validator, checked against its metaschema once.
+    jsonschema loads here, on the first config, not with the module."""
+    from jsonschema.validators import validator_for
+
+    cls = validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated pipeline parameters.
@@ -164,10 +174,11 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, doc: dict) -> "RunConfig":
-        try:
-            jsonschema.validate(doc, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise DomainError(f"config schema violation: {exc.message}") from None
+        from jsonschema.exceptions import best_match
+
+        error = best_match(_config_validator().iter_errors(doc))
+        if error is not None:  # the error `jsonschema.validate` would raise
+            raise DomainError(f"config schema violation: {error.message}")
         for name, value in (("field_p", doc["field_p"]), ("group p", doc["group"]["p"])):
             if not _supported_prime(value):
                 raise DomainError(f"{name} must be a prime up to 2^16, got {value}")

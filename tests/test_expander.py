@@ -11,8 +11,10 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from ptanner import expander
@@ -226,6 +228,31 @@ def test_small_symmetric_degrees_cannot_generate_odd_group():
         gens = default_generators(3, 1, degree, require_generation=False)
         assert gens.degree == degree
         assert bfs_closure_size(gens) < 27
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    group=st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]),
+    picks=st.lists(st.integers(min_value=0), min_size=1, max_size=3),
+    with_default=st.booleans(),
+)
+def test_bfs_closure_size_matches_connected_components(group, picks, with_default):
+    """The BFS over the neighbor lists counts the identity's component of
+    the undirected Cayley graph, as `connected_components` labels it; one
+    paired element generates a cyclic subgroup, so both outcomes occur."""
+    p, m = group
+    order = group_order(p, m)
+    elements = []
+    for pick in picks:
+        g = element_from_index(p, m, pick % order)
+        elements += [g] if g == g.inv() else [g, g.inv()]
+    gens = GeneratorMultiset.from_elements(elements)
+    if with_default:  # a generating multiset plus the drawn elements
+        gens = GeneratorMultiset.from_elements(
+            default_generators(p, m, 6, seed=0).elements + gens.elements
+        )
+    _, labels = connected_components(CayleyMultigraph(gens).sparse_adjacency(), directed=False)
+    assert bfs_closure_size(gens) == np.count_nonzero(labels == labels[0])
 
 
 def test_neighbor_matches_adjacency():
@@ -490,7 +517,8 @@ def test_lanczos_no_convergence_exits_3(monkeypatch, capsys):
     def stalled(*args, **kwargs):
         raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), None)
 
-    monkeypatch.setattr(expander, "eigsh", stalled)
+    # spectral_expansion imports eigsh on its Lanczos branch, at call time
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
     assert main(["expander", "spectrum", "--p", "3", "--m", "3", "--degree", "6"]) == 3
     assert "ConvergenceFailure" in capsys.readouterr().err
 

@@ -13,6 +13,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from scipy import sparse
@@ -26,6 +27,7 @@ from ptanner.inner import InnerCodePair
 from ptanner.jsonio import dumps, read_artifact
 from ptanner.nlts import depth_lower_bound
 from ptanner.pipeline import (
+    CONFIG_SCHEMA,
     DEFAULT_BUDGETS,
     PIPELINE_STAGES,
     RunConfig,
@@ -122,6 +124,28 @@ def test_config_schema_rejections():
         mutate(doc)
         with pytest.raises(DomainError):
             RunConfig.from_mapping(doc)
+
+
+def test_config_schema_messages_match_jsonschema_validate():
+    """The validator built once gives the message `jsonschema.validate`
+    raises, which checks the schema against its metaschema on each call."""
+    base = {"field_p": 2, "group": {"p": 3, "m": 1}, "delta": 5, "k_a": 2, "k_b": 3}
+    for mutate in (
+        lambda d: d.update(delta="5"),  # wrong type
+        lambda d: d["group"].update(m=1.5),
+        lambda d: d.update(stages=["expander", "nonsense"]),  # unknown stage
+        lambda d: d.update(stages=["expander", "inner", "expander"]),  # repeated stage
+        lambda d: d.pop("k_b"),  # missing key
+        lambda d: d["group"].pop("p"),
+        lambda d: d.update(seed=-1, unexpected=1, delta=True),  # several errors at once
+    ):
+        doc = json.loads(json.dumps(base))
+        mutate(doc)
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(doc, CONFIG_SCHEMA)
+        with pytest.raises(DomainError) as got:
+            RunConfig.from_mapping(doc)
+        assert str(got.value) == f"config schema violation: {expected.value.message}"
 
 
 def test_config_file_round_trip(tmp_path):
