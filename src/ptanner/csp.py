@@ -204,15 +204,15 @@ def emit_lin_instance(code: CssCode, beta) -> LinInstance:
 class TannerConstraintStream:
     """Constraint-at-a-time emission for Tanner builds.
 
-    Constraint f is column f of H_Z (a `tanner._FaceColumns` on the Z layers
-    with the dual inner bases, evaluated by the complex's affine corner maps
-    from f alone) with right-hand side beta[f].  The bases' entries per
-    face cell are laid out once, here, and no check matrix is formed, so the
+    Constraint f is column f of H_Z with right-hand side beta[f]: the
+    `tanner._face_plan` of the Z layers and the dual inner bases (per face
+    cell, its corner maps and entries, laid out once) read by a
+    `tanner._FaceColumns` from f alone, with no check matrix formed, so the
     cost of one constraint does not grow with the block length.  The stream
     keeps the corners of the last vertex it met, so the delta^2 consecutive
-    faces of one vertex share the 2 delta corners they reach, and a random
-    face costs one corner map per layer.  `as_instance` reads all of them
-    off `tanner.check_matrix`; the tests compare the two.
+    faces of one vertex share the 2 delta corners they reach.  `as_instance`
+    reads the same plan for every face at once, through `tanner.check_matrix`;
+    the tests compare both with a Cayley-table oracle.
     """
 
     def __init__(self, complex_: SquareCayleyComplex, pair: InnerCodePair, beta):

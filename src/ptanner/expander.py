@@ -19,6 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import (
+    BudgetExceeded,
     ConvergenceFailure,
     DimensionMismatch,
     DomainError,
@@ -177,23 +178,29 @@ def element_from_index(p: int, m: int, idx: int) -> GroupElement:
     return GroupElement(p, m, *_decode(p, q, idx))
 
 
-def cayley_table(p: int, m: int, elements, side: str) -> np.ndarray:
-    """(len(elements), p^(3m)) int64 table: row j holds the index of s_j * g
-    (side "left") or g * s_j (side "right") for every element index g."""
-    _check_level(p, m)
-    if side not in ("left", "right"):
-        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
+def _group_coords(p: int, m: int):
+    """(a, b, c, d) int64 arrays of every element, in index order: the one
+    whole-group decode.  BudgetExceeded from order 2^63 on, where the
+    indices pass int64; nothing lifts it."""
     q = p**m
+    if q**3 > np.iinfo(np.int64).max:
+        raise BudgetExceeded(f"{q ** 3} elements pass int64 indices; nothing lifts it")
     c, b, a = np.unravel_index(np.arange(q**3), (q, q, q))
     inv = np.array([pow(1 + p * x, -1, q) for x in range(q)], dtype=np.int64)
-    g = (a, b, c, inv[a] * ((p * b * c - a) % q) % q)
+    return a, b, c, inv[a] * ((p * b * c - a) % q) % q
+
+
+def cayley_table(p: int, m: int, elements) -> np.ndarray:
+    """(len(elements), p^(3m)) int64 table: row j holds the index of s_j * g
+    for every element index g."""
+    _check_level(p, m)
+    q, g = p**m, _group_coords(p, m)
     table = np.empty((len(elements), q**3), dtype=np.int64)
     for j, s in enumerate(elements):
         if (s.p, s.m) != (p, m):
             raise GroupMismatch(f"element of ({s.p},{s.m}) in a table of ({p},{m})")
-        x = (s.a, s.b, s.c, s.d)
-        a2, b2, c2, _ = _mul(p, q, x, g) if side == "left" else _mul(p, q, g, x)
-        table[j] = a2 + q * (b2 + q * c2)
+        a, b, c, _ = _mul(p, q, (s.a, s.b, s.c, s.d), g)
+        table[j] = a + q * (b + q * c)
     return table
 
 
@@ -309,7 +316,7 @@ class CayleyMultigraph:
 
     def neighbor_lists(self) -> np.ndarray:
         """(num_vertices, degree) table: row v lists generators[j] * v."""
-        return cayley_table(self.p, self.m, self.generators.elements, "left").T
+        return cayley_table(self.p, self.m, self.generators.elements).T
 
     def adjacency(self, budget: int = DENSE_SPECTRUM_BUDGET) -> np.ndarray:
         n = self.num_vertices
@@ -531,7 +538,7 @@ def _character_blocks(graph: CayleyMultigraph) -> np.ndarray:
     reps = np.flatnonzero(coset_split(p, m, np.arange(graph.num_vertices))[1] == 0)
     digits = np.array(np.unravel_index(np.arange(p**3), (p, p, p)))
     chars = np.exp(2j * np.pi * (digits.T @ digits % p) / p)
-    table = cayley_table(p, m, graph.generators.elements, "left")[:, reps]
+    table = cayley_table(p, m, graph.generators.elements)[:, reps]
     blocks = np.zeros((p**3, reps.size, reps.size), dtype=complex)
     for moved, shift in zip(*coset_split(p, m, table)):  # s permutes the cosets
         blocks[:, np.arange(reps.size), moved] += chars[:, shift]

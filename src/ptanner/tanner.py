@@ -15,12 +15,12 @@ dual pair.  On a layer pair with inner bases of k_a and k_b rows, check row
 
 is vertex v of the pair's layer layer_no (0 or 1) with basis rows (s, t);
 at face f it holds basis_a[s][r] * basis_b[t][c], where (r, c) is f's cell
-in v's local view.  `_FaceColumns` evaluates this layout one face at a time
-(the constraint stream's path), through the complex's affine corner maps,
-and `check_matrix` all faces at once from Cayley tables; the tests check one
-against the other.  The
-grid convention placing a face in a local view is "paired" or "direct"; both
-satisfy CSS orthogonality, and mixing them does not (see the tests).
+in v's local view.  `_face_plan` lays this out once per basis pair, on the
+complex's affine corner maps, and two evaluators read it: `_FaceColumns`
+one face at a time (the constraint stream's path), `check_matrix` all
+faces at once.  The grid convention placing a face in a local view is
+"paired" or "direct"; both satisfy CSS orthogonality, and mixing them does
+not (see the tests).
 
 `estimate_distance` picks the logical sides and writes the report; the
 searches of a side (`gf.lightest_outside`, `gf.information_set_search`)
@@ -48,8 +48,8 @@ from .expander import (
     GeneratorMultiset,
     GroupElement,
     _decode,
+    _group_coords,
     _mul,
-    cayley_table,
     group_order,
 )
 from .gf import (
@@ -85,11 +85,11 @@ class SquareCayleyComplex:
     X -> T + X (I + pT)), and so is each corner map x -> a_i x b_j.  Each
     layer's distinct corner maps are built once, here, from `_mul`: the
     rows of (a, b, c) as integers mod q, O(delta^2) of them whatever the
-    group order.  They are the one corner routine: `incidence` and the check
-    columns apply one map to g (`_corner`), and `local_view` applies one
-    stacked (3 delta^2 x 4) map of the inverse corners, precomposed here,
-    as one matrix-vector product, in int64 or, once face indices pass int64
-    (m = 30), on Python ints in object arrays.  Each query costs poly(m).
+    group order.  They are the one corner routine: `_corner` applies one map
+    to g (`incidence`, `_FaceColumns`) or to every vertex (`check_matrix`),
+    and `local_view` one stacked (3 delta^2 x 4) map of the inverse corners,
+    precomposed here, as one matrix-vector product, in int64 or, once face
+    indices pass int64 (m = 30), on Python ints.  Each query costs poly(m).
     """
 
     def __init__(
@@ -117,10 +117,6 @@ class SquareCayleyComplex:
         self.group_size = group_order(self.p, self.m)
         self.num_faces = self.group_size * self.delta * self.delta
         self._q = self.p**self.m
-        # the grid index of a_i (b_j) at a corner reached through it; an involution
-        same = tuple(range(self.delta))
-        self._sig_a = gens_a.pairing if convention == "paired" else same
-        self._sig_b = gens_b.pairing if convention == "paired" else same
         fits = self.num_faces - 1 <= np.iinfo(np.int64).max
         self._face_dtype = np.int64 if fits else object
         self._maps, self._pick, self._cell, self._views = {}, {}, {}, {}
@@ -155,8 +151,10 @@ class SquareCayleyComplex:
             maps.append(tuple((*((v[row] - t[row]) % q for v in e), t[row]) for row in range(3)))
         self._maps[layer] = maps
         cells = list(product(range(d), repeat=2))
-        sig_a = self._sig_a if on_a else range(d)
-        sig_b = self._sig_b if on_b else range(d)
+        # the grid index of a_i (b_j) at a corner reached through it; an involution
+        paired = self.convention == "paired"
+        sig_a = self.gens_a.pairing if paired and on_a else range(d)
+        sig_b = self.gens_b.pairing if paired and on_b else range(d)
         self._pick[layer] = tuple(key(i, j) for i, j in cells)
         self._cell[layer] = tuple(sig_a[i] * d + sig_b[j] for i, j in cells)
         # cell (r, c) of a local view holds the face (g, i, j) whose corner is v:
@@ -190,14 +188,16 @@ class SquareCayleyComplex:
             raise DomainError(f"face index {f} out of range")
         return divmod(f, self.delta * self.delta)
 
-    def _corner(self, layer: str, k: int, x) -> list[int]:
-        """(a, b, c) of map k of `layer` applied to x = (a, b, c, d)."""
+    def _corner(self, layer: str, k: int, x):
+        """Index a + q b + q^2 c of the vertex map k of `layer` sends x =
+        (a, b, c, d) to; ints or int64 arrays."""
         x0, x1, x2, x3 = x
         q = self._q
-        return [
+        a, b, c = [
             (r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3 + t) % q
             for r0, r1, r2, r3, t in self._maps[layer][k]
         ]
+        return a + q * (b + q * c)
 
     def incidence(
         self, layer: str, g: GroupElement, i: int, j: int
@@ -209,8 +209,9 @@ class SquareCayleyComplex:
         if not (0 <= i < d and 0 <= j < d):
             raise DomainError(f"generator indices ({i}, {j}) outside [0, {d})")
         ij = i * d + j
-        v = self._corner(layer, self._pick[layer][ij], (g.a, g.b, g.c, g.d))
-        return GroupElement(self.p, self.m, *v), *divmod(self._cell[layer][ij], d)
+        idx = self._corner(layer, self._pick[layer][ij], (g.a, g.b, g.c, g.d))
+        v = GroupElement(self.p, self.m, *_decode(self.p, self._q, idx))
+        return v, *divmod(self._cell[layer][ij], d)
 
     def local_view(self, layer: str, v: GroupElement) -> np.ndarray:
         """Grid of the delta^2 face indices incident to vertex (v, layer):
@@ -396,8 +397,7 @@ class _FaceColumns:
 
     def __init__(self, complex_: SquareCayleyComplex, layers, basis_a, basis_b, p: int):
         basis_a, basis_b = _rows(basis_a), _rows(basis_b)
-        self.complex = complex_
-        self.kk = len(basis_a) * len(basis_b)
+        self.complex, self.kk = complex_, len(basis_a) * len(basis_b)
         self._plan, self._vals, self._maps = _face_plan(
             complex_, tuple(layers), basis_a, basis_b, p
         )
@@ -414,35 +414,27 @@ class _FaceColumns:
             base = bases[k]
             if base is None:
                 layer, n, shift = self._maps[k]
-                a, b, c = cx._corner(layer, n, self._x)
-                base = bases[k] = (shift + a + cx._q * (b + cx._q * c)) * self.kk
+                base = bases[k] = (shift + cx._corner(layer, n, self._x)) * self.kk
             rows += [base + st for st in offsets]
         return tuple(rows), self._vals[ij]
 
 
 def check_matrix(complex_: SquareCayleyComplex, layers, basis_a, basis_b, p: int) -> FMatrix:
-    """`_FaceColumns` of every face at once, the corners read off Cayley tables."""
-    cx, d = complex_, complex_.delta
-    basis_a, basis_b = (np.asarray(x, dtype=np.int64).reshape(-1, d) for x in (basis_a, basis_b))
-    kk = len(basis_a) * len(basis_b)
-    left = cayley_table(cx.p, cx.m, cx.gens_a.elements, "left")  # a_i * g
-    right = cayley_table(cx.p, cx.m, cx.gens_b.elements, "right")  # g * b_j
-    sig_a, sig_b = np.array(cx._sig_a), np.array(cx._sig_b)
-    g, i, j = np.unravel_index(np.arange(cx.num_faces), (cx.group_size, d, d))
-    parts = []
-    for layer_no, layer in enumerate(layers):
-        v, r, c = g, i, j  # the vectorized `SquareCayleyComplex.incidence`
-        if layer[1] == "1":
-            v, r = left[i, v], sig_a[i]
-        if layer[0] == "1":
-            v, c = right[j, v], sig_b[j]
-        # val[f, s * kb + t] = basis_a[s][r_f] * basis_b[t][c_f]
-        val = (basis_a.T[r][:, :, None] * basis_b.T[c][:, None, :]).reshape(cx.num_faces, kk) % p
-        f, st = val.nonzero()
-        parts.append((val[f, st], (layer_no * cx.group_size + v[f]) * kk + st, f))
-    data, rows, cols = map(np.concatenate, zip(*parts))
-    n_rows = num_check_rows(cx, layers, basis_a, basis_b)
-    return FMatrix(p, sparse.csr_array((data, (rows, cols)), shape=(n_rows, cx.num_faces)))
+    """`_FaceColumns` of every face at once: each `_face_plan` corner map,
+    applied once to every vertex's coordinates, gives a (maps, |G|) array of
+    first check rows, and the plan's (cell, stored entry) pairs are broadcast
+    over it."""
+    cx, basis_a, basis_b = complex_, _rows(basis_a), _rows(basis_b)
+    plan, vals, maps = _face_plan(cx, tuple(layers), basis_a, basis_b, p)
+    kk, x = len(basis_a) * len(basis_b), _group_coords(cx.p, cx.m)
+    first = np.array([(shift + cx._corner(layer, n, x)) * kk for layer, n, shift in maps])
+    entries = [(ij, k, st) for ij, face in enumerate(plan) for k, offsets in face for st in offsets]
+    ij, k, st = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    rows = first[k] + st[:, None]  # (stored entries, |G|)
+    cols = np.arange(cx.group_size) * cx.delta**2 + ij[:, None]
+    data = np.broadcast_to(np.array(sum(vals, ()), dtype=np.int64)[:, None], rows.shape)
+    shape = (num_check_rows(cx, layers, basis_a, basis_b), cx.num_faces)
+    return FMatrix(p, sparse.csr_array((data.ravel(), (rows.ravel(), cols.ravel())), shape=shape))
 
 
 def build_code(complex_: SquareCayleyComplex, pair: InnerCodePair) -> CssCode:

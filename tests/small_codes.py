@@ -4,11 +4,12 @@ helpers on codes and complexes."""
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 
-from ptanner.expander import GroupElement, element_from_index
+from ptanner.expander import GroupElement, _group_coords, _mul, cayley_table, element_from_index
 from ptanner.gf import FMatrix
 from ptanner.nlts import _pack_rows, _require_gf2
-from ptanner.tanner import CssCode, SquareCayleyComplex, _FaceColumns
+from ptanner.tanner import CssCode, SquareCayleyComplex, _FaceColumns, num_check_rows
 
 
 def steane_code() -> CssCode:
@@ -56,6 +57,50 @@ def face_column(
     matrix on `layers`, read by a `_FaceColumns` made for this one call."""
     rows, vals = _FaceColumns(complex_, layers, basis_a, basis_b, p).column(f)
     return list(rows), list(vals)
+
+
+def right_table(p: int, m: int, elements) -> np.ndarray:
+    """(len(elements), p^(3m)) int64 table: row j holds the index of g * s_j
+    for every element index g; `cayley_table` multiplied on the right."""
+    q, g = p**m, _group_coords(p, m)
+    table = np.empty((len(elements), q**3), dtype=np.int64)
+    for j, s in enumerate(elements):
+        a, b, c, _ = _mul(p, q, g, (s.a, s.b, s.c, s.d))
+        table[j] = a + q * (b + q * c)
+    return table
+
+
+def table_check_matrix(
+    complex_: SquareCayleyComplex, layers, basis_a, basis_b, p: int
+) -> FMatrix:
+    """The check matrix on `layers` with every face's corners read off the
+    axes' Cayley tables (a_i * g from `cayley_table`, g * b_j from
+    `right_table`) and its cells from the generator pairings: the oracle
+    for `tanner.check_matrix`, which evaluates the complex's corner maps."""
+    cx, d = complex_, complex_.delta
+    basis_a, basis_b = (np.asarray(x, dtype=np.int64).reshape(-1, d) for x in (basis_a, basis_b))
+    kk = len(basis_a) * len(basis_b)
+    left = cayley_table(cx.p, cx.m, cx.gens_a.elements)
+    right = right_table(cx.p, cx.m, cx.gens_b.elements)
+    # the grid index of a_i (b_j) at a corner reached through it
+    paired = cx.convention == "paired"
+    sig_a = np.array(cx.gens_a.pairing if paired else range(d))
+    sig_b = np.array(cx.gens_b.pairing if paired else range(d))
+    g, i, j = np.unravel_index(np.arange(cx.num_faces), (cx.group_size, d, d))
+    parts = []
+    for layer_no, layer in enumerate(layers):
+        v, r, c = g, i, j  # the vectorized `SquareCayleyComplex.incidence`
+        if layer[1] == "1":
+            v, r = left[i, v], sig_a[i]
+        if layer[0] == "1":
+            v, c = right[j, v], sig_b[j]
+        # val[f, s * kb + t] = basis_a[s][r_f] * basis_b[t][c_f]
+        val = (basis_a.T[r][:, :, None] * basis_b.T[c][:, None, :]).reshape(cx.num_faces, kk) % p
+        f, st = val.nonzero()
+        parts.append((val[f, st], (layer_no * cx.group_size + v[f]) * kk + st, f))
+    data, rows, cols = map(np.concatenate, zip(*parts))
+    n_rows = num_check_rows(cx, layers, basis_a, basis_b)
+    return FMatrix(p, sparse.csr_array((data, (rows, cols)), shape=(n_rows, cx.num_faces)))
 
 
 def apply_hamiltonian_exact(code: CssCode, state: dict[int, int]) -> dict[int, Fraction]:

@@ -45,6 +45,8 @@ from ptanner.expander import (
 from ptanner.jsonio import dumps
 from ptanner.pipeline import RunConfig, run_pipeline, stage_seed
 
+from small_codes import right_table
+
 
 def test_coordinate_map_frozen_example_p3():
     g = element_from_coords(3, 1, 1, 0, 0)
@@ -158,8 +160,8 @@ def test_bad_level_raises_on_every_call():
 def test_cayley_table_matches_scalar_products(p, m, degree):
     gens = default_generators(p, m, degree, require_generation=False)
     graph = CayleyMultigraph(gens)
-    left = cayley_table(p, m, gens.elements, "left")
-    right = cayley_table(p, m, gens.elements, "right")
+    left = cayley_table(p, m, gens.elements)
+    right = right_table(p, m, gens.elements)  # the check-matrix oracle's right table
     assert left.shape == right.shape == (degree, group_order(p, m))
     for v in range(group_order(p, m)):
         g = element_from_index(p, m, v)
@@ -167,10 +169,8 @@ def test_cayley_table_matches_scalar_products(p, m, degree):
             assert left[j, v] == graph.neighbor(v, j) == (s * g).index
             assert right[j, v] == (g * s).index
     assert (graph.neighbor_lists() == left.T).all()
-    with pytest.raises(DomainError):
-        cayley_table(p, m, gens.elements, "middle")
     with pytest.raises(GroupMismatch):
-        cayley_table(p, m + 1, gens.elements, "left")
+        cayley_table(p, m + 1, gens.elements)
 
 
 def test_identity_and_index_round_trip():
@@ -521,6 +521,20 @@ def test_lanczos_no_convergence_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
     assert main(["expander", "spectrum", "--p", "3", "--m", "3", "--degree", "6"]) == 3
     assert "ConvergenceFailure" in capsys.readouterr().err
+
+
+def test_level30_expander_stage_exits_3(tmp_path, capsys):
+    """Group (3,30), above the dense budget: the closure search behind the
+    spectrum needs the whole-group decode, whose 3^90 indices pass int64,
+    so the run stops with BudgetExceeded and exit 3, not a traceback."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "field_p": 2, "group": {"p": 3, "m": 30}, "delta": 5, "k_a": 2, "k_b": 3,
+        "rho_target": "1/8", "seed": 7, "stages": ["expander"],
+    }))
+    argv = ["pipeline", "run", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert "BudgetExceeded" in capsys.readouterr().err
 
 
 def test_irregular_graph_rejected():

@@ -40,6 +40,7 @@ from ptanner.pipeline import (
 from ptanner.tanner import (
     DEFAULT_DISTANCE_BUDGET,
     LAYERS,
+    X_LAYERS,
     Z_LAYERS,
     CssCode,
     SquareCayleyComplex,
@@ -47,7 +48,7 @@ from ptanner.tanner import (
     estimate_distance,
 )
 
-from small_codes import face_column, face_from_index, steane_code
+from small_codes import face_column, face_from_index, steane_code, table_check_matrix
 
 SMALL_DOC = {
     "field_p": 3,
@@ -233,6 +234,8 @@ def test_flagship_estimators_are_pinned(tmp_path):
     instance type cannot move their bytes."""
     run_pipeline(RunConfig.from_mapping(FLAGSHIP_DOC), out_dir=tmp_path)
     pinned = {
+        "code.json": "72f2c8a2480e3212c3b373ed4519882bcb9ec2958aee4787c3f08965141554ed",
+        "verify.json": "45fbc513b370b8e25d10b988df6f033d2cc75c219ec0e738056778a1d66f1321",
         "distance.json": "32aab19c4db3f0043d4534fbfa0512762d6f5ea6438c93ba879a9224d450b6d3",
         "ssexp_curve.json": "16a28d7e5c18afe6d5f52976db27541d2161bc0643bbcf37e6a9c2d9277d9914",
         "csp_instance.json": "9bf9fa73e42eb7bb0cf91968ced1dd206b003261a5db25e7d5d19ca844dd7231",
@@ -693,8 +696,9 @@ def test_level2_code_stage_is_css_orthogonal(level2_run):
 
 def test_level3_code_is_planted_and_orthogonal(tmp_path):
     """Group (3,3), n = 492,075, expander through complex, then the code:
-    both check matrices annihilate the all-ones word, H_X H_Z^T = 0, and
-    every 97th column of H_Z is its face's `face_column`."""
+    both check matrices annihilate the all-ones word, H_X H_Z^T = 0, both
+    equal the Cayley-table oracle, and every 97th column of H_Z is its
+    face's `face_column`."""
     config = RunConfig.from_mapping({
         "field_p": 2, "group": {"p": 3, "m": 3}, "delta": 5, "k_a": 2, "k_b": 3,
         "rho_target": "1/8", "seed": 7, "stages": ["expander", "inner", "complex"],
@@ -709,6 +713,8 @@ def test_level3_code_is_planted_and_orthogonal(tmp_path):
     assert not code.h_z.apply(ones).any()
     assert code.css_orthogonal()
     dual_a, dual_b = pair.code_a.dual().basis.tolist(), pair.code_b.dual().basis.tolist()
+    assert code.h_x == table_check_matrix(cx, X_LAYERS, pair.code_a.basis, pair.code_b.basis, 2)
+    assert code.h_z == table_check_matrix(cx, Z_LAYERS, dual_a, dual_b, 2)
     sample = range(0, code.n, 97)
     picks = [(f, k, 1) for k, f in enumerate(sample)]
     pick = gf.FMatrix.from_entries(2, code.n, len(sample), picks)
@@ -725,6 +731,8 @@ def test_level2_csp_artifacts_are_pinned(level2_run):
     type cannot move their bytes."""
     _, out = level2_run
     pinned = {
+        "code.json": "04c3aa3d6a2082fe99a6e0b9d94e54ae90a3ada03d3d5f44b8d342999fc0d3ab",
+        "verify.json": "4196ab144bfd011851725d20641f93d0f56a496f79957cfb1cd3559df11525e4",
         "csp_instance.json": "42364907c411faa93d10c91c5063b7715b95dc2f8e2460ec0451da36fda7628b",
         "csp_instance.xor": "042a2e7db131b4b702928832bacae90de50ddaf8e0289f09d3f17d582a9da64e",
     }

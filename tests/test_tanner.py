@@ -50,7 +50,7 @@ from ptanner.tanner import (
     verify_planted,
 )
 
-from small_codes import face_column, face_from_index, shor_code, steane_code
+from small_codes import face_column, face_from_index, shor_code, steane_code, table_check_matrix
 
 
 def ternary_complex(delta=3, convention="paired"):
@@ -203,8 +203,8 @@ def test_mixed_conventions_break_orthogonality():
 
 
 def face_column_matrix(cx, layers, basis_a, basis_b, p):
-    """The check matrix assembled one `face_column` at a time: the oracle
-    for the table-driven `check_matrix`."""
+    """The check matrix assembled one `face_column` at a time: the other
+    evaluator of the `_face_plan` that `check_matrix` reads."""
     rows_a, rows_b = basis_a.tolist(), basis_b.tolist()
     entries = [
         (r, f, val)
@@ -347,6 +347,27 @@ def test_corner_queries_match_group_element_oracle(shape, convention, field_p, d
     layers = data.draw(st.sampled_from([X_LAYERS, Z_LAYERS, LAYERS]))
     assert face_column(cx, f, layers, basis_a, basis_b, field_p) == oracle_face_column(
         cx, f, layers, basis_a, basis_b, field_p
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from([shape for shape in ORACLE_SHAPES if shape[1] != 30]),
+    convention=st.sampled_from(CONVENTIONS),
+    field_p=st.sampled_from([2, 3]),
+    layers=st.sampled_from([X_LAYERS, Z_LAYERS, LAYERS]),
+    data=st.data(),
+)
+def test_check_matrix_matches_cayley_table_oracle(shape, convention, field_p, layers, data):
+    """`check_matrix`, the corner maps applied to every vertex, equals the
+    check matrix read off the axes' Cayley tables, with distinct axes, both
+    conventions and random GF(2) and GF(3) bases, on X, Z and all layers."""
+    cx = oracle_complex(*shape, convention)
+    row = st.lists(st.integers(0, field_p - 1), min_size=cx.delta, max_size=cx.delta)
+    basis_a = data.draw(st.lists(row, max_size=3))
+    basis_b = data.draw(st.lists(row, max_size=3))
+    assert check_matrix(cx, layers, basis_a, basis_b, field_p) == table_check_matrix(
+        cx, layers, basis_a, basis_b, field_p
     )
 
 
