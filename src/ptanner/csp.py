@@ -16,10 +16,9 @@ bound, and the dummy-variable chain reduction to 3-XOR.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, cycle, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -35,7 +34,7 @@ from .errors import (
 )
 from .gf import FMatrix, LinearCode, PrimeField, as_vector, iter_vectors, solve
 from .inner import InnerCodePair
-from .jsonio import Encoded, dumps
+from .jsonio import Encoded, collector_paused, dumps, loads
 from .tanner import (
     Z_LAYERS,
     CssCode,
@@ -173,7 +172,7 @@ class LinInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "LinInstance":
-        return cls.from_doc(json.loads(text))
+        return loads(text, cls.from_doc)
 
     @classmethod
     def from_dense(cls, p: int, coeffs, rhs, provenance=None) -> "LinInstance":
@@ -205,28 +204,37 @@ class TannerConstraintStream:
     """Constraint-at-a-time emission for Tanner builds.
 
     Constraint f is column f of H_Z with right-hand side beta[f]: the
-    `tanner._face_plan` of the Z layers and the dual inner bases (per face
-    cell, its corner maps and entries, laid out once) read by a
-    `tanner._FaceColumns` from f alone, with no check matrix formed, so the
-    cost of one constraint does not grow with the block length.  The stream
-    keeps the corners of the last vertex it met, so the delta^2 consecutive
-    faces of one vertex share the 2 delta corners they reach.  `as_instance`
-    reads the same plan for every face at once, through `tanner.check_matrix`;
-    the tests compare both with a Cayley-table oracle.
+    `tanner._face_plan` of the Z layers and the dual inner bases, evaluated
+    by a `tanner._FaceColumns` on a block of vertices from f's on, with no
+    check matrix formed, so one constraint's cost does not grow with the
+    block length.  The stream keeps the block's constraints, with their
+    slice of beta as a list, so the next face in it is one lookup.  A jump
+    evaluates one vertex; while queries run in face order, each block has
+    twice the vertices of the last, up to BLOCK_VERTICES.  beta is a
+    length-n array or the rule "ones", which holds none.  `as_instance`
+    reads the plan for every face at once, through `tanner.check_matrix`.
     """
+
+    BLOCK_VERTICES = 64
 
     def __init__(self, complex_: SquareCayleyComplex, pair: InnerCodePair, beta):
         check_inner_length(complex_, pair)
         self.complex = complex_
         self.p = pair.p
-        self.beta = np.asarray(beta, dtype=np.int64) % self.p
-        if self.beta.shape != (complex_.num_faces,):
-            raise BetaNotAdmissible(
-                f"beta length {self.beta.shape} differs from {complex_.num_faces}"
-            )
+        if isinstance(beta, str):
+            if beta != "ones":
+                raise BetaNotAdmissible(f"unknown beta rule {beta!r}: 'ones' or an array")
+            self.beta = beta
+        else:
+            self.beta = np.asarray(beta, dtype=np.int64) % self.p
+            if self.beta.shape != (complex_.num_faces,):
+                raise BetaNotAdmissible(
+                    f"beta length {self.beta.shape} differs from {complex_.num_faces}"
+                )
         self._dual_a = pair.code_a.dual().basis.tolist()
         self._dual_b = pair.code_b.dual().basis.tolist()
         self._columns = _FaceColumns(complex_, Z_LAYERS, self._dual_a, self._dual_b, self.p)
+        self._start, self._stop, self._block, self._vertices = 0, 0, [], 1
 
     @property
     def num_constraints(self) -> int:
@@ -237,13 +245,31 @@ class TannerConstraintStream:
         return num_check_rows(self.complex, Z_LAYERS, self._dual_a, self._dual_b)
 
     def constraint(self, f: int) -> LinConstraint:
-        checks, coeffs = self._columns.column(f)
-        return LinConstraint(checks, coeffs, int(self.beta[f]))
+        if self._start <= f < self._stop:
+            return self._block[f - self._start]
+        return self._load(f)
+
+    def _load(self, f: int) -> LinConstraint:
+        """Evaluate the block that starts at f's vertex and answer f."""
+        cx = self.complex
+        g, ij = cx._face(f)
+        in_order = f == self._stop
+        self._vertices = min(2 * self._vertices, self.BLOCK_VERTICES) if in_order else 1
+        stop = min(g + self._vertices, cx.group_size)
+        dd = cx.delta**2
+        rhs = repeat(1) if isinstance(self.beta, str) else self.beta[g * dd : stop * dd].tolist()
+        with collector_paused():  # the block's tuples are acyclic
+            fields = zip(self._columns.block(g, stop), cycle(self._columns.vals), rhs)
+            # tuple.__new__ makes each LinConstraint in C, as namedtuple's _make does
+            self._block = list(map(tuple.__new__, repeat(LinConstraint), fields))
+            self._start, self._stop = g * dd, stop * dd
+        return self._block[ij]
 
     def as_instance(self, provenance=None) -> LinInstance:
         h_z = check_matrix(self.complex, Z_LAYERS, self._dual_a, self._dual_b, self.p)
         bound = h_z.max_col_weight()
-        return LinInstance(h_z.T, self.beta, bound, provenance or {"kind": "tanner-stream"})
+        beta = np.ones(h_z.shape[1], dtype=np.int64) if isinstance(self.beta, str) else self.beta
+        return LinInstance(h_z.T, beta, bound, provenance or {"kind": "tanner-stream"})
 
 
 @dataclass

@@ -10,7 +10,6 @@ carries d along, so a product needs no modular inverse.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -28,6 +27,7 @@ from .errors import (
     NotInKernel,
 )
 from .gf import PrimeField
+from .jsonio import loads
 
 __all__ = [
     "GroupElement",
@@ -280,7 +280,7 @@ class GeneratorMultiset:
 
     @classmethod
     def from_json(cls, text: str) -> "GeneratorMultiset":
-        return cls.from_doc(json.loads(text))
+        return loads(text, cls.from_doc)
 
 
 @dataclass(frozen=True)

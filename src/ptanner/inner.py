@@ -18,7 +18,6 @@ completions hits every such code equally often.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -35,6 +34,7 @@ from .gf import (
     iter_vectors,
     min_distance,
 )
+from .jsonio import loads
 
 __all__ = [
     "InnerCodePair",
@@ -359,7 +359,7 @@ class InnerCodePair:
 
     @classmethod
     def from_json(cls, text: str) -> "InnerCodePair":
-        return cls.from_doc(json.loads(text))
+        return loads(text, cls.from_doc)
 
 
 def _certify_pair(

@@ -5,14 +5,17 @@ objects may stay objects; they are encoded in turn, and a large part may
 come as `Encoded` text) and, for types that are read back, `from_doc(doc)`
 rebuilds the object.  This module alone
 decides the bytes: sorted keys, no whitespace, no NaN or infinity.  So
-`dumps(json.loads(text)) == text` for every text `dumps` writes, and a
-rerun that builds the same objects writes the same bytes.
+`dumps(json.loads(text)) == text` for every text `dumps` writes, and a rerun
+that builds the same objects writes the same bytes.  `loads` is the one
+reader, for `read_artifact` and every `from_json`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -65,6 +68,28 @@ def dumps(doc) -> str:
     return "".join(chain.from_iterable(zip(parts, texts))) + parts[-1]
 
 
+@contextmanager
+def collector_paused():
+    """The cyclic collector off within, and after, as the caller had it,
+    whatever happens.  For code building many acyclic containers, where a
+    collection frees nothing and only traverses the caller's heap."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def loads(text: str, parse):
+    """parse(doc) of the JSON document `text`, the collector paused: the
+    loader builds only acyclic containers, and the document is freed by
+    reference counting once parsed, before collection resumes."""
+    with collector_paused():
+        return parse(json.loads(text))
+
+
 def read_artifact(path, parse, what: str = "file"):
     """parse(doc) of the JSON document in the file at `path`.
 
@@ -77,7 +102,7 @@ def read_artifact(path, parse, what: str = "file"):
     if not path.is_file():
         raise MissingArtifact(f"{what} not found: {path}")
     try:
-        return parse(json.loads(path.read_text()))
+        return loads(path.read_text(), parse)
     except (ValueError, KeyError, TypeError, IndexError, OverflowError, PreconditionError) as exc:
         raise DomainError(
             f"malformed {what} {path}: {type(exc).__name__}: {exc}"

@@ -16,11 +16,11 @@ dual pair.  On a layer pair with inner bases of k_a and k_b rows, check row
 is vertex v of the pair's layer layer_no (0 or 1) with basis rows (s, t);
 at face f it holds basis_a[s][r] * basis_b[t][c], where (r, c) is f's cell
 in v's local view.  `_face_plan` lays this out once per basis pair, on the
-complex's affine corner maps, and two evaluators read it: `_FaceColumns`
-one face at a time (the constraint stream's path), `check_matrix` all
-faces at once.  The grid convention placing a face in a local view is
-"paired" or "direct"; both satisfy CSS orthogonality, and mixing them does
-not (see the tests).
+complex's affine corner maps, and one evaluator reads it over a block of
+vertices: `_FaceColumns` gives the faces of one vertex or a few (the
+constraint stream's path), `check_matrix` every face.  The grid convention
+placing a face in a local view is "paired" or "direct"; both satisfy CSS
+orthogonality, and mixing them does not (see the tests).
 
 `estimate_distance` picks the logical sides and writes the report; the
 searches of a side (`gf.lightest_outside`, `gf.information_set_search`)
@@ -29,8 +29,8 @@ live in `gf`, with the packed rows they work on.
 
 from __future__ import annotations
 
-import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import accumulate, combinations, product
@@ -38,20 +38,8 @@ from itertools import accumulate, combinations, product
 import numpy as np
 from scipy import sparse
 
-from .errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    DomainError,
-    GroupMismatch,
-)
-from .expander import (
-    GeneratorMultiset,
-    GroupElement,
-    _decode,
-    _group_coords,
-    _mul,
-    group_order,
-)
+from .errors import BudgetExceeded, DimensionMismatch, DomainError, GroupMismatch
+from .expander import GeneratorMultiset, GroupElement, _decode, _group_coords, _mul, group_order
 from .gf import (
     FMatrix,
     LinearCode,
@@ -61,6 +49,7 @@ from .gf import (
     rank_work,
 )
 from .inner import InnerCodePair
+from .jsonio import loads
 
 LAYERS = ("00", "01", "10", "11")
 X_LAYERS = ("00", "11")
@@ -85,10 +74,10 @@ class SquareCayleyComplex:
     X -> T + X (I + pT)), and so is each corner map x -> a_i x b_j.  Each
     layer's distinct corner maps are built once, here, from `_mul`: the
     rows of (a, b, c) as integers mod q, O(delta^2) of them whatever the
-    group order.  They are the one corner routine: `_corner` applies one map
-    to g (`incidence`, `_FaceColumns`) or to every vertex (`check_matrix`),
-    and `local_view` one stacked (3 delta^2 x 4) map of the inverse corners,
-    precomposed here, as one matrix-vector product, in int64 or, once face
+    group order.  `incidence` applies one map to g; `_evaluate`, the one
+    stacked evaluator, applies a stack of maps to a block of vertices: the
+    (3 delta^2 x 5) inverse corners of a local view, precomposed here, or a
+    `_face_plan`'s maps (`_FaceColumns`, `check_matrix`), in int64 or, once
     indices pass int64 (m = 30), on Python ints.  Each query costs poly(m).
     """
 
@@ -124,10 +113,10 @@ class SquareCayleyComplex:
             self._build_layer(layer)
 
     def _build_layer(self, layer: str) -> None:
-        """The corner maps of `layer` and the stacked map of its local view.
+        """The corner maps of `layer` and the stack of its local view.
 
         `_maps[layer][k]` is one map x -> corner: per coordinate a, b, c of
-        the corner, the row (r_a, r_b, r_c, r_d, t) of r . x + t mod q.  Face
+        the corner, the row (r_a, r_b, r_c, r_d, t) of r . (x, 1) mod q.  Face
         (g, i, j), at cell ij = i * delta + j, reaches its corner through map
         `_pick[layer][ij]` and sits at cell r * delta + c = `_cell[layer][ij]`
         of the corner's local view."""
@@ -162,14 +151,36 @@ class SquareCayleyComplex:
         # of the inverse generators
         pair_a, pair_b = self.gens_a.pairing, self.gens_b.pairing
         ij = [(sig_a[r], sig_b[c]) for r, c in cells]
-        stack = [row for i, j in ij for row in maps[key(pair_a[i], pair_b[j])]]
-        dtype = self._face_dtype
-        self._views[layer] = (
-            np.array([row[:4] for row in stack], dtype=dtype),
-            np.array([row[4] for row in stack], dtype=dtype),
-            np.array([i * d + j for i, j in ij], dtype=dtype),
-            np.array([1, q, q * q], dtype=dtype) * (d * d),  # (a, b, c) -> g * delta^2
-        )
+        stack = [maps[key(pair_a[i], pair_b[j])] for i, j in ij]
+        self._views[layer] = self._stack(stack, d * d, [i * d + j for i, j in ij], self._face_dtype)
+
+    def _stack(self, maps, unit, shift, dtype) -> tuple:
+        """The operand of `_evaluate` for a list of corner maps: their rows
+        as one (3 maps x 5) matrix, the digits (1, q, q^2) * unit and each
+        map's shift, as a column."""
+        q = self._q
+        linear = np.array([row for rows in maps for row in rows], dtype=dtype).reshape(-1, 5)
+        digits = np.array([unit, unit * q, unit * q * q], dtype=dtype)
+        return linear, digits, np.array(shift, dtype=dtype).reshape(-1, 1)
+
+    def _evaluate(self, stack, x) -> np.ndarray:
+        """The one corner evaluator, over a block of vertices: x holds their
+        columns (a, b, c, d, 1), so each map's offset is folded into its
+        rows, and `stack` (see `_stack`) gives per map and vertex
+        ((L @ x) mod q) . digits + shift, the corner's index a + q b + q^2 c
+        times the stack's unit, plus the map's shift: a (maps, vertices)
+        array."""
+        linear, digits, shift = stack
+        y = linear @ x
+        y %= self._q
+        y = digits @ y.reshape(len(shift), 3, -1)
+        y += shift
+        return y
+
+    def _coords(self, start: int, stop: int, dtype) -> np.ndarray:
+        """The (5, stop - start) columns (a, b, c, d, 1) of vertices start..stop-1."""
+        p, q = self.p, self._q
+        return np.array([(*_decode(p, q, g), 1) for g in range(start, stop)], dtype=dtype).T
 
     @property
     def num_vertices(self) -> int:
@@ -182,22 +193,12 @@ class SquareCayleyComplex:
             raise GroupMismatch(f"vertex of ({v.p},{v.m}) in a complex of ({self.p},{self.m})")
 
     def _face(self, f: int) -> tuple[int, int]:
-        """Face f's vertex index g and its cell i * delta + j."""
-        f = int(f)
+        """Face f's vertex index g and its cell i * delta + j; TypeError
+        unless f is an integer."""
+        f = operator.index(f)
         if not 0 <= f < self.num_faces:
             raise DomainError(f"face index {f} out of range")
         return divmod(f, self.delta * self.delta)
-
-    def _corner(self, layer: str, k: int, x):
-        """Index a + q b + q^2 c of the vertex map k of `layer` sends x =
-        (a, b, c, d) to; ints or int64 arrays."""
-        x0, x1, x2, x3 = x
-        q = self._q
-        a, b, c = [
-            (r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3 + t) % q
-            for r0, r1, r2, r3, t in self._maps[layer][k]
-        ]
-        return a + q * (b + q * c)
 
     def incidence(
         self, layer: str, g: GroupElement, i: int, j: int
@@ -208,20 +209,19 @@ class SquareCayleyComplex:
         d = self.delta
         if not (0 <= i < d and 0 <= j < d):
             raise DomainError(f"generator indices ({i}, {j}) outside [0, {d})")
-        ij = i * d + j
-        idx = self._corner(layer, self._pick[layer][ij], (g.a, g.b, g.c, g.d))
-        v = GroupElement(self.p, self.m, *_decode(self.p, self._q, idx))
+        ij, q, x = i * d + j, self._q, (g.a, g.b, g.c, g.d, 1)
+        rows = self._maps[layer][self._pick[layer][ij]]
+        a, b, c = (sum(coef * xi for coef, xi in zip(row, x)) % q for row in rows)
+        v = GroupElement(self.p, self.m, *_decode(self.p, q, a + q * (b + q * c)))
         return v, *divmod(self._cell[layer][ij], d)
 
     def local_view(self, layer: str, v: GroupElement) -> np.ndarray:
-        """Grid of the delta^2 face indices incident to vertex (v, layer):
-        int64, or Python ints in an object array once face indices pass
-        int64."""
+        """Grid of the delta^2 face indices incident to vertex (v, layer),
+        one `_evaluate` of the layer's inverse corners: int64, or Python ints
+        in an object array once face indices pass int64."""
         self._check_query(layer, v)
-        d = self.delta
-        linear, offset, cell, digits = self._views[layer]
-        x = np.array((v.a, v.b, v.c, v.d), dtype=self._face_dtype)
-        return (((linear @ x + offset) % self._q).reshape(d * d, 3) @ digits + cell).reshape(d, d)
+        x = np.array((v.a, v.b, v.c, v.d, 1), dtype=self._face_dtype)
+        return self._evaluate(self._views[layer], x).reshape(self.delta, self.delta)
 
     def summary(self) -> dict:
         return {
@@ -248,7 +248,7 @@ class SquareCayleyComplex:
 
     @classmethod
     def from_json(cls, text: str) -> "SquareCayleyComplex":
-        return cls.from_doc(json.loads(text))
+        return loads(text, cls.from_doc)
 
 
 @dataclass
@@ -354,14 +354,15 @@ def _rows(basis) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=16)
 def _face_plan(complex_: SquareCayleyComplex, layers, basis_a, basis_b, p: int) -> tuple:
-    """Per cell ij = i * delta + j of a face (g, i, j), what its check column
-    on `layers` needs beyond g: per layer, the corner map it reaches and the
-    offsets s * k_b + t, ascending, of the check entries it meets in that
-    corner's block; and the entries' values basis_a[s][r] * basis_b[t][c]
-    mod p, (r, c) the face's cell in each corner's local view.  The maps are
-    numbered over the layers in order, each as (layer, its number in the
-    layer, layer_no * |G|).  Bases as tuples of int rows."""
-    d, kb = complex_.delta, len(basis_b)
+    """The check columns on `layers` of one vertex's delta^2 faces, laid out
+    once per basis pair: the stack of the layers' corner maps, in order, with
+    digits kk (1, q, q^2) and shifts layer_no * |G| * kk, so each map gives
+    its corner's first check row; per stored entry, by face cell
+    ij = i * delta + j, then layer, then offset (so a face's rows ascend),
+    its map, offset s * k_b + t and cell, as arrays; per cell, the slice of
+    its entries and their values basis_a[s][r] * basis_b[t][c] mod p, (r, c)
+    the face's cell in the corner's local view.  Bases as int-row tuples."""
+    cx, d, kb = complex_, complex_.delta, len(basis_b)
     table = []  # per local-view cell: (offsets, values)
     for r, c in product(range(d), repeat=2):
         cell = [
@@ -371,68 +372,54 @@ def _face_plan(complex_: SquareCayleyComplex, layers, basis_a, basis_b, p: int) 
             if row_a[r] * row_b[c] % p
         ]
         table.append((tuple(st for st, _ in cell), tuple(val for _, val in cell)))
-    sizes = [len(complex_._maps[layer]) for layer in layers]
-    first = list(accumulate([0] + sizes))
-    maps = tuple(
-        (layer, k, layer_no * complex_.group_size)
-        for layer_no, (layer, size) in enumerate(zip(layers, sizes))
-        for k in range(size)
-    )
-    plan, vals = [], []
+    first = list(accumulate([0] + [len(cx._maps[layer]) for layer in layers]))
+    entries, slices, vals = [], [], []
     for ij in range(d * d):
-        cells = [table[complex_._cell[layer][ij]] for layer in layers]
-        picks = [k0 + complex_._pick[layer][ij] for k0, layer in zip(first, layers)]
-        plan.append(tuple((k, offsets) for k, (offsets, _) in zip(picks, cells)))
+        cells = [table[cx._cell[layer][ij]] for layer in layers]
+        picks = [k0 + cx._pick[layer][ij] for k0, layer in zip(first, layers)]
+        start = len(entries)
+        entries += [(k, st, ij) for k, (offsets, _) in zip(picks, cells) for st in offsets]
+        slices.append(slice(start, len(entries)))
         vals.append(tuple(val for _, cell_vals in cells for val in cell_vals))
-    return tuple(plan), tuple(vals), maps
+    kk, rows = len(basis_a) * kb, num_check_rows(cx, layers, basis_a, basis_b)
+    dtype = np.int64 if max(cx.num_faces, rows) <= 2**63 else object
+    shift = [n * cx.group_size * kk for n, layer in enumerate(layers) for _ in cx._maps[layer]]
+    stack = cx._stack([f for layer in layers for f in cx._maps[layer]], kk, shift, dtype)
+    pick, offset, cell = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    return stack, pick, offset.astype(dtype)[:, None], cell[:, None], tuple(slices), tuple(vals)
 
 
 class _FaceColumns:
-    """Column f of the check matrix on `layers`, one face at a time: ascending
-    check rows and their values.  Beyond its cell, which `_face_plan` lays
-    out once, a face needs the first check row (layer_no * |G| + v) * kk of
-    each corner v it reaches, one `_corner` map of its vertex g each.  Those
-    are kept per vertex, so the delta^2 faces over one g (consecutive in a
-    stream) share them, and a random face costs one map per layer."""
+    """Columns of the check matrix on `layers`, by vertex block, from
+    `_face_plan`: `rows` evaluates its stack once on vertex columns x and
+    gives the (stored entries, vertices) array of check rows; `block` the
+    faces of vertices start..stop-1, in face order, as ascending tuples
+    sliced from one `tolist()`.  The values at cell ij are `vals[ij]`.  A
+    face's column comes from its vertex's block: O(delta^2) maps whatever
+    the group order."""
 
     def __init__(self, complex_: SquareCayleyComplex, layers, basis_a, basis_b, p: int):
-        basis_a, basis_b = _rows(basis_a), _rows(basis_b)
-        self.complex, self.kk = complex_, len(basis_a) * len(basis_b)
-        self._plan, self._vals, self._maps = _face_plan(
-            complex_, tuple(layers), basis_a, basis_b, p
+        self.complex = complex_
+        self.stack, self.pick, self.offset, self.cell, self.slices, self.vals = _face_plan(
+            complex_, tuple(layers), _rows(basis_a), _rows(basis_b), p
         )
-        self._vertex, self._x, self._bases = None, None, []
 
-    def column(self, f: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        cx = self.complex
-        g, ij = cx._face(f)
-        if g != self._vertex:
-            self._vertex, self._x = g, _decode(cx.p, cx._q, g)
-            self._bases = [None] * len(self._maps)
-        bases, rows = self._bases, []
-        for k, offsets in self._plan[ij]:
-            base = bases[k]
-            if base is None:
-                layer, n, shift = self._maps[k]
-                base = bases[k] = (shift + cx._corner(layer, n, self._x)) * self.kk
-            rows += [base + st for st in offsets]
-        return tuple(rows), self._vals[ij]
+    def rows(self, x) -> np.ndarray:
+        return self.complex._evaluate(self.stack, x)[self.pick] + self.offset
+
+    def block(self, start: int, stop: int) -> list[tuple[int, ...]]:
+        rows = self.rows(self.complex._coords(start, stop, self.offset.dtype)).T.tolist()
+        return [tuple(vertex[at]) for vertex in rows for at in self.slices]
 
 
 def check_matrix(complex_: SquareCayleyComplex, layers, basis_a, basis_b, p: int) -> FMatrix:
-    """`_FaceColumns` of every face at once: each `_face_plan` corner map,
-    applied once to every vertex's coordinates, gives a (maps, |G|) array of
-    first check rows, and the plan's (cell, stored entry) pairs are broadcast
-    over it."""
-    cx, basis_a, basis_b = complex_, _rows(basis_a), _rows(basis_b)
-    plan, vals, maps = _face_plan(cx, tuple(layers), basis_a, basis_b, p)
-    kk, x = len(basis_a) * len(basis_b), _group_coords(cx.p, cx.m)
-    first = np.array([(shift + cx._corner(layer, n, x)) * kk for layer, n, shift in maps])
-    entries = [(ij, k, st) for ij, face in enumerate(plan) for k, offsets in face for st in offsets]
-    ij, k, st = np.array(entries, dtype=np.int64).reshape(-1, 3).T
-    rows = first[k] + st[:, None]  # (stored entries, |G|)
-    cols = np.arange(cx.group_size) * cx.delta**2 + ij[:, None]
-    data = np.broadcast_to(np.array(sum(vals, ()), dtype=np.int64)[:, None], rows.shape)
+    """`_FaceColumns` of every vertex at once, on the whole group's
+    coordinates, with the stored entries' values and cells broadcast over
+    the vertices."""
+    cx, columns = complex_, _FaceColumns(complex_, layers, basis_a, basis_b, p)
+    rows = columns.rows(np.vstack([*_group_coords(cx.p, cx.m), np.ones(cx.group_size, dtype=int)]))
+    cols = np.arange(cx.group_size) * cx.delta**2 + columns.cell
+    data = np.broadcast_to(np.array(sum(columns.vals, ()), dtype=np.int64)[:, None], rows.shape)
     shape = (num_check_rows(cx, layers, basis_a, basis_b), cx.num_faces)
     return FMatrix(p, sparse.csr_array((data.ravel(), (rows.ravel(), cols.ravel())), shape=shape))
 

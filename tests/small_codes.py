@@ -54,9 +54,11 @@ def face_column(
     complex_: SquareCayleyComplex, f: int, layers, basis_a, basis_b, p: int
 ) -> tuple[list[int], list[int]]:
     """Ascending check rows and their values in column f of the check
-    matrix on `layers`, read by a `_FaceColumns` made for this one call."""
-    rows, vals = _FaceColumns(complex_, layers, basis_a, basis_b, p).column(f)
-    return list(rows), list(vals)
+    matrix on `layers`: the block of f's vertex, from a `_FaceColumns` made
+    for this one call."""
+    columns = _FaceColumns(complex_, layers, basis_a, basis_b, p)
+    g, ij = complex_._face(f)
+    return list(columns.block(g, g + 1)[ij]), list(columns.vals[ij])
 
 
 def right_table(p: int, m: int, elements) -> np.ndarray:
@@ -101,6 +103,27 @@ def table_check_matrix(
     data, rows, cols = map(np.concatenate, zip(*parts))
     n_rows = num_check_rows(cx, layers, basis_a, basis_b)
     return FMatrix(p, sparse.csr_array((data, (rows, cols)), shape=(n_rows, cx.num_faces)))
+
+
+def formula_local_view(cx: SquareCayleyComplex, layer: str, v: GroupElement) -> np.ndarray:
+    """`local_view` by its earlier formula, the oracle of the stacked
+    evaluator: the inverse corners' maps of the complex, split into a
+    (3 delta^2 x 4) matrix and an offset vector, give
+    ((linear x + offset) mod q) . (1, q, q^2) delta^2 + cell."""
+    d, q, dtype = cx.delta, cx._q, cx._face_dtype
+    on_a, on_b = layer[1] == "1", layer[0] == "1"
+    paired, pair_a, pair_b = cx.convention == "paired", cx.gens_a.pairing, cx.gens_b.pairing
+    sig_a = pair_a if paired and on_a else range(d)
+    sig_b = pair_b if paired and on_b else range(d)
+    ij = [(sig_a[r], sig_b[c]) for r in range(d) for c in range(d)]
+    maps = cx._maps[layer]
+    stack = [row for i, j in ij for row in maps[cx._pick[layer][pair_a[i] * d + pair_b[j]]]]
+    linear = np.array([row[:4] for row in stack], dtype=dtype)
+    offset = np.array([row[4] for row in stack], dtype=dtype)
+    cell = np.array([i * d + j for i, j in ij], dtype=dtype)
+    digits = np.array([1, q, q * q], dtype=dtype) * (d * d)
+    x = np.array((v.a, v.b, v.c, v.d), dtype=dtype)
+    return (((linear @ x + offset) % q).reshape(d * d, 3) @ digits + cell).reshape(d, d)
 
 
 def apply_hamiltonian_exact(code: CssCode, state: dict[int, int]) -> dict[int, Fraction]:

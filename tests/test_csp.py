@@ -293,6 +293,28 @@ def test_stream_input_validation(planted_build):
         TannerConstraintStream(cx, long_pair, np.ones(code.n, dtype=int))
     with pytest.raises(DimensionMismatch):
         build_code(cx, long_pair)
+    # a face index is an integer, outside the stream's block or inside it
+    stream = TannerConstraintStream(cx, pair, "ones")
+    with pytest.raises(TypeError):
+        stream.constraint(2.0)
+    stream.constraint(0)
+    with pytest.raises(TypeError):
+        stream.constraint(2.0)
+
+
+def test_stream_beta_rule(planted_build):
+    """beta "ones" is a rule: the stream holds no array, its instance is the
+    one with the ones vector, and any other string is refused."""
+    cx, pair, code = planted_build
+    stream = TannerConstraintStream(cx, pair, "ones")
+    assert not [v for v in vars(stream).values() if isinstance(v, np.ndarray)]
+    inst = stream.as_instance()
+    want = TannerConstraintStream(cx, pair, np.ones(code.n, dtype=int)).as_instance()
+    assert inst.matrix == want.matrix and inst.rhs.tolist() == want.rhs.tolist() == [1] * code.n
+    assert [stream.constraint(f) for f in range(code.n)] == inst.constraints
+    for rule in ("one", "zeros", ""):
+        with pytest.raises(BetaNotAdmissible):
+            TannerConstraintStream(cx, pair, rule)
 
 
 # ------------------------------------------------------------ certify

@@ -1,12 +1,16 @@
 """The canonical JSON codec."""
 
+import gc
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from ptanner.jsonio import dumps
+from ptanner import jsonio
+from ptanner.csp import LinInstance
+from ptanner.errors import DomainError
+from ptanner.jsonio import dumps, loads, read_artifact
 from ptanner.tanner import DistanceReport
 
 
@@ -24,3 +28,38 @@ def test_dumps_is_compact_sorted_and_finite():
     assert dumps(doc) == '{"a":7,"b":[0,1,2],"c":{"name":"p","values":[1,2]}}'
     report = DistanceReport(upper_bound=math.inf, exact=False, method="m", trials=0)
     assert '"upper_bound":null' in dumps(report)
+
+
+@pytest.fixture(params=[True, False], ids=["gc enabled", "gc disabled"])
+def gc_state(request):
+    """The caller's collector setting, restored after the test."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_loader_pauses_the_collector_and_restores_it(gc_state, tmp_path, monkeypatch):
+    """The collector is off while `json.loads` runs and back as the caller
+    had it afterwards, through `loads`, `read_artifact` and `from_json`,
+    and also when the text is malformed."""
+    seen = []
+
+    def recording_loads(text):
+        seen.append(gc.isenabled())
+        return json_loads(text)
+
+    json_loads = jsonio.json.loads
+    monkeypatch.setattr(jsonio.json, "loads", recording_loads)
+    assert loads('{"a":[1,2]}', dict) == {"a": [1, 2]} and gc.isenabled() == gc_state
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text("[1,2,3]")
+    bad.write_text('{"p": 2,')
+    assert read_artifact(good, len) == 3 and gc.isenabled() == gc_state
+    with pytest.raises(DomainError):
+        read_artifact(bad, len)
+    assert gc.isenabled() == gc_state
+    with pytest.raises(ValueError):
+        LinInstance.from_json('{"p": 2,')
+    assert gc.isenabled() == gc_state
+    assert seen == [False] * 4

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from ptanner import gf
+from ptanner import expander, gf
 from ptanner.cli import main
 from ptanner.csp import LinInstance, TannerConstraintStream, emit_lin_instance, max_sat
 from ptanner.errors import DomainError, MissingArtifact, SearchExhausted
@@ -496,6 +496,23 @@ def test_cli_exit_codes(tmp_path, capsys, steane_file):
     assert main(
         ["csp", "maxsat", "--instance", str(lin_file), "--budget", "4"]
     ) == 3
+
+
+def test_cli_memory_error_exits_3(tmp_path, capsys, monkeypatch):
+    """A run that cannot get its memory exits 3 with one line naming
+    MemoryError: group (3,8) reaches `cayley_table`, which here raises at
+    once instead of asking for its 2 TiB."""
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 2.05 TiB")
+
+    monkeypatch.setattr(expander, "cayley_table", no_memory)
+    config = tmp_path / "m8.json"
+    doc = {**FLAGSHIP_DOC, "group": {"p": 3, "m": 8}, "stages": ["expander"]}
+    config.write_text(json.dumps(doc))
+    assert main(["pipeline", "run", "--config", str(config), "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "MemoryError" in err[0] and "2.05 TiB" in err[0]
+
 
 TWO_COORD_GENS = '{"degree":2,"generators":[[1,0],[2,0,0]],"m":1,"p":3}'
 HUGE_ENTRY_CODE = json.dumps({

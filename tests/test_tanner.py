@@ -50,7 +50,14 @@ from ptanner.tanner import (
     verify_planted,
 )
 
-from small_codes import face_column, face_from_index, shor_code, steane_code, table_check_matrix
+from small_codes import (
+    face_column,
+    face_from_index,
+    formula_local_view,
+    shor_code,
+    steane_code,
+    table_check_matrix,
+)
 
 
 def ternary_complex(delta=3, convention="paired"):
@@ -426,18 +433,116 @@ def test_stream_matches_instance_in_any_order(case, data):
     data=st.data(),
 )
 def test_face_columns_in_any_order_at_m30(convention, field_p, layers, data):
-    """At m = 30, where no stream's beta fits in memory, one `_FaceColumns`
-    queried in any order equals the GroupElement oracle face by face."""
+    """At m = 30, face columns read in any order, each from its vertex's
+    block, equal the GroupElement oracle face by face."""
     cx = oracle_complex(3, 30, 5, convention)
     row = st.lists(st.integers(0, field_p - 1), min_size=5, max_size=5)
     basis_a = data.draw(st.lists(row, min_size=1, max_size=3))
     basis_b = data.draw(st.lists(row, min_size=1, max_size=3))
-    columns = _FaceColumns(cx, layers, basis_a, basis_b, field_p)
     for f in data.draw(face_orders(cx.num_faces, 25)):
-        rows, vals = columns.column(f)
-        assert (list(rows), list(vals)) == oracle_face_column(
+        assert face_column(cx, f, layers, basis_a, basis_b, field_p) == oracle_face_column(
             cx, f, layers, basis_a, basis_b, field_p
         )
+
+
+@lru_cache(maxsize=None)
+def l30c_build():
+    """L30c: group (3,30), delta 7, k = (3,4), GF(2), n = 49 * 3^90."""
+    gens = default_generators(3, 30, 7, seed=7, require_generation=True)
+    pair = search_inner_pair(2, 7, 3, 4, seed=stage_seed(7, "inner"))
+    return SquareCayleyComplex(gens, gens), pair
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from(ORACLE_SHAPES),
+    convention=st.sampled_from(CONVENTIONS),
+    layer=st.sampled_from(LAYERS),
+    data=st.data(),
+)
+def test_local_view_matches_its_earlier_formula(shape, convention, layer, data):
+    """The stacked evaluator's local view, offset folded in, equals the
+    formula it replaced on random vertices, in int64 and, at m = 30, on
+    Python ints."""
+    cx = oracle_complex(*shape, convention)
+    v = element_from_index(cx.p, cx.m, data.draw(st.integers(0, cx.group_size - 1)))
+    view, want = cx.local_view(layer, v), formula_local_view(cx, layer, v)
+    assert view.dtype == want.dtype == (object if cx.m == 30 else np.int64)
+    assert view.tolist() == want.tolist()
+
+
+@st.composite
+def stream_orders(draw, num_faces, dd):
+    """Faces to ask a stream for: one run in face order, long enough to
+    pass blocks of 1 to 64 vertices; random faces; or short runs from random
+    faces, each broken off mid-block or past a block's edge."""
+    kind = draw(st.sampled_from(["in order", "random", "runs"]))
+    if kind == "random":
+        return draw(st.lists(st.integers(0, num_faces - 1), min_size=1, max_size=40))
+    longest = 140 * dd if kind == "in order" else 3 * dd
+    runs = draw(st.lists(
+        st.tuples(st.integers(0, num_faces - 1), st.integers(1, longest)),
+        min_size=1, max_size=1 if kind == "in order" else 6,
+    ))
+    return [f for start, n in runs for f in range(start, min(start + n, num_faces))]
+
+
+def sum_zero_pair(p, n):
+    """A planted pair: all-ones, and the words with x_0 + x_1 = 0 for dual."""
+    return InnerCodePair(
+        p, n, LinearCode(p, n, [[1] * n]), LinearCode(p, n, [[1, p - 1] + [0] * (n - 2)])
+    )
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from([shape for shape in ORACLE_SHAPES if shape[1] != 30]),
+    convention=st.sampled_from(CONVENTIONS),
+    field_p=st.sampled_from([2, 3]),
+    layers=st.sampled_from([X_LAYERS, Z_LAYERS, LAYERS]),
+    data=st.data(),
+)
+def test_stream_blocks_match_cayley_table_oracle(shape, convention, field_p, layers, data):
+    """A stream's constraints in face order (blocks growing to 64
+    vertices), in random order (one vertex each) and in runs across block
+    edges equal the columns of the Cayley-table check matrix, with random
+    bases on X, Z and all layers and a random right-hand side.  The blocks
+    read only the stream's `_FaceColumns`, so one on other layers stands in
+    for the Z layers' own."""
+    cx = oracle_complex(*shape, convention)
+    row = st.lists(st.integers(0, field_p - 1), min_size=cx.delta, max_size=cx.delta)
+    basis_a = data.draw(st.lists(row, max_size=3))
+    basis_b = data.draw(st.lists(row, max_size=3))
+    beta = np.random.default_rng(cx.num_faces).integers(0, field_p, cx.num_faces)
+    stream = TannerConstraintStream(cx, sum_zero_pair(field_p, cx.delta), beta)
+    stream._columns = _FaceColumns(cx, layers, basis_a, basis_b, field_p)
+    want = table_check_matrix(cx, layers, basis_a, basis_b, field_p).T.rows()
+    for f in data.draw(stream_orders(cx.num_faces, cx.delta**2)):
+        con = stream.constraint(f)
+        assert (list(con.vars), list(con.coeffs), con.rhs) == (*want[f], beta[f])
+
+
+@pytest.mark.parametrize("build", ["group (3,30), delta 5", "L30c"])
+def test_ones_stream_at_m30_matches_oracle(build):
+    """With beta the rule "ones" the stream holds no length-n array, and at
+    m = 30 sampled faces, in face order across blocks of 1 to 64 vertices
+    and in random order, equal the GroupElement oracle with rhs 1; so does
+    a NumPy integer face after faces past int64."""
+    if build == "L30c":
+        cx, pair = l30c_build()
+    else:
+        cx, pair = oracle_complex(3, 30, 5, "paired"), pair_len5_gf2()
+    stream = TannerConstraintStream(cx, pair, "ones")
+    assert not [v for v in vars(stream).values() if isinstance(v, np.ndarray)]
+    dual_a, dual_b = pair.code_a.dual().basis.tolist(), pair.code_b.dual().basis.tolist()
+    rng, dd = random.Random(build), cx.delta**2
+    start = rng.randrange(cx.num_faces)
+    in_order = range(start, min(start + 130 * dd, cx.num_faces))
+    jumps = [rng.randrange(cx.num_faces) for _ in range(40)]
+    for f in [*in_order, *jumps, np.int64(rng.randrange(2**62))]:
+        con = stream.constraint(f)
+        want = oracle_face_column(cx, int(f), Z_LAYERS, dual_a, dual_b, 2)
+        assert (list(con.vars), list(con.coeffs), con.rhs) == (*want, 1)
 
 
 def test_l30c_queries_are_strongly_explicit():
@@ -446,9 +551,7 @@ def test_l30c_queries_are_strongly_explicit():
     `incidence` names; `face_column` answers in under 100 us (median); and
     each Z check at a sampled vertex has coefficients summing to 0 over its
     local view, the planted all-ones word checked locally."""
-    gens = default_generators(3, 30, 7, seed=7, require_generation=True)
-    cx = SquareCayleyComplex(gens, gens)
-    pair = search_inner_pair(2, 7, 3, 4, seed=stage_seed(7, "inner"))
+    cx, pair = l30c_build()
     assert cx.num_faces == 49 * 3**90
     rng = random.Random(30)
     faces = [rng.randrange(cx.num_faces) for _ in range(40)]
