@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .csp import (
+    BETA_ONES,
     LinInstance,
     certify_unsat,
     emit_lin_instance,
@@ -238,7 +239,7 @@ def _cmd_nlts_depth_bound(args) -> int:
 
 def _cmd_csp_emit(args) -> int:
     code = _load_code(args.code)
-    if args.beta in ("one", "ones"):
+    if args.beta in BETA_ONES:
         beta = np.ones(code.n, dtype=np.int64)
     else:
         beta = read_artifact(args.beta, lambda doc: np.array(doc, dtype=np.int64))
@@ -291,14 +292,6 @@ def _cmd_report(args) -> int:
 # ---- parser ------------------------------------------------------------
 
 
-def _command(sub, name: str, func, help=None) -> argparse.ArgumentParser:
-    """Subcommand `name`, run by func, with --out: the file to write (else stdout)."""
-    s = sub.add_parser(name, help=help)
-    s.add_argument("--out")
-    s.set_defaults(func=func)
-    return s
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ptanner",
@@ -308,18 +301,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = top.add_parser("expander", help="congruence-group Cayley graphs")
     sub = p_exp.add_subparsers(dest="subcommand", required=True)
-    s = _command(sub, "build", _cmd_expander_build, help="pick a symmetric generator multiset")
+    s = sub.add_parser("build", help="pick a symmetric generator multiset")
     _add_group_args(s, with_gens_file=False)
-    s = _command(sub, "spectrum", _cmd_expander_spectrum, help="measured second eigenvalue")
+    s.add_argument("--out")
+    s.set_defaults(func=_cmd_expander_build)
+    s = sub.add_parser("spectrum", help="measured second eigenvalue")
     _add_group_args(s)
-    s = _command(sub, "neighbor", _cmd_expander_neighbor, help="single neighbor query")
+    s.add_argument("--out")
+    s.set_defaults(func=_cmd_expander_spectrum)
+    s = sub.add_parser("neighbor", help="single neighbor query")
     _add_group_args(s)
     s.add_argument("--vertex", type=int, required=True)
     s.add_argument("--gen", type=int, required=True)
+    s.add_argument("--out")
+    s.set_defaults(func=_cmd_expander_neighbor)
 
     p_inner = top.add_parser("inner", help="planted inner code pairs")
     sub = p_inner.add_subparsers(dest="subcommand", required=True)
-    s = _command(sub, "search", _cmd_inner_search, help="randomized certified pair search")
+    s = sub.add_parser("search", help="randomized certified pair search")
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--delta", type=int, required=True)
     s.add_argument("--ka", type=int, required=True)
@@ -327,10 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rho", default="1/8")
     s.add_argument("--budget", type=_non_negative_int, default=200)
     s.add_argument("--seed", type=_non_negative_int, default=0)
+    s.add_argument("--out")
+    s.set_defaults(func=_cmd_inner_search)
 
     p_code = top.add_parser("code", help="quantum Tanner codes on a square complex")
     sub = p_code.add_subparsers(dest="subcommand", required=True)
-    s = _command(sub, "build", _cmd_code_build)
+    s = sub.add_parser("build")
     s.add_argument("--p", type=int, required=True, help="group prime")
     s.add_argument("--m", type=int, required=True, help="congruence level")
     s.add_argument("--delta", type=int, required=True)
@@ -338,59 +339,86 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--convention", choices=("paired", "direct"), default="paired")
     s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--allow-nongenerating", action="store_true")
+    s.add_argument("--out")
+    s.set_defaults(func=_cmd_code_build)
     for name, fn in (("verify", _cmd_code_verify), ("dimension", _cmd_code_dimension)):
-        _command(sub, name, fn).add_argument("--code", required=True)
-    s = _command(sub, "distance", _cmd_code_distance)
+        s = sub.add_parser(name)
+        s.add_argument("--code", required=True)
+        s.add_argument("--out")
+        s.set_defaults(func=fn)
+    s = sub.add_parser("distance")
     s.add_argument("--code", required=True)
     s.add_argument("--budget", type=_non_negative_int, default=DEFAULT_DISTANCE_BUDGET)
     s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--trials", type=_non_negative_int, default=32)
-    s = _command(sub, "ssexp", _cmd_code_ssexp)
+    s.add_argument("--out")
+    s.set_defaults(func=_cmd_code_distance)
+    s = sub.add_parser("ssexp")
     s.add_argument("--code", required=True)
     s.add_argument("--eps", type=_finite_float, nargs="+", required=True)
     s.add_argument("--trials", type=_non_negative_int, default=200)
     s.add_argument("--seed", type=_non_negative_int, default=0)
+    s.add_argument("--out")
+    s.set_defaults(func=_cmd_code_ssexp)
 
     p_nlts = top.add_parser("nlts", help="clusters, spread, circuit depth bounds")
     sub = p_nlts.add_subparsers(dest="subcommand", required=True)
-    s = _command(sub, "clusters", _cmd_nlts_clusters)
+    s = sub.add_parser("clusters")
     s.add_argument("--code", required=True)
     s.add_argument("--eps", type=_finite_float, required=True)
     s.add_argument("--c1", type=_finite_float, required=True)
     s.add_argument("--c2", type=_finite_float, required=True)
     s.add_argument("--basis", choices=("Z", "X"), default="Z")
-    s = _command(sub, "spread", _cmd_nlts_spread)
+    s.add_argument("--out")
+    s.set_defaults(func=_cmd_nlts_clusters)
+    s = sub.add_parser("spread")
     s.add_argument("--code", required=True)
     s.add_argument("--state", default="random", help="state JSON file or 'random'")
     s.add_argument("--trials", type=_non_negative_int, default=1)
     s.add_argument("--eps", type=_finite_float, default=1 / 3)
     s.add_argument("--c1", type=_finite_float, default=0.1)
     s.add_argument("--seed", type=_non_negative_int, default=0)
-    s = _command(sub, "depth-bound", _cmd_nlts_depth_bound)
+    s.add_argument("--out")
+    s.set_defaults(func=_cmd_nlts_spread)
+    s = sub.add_parser("depth-bound")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--mu", type=_finite_float, required=True)
     s.add_argument("--delta", type=_finite_float, required=True)
     s.add_argument("--corollary", action="store_true")
+    s.add_argument("--out")
+    s.set_defaults(func=_cmd_nlts_depth_bound)
 
     p_csp = top.add_parser("csp", help="linear-equation instances from codes")
     sub = p_csp.add_subparsers(dest="subcommand", required=True)
-    s = _command(sub, "emit", _cmd_csp_emit)
+    s = sub.add_parser("emit")
     s.add_argument("--code", required=True)
     s.add_argument("--beta", default="one", help="'one' or a JSON vector file")
-    _command(sub, "unsat", _cmd_csp_unsat).add_argument("--instance", required=True)
-    s = _command(sub, "maxsat", _cmd_csp_maxsat)
+    s.add_argument("--out")
+    s.set_defaults(func=_cmd_csp_emit)
+    s = sub.add_parser("unsat")
+    s.add_argument("--instance", required=True)
+    s.add_argument("--out")
+    s.set_defaults(func=_cmd_csp_unsat)
+    s = sub.add_parser("maxsat")
     s.add_argument("--instance", required=True)
     s.add_argument("--mode", choices=("exact", "ls"), default="exact")
     s.add_argument("--budget", type=_non_negative_int, default=2**20)
     s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--restarts", type=int, default=8)
     s.add_argument("--steps", type=_non_negative_int, default=200)
-    _command(sub, "reduce3", _cmd_csp_reduce3).add_argument("--instance", required=True)
-    s = _command(sub, "sos-bound", _cmd_csp_sos_bound)
+    s.add_argument("--out")
+    s.set_defaults(func=_cmd_csp_maxsat)
+    s = sub.add_parser("reduce3")
+    s.add_argument("--instance", required=True)
+    s.add_argument("--out")
+    s.set_defaults(func=_cmd_csp_reduce3)
+    s = sub.add_parser("sos-bound")
     s.add_argument("--c1", type=_finite_float, required=True)
     s.add_argument("--c2", type=_finite_float, required=True)
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--ell", type=int, required=True)
+    s.add_argument("--out")
+    s.set_defaults(func=_cmd_csp_sos_bound)
 
     p_pipe = top.add_parser("pipeline", help="full staged build")
     sub = p_pipe.add_subparsers(dest="subcommand", required=True)

@@ -45,6 +45,8 @@ from .tanner import (
     num_check_rows,
 )
 
+BETA_ONES = ("one", "ones")  # the all-ones right-hand side, by rule
+
 
 class LinConstraint(NamedTuple):
     """One sparse linear equation: sum coeffs[k] * y[vars[k]] = rhs."""
@@ -172,7 +174,10 @@ class LinInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "LinInstance":
-        return loads(text, cls.from_doc)
+        # the document is acyclic and dies by reference counting once parsed,
+        # so a collection during the load would only traverse the caller's heap
+        with collector_paused():
+            return loads(text, cls.from_doc)
 
     @classmethod
     def from_dense(cls, p: int, coeffs, rhs, provenance=None) -> "LinInstance":
@@ -204,15 +209,16 @@ class TannerConstraintStream:
     """Constraint-at-a-time emission for Tanner builds.
 
     Constraint f is column f of H_Z with right-hand side beta[f]: the
-    `tanner._face_plan` of the Z layers and the dual inner bases, evaluated
-    by a `tanner._FaceColumns` on a block of vertices from f's on, with no
-    check matrix formed, so one constraint's cost does not grow with the
-    block length.  The stream keeps the block's constraints, with their
-    slice of beta as a list, so the next face in it is one lookup.  A jump
-    evaluates one vertex; while queries run in face order, each block has
-    twice the vertices of the last, up to BLOCK_VERTICES.  beta is a
-    length-n array or the rule "ones", which holds none.  `as_instance`
-    reads the plan for every face at once, through `tanner.check_matrix`.
+    `tanner._face_plan` of the Z layers and the dual inner bases, read by a
+    `tanner._FaceColumns` with no check matrix formed, so one constraint's
+    cost does not grow with the block length.  The stream keeps the
+    constraints it last evaluated, with their slice of beta as a list, so a
+    query among them is one lookup.  A jump evaluates the face alone, from
+    its own corner maps; a second face of the vertex met last, that
+    vertex's delta^2 faces; and the face after a block of vertices, the
+    next BLOCK_VERTICES vertices.  beta is a length-n array or the rule
+    "ones" (spelt as in BETA_ONES), which holds none.  `as_instance` reads
+    the plan for every face at once, through `tanner.check_matrix`.
     """
 
     BLOCK_VERTICES = 64
@@ -222,7 +228,7 @@ class TannerConstraintStream:
         self.complex = complex_
         self.p = pair.p
         if isinstance(beta, str):
-            if beta != "ones":
+            if beta not in BETA_ONES:
                 raise BetaNotAdmissible(f"unknown beta rule {beta!r}: 'ones' or an array")
             self.beta = beta
         else:
@@ -234,7 +240,7 @@ class TannerConstraintStream:
         self._dual_a = pair.code_a.dual().basis.tolist()
         self._dual_b = pair.code_b.dual().basis.tolist()
         self._columns = _FaceColumns(complex_, Z_LAYERS, self._dual_a, self._dual_b, self.p)
-        self._start, self._stop, self._block, self._vertices = 0, 0, [], 1
+        self._start, self._stop, self._block = 0, 0, []
 
     @property
     def num_constraints(self) -> int:
@@ -247,23 +253,28 @@ class TannerConstraintStream:
     def constraint(self, f: int) -> LinConstraint:
         if self._start <= f < self._stop:
             return self._block[f - self._start]
-        return self._load(f)
-
-    def _load(self, f: int) -> LinConstraint:
-        """Evaluate the block that starts at f's vertex and answer f."""
-        cx = self.complex
+        cx, dd = self.complex, self.complex.delta**2
         g, ij = cx._face(f)
-        in_order = f == self._stop
-        self._vertices = min(2 * self._vertices, self.BLOCK_VERTICES) if in_order else 1
-        stop = min(g + self._vertices, cx.group_size)
-        dd = cx.delta**2
-        rhs = repeat(1) if isinstance(self.beta, str) else self.beta[g * dd : stop * dd].tolist()
-        with collector_paused():  # the block's tuples are acyclic
-            fields = zip(self._columns.block(g, stop), cycle(self._columns.vals), rhs)
+        if f == self._stop and len(self._block) > 1:  # face order, past a block
+            self._fill(g, min(g + self.BLOCK_VERTICES, cx.group_size))
+        elif g == (self._stop - 1) // dd:  # a second face of the vertex met last
+            self._fill(g, g + 1)
+        else:  # a jump: the face alone
+            self._start, self._stop = g * dd + ij, g * dd + ij + 1
+            rhs = 1 if isinstance(self.beta, str) else int(self.beta[self._start])
+            self._block = [LinConstraint(self._columns.face(g, ij), self._columns.vals[ij], rhs)]
+        return self._block[f - self._start]
+
+    def _fill(self, g: int, stop: int) -> None:
+        """Keep the constraints of the faces of vertices g..stop-1."""
+        dd, columns = self.complex.delta**2, self._columns
+        self._start, self._stop = g * dd, stop * dd
+        beta = self.beta
+        rhs = repeat(1) if isinstance(beta, str) else beta[self._start : self._stop].tolist()
+        with collector_paused():  # the tuples are acyclic
+            fields = zip(columns.block(g, stop), cycle(columns.vals), rhs)
             # tuple.__new__ makes each LinConstraint in C, as namedtuple's _make does
             self._block = list(map(tuple.__new__, repeat(LinConstraint), fields))
-            self._start, self._stop = g * dd, stop * dd
-        return self._block[ij]
 
     def as_instance(self, provenance=None) -> LinInstance:
         h_z = check_matrix(self.complex, Z_LAYERS, self._dual_a, self._dual_b, self.p)

@@ -7,7 +7,9 @@ rebuilds the object.  This module alone
 decides the bytes: sorted keys, no whitespace, no NaN or infinity.  So
 `dumps(json.loads(text)) == text` for every text `dumps` writes, and a rerun
 that builds the same objects writes the same bytes.  `loads` is the one
-reader, for `read_artifact` and every `from_json`.
+reader, for `read_artifact` and every `from_json`; `collector_paused` is
+for callers that build many acyclic containers at once (an instance's
+load, a constraint stream's block).
 """
 
 from __future__ import annotations
@@ -83,11 +85,8 @@ def collector_paused():
 
 
 def loads(text: str, parse):
-    """parse(doc) of the JSON document `text`, the collector paused: the
-    loader builds only acyclic containers, and the document is freed by
-    reference counting once parsed, before collection resumes."""
-    with collector_paused():
-        return parse(json.loads(text))
+    """parse(doc) of the JSON document `text`."""
+    return parse(json.loads(text))
 
 
 def read_artifact(path, parse, what: str = "file"):

@@ -21,7 +21,12 @@ from pathlib import Path
 
 from .csp import certify_unsat, emit_lin_instance, reduce_to_3xor, sos_level_bound
 from .errors import ArtifactError, DomainError, MissingArtifact
-from .expander import CayleyMultigraph, default_generators, group_order, spectral_expansion
+from .expander import (
+    CayleyMultigraph,
+    default_generators,
+    group_order,
+    spectral_expansion,
+)
 from .gf import _supported_prime
 from .inner import search_inner_pair
 from .jsonio import dumps, read_artifact
@@ -39,7 +44,16 @@ from .tanner import (
 
 import numpy as np
 
-PIPELINE_STAGES = ("expander", "inner", "complex", "code", "verify", "distance", "ssexp", "csp")
+PIPELINE_STAGES = (
+    "expander",
+    "inner",
+    "complex",
+    "code",
+    "verify",
+    "distance",
+    "ssexp",
+    "csp",
+)
 
 STAGE_DEPS = {
     "expander": (),

@@ -17,8 +17,9 @@ is vertex v of the pair's layer layer_no (0 or 1) with basis rows (s, t);
 at face f it holds basis_a[s][r] * basis_b[t][c], where (r, c) is f's cell
 in v's local view.  `_face_plan` lays this out once per basis pair, on the
 complex's affine corner maps, and one evaluator reads it over a block of
-vertices: `_FaceColumns` gives the faces of one vertex or a few (the
-constraint stream's path), `check_matrix` every face.  The grid convention
+vertices: `_FaceColumns` gives the faces of one vertex or a few, or one
+face alone from its own maps (the constraint stream's path),
+`check_matrix` every face.  The grid convention
 placing a face in a local view is "paired" or "direct"; both satisfy CSS
 orthogonality, and mixing them does not (see the tests).
 
@@ -38,8 +39,20 @@ from itertools import accumulate, combinations, product
 import numpy as np
 from scipy import sparse
 
-from .errors import BudgetExceeded, DimensionMismatch, DomainError, GroupMismatch
-from .expander import GeneratorMultiset, GroupElement, _decode, _group_coords, _mul, group_order
+from .errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    DomainError,
+    GroupMismatch,
+)
+from .expander import (
+    GeneratorMultiset,
+    GroupElement,
+    _decode,
+    _group_coords,
+    _mul,
+    group_order,
+)
 from .gf import (
     FMatrix,
     LinearCode,
@@ -74,11 +87,12 @@ class SquareCayleyComplex:
     X -> T + X (I + pT)), and so is each corner map x -> a_i x b_j.  Each
     layer's distinct corner maps are built once, here, from `_mul`: the
     rows of (a, b, c) as integers mod q, O(delta^2) of them whatever the
-    group order.  `incidence` applies one map to g; `_evaluate`, the one
-    stacked evaluator, applies a stack of maps to a block of vertices: the
-    (3 delta^2 x 5) inverse corners of a local view, precomposed here, or a
-    `_face_plan`'s maps (`_FaceColumns`, `check_matrix`), in int64 or, once
-    indices pass int64 (m = 30), on Python ints.  Each query costs poly(m).
+    group order.  `_corner` applies one map to one vertex (`incidence`, a
+    face alone in `_FaceColumns`); `_evaluate`, the one stacked evaluator,
+    applies a stack of maps to a block of vertices: the (3 delta^2 x 5)
+    inverse corners of a local view, precomposed here, or a `_face_plan`'s
+    maps (`_FaceColumns`, `check_matrix`), in int64 or, once indices pass
+    int64 (m = 30), on Python ints.  Each query costs poly(m).
     """
 
     def __init__(
@@ -177,6 +191,14 @@ class SquareCayleyComplex:
         y += shift
         return y
 
+    def _corner(self, rows, x) -> int:
+        """`_evaluate` of one map on one vertex, on Python ints: the index
+        a + q b + q^2 c of the corner the map's rows send x = (a, b, c, d)
+        to."""
+        (x0, x1, x2, x3), q = x, self._q
+        a, b, c = [(r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3 + t) % q for r0, r1, r2, r3, t in rows]
+        return a + q * (b + q * c)
+
     def _coords(self, start: int, stop: int, dtype) -> np.ndarray:
         """The (5, stop - start) columns (a, b, c, d, 1) of vertices start..stop-1."""
         p, q = self.p, self._q
@@ -209,10 +231,9 @@ class SquareCayleyComplex:
         d = self.delta
         if not (0 <= i < d and 0 <= j < d):
             raise DomainError(f"generator indices ({i}, {j}) outside [0, {d})")
-        ij, q, x = i * d + j, self._q, (g.a, g.b, g.c, g.d, 1)
-        rows = self._maps[layer][self._pick[layer][ij]]
-        a, b, c = (sum(coef * xi for coef, xi in zip(row, x)) % q for row in rows)
-        v = GroupElement(self.p, self.m, *_decode(self.p, q, a + q * (b + q * c)))
+        ij, x = i * d + j, (g.a, g.b, g.c, g.d)
+        v = self._corner(self._maps[layer][self._pick[layer][ij]], x)
+        v = GroupElement(self.p, self.m, *_decode(self.p, self._q, v))
         return v, *divmod(self._cell[layer][ij], d)
 
     def local_view(self, layer: str, v: GroupElement) -> np.ndarray:
@@ -360,8 +381,9 @@ def _face_plan(complex_: SquareCayleyComplex, layers, basis_a, basis_b, p: int) 
     its corner's first check row; per stored entry, by face cell
     ij = i * delta + j, then layer, then offset (so a face's rows ascend),
     its map, offset s * k_b + t and cell, as arrays; per cell, the slice of
-    its entries and their values basis_a[s][r] * basis_b[t][c] mod p, (r, c)
-    the face's cell in the corner's local view.  Bases as int-row tuples."""
+    its entries, their values basis_a[s][r] * basis_b[t][c] mod p, (r, c)
+    the face's cell in the corner's local view, and per layer its map's
+    rows, shift and offsets, for one face alone.  Bases as int-row tuples."""
     cx, d, kb = complex_, complex_.delta, len(basis_b)
     table = []  # per local-view cell: (offsets, values)
     for r, c in product(range(d), repeat=2):
@@ -372,8 +394,11 @@ def _face_plan(complex_: SquareCayleyComplex, layers, basis_a, basis_b, p: int) 
             if row_a[r] * row_b[c] % p
         ]
         table.append((tuple(st for st, _ in cell), tuple(val for _, val in cell)))
+    kk, rows = len(basis_a) * kb, num_check_rows(cx, layers, basis_a, basis_b)
+    maps = [f for layer in layers for f in cx._maps[layer]]
+    shift = [n * cx.group_size * kk for n, layer in enumerate(layers) for _ in cx._maps[layer]]
     first = list(accumulate([0] + [len(cx._maps[layer]) for layer in layers]))
-    entries, slices, vals = [], [], []
+    entries, slices, vals, faces = [], [], [], []
     for ij in range(d * d):
         cells = [table[cx._cell[layer][ij]] for layer in layers]
         picks = [k0 + cx._pick[layer][ij] for k0, layer in zip(first, layers)]
@@ -381,27 +406,29 @@ def _face_plan(complex_: SquareCayleyComplex, layers, basis_a, basis_b, p: int) 
         entries += [(k, st, ij) for k, (offsets, _) in zip(picks, cells) for st in offsets]
         slices.append(slice(start, len(entries)))
         vals.append(tuple(val for _, cell_vals in cells for val in cell_vals))
-    kk, rows = len(basis_a) * kb, num_check_rows(cx, layers, basis_a, basis_b)
+        faces.append(tuple((maps[k], shift[k], offsets) for k, (offsets, _) in zip(picks, cells)))
     dtype = np.int64 if max(cx.num_faces, rows) <= 2**63 else object
-    shift = [n * cx.group_size * kk for n, layer in enumerate(layers) for _ in cx._maps[layer]]
-    stack = cx._stack([f for layer in layers for f in cx._maps[layer]], kk, shift, dtype)
     pick, offset, cell = np.array(entries, dtype=np.int64).reshape(-1, 3).T
-    return stack, pick, offset.astype(dtype)[:, None], cell[:, None], tuple(slices), tuple(vals)
+    return (
+        cx._stack(maps, kk, shift, dtype), pick, offset.astype(dtype)[:, None], cell[:, None],
+        tuple(slices), tuple(vals), tuple(faces),
+    )
 
 
 class _FaceColumns:
-    """Columns of the check matrix on `layers`, by vertex block, from
-    `_face_plan`: `rows` evaluates its stack once on vertex columns x and
-    gives the (stored entries, vertices) array of check rows; `block` the
-    faces of vertices start..stop-1, in face order, as ascending tuples
-    sliced from one `tolist()`.  The values at cell ij are `vals[ij]`.  A
-    face's column comes from its vertex's block: O(delta^2) maps whatever
-    the group order."""
+    """Columns of the check matrix on `layers`, from `_face_plan`: `rows`
+    evaluates its stack once on vertex columns x and gives the (stored
+    entries, vertices) array of check rows; `block` the faces of vertices
+    start..stop-1, in face order, as ascending tuples sliced from one
+    `tolist()`; `face` one face alone, from its own corner maps, one per
+    layer.  The values at cell ij are `vals[ij]`.  Either way a face costs
+    O(delta^2) maps at most, whatever the group order."""
 
     def __init__(self, complex_: SquareCayleyComplex, layers, basis_a, basis_b, p: int):
-        self.complex = complex_
-        self.stack, self.pick, self.offset, self.cell, self.slices, self.vals = _face_plan(
-            complex_, tuple(layers), _rows(basis_a), _rows(basis_b), p
+        basis_a, basis_b = _rows(basis_a), _rows(basis_b)
+        self.complex, self.kk = complex_, len(basis_a) * len(basis_b)
+        self.stack, self.pick, self.offset, self.cell, self.slices, self.vals, self._faces = (
+            _face_plan(complex_, tuple(layers), basis_a, basis_b, p)
         )
 
     def rows(self, x) -> np.ndarray:
@@ -410,6 +437,14 @@ class _FaceColumns:
     def block(self, start: int, stop: int) -> list[tuple[int, ...]]:
         rows = self.rows(self.complex._coords(start, stop, self.offset.dtype)).T.tolist()
         return [tuple(vertex[at]) for vertex in rows for at in self.slices]
+
+    def face(self, g: int, ij: int) -> tuple[int, ...]:
+        cx, rows = self.complex, []
+        x = _decode(cx.p, cx._q, g)
+        for maps, shift, offsets in self._faces[ij]:
+            base = cx._corner(maps, x) * self.kk + shift
+            rows += [base + st for st in offsets]
+        return tuple(rows)
 
 
 def check_matrix(complex_: SquareCayleyComplex, layers, basis_a, basis_b, p: int) -> FMatrix:

@@ -54,11 +54,11 @@ def face_column(
     complex_: SquareCayleyComplex, f: int, layers, basis_a, basis_b, p: int
 ) -> tuple[list[int], list[int]]:
     """Ascending check rows and their values in column f of the check
-    matrix on `layers`: the block of f's vertex, from a `_FaceColumns` made
-    for this one call."""
+    matrix on `layers`: the face alone, from a `_FaceColumns` made for this
+    one call."""
     columns = _FaceColumns(complex_, layers, basis_a, basis_b, p)
     g, ij = complex_._face(f)
-    return list(columns.block(g, g + 1)[ij]), list(columns.vals[ij])
+    return list(columns.face(g, ij)), list(columns.vals[ij])
 
 
 def right_table(p: int, m: int, elements) -> np.ndarray:

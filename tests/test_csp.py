@@ -297,14 +297,21 @@ def test_stream_input_validation(planted_build):
     stream = TannerConstraintStream(cx, pair, "ones")
     with pytest.raises(TypeError):
         stream.constraint(2.0)
-    stream.constraint(0)
+    stream.constraint(0), stream.constraint(1)
     with pytest.raises(TypeError):
         stream.constraint(2.0)
+    # and in range, also once a block of vertices reaches the last face
+    for f in range(code.n):
+        stream.constraint(f)
+    for f in (code.n, -1):
+        with pytest.raises(DomainError):
+            stream.constraint(f)
 
 
 def test_stream_beta_rule(planted_build):
-    """beta "ones" is a rule: the stream holds no array, its instance is the
-    one with the ones vector, and any other string is refused."""
+    """beta "ones" is a rule, spelt "one" or "ones" as `csp emit --beta`
+    takes it: the stream holds no array, its instance is the one with the
+    ones vector, and any other string is refused."""
     cx, pair, code = planted_build
     stream = TannerConstraintStream(cx, pair, "ones")
     assert not [v for v in vars(stream).values() if isinstance(v, np.ndarray)]
@@ -312,7 +319,8 @@ def test_stream_beta_rule(planted_build):
     want = TannerConstraintStream(cx, pair, np.ones(code.n, dtype=int)).as_instance()
     assert inst.matrix == want.matrix and inst.rhs.tolist() == want.rhs.tolist() == [1] * code.n
     assert [stream.constraint(f) for f in range(code.n)] == inst.constraints
-    for rule in ("one", "zeros", ""):
+    assert TannerConstraintStream(cx, pair, "one").as_instance().rhs.tolist() == [1] * code.n
+    for rule in ("One", "zeros", ""):
         with pytest.raises(BetaNotAdmissible):
             TannerConstraintStream(cx, pair, rule)
 

@@ -39,10 +39,10 @@ def gc_state(request):
     (gc.enable if was else gc.disable)()
 
 
-def test_loader_pauses_the_collector_and_restores_it(gc_state, tmp_path, monkeypatch):
-    """The collector is off while `json.loads` runs and back as the caller
-    had it afterwards, through `loads`, `read_artifact` and `from_json`,
-    and also when the text is malformed."""
+def test_loads_leave_the_collector_as_found(gc_state, tmp_path, monkeypatch):
+    """`loads` and `read_artifact` run `json.loads` with the collector as the
+    caller has it; `LinInstance.from_json` pauses it.  Each leaves it as
+    found, also when the text is malformed."""
     seen = []
 
     def recording_loads(text):
@@ -58,8 +58,9 @@ def test_loader_pauses_the_collector_and_restores_it(gc_state, tmp_path, monkeyp
     assert read_artifact(good, len) == 3 and gc.isenabled() == gc_state
     with pytest.raises(DomainError):
         read_artifact(bad, len)
-    assert gc.isenabled() == gc_state
+    assert gc.isenabled() == gc_state and seen == [gc_state] * 3
+    text = LinInstance.from_dense(2, [[1, 1]], [1]).to_json()
+    assert LinInstance.from_json(text).to_json() == text and gc.isenabled() == gc_state
     with pytest.raises(ValueError):
         LinInstance.from_json('{"p": 2,')
-    assert gc.isenabled() == gc_state
-    assert seen == [False] * 4
+    assert gc.isenabled() == gc_state and seen[3:] == [False, False]

@@ -433,8 +433,8 @@ def test_stream_matches_instance_in_any_order(case, data):
     data=st.data(),
 )
 def test_face_columns_in_any_order_at_m30(convention, field_p, layers, data):
-    """At m = 30, face columns read in any order, each from its vertex's
-    block, equal the GroupElement oracle face by face."""
+    """At m = 30, face columns read in any order, each face alone from its
+    own corner maps, equal the GroupElement oracle face by face."""
     cx = oracle_complex(3, 30, 5, convention)
     row = st.lists(st.integers(0, field_p - 1), min_size=5, max_size=5)
     basis_a = data.draw(st.lists(row, min_size=1, max_size=3))
@@ -474,8 +474,9 @@ def test_local_view_matches_its_earlier_formula(shape, convention, layer, data):
 @st.composite
 def stream_orders(draw, num_faces, dd):
     """Faces to ask a stream for: one run in face order, long enough to
-    pass blocks of 1 to 64 vertices; random faces; or short runs from random
-    faces, each broken off mid-block or past a block's edge."""
+    pass a face, a vertex and blocks of 64 vertices; random faces; or short
+    runs from random faces, each broken off mid-vertex or past a block's
+    edge."""
     kind = draw(st.sampled_from(["in order", "random", "runs"]))
     if kind == "random":
         return draw(st.lists(st.integers(0, num_faces - 1), min_size=1, max_size=40))
@@ -503,9 +504,10 @@ def sum_zero_pair(p, n):
     data=st.data(),
 )
 def test_stream_blocks_match_cayley_table_oracle(shape, convention, field_p, layers, data):
-    """A stream's constraints in face order (blocks growing to 64
-    vertices), in random order (one vertex each) and in runs across block
-    edges equal the columns of the Cayley-table check matrix, with random
+    """A stream's constraints in face order (a face, its vertex, then
+    blocks of 64 vertices), in random order (each face alone) and in runs
+    across vertex and block edges equal the columns of the Cayley-table
+    check matrix, with random
     bases on X, Z and all layers and a random right-hand side.  The blocks
     read only the stream's `_FaceColumns`, so one on other layers stands in
     for the Z layers' own."""
@@ -525,8 +527,8 @@ def test_stream_blocks_match_cayley_table_oracle(shape, convention, field_p, lay
 @pytest.mark.parametrize("build", ["group (3,30), delta 5", "L30c"])
 def test_ones_stream_at_m30_matches_oracle(build):
     """With beta the rule "ones" the stream holds no length-n array, and at
-    m = 30 sampled faces, in face order across blocks of 1 to 64 vertices
-    and in random order, equal the GroupElement oracle with rhs 1; so does
+    m = 30 sampled faces, in face order across a vertex and blocks of 64
+    vertices and in random order, equal the GroupElement oracle with rhs 1; so does
     a NumPy integer face after faces past int64."""
     if build == "L30c":
         cx, pair = l30c_build()
