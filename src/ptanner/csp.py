@@ -34,7 +34,7 @@ from .errors import (
 )
 from .gf import FMatrix, LinearCode, PrimeField, as_vector, iter_vectors, solve
 from .inner import InnerCodePair
-from .jsonio import Encoded, collector_paused, dumps, loads
+from .jsonio import collector_paused, dumps, encode_ints, loads
 from .tanner import (
     Z_LAYERS,
     CssCode,
@@ -114,8 +114,8 @@ class LinInstance:
 
     def to_doc(self) -> dict:
         """The constraints come as one `Encoded` list, written from the CSR
-        arrays: per row '{"coeffs":[...],"rhs":r,"vars":[...]}'.  The text is
-        one %d template, one fragment per row width, filled with each row's
+        arrays: per row '{"coeffs":[...],"rhs":r,"vars":[...]}', one %d
+        fragment per row width, filled by `encode_ints` with each row's
         values, rhs and variables laid out in one flat array."""
         indptr, indices, data = self.matrix.csr()
         width = np.diff(indptr)
@@ -126,16 +126,13 @@ class LinInstance:
         flat[at] = data
         flat[at + width[row] + 1] = indices
         flat[2 * indptr[:-1] + width + np.arange(n)] = self.rhs
-        fragment = {}
-        for w in np.unique(width).tolist():
-            nums = ",".join(["%d"] * w)
-            fragment[w] = '{"coeffs":[' + nums + '],"rhs":%d,"vars":[' + nums + "]}"
-        template = "[" + ",".join([fragment[w] for w in width.tolist()]) + "]"
+        row_text = '{{"coeffs":[{0}],"rhs":%d,"vars":[{0}]}}'.format
+        fragment = {w: row_text(",".join(["%d"] * w)) for w in np.unique(width).tolist()}
         return {
             "p": self.p,
             "m": self.num_vars,
             "arity_bound": self.arity_bound,
-            "constraints": Encoded(template % tuple(flat.tolist())),
+            "constraints": encode_ints([fragment[w] for w in width.tolist()], flat),
             "provenance": self.provenance,
         }
 

@@ -37,6 +37,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidField
+from .jsonio import encode_ints
 
 __all__ = [
     "PrimeField",
@@ -256,11 +257,14 @@ class FMatrix:
     # ---- serialization ------------------------------------------------
 
     def to_doc(self) -> dict:
+        """The entries as one `Encoded` list of [row, col, value], row-major."""
+        coo = self._csr.tocoo()
+        cells = np.column_stack((coo.row, coo.col, coo.data))
         return {
             "p": self.p,
             "rows": self.shape[0],
             "cols": self.shape[1],
-            "entries": self.entries(),
+            "entries": encode_ints(["[%d,%d,%d]"] * len(cells), cells.ravel()),
         }
 
     @classmethod
@@ -271,11 +275,10 @@ class FMatrix:
 # ---- elimination ------------------------------------------------------
 #
 # Over GF(2) a row is packed 64 columns to a little-endian uint64 word
-# (column c is bit c % 64 of word c // 64) and a pivot clears its column by
-# XORing whole rows.  Odd p runs the dense int64 loop `_row_reduce_dense`,
-# which is also the GF(2) path's test oracle.  Both produce the reduced row
-# echelon form, which is unique, so they agree exactly.  `LinearCode._reduce`
-# is their one caller.
+# (column c is bit c % 64 of word c // 64), and `_eliminate` reads it as one
+# Python int, column c its bit c.  Odd p runs the dense int64 loop
+# `_row_reduce_dense`.  Both produce the reduced row echelon form, which is
+# unique, so they agree exactly.  `LinearCode._reduce` is their one caller.
 
 _WORD = np.dtype("<u8")
 _BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)  # _BIT[s]: bit s of a word
@@ -313,33 +316,36 @@ def _unpack(rows: np.ndarray, n_cols: int) -> np.ndarray:
 
 
 def _eliminate(rows: np.ndarray, n_cols: int) -> list[int]:
-    """Reduced row echelon form over GF(2) on packed rows, in place.
-
-    Same pivot rule as the dense loop.  Returns the pivot columns; rows
-    [0, rank) end as the RREF rows in pivot order and the rest are zero.
-    A pivot row is zero left of its pivot, so only the words from the
-    pivot's word on are XORed.
+    """Reduced row echelon form over GF(2) on packed (C-contiguous) rows,
+    in place.  Each row, as an int, goes into a basis keyed by lowest set
+    bit, its leading column, XORed with the basis row there until that is
+    free or the row is zero.  From the highest pivot down, each basis row
+    is cleared of the higher pivots and written back.  Returns the pivot
+    columns; rows [0, rank) end as the RREF in pivot order, the rest zero.
     """
-    n_rows = rows.shape[0]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        w = c >> 6
-        col = rows[:, w] & _BIT[c & 63]
-        i = r + int(col[r:].argmax())
-        if not col[i]:
-            continue
-        if i != r:
-            rows[[r, i]] = rows[[i, r]]
-            col[i] = 0  # row i now holds old row r, zero in this column
-        col[r] = 0
-        hit = col.nonzero()[0]
-        if hit.size:
-            rows[hit, w:] ^= rows[r, w:]
-        pivots.append(c)
-        r += 1
+    if not rows.size:
+        return []
+    width = rows.shape[1] * 8
+    view = memoryview(rows).cast("B")
+    basis: dict[int, int] = {}
+    for i in range(rows.shape[0]):
+        x = int.from_bytes(view[i * width : (i + 1) * width], "little")
+        while x and (lead := (x & -x).bit_length() - 1) in basis:
+            x ^= basis[lead]
+        if x:
+            basis[lead] = x
+    pivots = sorted(basis)
+    rows[len(pivots) :] = 0
+    done = 0  # the bits of the pivots whose rows are finished
+    for i in reversed(range(len(pivots))):
+        x = basis[pivots[i]]
+        hit = x & done
+        while hit:
+            x ^= basis[c := hit.bit_length() - 1]
+            hit ^= 1 << c
+        basis[pivots[i]] = x
+        done |= 1 << pivots[i]
+        view[i * width : (i + 1) * width] = x.to_bytes(width, "little")
     return pivots
 
 
@@ -654,8 +660,9 @@ def rank(m: FMatrix | np.ndarray, p: int | None = None) -> int:
 def rank_work(n_rows: int, n_cols: int, p: int) -> int:
     """Work estimate for `rank` on an n_rows x n_cols matrix mod p.
 
-    GF(2): up to min(n_rows, n_cols) pivots, each XORing up to n_rows
-    packed rows of ceil(n_cols / 64) words.  Odd p: n_cols^2 * n_rows.
+    GF(2): up to min(n_rows, n_cols) pivots, each met by up to n_rows rows
+    with one XOR of ceil(n_cols / 64) words; check matrices fill in far
+    less.  Odd p: n_cols^2 * n_rows.
     """
     if p == 2:
         return min(n_rows, n_cols) * n_rows * -(-n_cols // 64)

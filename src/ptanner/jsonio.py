@@ -2,14 +2,14 @@
 
 Types describe their documents: `to_doc()` gives the document (nested
 objects may stay objects; they are encoded in turn, and a large part may
-come as `Encoded` text) and, for types that are read back, `from_doc(doc)`
-rebuilds the object.  This module alone
-decides the bytes: sorted keys, no whitespace, no NaN or infinity.  So
-`dumps(json.loads(text)) == text` for every text `dumps` writes, and a rerun
-that builds the same objects writes the same bytes.  `loads` is the one
-reader, for `read_artifact` and every `from_json`; `collector_paused` is
-for callers that build many acyclic containers at once (an instance's
-load, a constraint stream's block).
+come as `Encoded` text, which `encode_ints` writes from integer arrays)
+and, for types that are read back, `from_doc(doc)` rebuilds the object.
+This module alone decides the bytes: sorted keys, no whitespace, no NaN
+or infinity.  So `dumps(json.loads(text)) == text` for every text `dumps`
+writes, and a rerun that builds the same objects writes the same bytes.
+`loads` is the one reader, for `read_artifact` and every `from_json`;
+`collector_paused` is for callers that build many acyclic containers at
+once (an instance's load, a constraint stream's block).
 """
 
 from __future__ import annotations
@@ -46,6 +46,12 @@ class Encoded:
 
     def __init__(self, text: str):
         self.text = text
+
+
+def encode_ints(items: list[str], values: np.ndarray) -> Encoded:
+    """The JSON list of `items`, texts with %d slots, filled in order with
+    the integers of `values` in one format call."""
+    return Encoded(("[" + ",".join(items) + "]") % tuple(values.tolist()))
 
 
 _SLOT = "\udfff"  # a lone surrogate, written as the escape \udfff

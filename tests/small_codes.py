@@ -1,5 +1,5 @@
 """Small textbook CSS codes shared by the test suites, and test-only
-helpers on codes and complexes."""
+helpers on codes, complexes and packed GF(2) rows."""
 
 from fractions import Fraction
 
@@ -7,7 +7,7 @@ import numpy as np
 from scipy import sparse
 
 from ptanner.expander import GroupElement, _group_coords, _mul, cayley_table, element_from_index
-from ptanner.gf import FMatrix
+from ptanner.gf import _BIT, FMatrix, LinearCode, _eliminate, _pack
 from ptanner.nlts import _pack_rows, _require_gf2
 from ptanner.tanner import CssCode, SquareCayleyComplex, _FaceColumns, num_check_rows
 
@@ -42,6 +42,56 @@ def shor_code() -> CssCode:
         h_z=FMatrix.from_dense(2, z_rows),
         provenance={"kind": "imported", "name": "shor"},
     )
+
+
+def eliminate_columns(rows: np.ndarray, n_cols: int) -> list[int]:
+    """Reduced row echelon form over GF(2) on packed rows, in place, one
+    column at a time: the pivot is the first row at or below the current
+    one with a 1 in the column, and it clears the column from every other
+    row by XORing the words from the column's word on.  The oracle of
+    `gf._eliminate`, with the same contract: rows [0, rank) end as the RREF
+    in pivot order, the rest are zero, and the pivots are returned."""
+    n_rows = rows.shape[0]
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        w = c >> 6
+        col = rows[:, w] & _BIT[c & 63]
+        i = r + int(col[r:].argmax())
+        if not col[i]:
+            continue
+        if i != r:
+            rows[[r, i]] = rows[[i, r]]
+            col[i] = 0  # row i now holds old row r, zero in this column
+        col[r] = 0
+        hit = col.nonzero()[0]
+        if hit.size:
+            rows[hit, w:] ^= rows[r, w:]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def assert_eliminates_as_oracle(rows: np.ndarray, n_cols: int) -> None:
+    """`gf._eliminate` on packed rows gives `eliminate_columns`' pivots and
+    RREF rows, and zero below them."""
+    want = rows.copy()
+    want_pivots = eliminate_columns(want, n_cols)
+    pivots = _eliminate(rows, n_cols)
+    rank = len(pivots)
+    assert pivots == want_pivots
+    assert (rows[:rank] == want[:rank]).all()
+    assert not rows[rank:].any()
+
+
+def assert_check_eliminations_match_oracle(code: CssCode) -> None:
+    """H_X, H_Z and their kernel rows (what `LinearCode.dual` eliminates)
+    eliminate as `eliminate_columns` does."""
+    for m in (code.h_x, code.h_z):
+        assert_eliminates_as_oracle(_pack(m, code.n), code.n)
+        assert_eliminates_as_oracle(LinearCode(2, code.n, m)._kernel_rows(), code.n)
 
 
 def face_from_index(cx: SquareCayleyComplex, idx: int) -> tuple[GroupElement, int, int]:

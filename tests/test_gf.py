@@ -38,6 +38,8 @@ from ptanner.gf import (
 )
 from ptanner.jsonio import dumps
 
+from small_codes import assert_eliminates_as_oracle
+
 
 def span_size(rows, p):
     """Oracle rank: |span| = p^rank, by enumerating all combinations."""
@@ -468,6 +470,29 @@ def test_packed_gf2_elimination_matches_dense_oracle(case, as_fmatrix):
     assert in_rowspace(m, v, 2)
     w = rng.integers(-2, 3, n_cols)
     assert in_rowspace(m, w, 2) == (solve_oracle(a.T, w, 2) is not None)
+
+
+@st.composite
+def gf2_row_sets(draw):
+    """A bool matrix of 0, 1 or up to 200 rows (tall or wide) over 1 to 130
+    columns, word edges included, at density 0.02 to 0.5, with some rows
+    zeroed and some duplicated."""
+    n_rows = draw(st.sampled_from([0, 1]) | st.integers(2, 200))
+    n_cols = draw(st.sampled_from([1, 63, 64, 65, 130]))
+    density = draw(st.floats(0.02, 0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.random((n_rows, n_cols)) < density
+    if n_rows > 1:
+        a[rng.integers(0, n_rows, draw(st.integers(0, 3)))] = False
+        dup = rng.integers(0, n_rows, (draw(st.integers(0, 3)), 2))
+        a[dup[:, 0]] = a[dup[:, 1]]
+    return a
+
+
+@HYPOTHESIS
+@given(gf2_row_sets())
+def test_eliminate_matches_column_loop(a):
+    assert_eliminates_as_oracle(gf._pack(a, a.shape[1]), a.shape[1])
 
 
 @HYPOTHESIS

@@ -48,7 +48,13 @@ from ptanner.tanner import (
     estimate_distance,
 )
 
-from small_codes import face_column, face_from_index, steane_code, table_check_matrix
+from small_codes import (
+    assert_check_eliminations_match_oracle,
+    face_column,
+    face_from_index,
+    steane_code,
+    table_check_matrix,
+)
 
 SMALL_DOC = {
     "field_p": 3,
@@ -271,6 +277,15 @@ def test_l1c_distance_is_pinned(tmp_path):
     assert hashlib.sha256(data).hexdigest() == digest
     distance = json.loads(data)
     assert (distance["upper_bound"], distance["side"], distance["trials"]) == (4, "x-logical", 64)
+
+
+@pytest.mark.parametrize("doc", [FLAGSHIP_DOC, L1C_DOC], ids=["flagship", "l1c"])
+def test_check_eliminations_match_column_loop(doc, tmp_path):
+    run_pipeline(
+        RunConfig.from_mapping({**doc, "stages": ["expander", "inner", "complex", "code"]}),
+        out_dir=tmp_path,
+    )
+    assert_check_eliminations_match_oracle(read_artifact(tmp_path / "code.json", CssCode.from_doc))
 
 
 def test_flagship_eliminates_each_check_matrix_once(tmp_path, monkeypatch):
@@ -780,6 +795,11 @@ def test_level2_csp_certificate_refutes_ones(level2_run, monkeypatch):
     report = estimate_distance(code, DEFAULT_DISTANCE_BUDGET, trials=0)
     assert (report.exact, report.trials, report.witness) == (False, 0, None)
     assert calls == []
+
+
+def test_level2_check_eliminations_match_column_loop(level2_run):
+    _, out = level2_run
+    assert_check_eliminations_match_oracle(read_artifact(out / "code.json", CssCode.from_doc))
 
 
 def test_level2_dual_is_built_from_packed_kernel_rows(level2_run):
