@@ -180,11 +180,11 @@ def element_from_index(p: int, m: int, idx: int) -> GroupElement:
 
 def _group_coords(p: int, m: int):
     """(a, b, c, d) int64 arrays of every element, in index order: the one
-    whole-group decode.  BudgetExceeded from order 2^63 on, where the
-    indices pass int64; nothing lifts it."""
+    whole-group decode.  BudgetExceeded where the 8-byte index array
+    alone passes the address space; nothing lifts it."""
     q = p**m
-    if q**3 > np.iinfo(np.int64).max:
-        raise BudgetExceeded(f"{q ** 3} elements pass int64 indices; nothing lifts it")
+    if 8 * q**3 > np.iinfo(np.intp).max:
+        raise BudgetExceeded(f"{q ** 3} int64 indices pass the address space; nothing lifts it")
     c, b, a = np.unravel_index(np.arange(q**3), (q, q, q))
     inv = np.array([pow(1 + p * x, -1, q) for x in range(q)], dtype=np.int64)
     return a, b, c, inv[a] * ((p * b * c - a) % q) % q

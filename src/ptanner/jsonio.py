@@ -99,16 +99,18 @@ def read_artifact(path, parse, what: str = "file"):
     """parse(doc) of the JSON document in the file at `path`.
 
     A missing file raises MissingArtifact; malformed JSON, or a parse that
-    fails with ValueError, KeyError, TypeError, IndexError or OverflowError
-    (a missing key, a wrongly shaped value, an integer past int64) or with a
-    precondition error of its own, raises DomainError.  Both name the file.
+    fails with ValueError, KeyError, TypeError, IndexError, AttributeError
+    or OverflowError (a missing key, a wrongly shaped value, an integer past
+    int64) or with a precondition error of its own, raises DomainError.
+    Both name the file.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingArtifact(f"{what} not found: {path}")
     try:
         return loads(path.read_text(), parse)
-    except (ValueError, KeyError, TypeError, IndexError, OverflowError, PreconditionError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError, OverflowError,
+            PreconditionError) as exc:
         raise DomainError(
             f"malformed {what} {path}: {type(exc).__name__}: {exc}"
         ) from exc

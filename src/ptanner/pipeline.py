@@ -31,6 +31,7 @@ from .gf import _supported_prime
 from .inner import search_inner_pair
 from .jsonio import dumps, read_artifact
 from .tanner import (
+    CONVENTIONS,
     DEFAULT_DISTANCE_BUDGET,
     DEFAULT_SSEXP_EXHAUSTIVE,
     SquareCayleyComplex,
@@ -98,7 +99,7 @@ CONFIG_SCHEMA = {
         "k_b": {"type": "integer", "minimum": 1},
         "rho_target": {"type": ["number", "string"]},
         "seed": {"type": "integer", "minimum": 0},
-        "convention": {"enum": ["paired", "direct"]},
+        "convention": {"enum": list(CONVENTIONS)},
         "require_generation": {"type": "boolean"},
         "out_dir": {"type": "string"},
         "stages": {
@@ -464,10 +465,6 @@ def run_pipeline(config: RunConfig, out_dir=None) -> dict:
     }
     (target / "manifest.json").write_text(dumps(manifest) + "\n")
     return manifest
-
-
-def load_manifest(path) -> dict:
-    return read_artifact(path, lambda doc: doc, "manifest")
 
 
 def _fmt(value) -> str:

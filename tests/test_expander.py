@@ -523,13 +523,16 @@ def test_lanczos_no_convergence_exits_3(monkeypatch, capsys):
     assert "ConvergenceFailure" in capsys.readouterr().err
 
 
-def test_level30_expander_stage_exits_3(tmp_path, capsys):
-    """Group (3,30), above the dense budget: the closure search behind the
-    spectrum needs the whole-group decode, whose 3^90 indices pass int64,
-    so the run stops with BudgetExceeded and exit 3, not a traceback."""
+@pytest.mark.parametrize("m", [13, 30])
+def test_level30_expander_stage_exits_3(tmp_path, capsys, m):
+    """Groups (3,13) and (3,30), above the dense budget: the closure search
+    behind the spectrum needs the whole-group decode, whose 8-byte index
+    array alone passes the address space (3^39 indices fit int64 but not
+    in bytes; 3^90 pass int64), so the run stops with BudgetExceeded and
+    exit 3 before allocating, not with a traceback."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "field_p": 2, "group": {"p": 3, "m": 30}, "delta": 5, "k_a": 2, "k_b": 3,
+        "field_p": 2, "group": {"p": 3, "m": m}, "delta": 5, "k_a": 2, "k_b": 3,
         "rho_target": "1/8", "seed": 7, "stages": ["expander"],
     }))
     argv = ["pipeline", "run", "--config", str(config), "--out", str(tmp_path / "out")]

@@ -5,6 +5,7 @@ oracles are file hashes recomputed in-test, manifest echo checks, and
 exit-code contracts.
 """
 
+import argparse
 import collections
 import hashlib
 import importlib.util
@@ -19,11 +20,17 @@ import pytest
 from scipy import sparse
 
 from ptanner import expander, gf
-from ptanner.cli import main
-from ptanner.csp import LinInstance, TannerConstraintStream, emit_lin_instance, max_sat
+from ptanner.cli import build_parser, main
+from ptanner.csp import (
+    LinInstance,
+    TannerConstraintStream,
+    emit_lin_instance,
+    max_sat,
+    reduce_to_3xor,
+)
 from ptanner.errors import DomainError, MissingArtifact, SearchExhausted
-from ptanner.expander import element_from_index
-from ptanner.inner import InnerCodePair
+from ptanner.expander import default_generators, element_from_index
+from ptanner.inner import InnerCodePair, search_inner_pair
 from ptanner.jsonio import dumps, read_artifact
 from ptanner.nlts import depth_lower_bound
 from ptanner.pipeline import (
@@ -32,10 +39,10 @@ from ptanner.pipeline import (
     PIPELINE_STAGES,
     RunConfig,
     load_config,
-    load_manifest,
     render_report,
     run_pipeline,
     stage_seed,
+    verify_document,
 )
 from ptanner.tanner import (
     DEFAULT_DISTANCE_BUDGET,
@@ -350,11 +357,6 @@ def test_report_marks_missing_stages(small_run):
         render_report({"n": 1})
 
 
-def test_load_manifest_missing(tmp_path):
-    with pytest.raises(MissingArtifact):
-        load_manifest(tmp_path / "manifest.json")
-
-
 # ------------------------------------------------------------------- cli
 
 
@@ -500,6 +502,7 @@ def test_cli_exit_codes(tmp_path, capsys, steane_file):
     assert main(["pipeline", "run", "--config", str(bad)]) == 2
     assert "coprimality" in capsys.readouterr().err
     assert main(["report", "--manifest", str(tmp_path / "absent.json")]) == 2
+    assert "MissingArtifact" in capsys.readouterr().err
     # the inner pair is read before the generators are searched for
     missing = tmp_path / "missing.json"
     assert main(["code", "build", "--p", "3", "--m", "1", "--delta", "5",
@@ -544,6 +547,15 @@ NONCOMMUTING_CODE = json.dumps({
 })
 
 
+CONFIG_WITHOUT_GROUP_MANIFEST = {"config": {"field_p": 2}, "stages": {}, "n": 1}
+EXPANDER_WITHOUT_VERTICES_MANIFEST = {
+    "config": {"field_p": 2, "group": {"p": 3, "m": 1}, "delta": 5, "k_a": 2, "k_b": 3,
+               "seed": 7},
+    "n": 675,
+    "stages": {"expander": {"summary": {"degree": 5, "second_eigenvalue": 5.0, "ratio": 1.0}}},
+}
+
+
 def _instance_text(**change):
     """A two-variable instance document with `change` applied to its one
     constraint, or to the document for keys p, m and arity_bound."""
@@ -579,6 +591,10 @@ def _instance_text(**change):
         (["nlts", "clusters", "--code", "{bad}", "--eps", "0.5", "--c1", "0.1", "--c2", "0.1"],
          NONCOMMUTING_CODE),
         (["nlts", "spread", "--code", "{bad}"], NONCOMMUTING_CODE),
+        (["report", "--manifest", "{bad}"], json.dumps(CONFIG_WITHOUT_GROUP_MANIFEST)),
+        (["report", "--manifest", "{bad}"], json.dumps(EXPANDER_WITHOUT_VERTICES_MANIFEST)),
+        (["report", "--manifest", "{bad}"],
+         json.dumps({**EXPANDER_WITHOUT_VERTICES_MANIFEST, "stages": []})),
     ],
 )
 def test_cli_malformed_artifact_exits_2(tmp_path, capsys, steane_file, argv, content):
@@ -591,6 +607,72 @@ def test_cli_malformed_artifact_exits_2(tmp_path, capsys, steane_file, argv, con
     assert str(bad) in err
     if content == NONCOMMUTING_CODE:
         assert "X and Z checks do not commute" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expander", "build", "--p", "3", "--m", "1", "--degree", "6",
+         "--out", "{blocker}/gens.json"],
+        ["pipeline", "run", "--config", "{config}", "--out", "{blocker}"],
+    ],
+)
+def test_cli_unwritable_out_exits_2(tmp_path, capsys, argv):
+    """An --out path under a regular file: one stderr line names the path."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**FLAGSHIP_DOC, "stages": ["expander"]}))
+    assert main([arg.format(blocker=blocker, config=config) for arg in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "precondition failed" in err[0] and str(blocker) in err[0]
+
+
+def _subcommands(parser, path=()):
+    """(path, parser) of every leaf subcommand of `parser`."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subcommands(sub, (*path, name))
+            return
+    yield path, parser
+
+
+def test_cli_writes_what_the_library_writes(tmp_path, capsys, steane_file):
+    """Each command's stdout is `dumps` of the library call (or its text)
+    plus a newline; `--out FILE` is the first option of every subcommand
+    but `pipeline run`, where --out is the run directory, and `report`."""
+    pair = search_inner_pair(2, 3, 1, 2, rho_target="1/8", budget=200, seed=0)
+    gens = default_generators(3, 1, 3, seed=0, require_generation=False)
+    code = build_code(SquareCayleyComplex(gens, gens, "paired"), pair)
+    instance = emit_lin_instance(steane_code(), np.ones(7, dtype=np.int64))
+    files = {"pair": tmp_path / "pair.json", "code": tmp_path / "code.json",
+             "lin": tmp_path / "lin.json", "steane": steane_file}
+    files["pair"].write_text(dumps(pair))
+    files["code"].write_text(dumps(code))
+    files["lin"].write_text(dumps(instance))
+    cases = [
+        (["expander", "build", "--p", "3", "--m", "1", "--degree", "6"],
+         dumps(default_generators(3, 1, 6, seed=0, require_generation=True))),
+        (["inner", "search", "--p", "2", "--delta", "3", "--ka", "1", "--kb", "2"],
+         dumps(pair)),
+        (["code", "build", "--p", "3", "--m", "1", "--delta", "3", "--inner", "{pair}",
+          "--allow-nongenerating"], dumps(code)),
+        (["code", "verify", "--code", "{code}"], dumps(verify_document(code))),
+        (["csp", "emit", "--code", "{steane}"], dumps(instance)),
+        (["csp", "reduce3", "--instance", "{lin}"], reduce_to_3xor(instance).to_text()),
+    ]
+    for argv, expected in cases:
+        assert main([arg.format(**files) for arg in argv]) == 0
+        assert capsys.readouterr().out == expected.rstrip("\n") + "\n"
+    without_out = set()
+    for path, sub in _subcommands(build_parser()):
+        if "out" not in {action.dest for action in sub._actions}:
+            without_out.add(path)
+            continue
+        options = [opt for opt in sub.format_help().split() if opt.strip("[").startswith("--")]
+        assert options[0] == "[--out", path
+    assert without_out == {("pipeline", "run"), ("report",)}
 
 
 @pytest.mark.parametrize(
