@@ -99,9 +99,12 @@ def _load_gens(args) -> GeneratorMultiset:
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type of seeds, step and trial counts and budgets."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    """argparse type of seeds, step and trial counts and budgets: up to
+    2^63 - 1, since a count past int64 is no iteration bound."""
+    if not (text.isdecimal() and int(text) < 2**63):
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer below 2^63, got {text!r}"
+        )
     return int(text)
 
 

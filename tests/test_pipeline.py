@@ -239,6 +239,25 @@ FLAGSHIP_DOC = {
     "rho_target": "1/8", "seed": 7, "stages": list(PIPELINE_STAGES),
 }
 
+FLAGSHIP_REPORT = """\
+pipeline report
+===============
+parameters: field p=2, group (3,1), delta=5, inner dims (2,3), seed=7
+block length n = 675
+expander: 27 vertices at degree 5, lambda = 5.0 (lambda/degree = 1.0)
+inner: dims (2,3), certification = screened (primal screened, dual screened), \
+rho target = 1/8, candidates tried = 1
+complex: 675 faces, 108 vertices, convention = paired
+code: n = 675, m_x = 324, m_z = 324, locality <= 6
+verify: dimension = 51 >= 1 (planted); check-counting bound = 27
+distance: upper bound 6 (information-set, exact = false, side = z-logical)
+ssexp: grid = [0.001481481481, 0.002962962963, 0.005925925926], \
+boundary constant = 2.083333333333, coboundary constant = 2.083333333333, exact cosets = false
+csp: 675 constraints on 324 variables, arity <= 6, consistent = false, certificate size = 35
+csp: sos_level_bound = 0.166666666667 (constants taken from the empirical expansion curve \
+(c1=0.005925925926, c2=2.083333333333), not certified)
+"""
+
 
 def test_flagship_estimators_are_pinned(tmp_path):
     """Group (3,1), delta 5, GF(2), k = (2,3), seed 7, all stages: the
@@ -257,6 +276,10 @@ def test_flagship_estimators_are_pinned(tmp_path):
     }
     for name, digest in pinned.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    manifest = (tmp_path / "manifest.json").read_bytes()
+    digest = "97b65b523dad82b978e886097212abd54f166d338c65233fac7acc067ef7e0ef"
+    assert hashlib.sha256(manifest).hexdigest() == digest
+    assert render_report(json.loads(manifest)) == FLAGSHIP_REPORT
     distance = json.loads((tmp_path / "distance.json").read_text())
     assert distance["upper_bound"] == 6
     assert distance["trials"] == 64
@@ -334,9 +357,29 @@ def test_stage_failure_carries_context(tmp_path):
 # ---------------------------------------------------------------- report
 
 
+SMALL_REPORT = """\
+pipeline report
+===============
+parameters: field p=3, group (2,1), delta=4, inner dims (2,2), seed=11
+block length n = 128
+expander: 8 vertices at degree 4, lambda = 2.0 (lambda/degree = 0.5)
+inner: dims (2,2), certification = screened (primal screened, dual screened), \
+rho target = 1/8, candidates tried = 1
+complex: 128 faces, 32 vertices, convention = paired
+code: n = 128, m_x = 64, m_z = 64, locality <= 6
+verify: dimension = 22 >= 1 (planted); check-counting bound = 0
+distance: upper bound 1 (information-set, exact = false, side = z-logical)
+ssexp: grid = [0.0078125, 0.015625, 0.03125], boundary constant = 0.0, \
+coboundary constant = 2.0, exact cosets = false
+csp: 128 constraints on 64 variables, arity <= 6, consistent = false, certificate size = 1
+csp: sos_level_bound = null (empirical curve yielded no positive boundary constant)
+"""
+
+
 def test_report_echoes_manifest_values(small_run):
     _, manifest, _ = small_run
     text = render_report(manifest)
+    assert text == SMALL_REPORT  # every stage's lines, and the null bound's caveat
     assert "dimension = " in text and ">= 1 (planted)" in text
     boundary = manifest["stages"]["ssexp"]["summary"]["boundary_constant"]
     assert json.dumps(boundary) in text
@@ -473,6 +516,24 @@ def test_cli_csp_chain(steane_file, tmp_path, capsys):
     assert doc["sos_level_bound"] == pytest.approx(0.1)
 
 
+PARTIAL_REPORT = """\
+pipeline report
+===============
+parameters: field p=3, group (2,1), delta=4, inner dims (2,2), seed=11
+block length n = 128
+expander: 8 vertices at degree 4, lambda = 2.0 (lambda/degree = 0.5)
+inner: dims (2,2), certification = screened (primal screened, dual screened), \
+rho target = 1/8, candidates tried = 1
+complex: 128 faces, 32 vertices, convention = paired
+code: n = 128, m_x = 64, m_z = 64, locality <= 6
+verify: dimension = 22 >= 1 (planted); check-counting bound = 0
+distance: skipped
+ssexp: skipped
+csp: 128 constraints on 64 variables, arity <= 6, consistent = false, certificate size = 1
+csp: sos_level_bound = null (ssexp stage not run; no empirical constants available)
+"""
+
+
 def test_cli_pipeline_and_report(tmp_path, capsys):
     doc = dict(SMALL_DOC)
     doc["stages"] = ["expander", "inner", "complex", "code", "verify", "csp"]
@@ -485,10 +546,7 @@ def test_cli_pipeline_and_report(tmp_path, capsys):
     manifest_path = tmp_path / "run" / "manifest.json"
     assert manifest_path.is_file()
     assert main(["report", "--manifest", str(manifest_path)]) == 0
-    report = capsys.readouterr().out
-    assert "ssexp: skipped" in report
-    assert ">= 1 (planted)" in report
-    assert "no empirical constants available" in report
+    assert capsys.readouterr().out == PARTIAL_REPORT
 
 
 def test_cli_exit_codes(tmp_path, capsys, steane_file):
@@ -514,6 +572,32 @@ def test_cli_exit_codes(tmp_path, capsys, steane_file):
     assert main(
         ["csp", "maxsat", "--instance", str(lin_file), "--budget", "4"]
     ) == 3
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"rho_target": "1/0"},
+        {"rho_target": "0"},
+        {"rho_target": "-1/8"},
+        {"rho_target": 0},
+        {"k_b": 5},  # k_b = delta: a sum-zero code of length delta has k <= delta - 1
+        {"budgets": {"distance_trials": 10**23}},
+        {"budgets": {"falsify_trials": 10**23}},
+    ],
+    ids=["rho-1/0", "rho-0", "rho-negative", "rho-number-0", "k_b-delta",
+         "distance-trials-1e23", "falsify-trials-1e23"],
+)
+def test_cli_bad_config_is_refused_before_any_stage(tmp_path, capsys, change):
+    """A config no stage can run exits 2 with one stderr line, and no
+    artifact is written."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**FLAGSHIP_DOC, **change}))
+    run = tmp_path / "run"
+    assert main(["pipeline", "run", "--config", str(config), "--out", str(run)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "precondition failed" in err[0]
+    assert not run.exists()
 
 
 def test_cli_memory_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -553,6 +637,10 @@ EXPANDER_WITHOUT_VERTICES_MANIFEST = {
                "seed": 7},
     "n": 675,
     "stages": {"expander": {"summary": {"degree": 5, "second_eigenvalue": 5.0, "ratio": 1.0}}},
+}
+COMPLEX_WITHOUT_FACES_MANIFEST = {
+    **EXPANDER_WITHOUT_VERTICES_MANIFEST,
+    "stages": {"complex": {"summary": {"num_vertices": 108, "convention": "paired"}}},
 }
 
 
@@ -595,6 +683,7 @@ def _instance_text(**change):
         (["report", "--manifest", "{bad}"], json.dumps(EXPANDER_WITHOUT_VERTICES_MANIFEST)),
         (["report", "--manifest", "{bad}"],
          json.dumps({**EXPANDER_WITHOUT_VERTICES_MANIFEST, "stages": []})),
+        (["report", "--manifest", "{bad}"], json.dumps(COMPLEX_WITHOUT_FACES_MANIFEST)),
     ],
 )
 def test_cli_malformed_artifact_exits_2(tmp_path, capsys, steane_file, argv, content):
@@ -711,6 +800,7 @@ def test_cli_bad_argument_exits_2(tmp_path, capsys, argv):
         ["csp", "maxsat", "--instance", "{lin}", "--budget", "-1"],
         ["inner", "search", "--p", "2", "--delta", "3", "--ka", "1", "--kb", "2",
          "--budget", "-1"],
+        ["code", "distance", "--code", "{lin}", "--trials", str(10**23)],
     ],
 )
 def test_cli_negative_seed_or_steps_exits_2(tmp_path, capsys, argv):
