@@ -425,70 +425,17 @@ class XorClause(NamedTuple):
     parity: int
 
 
-def _clause_error(idx: int, cl: XorClause, num_vars: int) -> str | None:
-    """What is wrong with clause idx, or None when it is well formed."""
-    if len(cl.vars) > 3:
-        return f"clause {idx} has arity {len(cl.vars)} > 3"
-    if len(set(cl.vars)) != len(cl.vars):
-        return f"clause {idx} repeats a variable"
-    for v in cl.vars:
-        if not 0 <= v < num_vars:
-            return f"clause {idx}: variable {v} out of range"
-    if cl.parity not in (0, 1):
-        return f"clause {idx}: parity must be 0 or 1"
-    return None
-
-
+@dataclass(eq=False)
 class XorInstance:
-    """Parity clauses over num_vars variables, held as arrays: clause k is
-    sum of y[v] for v in vars[indptr[k]:indptr[k + 1]] = parity[k].
+    """Parity clauses over num_vars variables, held as the arrays
+    `reduce_to_3xor` computes: clause k is sum of y[v] for v in
+    vars[indptr[k]:indptr[k + 1]] = parity[k].  They are valid by
+    construction, as a row's variables are distinct and the dummies fresh."""
 
-    Built from clauses (`XorInstance(num_vars, clauses)`, `from_text`) or
-    by `reduce_to_3xor`; either way the arrays are checked once, and the
-    first bad clause is named.
-    """
-
-    __slots__ = ("num_vars", "indptr", "vars", "parity")
-
-    def __init__(self, num_vars: int, clauses):
-        clauses = list(clauses)
-        try:
-            arity = np.fromiter((len(cl[0]) for cl in clauses), dtype=np.int64, count=len(clauses))
-            vars_ = np.fromiter(
-                chain.from_iterable(cl[0] for cl in clauses), dtype=np.int64, count=int(arity.sum())
-            )
-            parity = np.fromiter((cl[1] for cl in clauses), dtype=np.int64, count=len(clauses))
-            self._set(num_vars, np.concatenate([[0], np.cumsum(arity)]), vars_, parity)
-        except OverflowError:  # a value beyond int64: look clause by clause
-            for idx, cl in enumerate(clauses):
-                if error := _clause_error(idx, XorClause(*cl), num_vars):
-                    raise DomainError(error) from None
-            raise DomainError("variables must be integers within int64") from None
-
-    @classmethod
-    def _from_arrays(cls, num_vars: int, indptr, vars_, parity) -> "XorInstance":
-        inst = cls.__new__(cls)
-        inst._set(num_vars, indptr, vars_, parity)
-        return inst
-
-    def _set(self, num_vars: int, indptr, vars_, parity) -> None:
-        self.num_vars, self.indptr, self.vars, self.parity = num_vars, indptr, vars_, parity
-        bad = np.flatnonzero(self._invalid())
-        if len(bad):
-            idx = int(bad[0])
-            raise DomainError(_clause_error(idx, self.clauses[idx], num_vars))
-
-    def _invalid(self) -> np.ndarray:
-        """Per clause, whether `_clause_error` finds a fault, on arrays."""
-        arity, vars_, parity = np.diff(self.indptr), self.vars, self.parity
-        owner, _ = _runs(arity)
-        bad = (arity > 3) | ((parity != 0) & (parity != 1))
-        bad[owner[(vars_ < 0) | (vars_ >= self.num_vars)]] = True
-        start = self.indptr[:-1]
-        for i, j in ((0, 1), (0, 2), (1, 2)):  # a longer clause is bad already
-            has = np.flatnonzero(arity > j)
-            bad[has[vars_[start[has] + i] == vars_[start[has] + j]]] = True
-        return bad
+    num_vars: int
+    indptr: np.ndarray
+    vars: np.ndarray
+    parity: np.ndarray
 
     @property
     def clauses(self) -> list[XorClause]:
@@ -503,14 +450,6 @@ class XorInstance:
     def num_clauses(self) -> int:
         return len(self.parity)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, XorInstance):
-            return NotImplemented
-        return (self.num_vars, self.clauses) == (other.num_vars, other.clauses)
-
-    def to_doc(self) -> dict:
-        return {"num_vars": self.num_vars, "clauses": self.clauses}
-
     def to_text(self) -> str:
         """DIMACS-flavored dump: 1-indexed variables, parity last."""
         ptr, names = self.indptr.tolist(), list(map(str, (self.vars + 1).tolist()))
@@ -520,23 +459,6 @@ class XorInstance:
             for a, b, par in zip(ptr, ptr[1:], map(str, self.parity.tolist()))
         ]
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "XorInstance":
-        """Parse `to_text` output; any other text raises DomainError."""
-        lines = [ln.split() for ln in text.splitlines() if ln.strip()]
-        try:
-            (p, kind, nv, nc), *body = lines
-            if (p, kind) != ("p", "xor") or any(ln[0] != "x" for ln in body):
-                raise ValueError("not a 'p xor' header followed by 'x' lines")
-            nv, nc = int(nv), int(nc)
-            clauses = [XorClause(tuple(int(v) - 1 for v in vs), int(b)) for _, *vs, b in body]
-        except ValueError as exc:
-            raise DomainError(f"malformed 3-XOR text: {exc}") from None
-        inst = cls(num_vars=nv, clauses=clauses)
-        if inst.num_clauses != nc:
-            raise DomainError("clause count disagrees with header")
-        return inst
 
 
 def reduce_to_3xor(instance: LinInstance) -> XorInstance:
@@ -574,4 +496,4 @@ def reduce_to_3xor(instance: LinInstance) -> XorInstance:
     vars_[at] = np.where((slot == 1) | ((slot == 0) & (j == 0)), x, z)
     clause_ptr = np.concatenate([[0], np.cumsum(arity)])
     num_vars = instance.num_vars + int(dummies.sum())
-    return XorInstance._from_arrays(num_vars, clause_ptr, vars_, parity)
+    return XorInstance(num_vars, clause_ptr, vars_, parity)

@@ -359,7 +359,7 @@ def _direction_tuples(p: int) -> list[tuple[int, int, int]]:
 
 def _assemble_multiset(
     p: int, m: int, degree: int, directions: list[tuple[int, int, int]]
-) -> GeneratorMultiset | None:
+) -> GeneratorMultiset:
     """Fill `degree` slots with inverse-closed generators, identity-padded."""
     chosen: list[GroupElement] = []
     used: set[tuple[int, int, int]] = set()
@@ -382,8 +382,6 @@ def _assemble_multiset(
     while remaining > 0:
         chosen.append(identity(p, m))
         remaining -= 1
-    if len(chosen) != degree:
-        return None
     return GeneratorMultiset.from_elements(chosen)
 
 
@@ -420,8 +418,6 @@ def default_generators(
     rejected: list[str] = []
     for rank_i, ordering in enumerate(orderings):
         cand = _assemble_multiset(p, m, degree, ordering)
-        if cand is None:
-            continue
         level1 = GeneratorMultiset.from_elements(
             [element_from_coords(p, 1, *g.coords) for g in cand.elements]
         )

@@ -386,6 +386,18 @@ def _certify_pair(
     return "screened", None
 
 
+def positive_rational(value) -> Fraction:
+    """rho_target as the search certifies it: a positive number, as the
+    nearest fraction with denominator at most 10^9."""
+    try:
+        rho = Fraction(value).limit_denominator(10**9)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        rho = None
+    if rho is None or rho <= 0:
+        raise DomainError(f"rho_target must be a positive rational, got {value!r}")
+    return rho
+
+
 def search_inner_pair(
     p: int,
     delta: int,
@@ -404,12 +416,7 @@ def search_inner_pair(
     a falsification pass.  The provenance records which ladder rung each
     certificate came from.
     """
-    try:
-        rho_target = Fraction(rho_target).limit_denominator(10**9)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise DomainError(f"rho_target {rho_target!r} is not a number") from None
-    if rho_target <= 0:
-        raise DomainError(f"rho_target must be positive, got {rho_target}")
+    rho_target = positive_rational(rho_target)
     for trial in range(budget):
         code_a = sample_planted_code(p, delta, k_a, seed=seed * 100003 + trial)
         code_b = sample_sum_zero_code(p, delta, k_b, seed=seed * 100003 + trial)

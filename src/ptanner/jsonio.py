@@ -101,16 +101,18 @@ def read_artifact(path, parse, what: str = "file"):
     A missing file raises MissingArtifact; malformed JSON, or a parse that
     fails with ValueError, KeyError, TypeError, IndexError, AttributeError
     or OverflowError (a missing key, a wrongly shaped value, an integer past
-    int64) or with a precondition error of its own, raises DomainError.
-    Both name the file.
+    int64), raises DomainError.  A precondition error of the parse's own,
+    a well-formed document refused for its values, keeps its class.  All
+    name the file.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingArtifact(f"{what} not found: {path}")
     try:
         return loads(path.read_text(), parse)
-    except (ValueError, KeyError, TypeError, IndexError, AttributeError, OverflowError,
-            PreconditionError) as exc:
+    except PreconditionError as exc:
+        raise type(exc)(f"{what} {path}: {exc}") from exc
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError, OverflowError) as exc:
         raise DomainError(
             f"malformed {what} {path}: {type(exc).__name__}: {exc}"
         ) from exc

@@ -29,7 +29,7 @@ from .expander import (
     spectral_expansion,
 )
 from .gf import _supported_prime
-from .inner import search_inner_pair
+from .inner import positive_rational, search_inner_pair
 from .jsonio import dumps, read_artifact
 from .tanner import (
     CONVENTIONS,
@@ -127,16 +127,6 @@ def stage_seed(root_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _positive_rational(value) -> Fraction:
-    try:
-        rho = Fraction(value)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        rho = None
-    if rho is None or rho <= 0:
-        raise DomainError(f"rho_target must be a positive rational, got {value!r}")
-    return rho
-
-
 @lru_cache(maxsize=1)
 def _config_validator():
     """CONFIG_SCHEMA's validator, checked against its metaschema once.
@@ -195,7 +185,7 @@ class RunConfig:
             raise DomainError("inner dimensions need k_a <= delta and k_b <= delta - 1")
         # every other key is stored as given, every absent one takes its default
         convert = {
-            "rho_target": _positive_rational,
+            "rho_target": positive_rational,
             "stages": tuple,
             "ssexp_grid": tuple,
             "budgets": dict,

@@ -597,7 +597,22 @@ def test_cli_bad_config_is_refused_before_any_stage(tmp_path, capsys, change):
     assert main(["pipeline", "run", "--config", str(config), "--out", str(run)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "precondition failed" in err[0]
+    assert "malformed" not in err[0] and err[0].count("DomainError") == 1
     assert not run.exists()
+
+
+def test_float_rho_target_is_recorded_as_certified(tmp_path):
+    """The manifest's config, the inner summary and the inner pair's
+    provenance all record the rho_target the search certifies."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**FLAGSHIP_DOC, "rho_target": 0.1, "stages": ["inner"]}))
+    run = tmp_path / "run"
+    assert main(["pipeline", "run", "--config", str(config), "--out", str(run)]) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    pair = json.loads((run / "inner_pair.json").read_text())
+    assert manifest["config"]["rho_target"] == "1/10"
+    assert manifest["stages"]["inner"]["summary"]["rho_target"] == "1/10"
+    assert pair["provenance"]["rho_target"] == "1/10"
 
 
 def test_cli_memory_error_exits_3(tmp_path, capsys, monkeypatch):
